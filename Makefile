@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet vet-invariants race equivalence bench-smoke bench-telemetry bench-parallel bench-hotpath bench-fleet bench-trace bench-replay bench-mpsc bench-cluster fuzz
+.PHONY: all build test check fmt vet vet-invariants race equivalence bench-smoke bench-telemetry bench-parallel bench-hotpath bench-fleet bench-trace bench-replay bench-cluster fuzz
 
 all: build
 
@@ -92,15 +92,6 @@ bench-fleet:
 # bare (decode floor) and through the full fleet auditor plane.
 bench-replay:
 	$(GO) run ./cmd/hotpath-bench -replay-only -replay-out results/BENCH_replay.json
-
-# Regenerate the multicore batched-delivery numbers (see
-# results/BENCH_mpsc.json): 4 producer goroutines — each the single writer
-# of its own SPSC ring — into one EM with 3 fleet-wide sync auditors at
-# GOMAXPROCS 1/2/4/8, per-event Publish vs ring+PublishBatch. CI runs the
-# same section with -mpsc-check against the committed report and fails on a
-# >20% lock-amortization regression.
-bench-mpsc:
-	$(GO) run ./cmd/hotpath-bench -mpsc-only -mpsc-out results/BENCH_mpsc.json
 
 # Regenerate the cluster scaling numbers (see results/BENCH_cluster.json):
 # whole-cluster stepping throughput at 1/2/4 hosts x 2 VMs under the shared

@@ -23,11 +23,6 @@
 //   - replay (written separately to -replay-out): exit-stream replay
 //     throughput over a generated million-event capture, bare decode vs the
 //     full fleet auditor plane — the cost of re-judging an incident bundle.
-//   - mpsc (written separately to -mpsc-out): aggregate events/sec from 4
-//     producer goroutines into one EM at GOMAXPROCS 1/2/4/8, per-event
-//     Publish vs SPSC ring + PublishBatch — the batched multicore delivery
-//     claim, with -mpsc-check as the CI regression gate on the lock
-//     amortization ratio.
 //   - cluster (written separately to -cluster-out): whole-cluster stepping
 //     throughput at 1/2/4 hosts x 2 VMs under the shared datacenter clock,
 //     plus the wall cost of one live migration — the cluster plane's
@@ -123,10 +118,6 @@ func run() error {
 		replayOut   = flag.String("replay-out", "", "write the exit-stream replay report here (default stdout)")
 		replayOnly  = flag.Bool("replay-only", false, "run only the exit-stream replay section")
 		replayEvs   = flag.Int("replay-events", 1_000_000, "event count for the generated replay capture")
-		mpscOut     = flag.String("mpsc-out", "", "write the multicore batched-delivery report here (default stdout)")
-		mpscOnly    = flag.Bool("mpsc-only", false, "run only the multicore batched-delivery section")
-		mpscCheck   = flag.String("mpsc-check", "", "fail if batching's lock amortization regressed >20% vs this baseline report")
-		mpscEvs     = flag.Int("mpsc-events", 200_000, "events per producer for the multicore section")
 		clusterOut  = flag.String("cluster-out", "", "write the cluster scaling report here (default stdout)")
 		clusterOnly = flag.Bool("cluster-only", false, "run only the cluster scaling section")
 	)
@@ -144,9 +135,6 @@ func run() error {
 	}
 	if *replayOnly {
 		return runReplayBench(*replayOut, *seed, *replayEvs)
-	}
-	if *mpscOnly {
-		return runMpscBench(*mpscOut, *mpscCheck, *mpscEvs)
 	}
 	if *clusterOnly {
 		return runClusterBench(*clusterOut, *seed)
@@ -208,11 +196,6 @@ func run() error {
 	}
 	if *replayOut != "" {
 		if err := runReplayBench(*replayOut, *seed, *replayEvs); err != nil {
-			return err
-		}
-	}
-	if *mpscOut != "" {
-		if err := runMpscBench(*mpscOut, *mpscCheck, *mpscEvs); err != nil {
 			return err
 		}
 	}

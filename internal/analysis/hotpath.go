@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -20,8 +21,10 @@ var syncBlocking = map[string]bool{
 // Hotpath enforces the telemetry design contract (DESIGN.md §8) inside
 // functions marked //hypertap:hotpath: code that runs per VM Exit or per
 // published event must not take locks, format strings, iterate maps, or
-// allocate via composite literals/append. The instruments must not perturb
-// the path they measure.
+// allocate via slice, map or address-taken literals or append. A struct or
+// array literal is a plain value, heap-allocated only if it escapes, and
+// escapes are allocproof's to prove. The instruments must not perturb the
+// path they measure.
 type Hotpath struct{}
 
 // Name implements Pass.
@@ -31,7 +34,7 @@ func (Hotpath) Name() string { return "hotpath" }
 func (Hotpath) Doc() string {
 	return "Functions marked //hypertap:hotpath (telemetry Observe/Inc, EM Publish, exit " +
 		"dispatch) run per VM Exit: mutex acquisition, fmt calls, map iteration, and " +
-		"composite-literal/append allocations there perturb the measurement the paper's " +
+		"slice/map/&T{} literal and append allocations there perturb the measurement the paper's " +
 		"overhead numbers depend on. Inherent costs carry //hypertap:allow hotpath <reason>."
 }
 
@@ -71,7 +74,15 @@ func (h Hotpath) Check(pkg *Package) []Finding {
 						report(n, "map iteration (hash-order walk) in hot-path func "+name)
 					}
 				}
+			case *ast.UnaryExpr:
+				if _, ok := n.X.(*ast.CompositeLit); ok && n.Op == token.AND {
+					report(n, "composite literal may allocate in hot-path func "+name)
+					return false
+				}
 			case *ast.CompositeLit:
+				if isValueType(pkg.Info.TypeOf(n)) {
+					return true
+				}
 				report(n, "composite literal may allocate in hot-path func "+name)
 				// Don't descend: nested literals would re-report per element.
 				return false
@@ -80,6 +91,19 @@ func (h Hotpath) Check(pkg *Package) []Finding {
 		})
 	}
 	return out
+}
+
+// isValueType reports whether t is a struct or array type, whose literals
+// are values rather than references to fresh storage.
+func isValueType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Struct, *types.Array:
+		return true
+	}
+	return false
 }
 
 // recvTypeName renders "Mutex." for methods, "" for plain functions.

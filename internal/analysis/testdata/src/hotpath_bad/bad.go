@@ -38,3 +38,14 @@ func (c *counter) coldRecord(key string) string {
 	parts = append(parts, len(key))
 	return fmt.Sprintf("%s=%d", key, parts[0])
 }
+
+type pair struct{ a, b int }
+
+// values shows the literal rule: struct and array literals are values left
+// to allocproof's escape analysis; an address-taken literal is a finding.
+//
+//hypertap:hotpath
+func values(x int) (*pair, [2]int) {
+	p := pair{a: x}
+	return &pair{a: p.a}, [2]int{x, p.b}
+}

@@ -150,10 +150,13 @@ func (d *Detector) Start() {
 	}
 }
 
-// armLocked (re)arms vCPU i's silence timer. Caller holds d.mu.
+// armLocked (re)arms vCPU i's silence timer. Caller holds d.mu. Every
+// context switch re-arms, so the vCPU's timer is reused — Clock.Reset fires
+// it exactly where a fresh AfterFunc would — rather than replaced.
 func (d *Detector) armLocked(vcpu int) {
-	if d.timers[vcpu] != nil {
-		d.cfg.Clock.Stop(d.timers[vcpu])
+	if t := d.timers[vcpu]; t != nil {
+		d.timers[vcpu] = d.cfg.Clock.Reset(t, d.cfg.Threshold)
+		return
 	}
 	d.timers[vcpu] = d.cfg.Clock.AfterFunc(d.cfg.Threshold, func(now time.Duration) {
 		d.onSilence(vcpu, now)

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"hypertap/internal/arch"
 	"hypertap/internal/telemetry"
 )
 
@@ -245,137 +243,14 @@ func TestBatchAuditorSyncIgnored(t *testing.T) {
 	for i := range evs {
 		evs[i] = Event{Type: EvSyscall, Seq: uint64(i)}
 	}
-	em.PublishBatch(evs)
+	if n := em.PublishBatch(evs); n != 4 {
+		t.Fatalf("PublishBatch reported %d sync deliveries, want 4", n)
+	}
 	if len(ba.claims) != 0 {
 		t.Fatalf("sync subscriber received %d HandleBatch claims, want 0", len(ba.claims))
 	}
 	if len(ba.got) != 4 {
 		t.Fatalf("sync subscriber got %d events, want 4", len(ba.got))
-	}
-}
-
-func TestEventRingPushPeekRelease(t *testing.T) {
-	r := NewEventRing(4)
-	if r.Cap() != 4 {
-		t.Fatalf("Cap() = %d, want 4", r.Cap())
-	}
-	for i := 0; i < 4; i++ {
-		ev := Event{Seq: uint64(i)}
-		if !r.Push(&ev) {
-			t.Fatalf("Push %d failed on non-full ring", i)
-		}
-	}
-	full := Event{Seq: 99}
-	if r.Push(&full) {
-		t.Fatal("Push succeeded on full ring")
-	}
-	seg := r.Peek()
-	if len(seg) != 4 || seg[0].Seq != 0 || seg[3].Seq != 3 {
-		t.Fatalf("Peek = %d events starting at %d", len(seg), seg[0].Seq)
-	}
-	r.Release(2)
-	if r.Len() != 2 {
-		t.Fatalf("Len after partial release = %d, want 2", r.Len())
-	}
-	// Wrap: two more pushes land in the freed slots; Peek must split at the
-	// physical end of the slot array.
-	for i := 4; i < 6; i++ {
-		ev := Event{Seq: uint64(i)}
-		if !r.Push(&ev) {
-			t.Fatalf("Push %d failed after release", i)
-		}
-	}
-	seg = r.Peek()
-	if len(seg) != 2 || seg[0].Seq != 2 || seg[1].Seq != 3 {
-		t.Fatalf("wrapped Peek = %v", seg)
-	}
-	r.Release(2)
-	seg = r.Peek()
-	if len(seg) != 2 || seg[0].Seq != 4 || seg[1].Seq != 5 {
-		t.Fatalf("post-wrap Peek = %v", seg)
-	}
-	r.Release(2)
-	if r.Peek() != nil {
-		t.Fatal("Peek on empty ring returned a segment")
-	}
-}
-
-func TestEventRingDrainPublishes(t *testing.T) {
-	em := NewMultiplexer()
-	var mu sync.Mutex
-	var got []Event
-	if err := em.Register(collect("sink", MaskAll, &mu, &got), DeliverSync, 0); err != nil {
-		t.Fatal(err)
-	}
-	r := NewEventRing(8)
-	// Force a wrap so Drain has to publish two segments.
-	for i := 0; i < 5; i++ {
-		ev := Event{Type: EvSyscall, Seq: uint64(i)}
-		r.Push(&ev)
-	}
-	if n := r.Drain(em, 0); n != 5 {
-		t.Fatalf("first Drain = %d, want 5", n)
-	}
-	for i := 5; i < 11; i++ {
-		ev := Event{Type: EvSyscall, Seq: uint64(i)}
-		if !r.Push(&ev) {
-			t.Fatalf("Push %d failed", i)
-		}
-	}
-	if n := r.Drain(em, 0); n != 6 {
-		t.Fatalf("Drain = %d, want 6", n)
-	}
-	if len(got) != 11 {
-		t.Fatalf("delivered %d events, want 11", len(got))
-	}
-	for i, ev := range got {
-		if ev.Seq != uint64(i) {
-			t.Fatalf("event %d has Seq %d: order broken across wrap", i, ev.Seq)
-		}
-	}
-}
-
-// TestEventRingSPSCConcurrent runs the ring's actual contract — one producer
-// goroutine, one consumer goroutine — under the race detector, checking that
-// every pushed event arrives exactly once, in order, with intact contents.
-func TestEventRingSPSCConcurrent(t *testing.T) {
-	const total = 20000
-	r := NewEventRing(64)
-	var consumed atomic.Uint64
-	done := make(chan error, 1)
-	go func() {
-		var next uint64
-		for next < total {
-			seg := r.Peek()
-			if len(seg) == 0 {
-				runtime.Gosched() // single-CPU hosts: let the producer run
-				continue
-			}
-			for i := range seg {
-				if seg[i].Seq != next || seg[i].GVA != gvaFromSeq(next) {
-					done <- fmt.Errorf("slot %d: got Seq %d GVA %#x, want Seq %d", i, seg[i].Seq, uint64(seg[i].GVA), next)
-					return
-				}
-				next++
-			}
-			r.Release(len(seg))
-			consumed.Store(next)
-		}
-		done <- nil
-	}()
-	for i := uint64(0); i < total; {
-		ev := Event{Seq: i, GVA: gvaFromSeq(i)}
-		if r.Push(&ev) {
-			i++
-		} else {
-			runtime.Gosched() // ring full: let the consumer drain
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if consumed.Load() != total {
-		t.Fatalf("consumed %d, want %d", consumed.Load(), total)
 	}
 }
 
@@ -509,7 +384,3 @@ func TestPublishBatchZeroAllocs(t *testing.T) {
 		t.Fatalf("batched publish+drain allocates %.1f/op, want 0", allocs)
 	}
 }
-
-// gvaFromSeq derives a recognizable payload from a sequence number so the
-// SPSC test can detect torn or stale slot reads, not just misordered ones.
-func gvaFromSeq(seq uint64) arch.GVA { return arch.GVA(0xffff0000_00000000 | seq<<4) }

@@ -146,8 +146,8 @@ type Multiplexer struct {
 	// detaches it under the lock so concurrent Dispatch calls never share.
 	scratch *dispatchBatch
 	// syncDelivered counts synchronous deliveries across all subscriptions,
-	// folded once per publish batch; the per-exit cost accounting in
-	// internal/hv reads it instead of walking (and allocating) Stats.
+	// folded once per publish batch (PublishBatch also returns each batch's
+	// share to its caller).
 	syncDelivered uint64
 	// fl is the attached flight recorder; nil keeps the tracing plane off
 	// and Publish pays one predicted-taken branch.
@@ -539,12 +539,15 @@ func (m *Multiplexer) Publish(ev *Event) {
 }
 
 // PublishBatch delivers evs in order, amortizing the EM lock, flight
-// recording, and telemetry over the whole batch. Batching is transparent:
-// PublishBatch(evs) leaves every observable — published counters, async
-// rings, flight exit and span rings, sync delivery order, RHC sampler feed,
-// latency-sampling cadence — byte-identical to publishing each event alone,
-// so batch boundaries (an EF decode run, a replay grouping, an SPSC drain
-// segment) are unobservable downstream.
+// recording, and telemetry over the whole batch, and returns the number of
+// synchronous deliveries it made — the figure the hypervisor prices
+// blocking audits with, handed back so the exit path needs no second EM
+// lock round trip to read it. Batching is transparent: PublishBatch(evs)
+// leaves every observable — published counters, async rings, flight exit
+// and span rings, sync delivery order, RHC sampler feed, latency-sampling
+// cadence — byte-identical to publishing each event alone, so batch
+// boundaries (an EF decode run, a replay grouping) are unobservable
+// downstream.
 //
 // The locked phase runs once per batch: per-event accounting — publish and
 // sync-delivery counters, async queueing, exit-ring recording — with the
@@ -560,9 +563,9 @@ func (m *Multiplexer) Publish(ev *Event) {
 const syncBufCap = 8
 
 //hypertap:hotpath
-func (m *Multiplexer) PublishBatch(evs []Event) {
+func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 	if len(evs) == 0 {
-		return
+		return 0
 	}
 	// The sync slot lists resolved in the locked phase, carried to the
 	// delivery phase so routes resolve once per event, not once per phase.
@@ -602,7 +605,7 @@ func (m *Multiplexer) PublishBatch(evs []Event) {
 			for _, s := range syncSubs {
 				s.delivered++
 			}
-			m.syncDelivered += uint64(len(syncSubs))
+			syncRuns += len(syncSubs)
 		}
 		var queuedBits, droppedBits uint64
 		for _, s := range vt.async[slot] {
@@ -640,6 +643,7 @@ func (m *Multiplexer) PublishBatch(evs []Event) {
 		tel.depth.Set(depth)
 		tel.highWater.SetMax(depth)
 	}
+	m.syncDelivered += uint64(syncRuns)
 	m.mu.Unlock()
 
 	// Delivery outside the lock, event-major: auditors may call back into
@@ -680,6 +684,7 @@ func (m *Multiplexer) PublishBatch(evs []Event) {
 			}
 		}
 	}
+	return syncRuns
 }
 
 // evPool recycles the sampler's scratch copies. The RHC feed runs unlocked,
@@ -857,7 +862,7 @@ func (m *Multiplexer) Published() uint64 {
 
 // SyncDelivered returns the total synchronous deliveries summed across all
 // subscriptions — the same figure summing Stats() would give, without the
-// walk or the allocation, so per-exit cost accounting can read it inline.
+// walk or the allocation.
 func (m *Multiplexer) SyncDelivered() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

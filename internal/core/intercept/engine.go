@@ -97,19 +97,11 @@ type Engine struct {
 	// entryGPA is the protected entry page once armed.
 	entryGPA arch.GPA
 	decoded  map[core.EventType]uint64
-	// batch accumulates decoded events during one HandleExit call.
+	// batch accumulates the events decoded from one exit. HandleExit hands
+	// it to PublishBatch in place after unlock, so the EM lock is paid once
+	// per exit and no event is copied on the way; its capacity persists, so
+	// steady-state decoding allocates nothing.
 	batch []core.Event
-	// ring is this forwarder's SPSC conduit to the EM: decoded batches are
-	// staged into its preallocated slots under the engine lock (replacing a
-	// per-exit heap copy) and drained into PublishBatch after unlock, so the
-	// EM lock is paid once per decode batch. HandleExit is the sole producer
-	// and sole consumer; on real cores each VM's forwarder owns its ring, so
-	// forwarders never share publish buffers.
-	ring *core.EventRing
-	// spill holds decode overflow on the (never-in-practice) exit whose
-	// batch exceeds the ring; spilled events publish directly after the ring
-	// drains, preserving decode order.
-	spill []core.Event
 	// tap, when set, observes every decoded event just before publication —
 	// the capture plane's recording point (internal/capture).
 	tap core.ExitStreamTap
@@ -131,7 +123,6 @@ func New(cfg Config) *Engine {
 		tssRSP0GPA: make([]arch.GPA, cfg.Control.NumVCPUs()),
 		tssAlerted: make([]bool, cfg.Control.NumVCPUs()),
 		decoded:    make(map[core.EventType]uint64),
-		ring:       core.NewEventRing(0),
 	}
 	if e.now == nil {
 		e.now = func(int) time.Duration { return e.ctl.Now() }
@@ -152,106 +143,76 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-var _ hav.ExitHandler = (*Engine)(nil)
-
-// HandleExit implements the Event Forwarder: decode, arm, publish. Decoding
-// runs under the engine lock; publication happens after unlock so that
-// synchronous auditors may safely call back into the engine.
-func (e *Engine) HandleExit(exit *hav.Exit) {
-	e.mu.Lock()
+// HandleExit is the Event Forwarder: decode, arm, publish. The hypervisor's
+// exit handler calls it while the vCPU is suspended, and it reports what the
+// exit cost the monitor — events published and synchronous auditor runs —
+// for the hypervisor to price in guest time. Decoding runs under the engine
+// lock; publication happens after unlock so that synchronous auditors may
+// safely call back into the engine.
+//
+// The decode batch goes to PublishBatch in place, with no staging copy and
+// one buffer. A second buffer would only be needed if HandleExit could be
+// re-entered while its batch is being delivered, and it cannot: one VM's
+// exits are raised on one goroutine by the guest kernel's vCPU operations,
+// and a synchronous auditor never reaches those — it sees the VM through
+// core.GuestView and the engine's query methods, which read state or set
+// controls but never run guest code. TestSyncAuditorReentersEngine pins the
+// callback side of that argument.
+//
+// The tap sees every event of the batch before it publishes, so a capture's
+// record order is exactly the EM's publish order — and because publish
+// batching is transparent (see core.PublishBatch), replaying that capture
+// under any regrouping of the same order is byte-identical.
+//
+//hypertap:hotpath
+func (e *Engine) HandleExit(exit *hav.Exit) (published, syncRuns int) {
+	e.mu.Lock() //hypertap:allow hotpath the engine lock serializes decode against auditors' query calls; taken once per exit, uncontended on the vCPU path
 	e.batch = e.batch[:0]
 	// Fig. 3C: integrity check on every VM Exit.
 	if e.feat.TSSIntegrity && e.sawFirstCR3 {
 		if cur := exit.Guest.TR; cur != e.savedTR[exit.VCPU] && !e.tssAlerted[exit.VCPU] {
 			e.tssAlerted[exit.VCPU] = true
-			e.publishLocked(exit, core.EvTSSRelocated, func(ev *core.Event) {
-				ev.GVA = cur
-			})
+			e.publishLocked(exit, core.EvTSSRelocated).GVA = cur
 		}
 	}
 
-	switch q := exit.Qual.(type) {
-	case hav.CRAccessQual:
-		e.onCRAccess(exit, q)
-	case hav.EPTViolationQual:
-		e.onEPTViolation(exit, q)
-	case hav.ExceptionQual:
-		e.onException(exit, q)
-	case hav.WRMSRQual:
-		e.onWRMSR(exit, q)
-	case hav.IOQual:
+	q := &exit.Qual
+	switch exit.Reason {
+	case hav.ExitCRAccess:
+		e.onCRAccess(exit)
+	case hav.ExitEPTViolation:
+		e.onEPTViolation(exit)
+	case hav.ExitException:
+		e.onException(exit)
+	case hav.ExitWRMSR:
+		e.onWRMSR(exit)
+	case hav.ExitIOInstruction:
 		if e.feat.IO {
-			e.publishLocked(exit, core.EvIOPort, func(ev *core.Event) {
-				ev.Port, ev.IsWrite, ev.IOValue = q.Port, q.Write, q.Value
-			})
+			ev := e.publishLocked(exit, core.EvIOPort)
+			ev.Port, ev.IsWrite, ev.IOValue = q.Port, q.Write, uint32(q.Value)
 		}
-	case hav.ExternalInterruptQual:
+	case hav.ExitExternalInterrupt:
 		if e.feat.IO {
-			e.publishLocked(exit, core.EvInterrupt, func(ev *core.Event) {
-				ev.Vector = q.Vector
-			})
+			e.publishLocked(exit, core.EvInterrupt).Vector = q.Vector
 		}
-	case hav.APICAccessQual:
+	case hav.ExitAPICAccess:
 		if e.feat.IO {
-			e.publishLocked(exit, core.EvAPICAccess, func(ev *core.Event) {
-				ev.IsWrite = q.Write
-			})
+			e.publishLocked(exit, core.EvAPICAccess).IsWrite = q.Write
 		}
-	case hav.HLTQual:
-		e.publishLocked(exit, core.EvHalt, nil)
+	case hav.ExitHLT:
+		e.publishLocked(exit, core.EvHalt)
 	default:
-		e.publishLocked(exit, core.EvRawExit, nil)
+		e.publishLocked(exit, core.EvRawExit)
 	}
-	// Stage the decode batch into the SPSC ring while still under the
-	// engine lock (one copy into preallocated slots, where it used to heap-
-	// allocate a fresh slice per exit), then drain after unlock so that
-	// synchronous auditors may safely call back into the engine.
-	staged := 0
-	for i := range e.batch {
-		if !e.ring.Push(&e.batch[i]) {
-			break
-		}
-		staged++
-	}
-	if staged < len(e.batch) {
-		e.spill = append(e.spill[:0], e.batch[staged:]...)
-	}
-	tap := e.tap
+	batch, tap, em := e.batch, e.tap, e.em
 	e.mu.Unlock()
 
-	e.drain(tap)
-}
-
-// drain publishes everything staged for this exit: ring segments first,
-// then any spill, in decode order. The tap sees every event of a segment
-// before the segment publishes, so a capture's record order is exactly the
-// EM's publish order — and because publish batching is transparent (see
-// core.PublishBatch), replaying that capture under any regrouping of the
-// same order is byte-identical. Ring slots are released only after
-// PublishBatch returns: the batch borrows them as its arena.
-func (e *Engine) drain(tap core.ExitStreamTap) {
-	for {
-		seg := e.ring.Peek()
-		if len(seg) == 0 {
-			break
+	if tap != nil {
+		for i := range batch {
+			tap.TapEvent(&batch[i])
 		}
-		if tap != nil {
-			for i := range seg {
-				tap.TapEvent(&seg[i])
-			}
-		}
-		e.em.PublishBatch(seg)
-		e.ring.Release(len(seg))
 	}
-	if len(e.spill) > 0 {
-		if tap != nil {
-			for i := range e.spill {
-				tap.TapEvent(&e.spill[i])
-			}
-		}
-		e.em.PublishBatch(e.spill)
-		e.spill = e.spill[:0]
-	}
+	return len(batch), em.PublishBatch(batch)
 }
 
 // SetTap installs (or, with nil, removes) the decode-time exit-stream tap.
@@ -267,8 +228,8 @@ func (e *Engine) SetTap(tap core.ExitStreamTap) {
 // receiving half of a live migration. Everything else (VM identity, exit
 // sequence, armed algorithms, protection state) is untouched, so SpanIDs
 // minted after the move continue the pre-move sequence. The caller must
-// ensure the VM is quiescent: no HandleExit may be in flight, since drain
-// reads the EM reference outside the engine lock.
+// ensure the VM is quiescent: an in-flight HandleExit publishes to the EM it
+// read under the lock.
 func (e *Engine) Rebind(em *core.Multiplexer) {
 	e.mu.Lock()
 	e.em = em
@@ -276,9 +237,10 @@ func (e *Engine) Rebind(em *core.Multiplexer) {
 }
 
 // onCRAccess handles Fig. 3A plus the arming points of Fig. 3B/3C/3E.
-func (e *Engine) onCRAccess(exit *hav.Exit, q hav.CRAccessQual) {
+func (e *Engine) onCRAccess(exit *hav.Exit) {
+	q := &exit.Qual
 	if q.Register != 3 {
-		e.publishLocked(exit, core.EvRawExit, nil)
+		e.publishLocked(exit, core.EvRawExit)
 		return
 	}
 	newPDBA := arch.GPA(q.Value)
@@ -290,9 +252,7 @@ func (e *Engine) onCRAccess(exit *hav.Exit, q hav.CRAccessQual) {
 
 	if e.feat.ProcessSwitch {
 		e.pdbaSet[newPDBA] = struct{}{}
-		e.publishLocked(exit, core.EvProcessSwitch, func(ev *core.Event) {
-			ev.PDBA = newPDBA
-		})
+		e.publishLocked(exit, core.EvProcessSwitch).PDBA = newPDBA
 	} else if e.sawFirstCR3 && !e.feat.TSSIntegrity {
 		// Nothing needs further CR3 exits: drop the control to save exits.
 		e.ctl.SetCR3LoadExiting(false)
@@ -326,15 +286,15 @@ func (e *Engine) armOnFirstCR3(pdba arch.GPA) {
 
 // onEPTViolation decodes thread switches (Fig. 3B), fast-syscall entries
 // (Fig. 3E) and fine-grained watches.
-func (e *Engine) onEPTViolation(exit *hav.Exit, q hav.EPTViolationQual) {
+func (e *Engine) onEPTViolation(exit *hav.Exit) {
+	q := &exit.Qual
 	if q.Access == hav.AccessWrite && e.feat.ThreadSwitch {
 		if q.GPA == e.tssRSP0GPA[exit.VCPU] {
 			// [Addr] <- V where Addr == &vcpu.TR->RSP0: V is the incoming
 			// thread's kernel stack base.
-			e.publishLocked(exit, core.EvThreadSwitch, func(ev *core.Event) {
-				ev.RSP0 = arch.GVA(q.Value)
-				ev.GPA = q.GPA
-			})
+			ev := e.publishLocked(exit, core.EvThreadSwitch)
+			ev.RSP0 = arch.GVA(q.Value)
+			ev.GPA = q.GPA
 			return
 		}
 	}
@@ -343,29 +303,27 @@ func (e *Engine) onEPTViolation(exit *hav.Exit, q hav.EPTViolationQual) {
 		e.publishSyscallLocked(exit)
 		return
 	}
-	e.publishLocked(exit, core.EvMemAccess, func(ev *core.Event) {
-		ev.GPA, ev.GVA = q.GPA, q.GVA
-		ev.IsWrite = q.Access == hav.AccessWrite
-	})
+	ev := e.publishLocked(exit, core.EvMemAccess)
+	ev.GPA, ev.GVA = q.GPA, q.GVA
+	ev.IsWrite = q.Access == hav.AccessWrite
 }
 
 // onException decodes interrupt-based system calls (Fig. 3D).
-func (e *Engine) onException(exit *hav.Exit, q hav.ExceptionQual) {
-	if e.feat.Syscalls && q.Type == hav.ExcSoftwareInt &&
+func (e *Engine) onException(exit *hav.Exit) {
+	q := &exit.Qual
+	if e.feat.Syscalls && q.ExcType == hav.ExcSoftwareInt &&
 		(q.Vector == arch.VectorLinuxSyscall || q.Vector == arch.VectorWindowsSyscall) {
 		e.publishSyscallLocked(exit)
 		return
 	}
-	e.publishLocked(exit, core.EvRawExit, func(ev *core.Event) {
-		ev.Vector = q.Vector
-	})
+	e.publishLocked(exit, core.EvRawExit).Vector = q.Vector
 }
 
 // onWRMSR records the fast-syscall entry point (Fig. 3E).
-func (e *Engine) onWRMSR(exit *hav.Exit, q hav.WRMSRQual) {
-	e.publishLocked(exit, core.EvMSRWrite, func(ev *core.Event) {
-		ev.MSR, ev.MSRValue = q.MSR, q.Value
-	})
+func (e *Engine) onWRMSR(exit *hav.Exit) {
+	q := &exit.Qual
+	ev := e.publishLocked(exit, core.EvMSRWrite)
+	ev.MSR, ev.MSRValue = q.MSR, q.Value
 	if !e.feat.Syscalls || q.MSR != arch.MSRSysenterEIP {
 		return
 	}
@@ -395,23 +353,26 @@ func (e *Engine) protectEntryPage(cr3 arch.GPA) {
 // publishSyscallLocked reads the syscall number and parameters from the
 // saved general-purpose registers, exactly as Fig. 3D/3E's pseudo-code does.
 func (e *Engine) publishSyscallLocked(exit *hav.Exit) {
-	e.publishLocked(exit, core.EvSyscall, func(ev *core.Event) {
-		ev.SyscallNr = uint32(exit.Guest.GPR(arch.RAX))
-		ev.SyscallArgs = [4]uint64{
-			exit.Guest.GPR(arch.RBX),
-			exit.Guest.GPR(arch.RCX),
-			exit.Guest.GPR(arch.RDX),
-			exit.Guest.GPR(arch.RSI),
-		}
-	})
+	ev := e.publishLocked(exit, core.EvSyscall)
+	ev.SyscallNr = uint32(exit.Guest.GPR(arch.RAX))
+	ev.SyscallArgs = [4]uint64{
+		exit.Guest.GPR(arch.RBX),
+		exit.Guest.GPR(arch.RCX),
+		exit.Guest.GPR(arch.RDX),
+		exit.Guest.GPR(arch.RSI),
+	}
 }
 
-// publishLocked decodes one event into the pending batch. Callers hold e.mu;
-// HandleExit publishes the batch after releasing the lock so synchronous
-// auditors never run under the engine's critical state.
-func (e *Engine) publishLocked(exit *hav.Exit, t core.EventType, fill func(*core.Event)) {
+// publishLocked decodes one event into the pending batch and returns it for
+// the caller to fill in its type-specific fields; the pointer is valid until
+// the next publishLocked. Callers hold e.mu; HandleExit publishes the batch
+// after releasing the lock so synchronous auditors never run under the
+// engine's critical state.
+//
+//hypertap:hotpath
+func (e *Engine) publishLocked(exit *hav.Exit, t core.EventType) *core.Event {
 	e.decoded[t]++
-	ev := core.Event{
+	e.batch = append(e.batch, core.Event{ //hypertap:allow hotpath grows only until the largest decode batch fits; the buffer is reused across exits
 		Type:       t,
 		VM:         e.vm,
 		VCPU:       exit.VCPU,
@@ -420,11 +381,8 @@ func (e *Engine) publishLocked(exit *hav.Exit, t core.EventType, fill func(*core
 		Time:       e.now(exit.VCPU),
 		Regs:       exit.Guest,
 		ExitReason: exit.Reason,
-	}
-	if fill != nil {
-		fill(&ev)
-	}
-	e.batch = append(e.batch, ev)
+	})
+	return &e.batch[len(e.batch)-1]
 }
 
 // CountProcesses runs the full Fig. 3A algorithm: sweep the PDBA set,

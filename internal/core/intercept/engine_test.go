@@ -99,7 +99,7 @@ func newEngine(t *testing.T, feat Features) (*Engine, *fakeControl, *[]core.Even
 
 func cr3Exit(vcpu int, pdba uint64, seq uint64) *hav.Exit {
 	return &hav.Exit{VCPU: vcpu, Reason: hav.ExitCRAccess,
-		Qual: hav.CRAccessQual{Register: 3, Value: pdba}, Sequence: seq}
+		Qual: hav.Qualification{Register: 3, Value: pdba}, Sequence: seq}
 }
 
 func TestNewValidatesConfig(t *testing.T) {
@@ -168,7 +168,7 @@ func TestFirstCR3ArmsTSSProtection(t *testing.T) {
 
 	// A write to vCPU0's TSS.RSP0 decodes as a thread switch.
 	e.HandleExit(&hav.Exit{VCPU: 0, Reason: hav.ExitEPTViolation,
-		Qual: hav.EPTViolationQual{GPA: 0x2000 + arch.TSSOffRSP0, GVA: 0x8000004,
+		Qual: hav.Qualification{GPA: 0x2000 + arch.TSSOffRSP0, GVA: 0x8000004,
 			Access: hav.AccessWrite, Value: 0xBEEF000}, Sequence: 2})
 	found := false
 	for _, ev := range *events {
@@ -186,7 +186,7 @@ func TestFirstCR3ArmsTSSProtection(t *testing.T) {
 	// A write elsewhere in the page is a fine-grained memory event.
 	before := len(*events)
 	e.HandleExit(&hav.Exit{VCPU: 0, Reason: hav.ExitEPTViolation,
-		Qual: hav.EPTViolationQual{GPA: 0x2FF0, Access: hav.AccessWrite}, Sequence: 3})
+		Qual: hav.Qualification{GPA: 0x2FF0, Access: hav.AccessWrite}, Sequence: 3})
 	if (*events)[before].Type != core.EvMemAccess {
 		t.Fatalf("off-RSP0 write decoded as %v", (*events)[before].Type)
 	}
@@ -208,7 +208,7 @@ func TestSyscallDecodingFromException(t *testing.T) {
 	regs.SetGPR(arch.RBX, 1)
 	regs.SetGPR(arch.RCX, 4096)
 	e.HandleExit(&hav.Exit{VCPU: 0, Reason: hav.ExitException,
-		Qual:  hav.ExceptionQual{Type: hav.ExcSoftwareInt, Vector: arch.VectorLinuxSyscall},
+		Qual:  hav.Qualification{ExcType: hav.ExcSoftwareInt, Vector: arch.VectorLinuxSyscall},
 		Guest: regs, Sequence: 1})
 	if len(*events) != 1 || (*events)[0].Type != core.EvSyscall {
 		t.Fatalf("events = %v", *events)
@@ -219,7 +219,7 @@ func TestSyscallDecodingFromException(t *testing.T) {
 	}
 	// A non-syscall vector is a raw exit.
 	e.HandleExit(&hav.Exit{VCPU: 0, Reason: hav.ExitException,
-		Qual: hav.ExceptionQual{Type: hav.ExcSoftwareInt, Vector: 0x21}, Sequence: 2})
+		Qual: hav.Qualification{ExcType: hav.ExcSoftwareInt, Vector: 0x21}, Sequence: 2})
 	if (*events)[1].Type != core.EvRawExit {
 		t.Fatalf("non-gate vector decoded as %v", (*events)[1].Type)
 	}
@@ -233,7 +233,7 @@ func TestFastSyscallArming(t *testing.T) {
 
 	// WRMSR before any CR3: deferred.
 	e.HandleExit(&hav.Exit{VCPU: 0, Reason: hav.ExitWRMSR,
-		Qual: hav.WRMSRQual{MSR: arch.MSRSysenterEIP, Value: uint64(entryGVA)}, Sequence: 1})
+		Qual: hav.Qualification{MSR: arch.MSRSysenterEIP, Value: uint64(entryGVA)}, Sequence: 1})
 	if e.SyscallEntry() != entryGVA {
 		t.Fatal("entry point not recorded")
 	}
@@ -254,7 +254,7 @@ func TestFastSyscallArming(t *testing.T) {
 	var regs arch.RegisterFile
 	regs.SetGPR(arch.RAX, 20)
 	e.HandleExit(&hav.Exit{VCPU: 1, Reason: hav.ExitEPTViolation,
-		Qual:  hav.EPTViolationQual{GPA: entryGPA + 8, GVA: entryGVA + 8, Access: hav.AccessExec},
+		Qual:  hav.Qualification{GPA: entryGPA + 8, GVA: entryGVA + 8, Access: hav.AccessExec},
 		Guest: regs, Sequence: 3})
 	last := (*events)[len(*events)-1]
 	if last.Type != core.EvSyscall || last.SyscallNr != 20 {
@@ -267,7 +267,7 @@ func TestTSSIntegrityAlert(t *testing.T) {
 	e.HandleExit(cr3Exit(0, 0x9000, 1))
 	// Relocate vCPU1's TR.
 	ctl.regs[1].TR += 0x1000
-	exit := &hav.Exit{VCPU: 1, Reason: hav.ExitHLT, Qual: hav.HLTQual{},
+	exit := &hav.Exit{VCPU: 1, Reason: hav.ExitHLT,
 		Guest: ctl.regs[1], Sequence: 2}
 	e.HandleExit(exit)
 	alerts := 0
@@ -296,9 +296,9 @@ func TestIOFeatureGatesIOEvents(t *testing.T) {
 	eOn, _, evOn := newEngine(t, Features{IO: true})
 	eOff, _, evOff := newEngine(t, Features{})
 	exits := []*hav.Exit{
-		{Reason: hav.ExitIOInstruction, Qual: hav.IOQual{Port: 0x3F8, Write: true, Value: 'x'}},
-		{Reason: hav.ExitExternalInterrupt, Qual: hav.ExternalInterruptQual{Vector: arch.VectorTimer}},
-		{Reason: hav.ExitAPICAccess, Qual: hav.APICAccessQual{Offset: arch.APICOffEOI, Write: true}},
+		{Reason: hav.ExitIOInstruction, Qual: hav.Qualification{Port: 0x3F8, Write: true, Value: 'x'}},
+		{Reason: hav.ExitExternalInterrupt, Qual: hav.Qualification{Vector: arch.VectorTimer}},
+		{Reason: hav.ExitAPICAccess, Qual: hav.Qualification{Offset: arch.APICOffEOI, Write: true}},
 	}
 	for i, x := range exits {
 		x.Sequence = uint64(i + 1)
@@ -338,7 +338,7 @@ func TestCountProcessesSweepsStaleEntries(t *testing.T) {
 func TestNonCR3ControlRegisterIsRaw(t *testing.T) {
 	e, _, events := newEngine(t, Features{ProcessSwitch: true})
 	e.HandleExit(&hav.Exit{VCPU: 0, Reason: hav.ExitCRAccess,
-		Qual: hav.CRAccessQual{Register: 0, Value: 0x80000011}, Sequence: 1})
+		Qual: hav.Qualification{Register: 0, Value: 0x80000011}, Sequence: 1})
 	if len(*events) != 1 || (*events)[0].Type != core.EvRawExit {
 		t.Fatalf("CR0 write decoded as %v", (*events)[0].Type)
 	}
@@ -346,7 +346,7 @@ func TestNonCR3ControlRegisterIsRaw(t *testing.T) {
 
 func TestHaltDecoding(t *testing.T) {
 	e, _, events := newEngine(t, Features{})
-	e.HandleExit(&hav.Exit{VCPU: 0, Reason: hav.ExitHLT, Qual: hav.HLTQual{}, Sequence: 1})
+	e.HandleExit(&hav.Exit{VCPU: 0, Reason: hav.ExitHLT, Sequence: 1})
 	if len(*events) != 1 || (*events)[0].Type != core.EvHalt {
 		t.Fatalf("HLT decoded as %v", (*events)[0].Type)
 	}

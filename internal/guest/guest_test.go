@@ -18,7 +18,7 @@ type testVM struct {
 	vcpus []*hav.VCPU
 	k     *Kernel
 	now   time.Duration
-	exits []*hav.Exit
+	exits []hav.Exit
 }
 
 func newTestVM(t *testing.T, ncpu int, mutate func(*Config)) *testVM {
@@ -30,7 +30,8 @@ func newTestVM(t *testing.T, ncpu int, mutate func(*Config)) *testVM {
 	vm := &testVM{mem: mem, ctrls: ctrls, ept: ept}
 	for i := 0; i < ncpu; i++ {
 		v := hav.NewVCPU(i, ctrls, ept, &seq)
-		v.SetHandler(hav.ExitHandlerFunc(func(e *hav.Exit) { vm.exits = append(vm.exits, e) }))
+		// Record a copy: the exit is borrowed for the handler call only.
+		v.SetHandler(hav.ExitHandlerFunc(func(e *hav.Exit) { vm.exits = append(vm.exits, *e) }))
 		vm.vcpus = append(vm.vcpus, v)
 	}
 	cfg := Config{Mem: mem, VCPUs: vm.vcpus, Seed: 1}
@@ -828,8 +829,7 @@ func TestKernelThreadBorrowsAddressSpace(t *testing.T) {
 		if e.Reason != hav.ExitCRAccess {
 			continue
 		}
-		q := e.Qual.(hav.CRAccessQual)
-		if q.Value == 0 {
+		if e.Qual.Value == 0 {
 			t.Fatal("CR3 loaded with 0 (kernel thread PDBA leaked into hardware)")
 		}
 	}

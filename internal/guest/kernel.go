@@ -883,7 +883,7 @@ func (k *Kernel) InjectPacket(port uint16, payload uint64) {
 	// Deliver the queued packet to the blocked syscall's result.
 	pkt := k.netIn[port][0]
 	k.netIn[port] = k.netIn[port][1:]
-	t.lastResult = &SyscallResult{Ret: pkt.Payload, Data: pkt}
+	t.setResult(SyscallResult{Ret: pkt.Payload, Data: pkt})
 	k.enqueue(t)
 }
 

@@ -128,7 +128,8 @@ type ProgContext struct {
 // Program produces the behaviour of one process as a stream of steps. Next
 // is called each time the previous step completes; returning a StepExit ends
 // the process. Programs run inside the deterministic simulator core and must
-// not retain ctx across calls.
+// not retain ctx or ctx.LastResult past the call: both live in the task's
+// reused storage and are overwritten by later steps.
 type Program interface {
 	Next(ctx *ProgContext) Step
 }

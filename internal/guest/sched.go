@@ -34,6 +34,16 @@ func (k *Kernel) enqueue(t *Task) {
 	c.rq = append(c.rq, t)
 }
 
+// popRQ removes and returns the runqueue head, compacting in place so the
+// queue keeps one backing array while enqueue appends behind it.
+func (c *cpuState) popRQ() *Task {
+	head := c.rq[0]
+	n := copy(c.rq, c.rq[1:])
+	c.rq[n] = nil
+	c.rq = c.rq[:n]
+	return head
+}
+
 // dequeue removes t from its CPU's runqueue.
 func (k *Kernel) dequeue(t *Task) {
 	if !t.onRQ {
@@ -169,8 +179,7 @@ func (k *Kernel) RunSlice(cpu int, start, budget time.Duration) {
 			if holder, held := k.userLocks[t.ulockWait]; !held || holder == t {
 				k.userLocks[t.ulockWait] = t
 				t.ulockWait = 0
-				res := SyscallResult{}
-				t.lastResult = &res
+				t.setResult(SyscallResult{})
 				c.vcpu.Regs.CPL = arch.RingUser
 				continue
 			}
@@ -198,8 +207,7 @@ func (k *Kernel) wakeSleepers(c *cpuState) {
 		if s.State == StateSleeping && s.sleepUntil <= c.localNow {
 			s.State = StateRunning
 			k.syncState(s)
-			res := SyscallResult{}
-			s.lastResult = &res
+			s.setResult(SyscallResult{})
 			k.enqueue(s)
 			continue
 		}
@@ -225,8 +233,7 @@ func (k *Kernel) schedule(cpu int) {
 	c := k.cpus[cpu]
 	var next *Task
 	for len(c.rq) > 0 {
-		cand := c.rq[0]
-		c.rq = c.rq[1:]
+		cand := c.popRQ()
 		cand.onRQ = false
 		if cand.State == StateRunning {
 			next = cand
@@ -287,6 +294,8 @@ func (k *Kernel) contextSwitch(cpu int, next *Task) {
 }
 
 // execUserStep fetches and executes the current user-mode step.
+//
+//hypertap:hotpath
 func (k *Kernel) execUserStep(cpu int, t *Task, remaining time.Duration) time.Duration {
 	c := k.cpus[cpu]
 
@@ -296,11 +305,12 @@ func (k *Kernel) execUserStep(cpu int, t *Task, remaining time.Duration) time.Du
 			k.sleepTask(cpu, t, time.Second)
 			return remaining
 		}
-		ctx := &ProgContext{PID: t.PID, Now: c.localNow, LastResult: t.lastResult, StepIndex: t.stepIndex}
-		st := t.program.Next(ctx)
+		t.ctx = ProgContext{PID: t.PID, Now: c.localNow, LastResult: t.lastResult, StepIndex: t.stepIndex}
+		t.step = t.program.Next(&t.ctx)
 		t.stepIndex++
 		t.lastResult = nil
-		t.curStep = &st
+		st := &t.step
+		t.curStep = st
 		t.remaining = st.Dur
 
 		// Step dispatch overhead guarantees forward progress even for
@@ -360,6 +370,8 @@ func (k *Kernel) execUserStep(cpu int, t *Task, remaining time.Duration) time.Du
 
 // enterSyscall performs the architectural user→kernel transition and stages
 // the interpreted kernel path of the call.
+//
+//hypertap:hotpath
 func (k *Kernel) enterSyscall(cpu int, t *Task, nr Syscall, args [4]uint64) {
 	c := k.cpus[cpu]
 	k.stats.Syscalls++
@@ -395,18 +407,22 @@ func (k *Kernel) enterSyscall(cpu int, t *Task, nr Syscall, args [4]uint64) {
 		regs.RSP = arch.GVA(rsp0)
 	}
 
-	t.kexec = &kernExec{nr: nr, args: args, ops: k.buildOps(nr)}
+	t.kx = kernExec{nr: nr, args: args, ops: k.buildOps(t.kx.ops[:0], nr)}
+	t.kexec = &t.kx
 	c.extraCharge += costSyscallEntry
 }
 
-// buildOps assembles the interpreted kernel path for a syscall, applying the
-// fault plan's transformations section by section.
-func (k *Kernel) buildOps(nr Syscall) []kernOp {
+// buildOps assembles the interpreted kernel path for a syscall into ops (the
+// task's reused buffer), applying the fault plan's transformations section
+// by section.
+//
+//hypertap:hotpath
+func (k *Kernel) buildOps(ops []kernOp, nr Syscall) []kernOp {
 	base := syscallBaseWork[nr]
 	if base == 0 {
 		base = defaultSyscallWork
 	}
-	ops := []kernOp{{kind: opWork, dur: base}}
+	ops = append(ops, kernOp{kind: opWork, dur: base}) //hypertap:allow hotpath appends into the task's reused ops buffer, which grows only until its longest path fits
 	for _, s := range k.paths.paths[nr] {
 		ops = s.emit(k.plan, ops)
 	}
@@ -531,6 +547,8 @@ func (k *Kernel) wakeMutexWaiters(l LockID) {
 
 // finishSyscall dispatches the semantic handler through the in-memory
 // syscall table and completes the kernel→user transition.
+//
+//hypertap:hotpath
 func (k *Kernel) finishSyscall(cpu int, t *Task) {
 	c := k.cpus[cpu]
 	ke := t.kexec
@@ -555,7 +573,7 @@ func (k *Kernel) finishSyscall(cpu int, t *Task) {
 		// Blocked in netrecv: the result arrives with the packet.
 		return
 	}
-	t.lastResult = &res
+	t.setResult(res)
 	if t.State == StateRunning {
 		c.vcpu.Regs.CPL = arch.RingUser
 	}

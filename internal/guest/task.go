@@ -57,6 +57,15 @@ type Task struct {
 	lastResult *SyscallResult
 	// kexec is the in-kernel execution state while inside a syscall.
 	kexec *kernExec
+	// ctx, step, res and kx are the task's reusable storage for the context
+	// its program reads, its current step, its last syscall result and its
+	// in-flight syscall: curStep, lastResult and kexec point into them, so
+	// the steady-state syscall path allocates nothing. A program sees ctx
+	// and ctx.LastResult only for the duration of its Next call.
+	ctx  ProgContext
+	step Step
+	res  SyscallResult
+	kx   kernExec
 
 	// pendingSpawn/pendingModule stage step payloads for the corresponding
 	// syscalls.
@@ -92,6 +101,13 @@ func (t *Task) String() string {
 
 // IsIdle reports whether this is a per-CPU idle (swapper) task.
 func (t *Task) IsIdle() bool { return t.program == nil }
+
+// setResult records the outcome the program reads on its next step, in the
+// task's own storage.
+func (t *Task) setResult(res SyscallResult) {
+	t.res = res
+	t.lastResult = &t.res
+}
 
 // kernExec is the interpreted execution state of one in-flight system call.
 type kernExec struct {

@@ -138,119 +138,77 @@ func (e ExceptionType) String() string {
 }
 
 // Qualification carries the reason-specific detail of a VM Exit, mirroring
-// the VT-x exit qualification field.
-type Qualification interface {
-	isQualification()
-	String() string
-}
-
-// CRAccessQual describes a control-register write.
-type CRAccessQual struct {
+// the VT-x exit qualification field. It is one flat, pointer-free value: the
+// exit's Reason says which fields are meaningful, so raising an exit boxes
+// nothing and the VCPU can fill the same Exit for every exit it takes.
+//
+//	CR_ACCESS      Register, Value (the value about to be loaded)
+//	EPT_VIOLATION  GPA, GVA, Access, Value (the value stored by a write)
+//	EXCEPTION      ExcType, Vector
+//	WRMSR          MSR, Value
+//	IO_INST        Port, Write, Value (the 32-bit data)
+//	EXTERNAL_INT   Vector
+//	APIC_ACCESS    Offset, Write
+//	HLT            (none)
+type Qualification struct {
 	// Register is the control register number (3 for CR3).
 	Register int
-	// Value is the value about to be loaded.
+	// Value is the data of the trapped operation: the value about to be
+	// loaded into a control register or MSR, the value being stored by a
+	// violating write (a monitoring convenience, equivalent to decoding the
+	// trapped instruction), or the I/O data.
 	Value uint64
-}
-
-func (CRAccessQual) isQualification() {}
-
-func (q CRAccessQual) String() string {
-	return fmt.Sprintf("CR%d <- %#x", q.Register, q.Value)
-}
-
-// EPTViolationQual describes an EPT permission violation.
-type EPTViolationQual struct {
-	// GPA is the guest-physical address of the faulting access.
+	// GPA and GVA are the guest-physical and guest-virtual addresses of the
+	// faulting access.
 	GPA arch.GPA
-	// GVA is the guest-virtual address of the faulting access.
 	GVA arch.GVA
 	// Access is the attempted access type.
 	Access Access
-	// Value is the value being stored for write accesses (monitoring
-	// convenience, equivalent to decoding the trapped instruction).
-	Value uint64
-}
-
-func (EPTViolationQual) isQualification() {}
-
-func (q EPTViolationQual) String() string {
-	return fmt.Sprintf("%s gpa=%#x gva=%#x", q.Access, uint64(q.GPA), uint64(q.GVA))
-}
-
-// ExceptionQual describes an exception or software interrupt.
-type ExceptionQual struct {
-	Type   ExceptionType
-	Vector uint8
-}
-
-func (ExceptionQual) isQualification() {}
-
-func (q ExceptionQual) String() string {
-	return fmt.Sprintf("%s vector=%#x", q.Type, q.Vector)
-}
-
-// WRMSRQual describes a model-specific register write.
-type WRMSRQual struct {
-	MSR   arch.MSR
-	Value uint64
-}
-
-func (WRMSRQual) isQualification() {}
-
-func (q WRMSRQual) String() string {
-	return fmt.Sprintf("%v <- %#x", q.MSR, q.Value)
-}
-
-// IOQual describes a programmed-I/O instruction.
-type IOQual struct {
-	Port  uint16
-	Write bool
-	Value uint32
-}
-
-func (IOQual) isQualification() {}
-
-func (q IOQual) String() string {
-	dir := "in"
-	if q.Write {
-		dir = "out"
-	}
-	return fmt.Sprintf("%s port=%#x val=%#x", dir, q.Port, q.Value)
-}
-
-// ExternalInterruptQual describes a hardware interrupt delivery.
-type ExternalInterruptQual struct {
-	Vector uint8
-}
-
-func (ExternalInterruptQual) isQualification() {}
-
-func (q ExternalInterruptQual) String() string {
-	return fmt.Sprintf("vector=%#x", q.Vector)
-}
-
-// APICAccessQual describes a virtual-APIC page access.
-type APICAccessQual struct {
+	// ExcType and Vector describe an exception or software interrupt;
+	// Vector alone describes a hardware interrupt.
+	ExcType ExceptionType
+	Vector  uint8
+	// MSR is the model-specific register being written.
+	MSR arch.MSR
+	// Port is the programmed-I/O port.
+	Port uint16
+	// Offset is the accessed virtual-APIC register.
 	Offset uint16
-	Write  bool
+	// Write marks output I/O and APIC writes.
+	Write bool
 }
 
-func (APICAccessQual) isQualification() {}
-
-func (q APICAccessQual) String() string {
-	dir := "read"
-	if q.Write {
-		dir = "write"
+// format renders q as the detail of an exit of reason r.
+func (q Qualification) format(r ExitReason) string {
+	switch r {
+	case ExitCRAccess:
+		return fmt.Sprintf("CR%d <- %#x", q.Register, q.Value)
+	case ExitEPTViolation:
+		return fmt.Sprintf("%s gpa=%#x gva=%#x", q.Access, uint64(q.GPA), uint64(q.GVA))
+	case ExitException:
+		return fmt.Sprintf("%s vector=%#x", q.ExcType, q.Vector)
+	case ExitWRMSR:
+		return fmt.Sprintf("%v <- %#x", q.MSR, q.Value)
+	case ExitIOInstruction:
+		dir := "in"
+		if q.Write {
+			dir = "out"
+		}
+		return fmt.Sprintf("%s port=%#x val=%#x", dir, q.Port, q.Value)
+	case ExitExternalInterrupt:
+		return fmt.Sprintf("vector=%#x", q.Vector)
+	case ExitAPICAccess:
+		dir := "read"
+		if q.Write {
+			dir = "write"
+		}
+		return fmt.Sprintf("apic %s offset=%#x", dir, q.Offset)
+	case ExitHLT:
+		return "hlt"
+	default:
+		return fmt.Sprintf("%+v", q)
 	}
-	return fmt.Sprintf("apic %s offset=%#x", dir, q.Offset)
 }
-
-// HLTQual marks a guest HLT.
-type HLTQual struct{}
-
-func (HLTQual) isQualification() {}
-
-func (HLTQual) String() string { return "hlt" }
 
 // Exit is a VM Exit: the transition from guest mode to host mode, carrying
 // the saved guest state of the suspended vCPU. This is HyperTap's root of
@@ -261,7 +219,7 @@ type Exit struct {
 	VCPU int
 	// Reason is the exit class.
 	Reason ExitReason
-	// Qual is the reason-specific detail.
+	// Qual is the reason-specific detail; Reason selects its fields.
 	Qual Qualification
 	// Guest is the architectural register state at the moment of exit,
 	// before the trapped operation takes effect.
@@ -271,5 +229,5 @@ type Exit struct {
 }
 
 func (e *Exit) String() string {
-	return fmt.Sprintf("vcpu%d #%d %v: %v", e.VCPU, e.Sequence, e.Reason, e.Qual)
+	return fmt.Sprintf("vcpu%d #%d %v: %s", e.VCPU, e.Sequence, e.Reason, e.Qual.format(e.Reason))
 }

@@ -1,20 +1,23 @@
 package hav
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"hypertap/internal/arch"
 )
 
-func newTestVCPU(t *testing.T) (*VCPU, *Controls, *EPT, *[]*Exit) {
+// newTestVCPU returns a vCPU whose handler records a copy of every exit: the
+// *Exit a handler receives is borrowed for the call only.
+func newTestVCPU(t *testing.T) (*VCPU, *Controls, *EPT, *[]Exit) {
 	t.Helper()
 	ctrls := &Controls{}
 	ept := NewEPT(256)
 	var seq uint64
 	v := NewVCPU(0, ctrls, ept, &seq)
-	exits := &[]*Exit{}
-	v.SetHandler(ExitHandlerFunc(func(e *Exit) { *exits = append(*exits, e) }))
+	exits := &[]Exit{}
+	v.SetHandler(ExitHandlerFunc(func(e *Exit) { *exits = append(*exits, *e) }))
 	return v, ctrls, ept, exits
 }
 
@@ -47,9 +50,8 @@ func TestCR3WriteExitsOnlyWhenEnabled(t *testing.T) {
 	if e.Reason != ExitCRAccess {
 		t.Fatalf("reason = %v, want CR_ACCESS", e.Reason)
 	}
-	q, ok := e.Qual.(CRAccessQual)
-	if !ok || q.Register != 3 || q.Value != 0x6000 {
-		t.Fatalf("qualification = %v", e.Qual)
+	if q := e.Qual; q.Register != 3 || q.Value != 0x6000 {
+		t.Fatalf("qualification = %+v", e.Qual)
 	}
 	// Trap-before semantics: the snapshot still holds the old CR3.
 	if e.Guest.CR3 != 0x5000 {
@@ -66,7 +68,7 @@ func TestWRMSRAlwaysExits(t *testing.T) {
 	if len(*exits) != 1 || (*exits)[0].Reason != ExitWRMSR {
 		t.Fatalf("exits = %v", *exits)
 	}
-	q := (*exits)[0].Qual.(WRMSRQual)
+	q := (*exits)[0].Qual
 	if q.MSR != arch.MSRSysenterEIP || q.Value != 0x8000_1000 {
 		t.Fatalf("qualification = %v", q)
 	}
@@ -88,8 +90,8 @@ func TestExceptionBitmapSelectsVectors(t *testing.T) {
 	if len(*exits) != 1 {
 		t.Fatalf("got %d exits, want 1", len(*exits))
 	}
-	q := (*exits)[0].Qual.(ExceptionQual)
-	if q.Type != ExcSoftwareInt || q.Vector != arch.VectorLinuxSyscall {
+	q := (*exits)[0].Qual
+	if q.ExcType != ExcSoftwareInt || q.Vector != arch.VectorLinuxSyscall {
 		t.Fatalf("qualification = %v", q)
 	}
 
@@ -150,7 +152,7 @@ func TestEPTWriteProtect(t *testing.T) {
 	if len(*exits) != 1 || (*exits)[0].Reason != ExitEPTViolation {
 		t.Fatalf("exits = %v", *exits)
 	}
-	q := (*exits)[0].Qual.(EPTViolationQual)
+	q := (*exits)[0].Qual
 	if q.GPA != 0x3008 || q.GVA != 0x8000_3008 || q.Access != AccessWrite || q.Value != 42 {
 		t.Fatalf("qualification = %+v", q)
 	}
@@ -164,7 +166,7 @@ func TestEPTExecProtect(t *testing.T) {
 	if violated := v.CheckedAccess(0x4010, 0x8000_4010, AccessExec, 0); !violated {
 		t.Fatal("exec of execute-protected page did not violate")
 	}
-	if (*exits)[0].Qual.(EPTViolationQual).Access != AccessExec {
+	if (*exits)[0].Qual.Access != AccessExec {
 		t.Fatal("qualification access mismatch")
 	}
 }
@@ -207,7 +209,7 @@ func TestIOAlwaysExits(t *testing.T) {
 	if len(*exits) != 1 || (*exits)[0].Reason != ExitIOInstruction {
 		t.Fatalf("exits = %v", *exits)
 	}
-	q := (*exits)[0].Qual.(IOQual)
+	q := (*exits)[0].Qual
 	if q.Port != 0x3F8 || !q.Write || q.Value != 'A' {
 		t.Fatalf("qualification = %v", q)
 	}
@@ -310,21 +312,22 @@ func TestStringers(t *testing.T) {
 	if ExitReason(99).String() == "" {
 		t.Fatal("unknown reason empty")
 	}
-	quals := []Qualification{
-		CRAccessQual{Register: 3, Value: 1},
-		EPTViolationQual{GPA: 1, GVA: 2, Access: AccessWrite},
-		ExceptionQual{Type: ExcSoftwareInt, Vector: 0x80},
-		WRMSRQual{MSR: arch.MSRSysenterEIP, Value: 1},
-		IOQual{Port: 1, Write: true, Value: 2},
-		IOQual{Port: 1, Write: false, Value: 2},
-		ExternalInterruptQual{Vector: 0x20},
-		APICAccessQual{Offset: 0xB0, Write: true},
-		APICAccessQual{Offset: 0xB0},
-		HLTQual{},
+	exits := []Exit{
+		{Reason: ExitCRAccess, Qual: Qualification{Register: 3, Value: 1}},
+		{Reason: ExitEPTViolation, Qual: Qualification{GPA: 1, GVA: 2, Access: AccessWrite}},
+		{Reason: ExitException, Qual: Qualification{ExcType: ExcSoftwareInt, Vector: 0x80}},
+		{Reason: ExitWRMSR, Qual: Qualification{MSR: arch.MSRSysenterEIP, Value: 1}},
+		{Reason: ExitIOInstruction, Qual: Qualification{Port: 1, Write: true, Value: 2}},
+		{Reason: ExitIOInstruction, Qual: Qualification{Port: 1, Write: false, Value: 2}},
+		{Reason: ExitExternalInterrupt, Qual: Qualification{Vector: 0x20}},
+		{Reason: ExitAPICAccess, Qual: Qualification{Offset: 0xB0, Write: true}},
+		{Reason: ExitAPICAccess, Qual: Qualification{Offset: 0xB0}},
+		{Reason: ExitHLT},
+		{Reason: ExitReason(99)},
 	}
-	for _, q := range quals {
-		if q.String() == "" {
-			t.Fatalf("%T has empty String", q)
+	for i := range exits {
+		if s := exits[i].String(); s == "" || strings.HasSuffix(s, ": ") {
+			t.Fatalf("exit %v has empty qualification text %q", exits[i].Reason, s)
 		}
 	}
 	if (AccessRead).String() != "read" || Access(9).String() == "" {
@@ -342,7 +345,7 @@ func TestStringers(t *testing.T) {
 	if v.String() == "" {
 		t.Fatal("VCPU.String empty")
 	}
-	ex := &Exit{VCPU: 0, Reason: ExitHLT, Qual: HLTQual{}, Sequence: 1}
+	ex := &Exit{VCPU: 0, Reason: ExitHLT, Sequence: 1}
 	if ex.String() == "" {
 		t.Fatal("Exit.String empty")
 	}

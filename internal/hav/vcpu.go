@@ -10,6 +10,10 @@ import (
 // HyperTap's Event Forwarder hooks it. The handler runs synchronously while
 // the vCPU is suspended in host mode — exactly the blocking logging point the
 // paper identifies.
+//
+// The exit is borrowed: each VCPU fills one Exit it owns and passes it to
+// every call, so *exit is valid only for the duration of HandleExit. A
+// handler that keeps an exit past its return must copy the value.
 type ExitHandler interface {
 	HandleExit(exit *Exit)
 }
@@ -66,6 +70,9 @@ type VCPU struct {
 	inGuest   bool
 	halted    bool
 	exitTally [NumExitReasons + 1]uint64
+	// exitBuf is the Exit handed to the handler, refilled on every exit so
+	// raising one allocates nothing (see ExitHandler for the borrow rule).
+	exitBuf Exit
 
 	// Regs is the architectural register file (the VMCS guest-state area).
 	Regs arch.RegisterFile
@@ -125,18 +132,21 @@ func (v *VCPU) TotalExits() uint64 {
 // exit suspends the vCPU (VM Exit), delivers the event, and resumes it
 // (VM Entry). The guest register snapshot is taken before the trapped
 // operation's side effects are applied.
+//
+//hypertap:hotpath
 func (v *VCPU) exit(reason ExitReason, qual Qualification) {
 	*v.seq++
 	v.exitTally[reason]++
 	v.inGuest = false
 	if v.handler != nil {
-		v.handler.HandleExit(&Exit{
+		v.exitBuf = Exit{
 			VCPU:     v.id,
 			Reason:   reason,
 			Qual:     qual,
 			Guest:    v.Regs.Clone(),
 			Sequence: *v.seq,
-		})
+		}
+		v.handler.HandleExit(&v.exitBuf)
 	}
 	v.inGuest = true
 }
@@ -144,16 +154,20 @@ func (v *VCPU) exit(reason ExitReason, qual Qualification) {
 // WriteCR3 performs a guest write to CR3 (a process context switch). With
 // CR3-load exiting enabled it first raises a CR_ACCESS exit carrying the new
 // page-directory base.
+//
+//hypertap:hotpath
 func (v *VCPU) WriteCR3(pdba arch.GPA) {
 	if v.ctrls.CR3LoadExiting {
-		v.exit(ExitCRAccess, CRAccessQual{Register: 3, Value: uint64(pdba)})
+		v.exit(ExitCRAccess, Qualification{Register: 3, Value: uint64(pdba)})
 	}
 	v.Regs.CR3 = pdba
 }
 
 // WriteMSR performs a guest WRMSR. WRMSR is privileged and always exits.
+//
+//hypertap:hotpath
 func (v *VCPU) WriteMSR(m arch.MSR, value uint64) {
-	v.exit(ExitWRMSR, WRMSRQual{MSR: m, Value: value})
+	v.exit(ExitWRMSR, Qualification{MSR: m, Value: value})
 	v.msrs[m] = value
 }
 
@@ -163,9 +177,11 @@ func (v *VCPU) ReadMSR(m arch.MSR) uint64 { return v.msrs[m] }
 // SoftwareInterrupt raises INT vector from guest code. If the exception
 // bitmap selects the vector, an EXCEPTION exit fires before the guest's
 // interrupt handler runs.
+//
+//hypertap:hotpath
 func (v *VCPU) SoftwareInterrupt(vector uint8) {
 	if v.ctrls.ExceptionBit(vector) {
-		v.exit(ExitException, ExceptionQual{Type: ExcSoftwareInt, Vector: vector})
+		v.exit(ExitException, Qualification{ExcType: ExcSoftwareInt, Vector: vector})
 	}
 }
 
@@ -175,36 +191,46 @@ func (v *VCPU) SoftwareInterrupt(vector uint8) {
 // emulation path) performs the actual data transfer afterwards either way:
 // the hypervisor emulates the trapped access, which is how write-protect
 // tracking works in the paper.
+//
+//hypertap:hotpath
 func (v *VCPU) CheckedAccess(gpa arch.GPA, gva arch.GVA, a Access, value uint64) bool {
 	if v.ept.Check(gpa, a) {
 		return false
 	}
-	v.exit(ExitEPTViolation, EPTViolationQual{GPA: gpa, GVA: gva, Access: a, Value: value})
+	v.exit(ExitEPTViolation, Qualification{GPA: gpa, GVA: gva, Access: a, Value: value})
 	return true
 }
 
 // IO performs a guest programmed-I/O instruction, which always exits so the
 // hypervisor can multiplex devices.
+//
+//hypertap:hotpath
 func (v *VCPU) IO(port uint16, write bool, value uint32) {
-	v.exit(ExitIOInstruction, IOQual{Port: port, Write: write, Value: value})
+	v.exit(ExitIOInstruction, Qualification{Port: port, Write: write, Value: uint64(value)})
 }
 
 // ExternalInterrupt models a hardware interrupt arriving while the vCPU is
 // in guest mode, which exits so the host can route it.
+//
+//hypertap:hotpath
 func (v *VCPU) ExternalInterrupt(vector uint8) {
-	v.exit(ExitExternalInterrupt, ExternalInterruptQual{Vector: vector})
+	v.exit(ExitExternalInterrupt, Qualification{Vector: vector})
 	v.halted = false
 }
 
 // APICAccess models a guest access to the virtual-APIC page.
+//
+//hypertap:hotpath
 func (v *VCPU) APICAccess(offset uint16, write bool) {
-	v.exit(ExitAPICAccess, APICAccessQual{Offset: offset, Write: write})
+	v.exit(ExitAPICAccess, Qualification{Offset: offset, Write: write})
 }
 
 // Halt executes guest HLT: the vCPU exits and stays idle until the next
 // external interrupt.
+//
+//hypertap:hotpath
 func (v *VCPU) Halt() {
-	v.exit(ExitHLT, HLTQual{})
+	v.exit(ExitHLT, Qualification{})
 	v.halted = true
 }
 

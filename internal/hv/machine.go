@@ -259,11 +259,7 @@ func (m *Machine) handleExit(exit *hav.Exit) {
 	if m.engine == nil {
 		return
 	}
-	pubBefore := m.em.Published()
-	syncBefore := m.syncDelivered()
-	m.engine.HandleExit(exit)
-	published := m.em.Published() - pubBefore
-	syncRuns := m.syncDelivered() - syncBefore
+	published, syncRuns := m.engine.HandleExit(exit)
 	charge := time.Duration(published)*m.cfg.Costs.EventForward +
 		time.Duration(syncRuns)*m.cfg.Costs.SyncAudit
 	if extra := m.cfg.Costs.LoggingStacks - 1; extra > 0 && published > 0 {
@@ -276,13 +272,6 @@ func (m *Machine) handleExit(exit *hav.Exit) {
 	if charge > 0 {
 		m.kernel.ChargeExit(exit.VCPU, charge)
 	}
-}
-
-// syncDelivered reads the EM's synchronous delivery total — a single
-// counter folded per publish batch, replacing a Stats() walk that allocated
-// a slice on every exit.
-func (m *Machine) syncDelivered() uint64 {
-	return m.em.SyncDelivered()
 }
 
 // Run advances the VM by d of virtual time in tick-sized steps, draining

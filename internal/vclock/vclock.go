@@ -109,6 +109,26 @@ func (c *Clock) Stop(t *Timer) bool {
 	return c.timers.remove(t.id)
 }
 
+// Reset reschedules t to fire d after the current time and returns the
+// handle to keep from then on. It has exactly the effect of Stop(t)
+// followed by AfterFunc(d) with t's callback — the timer takes the id
+// AfterFunc would have assigned, so the (deadline, id) firing order is the
+// same — but a pending timer is re-queued in place, allocating nothing. A
+// timer that has already fired (possibly still due to run in the current
+// Advance, which will run it) is left alone and a new one is scheduled.
+func (c *Clock) Reset(t *Timer, d time.Duration) *Timer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t.fired || !c.timers.remove(t.id) {
+		t = &Timer{fn: t.fn}
+	}
+	c.nextID++
+	t.id = c.nextID
+	t.when = c.now + d
+	c.timers.push(t)
+	return t
+}
+
 // PendingTimers returns the number of scheduled, unfired timers. It exists
 // for tests and for liveness introspection.
 func (c *Clock) PendingTimers() int {

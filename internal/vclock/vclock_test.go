@@ -1,7 +1,9 @@
 package vclock
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -285,5 +287,75 @@ func BenchmarkAdvanceWithTimers(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Advance(time.Millisecond)
+	}
+}
+
+// TestResetMatchesStopAndAfterFunc checks Reset against its specification:
+// under a seeded script of schedules, re-arms and advances, re-arming with
+// Reset fires exactly the callbacks, at exactly the times and in exactly the
+// order, that Stop followed by AfterFunc does.
+func TestResetMatchesStopAndAfterFunc(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		got, want := resetTrace(seed, true), resetTrace(seed, false)
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Reset fired %v, Stop+AfterFunc fired %v", seed, got, want)
+		}
+	}
+}
+
+// resetTrace drives a clock through a seeded script and returns its firing
+// log; useReset selects how a scheduled timer is re-armed.
+func resetTrace(seed int64, useReset bool) []string {
+	rng := rand.New(rand.NewSource(seed))
+	var c Clock
+	var log []string
+	timers := make([]*Timer, 6)
+	for step := 0; step < 300; step++ {
+		i := rng.Intn(len(timers))
+		d := time.Duration(rng.Intn(4)) * time.Millisecond
+		fire := func(now time.Duration) { log = append(log, fmt.Sprintf("%d@%v", i, now)) }
+		switch {
+		case timers[i] == nil:
+			timers[i] = c.AfterFunc(d, fire)
+		case rng.Intn(3) == 0:
+			c.Advance(d)
+		case useReset:
+			timers[i] = c.Reset(timers[i], d)
+		default:
+			c.Stop(timers[i])
+			timers[i] = c.AfterFunc(d, fire)
+		}
+	}
+	c.Advance(time.Second)
+	return log
+}
+
+// TestResetReusesPendingTimer pins the allocation-free re-arm of a pending
+// timer and the fresh handle for a fired one.
+func TestResetReusesPendingTimer(t *testing.T) {
+	var c Clock
+	fired := 0
+	tm := c.AfterFunc(time.Millisecond, func(time.Duration) { fired++ })
+	if got := c.Reset(tm, 2*time.Millisecond); got != tm || c.PendingTimers() != 1 {
+		t.Fatalf("Reset of a pending timer: same handle %v, %d pending", got == tm, c.PendingTimers())
+	}
+	c.Advance(time.Millisecond)
+	if fired != 0 {
+		t.Fatal("reset timer fired at its old deadline")
+	}
+	c.Advance(time.Millisecond)
+	if fired != 1 {
+		t.Fatalf("reset timer fired %d times at its new deadline, want 1", fired)
+	}
+	again := c.Reset(tm, time.Millisecond)
+	if again == tm {
+		t.Fatal("Reset reused a timer that had already fired")
+	}
+	c.Advance(time.Millisecond)
+	if fired != 2 {
+		t.Fatalf("fired %d times after re-arming a fired timer, want 2", fired)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { again = c.Reset(again, time.Hour) }); allocs != 0 {
+		t.Fatalf("re-arming a pending timer allocates %.1f times, want 0", allocs)
 	}
 }
