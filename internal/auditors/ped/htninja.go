@@ -167,33 +167,35 @@ func (n *HTNinja) checkRSP0(ev *core.Event, rsp0 arch.GVA, trigger string) {
 }
 
 // evalRSP0 performs the derivation and policy check, reporting whether a
-// new detection was flagged.
+// new detection was flagged. The derivation stops at the task_struct header:
+// the rule reads the parent only for a root task that is not whitelisted.
 func (n *HTNinja) evalRSP0(ev *core.Event, rsp0 arch.GVA, trigger string) bool {
 	cr3 := ev.Regs.CR3
 	if cr3 == 0 || rsp0 == 0 {
 		return false
 	}
-	entry, err := n.intro.DeriveTaskFromRSP0(cr3, rsp0)
+	task, err := n.intro.TaskFromRSP0(cr3, rsp0)
 	if err != nil {
 		return false
 	}
+	pid := task.PID()
 	n.mu.Lock()
 	n.checks++
-	already := n.flagged[entry.PID]
+	already := n.flagged[pid]
 	n.mu.Unlock()
-	if already || !n.policy.ViolatesEntry(entry) {
+	if already || !n.policy.ViolatesTask(&task) {
 		return false
 	}
 	d := Detection{
-		PID: entry.PID, Comm: entry.Comm, At: ev.Time,
+		PID: pid, Comm: string(task.Comm()), At: ev.Time,
 		By: "ht-ninja", Trigger: trigger, Span: ev.Span,
 	}
 	n.mu.Lock()
-	if n.flagged[entry.PID] {
+	if n.flagged[pid] {
 		n.mu.Unlock()
 		return false
 	}
-	n.flagged[entry.PID] = true
+	n.flagged[pid] = true
 	n.detections = append(n.detections, d)
 	onDetect := n.onDetect
 	n.mu.Unlock()

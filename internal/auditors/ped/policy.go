@@ -24,6 +24,7 @@ import (
 
 	"hypertap/internal/core"
 	"hypertap/internal/guest"
+	"hypertap/internal/vmi"
 )
 
 // Policy is Ninja's checking rule set: a root process whose parent is not
@@ -71,6 +72,17 @@ func (p *Policy) violates(in violationInput) bool {
 // ViolatesEntry applies the rule to a decoded task listing entry.
 func (p *Policy) ViolatesEntry(e guest.ProcEntry) bool {
 	return p.violates(violationInput{PID: e.PID, Comm: e.Comm, EUID: e.EUID, ParentUID: e.ParentUID})
+}
+
+// ViolatesTask applies the rule to a narrowly derived task, reading each
+// input only when the rule reaches it: EUID, then comm, then the parent's uid
+// for a root task that is not whitelisted. Its verdict equals ViolatesEntry
+// on the task's full decode.
+func (p *Policy) ViolatesTask(t *vmi.Task) bool {
+	if t.EUID() != 0 || p.Whitelist[string(t.Comm())] {
+		return false
+	}
+	return !p.Magic[t.ParentUID()]
 }
 
 // ViolatesStat applies the rule to a /proc stat record.

@@ -542,9 +542,10 @@ func TestHousekeepingBoundsSwitchGap(t *testing.T) {
 	}
 }
 
-// armOnce is a FaultPlan arming one site persistently.
+// armAlways is a FaultPlan arming one site persistently.
 type armAlways struct{ site SiteID }
 
+func (a armAlways) Site() SiteID        { return a.site }
 func (a armAlways) Armed(s SiteID) bool { return s == a.site }
 
 // findSite returns the first site matching kind and path.
@@ -632,6 +633,8 @@ type countingPlan struct {
 	fired     int
 	consulted int
 }
+
+func (p *countingPlan) Site() SiteID { return p.site }
 
 func (p *countingPlan) Armed(s SiteID) bool {
 	if s != p.site {

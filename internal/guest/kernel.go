@@ -172,8 +172,12 @@ type Kernel struct {
 	mem   *gmem.Memory
 	cpus  []*cpuState
 	rng   *rand.Rand
-	plan  FaultPlan
 	paths *pathBuilder
+	plan  FaultPlan
+	// faultOps is the plan's site path (faultPath) compiled with the site
+	// armed, nil when the plan names no site of this kernel.
+	faultPath Syscall
+	faultOps  []kernOp
 
 	sym Symbols
 	// lowNext/highNext are the physical bump allocators (kernel window /
@@ -232,7 +236,7 @@ func New(cfg Config) (*Kernel, error) {
 		mem:          cfg.Mem,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		plan:         nopPlan{},
-		paths:        buildKernelPaths(),
+		paths:        kernelPaths(),
 		lowNext:      arch.PageSize, // page 0 stays unmapped (NULL)
 		highNext:     KernelWindowBytes,
 		tasks:        make(map[int]*Task),
@@ -263,13 +267,17 @@ func (k *Kernel) Sites() []SiteInfo {
 	return out
 }
 
-// SetFaultPlan installs the fault plan consulted on every instrumented
-// kernel path dispatch.
+// SetFaultPlan installs the fault plan consulted on every dispatch of its
+// site's kernel path, compiling that path's faulted variant once.
 func (k *Kernel) SetFaultPlan(p FaultPlan) {
 	if p == nil {
 		p = nopPlan{}
 	}
-	k.plan = p
+	k.plan, k.faultPath, k.faultOps = p, 0, nil
+	if site := p.Site(); site > 0 && int(site) <= len(k.paths.sites) {
+		k.faultPath = k.paths.sites[site-1].Path
+		k.faultOps = k.paths.compile(k.faultPath, sitePlan(site))
+	}
 }
 
 // Symbols returns the kernel's symbol map (available after Boot).

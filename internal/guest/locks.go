@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -119,16 +120,31 @@ type SiteInfo struct {
 // (internal/inject) use the callback both to apply transient/persistent
 // semantics and to record that the site's code was executed at all (the
 // "Not Activated" outcome of the paper's campaign).
+//
+// A plan arms at most one site, which it names with Site. The kernel
+// consults Armed exactly once per dispatch of that site's path and never
+// for any other site, so Armed(s) for s != Site() must return false and have
+// no side effect.
 type FaultPlan interface {
+	// Site is the one site the plan can arm; 0 means none.
+	Site() SiteID
 	Armed(site SiteID) bool
 }
 
 // nopPlan is the default plan: no faults.
 type nopPlan struct{}
 
+func (nopPlan) Site() SiteID      { return 0 }
 func (nopPlan) Armed(SiteID) bool { return false }
 
 var _ FaultPlan = nopPlan{}
+
+// sitePlan arms one site on every consultation. It compiles a path's faulted
+// variant; it is never installed as a kernel's plan.
+type sitePlan SiteID
+
+func (p sitePlan) Site() SiteID        { return SiteID(p) }
+func (p sitePlan) Armed(s SiteID) bool { return s == SiteID(p) }
 
 // kernOpKind enumerates interpreted kernel-path operations. Handler paths
 // are interpreted rather than executed as Go calls so that a path can pause
@@ -151,8 +167,8 @@ type kernOp struct {
 }
 
 // section declares one critical section of a handler path at build time.
-// Faults are applied by transforming the emitted op list when the path is
-// dispatched, mirroring how a source-level bug changes the compiled path.
+// Faults are applied by transforming the emitted op list, mirroring how a
+// source-level bug changes the compiled path.
 type section struct {
 	subsystem string
 	lock      LockID
@@ -170,8 +186,8 @@ type section struct {
 	siteIRQ   SiteID // missing irq-restore (needs irq)
 }
 
-// emit produces the op list for one dispatch of the section, consulting the
-// fault plan at each site.
+// emit appends the section's op list to ops, consulting the fault plan at
+// each site.
 func (s *section) emit(plan FaultPlan, ops []kernOp) []kernOp {
 	swapped := s.siteOrder != 0 && plan.Armed(s.siteOrder)
 	doublePair := s.sitePair != 0 && plan.Armed(s.sitePair)
@@ -212,16 +228,41 @@ func (s *section) emit(plan FaultPlan, ops []kernOp) []kernOp {
 	return ops
 }
 
-// pathBuilder assigns dense site IDs while declaring handler paths.
+// pathBuilder assigns dense site IDs while declaring handler paths, then
+// compiles each path's fault-free op list.
 type pathBuilder struct {
 	nextSite SiteID
 	sites    []SiteInfo
 	paths    map[Syscall][]*section
+	// ops holds the fault-free op list of every syscall in the table, and
+	// other the list of any number past it. Both are shared read-only by
+	// every kernel in the process: their capacity equals their length, so
+	// an append copies instead of writing into a shared array.
+	ops   [SyscallTableSize][]kernOp
+	other []kernOp
 }
 
 func newPathBuilder() *pathBuilder {
 	return &pathBuilder{nextSite: 1, paths: make(map[Syscall][]*section)}
 }
+
+// compile emits the op list of one dispatch of path nr under plan: the
+// syscall's uninstrumented work, then each critical section in order.
+func (b *pathBuilder) compile(nr Syscall, plan FaultPlan) []kernOp {
+	base := syscallBaseWork[nr]
+	if base == 0 {
+		base = defaultSyscallWork
+	}
+	ops := []kernOp{{kind: opWork, dur: base}}
+	for _, s := range b.paths[nr] {
+		ops = s.emit(plan, ops)
+	}
+	return ops[:len(ops):len(ops)]
+}
+
+// kernelPaths is the process-wide compiled path set: declaring and
+// compiling it once serves every kernel, since no kernel ever writes it.
+var kernelPaths = sync.OnceValue(buildKernelPaths)
 
 func (b *pathBuilder) site(sub string, path Syscall, kind FaultKind, lock LockID) SiteID {
 	id := b.nextSite
@@ -248,10 +289,10 @@ func (b *pathBuilder) addSection(path Syscall, sub string, lock, lock2 LockID, i
 	}
 }
 
-// buildKernelPaths declares every instrumented kernel path of miniOS. The
-// totals are pinned by TestFaultSiteCount to exactly 374 sites, the number of
-// injection locations the paper identifies in the Linux kernel's core
-// functions and frequently used modules (ext3, char, block).
+// buildKernelPaths declares and compiles every instrumented kernel path of
+// miniOS. The totals are pinned by TestFaultSiteCount to exactly 374 sites,
+// the number of injection locations the paper identifies in the Linux
+// kernel's core functions and frequently used modules (ext3, char, block).
 func buildKernelPaths() *pathBuilder {
 	b := newPathBuilder()
 	const q = time.Microsecond
@@ -285,5 +326,9 @@ func buildKernelPaths() *pathBuilder {
 	// sshd: session handling used only by the SSH service — 2 sites.
 	b.addSection(SysSSHHandle, "sshd", LockSSHSession, 0, false, 6*q, 1) // 2
 
+	for nr := range b.ops {
+		b.ops[nr] = b.compile(Syscall(nr), nopPlan{})
+	}
+	b.other = b.compile(SyscallTableSize, nopPlan{})
 	return b
 }

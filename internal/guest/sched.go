@@ -407,26 +407,25 @@ func (k *Kernel) enterSyscall(cpu int, t *Task, nr Syscall, args [4]uint64) {
 		regs.RSP = arch.GVA(rsp0)
 	}
 
-	t.kx = kernExec{nr: nr, args: args, ops: k.buildOps(t.kx.ops[:0], nr)}
+	t.kx = kernExec{nr: nr, args: args, ops: k.buildOps(nr)}
 	t.kexec = &t.kx
 	c.extraCharge += costSyscallEntry
 }
 
-// buildOps assembles the interpreted kernel path for a syscall into ops (the
-// task's reused buffer), applying the fault plan's transformations section
-// by section.
+// buildOps returns the compiled kernel path for a syscall. On the fault
+// plan's path it consults the plan once per dispatch and picks the faulted
+// or the fault-free list; every other path is fault-free. The lists are
+// shared and read-only.
 //
 //hypertap:hotpath
-func (k *Kernel) buildOps(ops []kernOp, nr Syscall) []kernOp {
-	base := syscallBaseWork[nr]
-	if base == 0 {
-		base = defaultSyscallWork
+func (k *Kernel) buildOps(nr Syscall) []kernOp {
+	if k.faultOps != nil && nr == k.faultPath && k.plan.Armed(k.plan.Site()) {
+		return k.faultOps
 	}
-	ops = append(ops, kernOp{kind: opWork, dur: base}) //hypertap:allow hotpath appends into the task's reused ops buffer, which grows only until its longest path fits
-	for _, s := range k.paths.paths[nr] {
-		ops = s.emit(k.plan, ops)
+	if nr < SyscallTableSize {
+		return k.paths.ops[nr]
 	}
-	return ops
+	return k.paths.other
 }
 
 // execKernOps interprets the current task's kernel path until the budget is

@@ -113,8 +113,9 @@ func (t *Task) setResult(res SyscallResult) {
 type kernExec struct {
 	nr   Syscall
 	args [4]uint64
-	ops  []kernOp
-	pos  int
+	// ops is the call's compiled kernel path, shared read-only (buildOps).
+	ops []kernOp
+	pos int
 	// opLeft is the remaining duration of the current opWork.
 	opLeft time.Duration
 	// started marks that opLeft was initialized for the current op.

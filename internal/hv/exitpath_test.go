@@ -32,8 +32,8 @@ func TestExitPathZeroAllocs(t *testing.T) {
 	}
 	addLooper(t, m, "getpid", guest.DoSyscall(guest.SysGetPID))
 	addLooper(t, m, "writer", guest.DoSyscall(guest.SysWrite, 1, 64), guest.DoSyscall(guest.SysYieldCPU))
-	// Warm-up: the decode batch, the tasks' ops buffers and the runqueues
-	// grow to their working size.
+	// Warm-up: the decode batch and the runqueues grow to their working
+	// size.
 	m.Run(50 * time.Millisecond)
 
 	exits, calls := m.TotalExits(), syscalls

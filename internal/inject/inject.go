@@ -71,6 +71,9 @@ func NewPlan(f Fault, now func() time.Duration) (*Plan, error) {
 
 var _ guest.FaultPlan = (*Plan)(nil)
 
+// Site implements guest.FaultPlan: the plan arms only its fault's site.
+func (p *Plan) Site() guest.SiteID { return p.fault.Site }
+
 // Armed implements guest.FaultPlan.
 func (p *Plan) Armed(site guest.SiteID) bool {
 	if site != p.fault.Site {

@@ -1,10 +1,12 @@
 package vmi_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"hypertap/internal/arch"
+	"hypertap/internal/core"
 	"hypertap/internal/guest"
 	"hypertap/internal/hv"
 	"hypertap/internal/vmi"
@@ -202,5 +204,64 @@ func TestDeriveCurrentTaskNoRegisters(t *testing.T) {
 	}
 	if _, err := intro.ListProcesses(); err == nil {
 		t.Fatal("list walk without a walkable CR3 succeeded")
+	}
+}
+
+var errEUIDRead = errors.New("euid read refused")
+
+// euidFailingView fails exactly the reads that cover one task_struct's euid,
+// whether they come as a field read or as a physical read of the header.
+type euidFailingView struct {
+	core.GuestView
+	task arch.GVA
+	gpa  arch.GPA
+}
+
+func (v *euidFailingView) ReadU32GVA(cr3 arch.GPA, gva arch.GVA) (uint32, error) {
+	if gva == v.task+guest.TaskOffEUID {
+		return 0, errEUIDRead
+	}
+	return v.GuestView.ReadU32GVA(cr3, gva)
+}
+
+func (v *euidFailingView) ReadGPA(gpa arch.GPA, buf []byte) error {
+	if euid := v.gpa + guest.TaskOffEUID; gpa <= euid && euid < gpa+arch.GPA(len(buf)) {
+		return errEUIDRead
+	}
+	return v.GuestView.ReadGPA(gpa, buf)
+}
+
+// TestDecodeFailsClosedOnUnreadableEUID: an euid that cannot be read must
+// fail the decode, not come back as 0 — which is root, and would feed the
+// privilege-escalation rule a false identity.
+func TestDecodeFailsClosedOnUnreadableEUID(t *testing.T) {
+	m := bootVM(t)
+	task, err := m.Kernel().CreateProcess(&guest.ProcSpec{
+		Comm: "user", UID: 1000,
+		Program: &guest.LoopProgram{Body: []guest.Step{guest.Compute(time.Millisecond)}},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run(10 * time.Millisecond)
+	cr3 := m.Regs(0).CR3
+	gpa, ok := m.TranslateGVA(cr3, task.StructGVA)
+	if !ok {
+		t.Fatal("task_struct unmapped")
+	}
+	sym := m.Kernel().Symbols()
+
+	if e, err := vmi.New(m, sym).DeriveTaskFromRSP0(cr3, task.RSP0); err != nil || e.EUID != 1000 {
+		t.Fatalf("healthy view: entry %+v, err %v", e, err)
+	}
+	intro := vmi.New(&euidFailingView{GuestView: m, task: task.StructGVA, gpa: gpa}, sym)
+	if e, err := intro.DeriveTaskFromRSP0(cr3, task.RSP0); !errors.Is(err, errEUIDRead) {
+		t.Fatalf("DeriveTaskFromRSP0 = %+v, %v; want the euid read's error", e, err)
+	}
+	if tk, err := intro.TaskFromRSP0(cr3, task.RSP0); !errors.Is(err, errEUIDRead) {
+		t.Fatalf("TaskFromRSP0 = euid %d, %v; want the euid read's error", tk.EUID(), err)
+	}
+	if _, err := intro.ListProcesses(); !errors.Is(err, errEUIDRead) {
+		t.Fatalf("ListProcesses err = %v, want the euid read's error", err)
 	}
 }
