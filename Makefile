@@ -43,18 +43,16 @@ race:
 # The equivalence suites: serial≡parallel for the sharded campaign engine
 # (including fleet campaigns whose unit is an N-VM host), N-VM-host ≡
 # N-isolated-VMs for the host fleet plane, capture→replay ≡ live for the
-# exit-stream record/replay plane (solo and 8-VM fleet), and the two cluster
-# gates — M-host cluster ≡ M solo hosts, and a mid-campaign live migration
-# preserving every auditor verdict, flight ring and .htcs stream
-# byte-for-byte (the TestClusterMigration prefix covers both the verdict and
-# capture-stream legs). GOMAXPROCS=4 forces real scheduling interleavings
-# even on small runners, and -race turns any unserialized progress/telemetry
-# access into a failure.
+# exit-stream record/replay plane (solo and 8-VM fleet), and the cluster
+# gate — an M-host cluster on one shared clock ≡ M solo hosts byte-for-byte
+# (event streams, GOSHD verdicts, kernel stats, flight rings). GOMAXPROCS=4
+# forces real scheduling interleavings even on small runners, and -race
+# turns any unserialized progress/telemetry access into a failure.
 equivalence:
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestParallelMatchesSerial|TestShowdownUnitIsolation|TestFleetCampaignParallelMatchesSerial' ./internal/experiment ./internal/experiment/runner
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestFleetEquivalence|TestFleetSharedRHC' ./internal/host
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestSoloReplayEquivalence|TestFleetReplayEquivalence|TestReplayDeterminism' ./internal/capture
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestClusterEquivalenceSoloHosts|TestClusterMigration' ./internal/cluster
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestClusterEquivalenceSoloHosts' ./internal/cluster
 
 # Compile and run every benchmark exactly once, so a broken benchmark is a
 # gate failure rather than a surprise at measurement time.
@@ -95,7 +93,7 @@ bench-replay:
 
 # Regenerate the cluster scaling numbers (see results/BENCH_cluster.json):
 # whole-cluster stepping throughput at 1/2/4 hosts x 2 VMs under the shared
-# datacenter clock, plus the wall cost of one live migration.
+# datacenter clock.
 bench-cluster:
 	$(GO) run ./cmd/hotpath-bench -cluster-only -cluster-out results/BENCH_cluster.json
 

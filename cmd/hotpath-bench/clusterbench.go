@@ -27,10 +27,6 @@ type clusterRun struct {
 	// the 1-host cell (1.0 = stepping M hosts costs the same per event as
 	// stepping one: the shared-clock loop adds no cross-host overhead).
 	VsSingleHost float64 `json:"vs_single_host,omitempty"`
-	// MigrationNs is the mean wall cost of one live migration (detach +
-	// re-register + attach) at this cluster size, measured between rounds.
-	// Zero for the 1-host cell, which has nowhere to migrate to.
-	MigrationNs float64 `json:"migration_ns,omitempty"`
 }
 
 // clusterReport is results/BENCH_cluster.json.
@@ -49,7 +45,6 @@ func benchCluster(hosts int, seed int64) (clusterRun, error) {
 		vmsPerHost = 2
 		vcpus      = 2
 		virtual    = 100 * time.Millisecond
-		migrations = 8
 	)
 	specs := make([]cluster.HostSpec, hosts)
 	for i := range specs {
@@ -90,37 +85,21 @@ func benchCluster(hosts int, seed int64) (clusterRun, error) {
 	for i := 0; i < c.NumHosts(); i++ {
 		events += c.Host(i).EM().Published()
 	}
-	r := clusterRun{
+	return clusterRun{
 		Hosts:        hosts,
 		VMsPerHost:   vmsPerHost,
 		VirtualMs:    float64(virtual.Milliseconds()),
 		WallMs:       float64(wall.Nanoseconds()) / 1e6,
 		Events:       events,
 		EventsPerSec: float64(events) / wall.Seconds(),
-	}
-
-	// Migration cost: ping-pong one VM between the first two hosts while the
-	// cluster is quiescent between rounds — the same window scheduled
-	// migrations fire in.
-	if hosts >= 2 {
-		mover := c.Host(0).Machine(0).Name()
-		targets := [2]string{c.Host(1).Name(), c.Host(0).Name()}
-		start = time.Now()
-		for i := 0; i < migrations; i++ {
-			if err := c.Migrate(mover, targets[i%2]); err != nil {
-				return clusterRun{}, err
-			}
-		}
-		r.MigrationNs = float64(time.Since(start).Nanoseconds()) / migrations
-	}
-	return r, nil
+	}, nil
 }
 
 // runClusterBench produces the cluster scaling section and writes it to out
 // ("" = stdout).
 func runClusterBench(out string, seed int64) error {
 	rep := clusterReport{
-		Description: "Cluster plane scaling: M hosts x 2 VMs under one shared clock, plus live-migration cost. Regenerate with `make bench-cluster`.",
+		Description: "Cluster plane scaling: M hosts x 2 VMs under one shared clock. Regenerate with `make bench-cluster`.",
 		Host:        currentHostInfo(),
 	}
 	var base clusterRun
@@ -140,8 +119,8 @@ func runClusterBench(out string, seed int64) error {
 			}
 		}
 		rep.Runs = append(rep.Runs, r)
-		fmt.Fprintf(os.Stderr, "cluster  hosts=%d  %8.1f ms wall for %.0f ms virtual  %12.0f events/s  x%.2f vs 1-host  migration %.0f ns\n",
-			r.Hosts, r.WallMs, r.VirtualMs, r.EventsPerSec, r.VsSingleHost, r.MigrationNs)
+		fmt.Fprintf(os.Stderr, "cluster  hosts=%d  %8.1f ms wall for %.0f ms virtual  %12.0f events/s  x%.2f vs 1-host\n",
+			r.Hosts, r.WallMs, r.VirtualMs, r.EventsPerSec, r.VsSingleHost)
 	}
 
 	dst := os.Stdout

@@ -24,9 +24,9 @@
 //     throughput over a generated million-event capture, bare decode vs the
 //     full fleet auditor plane — the cost of re-judging an incident bundle.
 //   - cluster (written separately to -cluster-out): whole-cluster stepping
-//     throughput at 1/2/4 hosts x 2 VMs under the shared datacenter clock,
-//     plus the wall cost of one live migration — the cluster plane's
-//     "stepping M hosts is M times one host" scaling claim.
+//     throughput at 1/2/4 hosts x 2 VMs under the shared datacenter clock —
+//     the cluster plane's "stepping M hosts is M times one host" scaling
+//     claim.
 //
 // -cpuprofile/-memprofile wrap the whole run in a pprof capture so the next
 // perf PR starts from a profile instead of a guess. -baseline embeds a

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"hypertap/internal/auditors/goshd"
@@ -16,19 +17,21 @@ import (
 
 // clusterOpts carries the flag subset the cluster demo path consumes.
 type clusterOpts struct {
-	hosts, vms, vcpus   int
-	duration, migrateAt time.Duration
-	seed                int64
-	sysenter            bool
-	features            intercept.Features
+	hosts, vms, vcpus int
+	duration          time.Duration
+	seed              int64
+	sysenter          bool
+	features          intercept.Features
+	out               io.Writer
 }
 
 // runCluster is the -hosts>1 demo path: M hosts × N VMs stepped under the
 // cluster plane's shared clock, per-VM GOSHD on every host's EM, the central
-// health aggregator armed, fleet telemetry rolled up under {host=...} labels,
-// and — when -migrate-at is set — one live migration fired mid-run so the
-// printed summary shows a VM finishing on a different host than it booted on.
+// health aggregator armed, and fleet telemetry rolled up under {host=...}
+// labels. The summary prints each host's heartbeat state as the aggregator
+// last saw it, any sick verdicts, and the rollup.
 func runCluster(opts clusterOpts) error {
+	w := opts.out
 	specs := make([]cluster.HostSpec, opts.hosts)
 	for i := range specs {
 		vmSpecs := make([]host.VMSpec, opts.vms)
@@ -48,7 +51,7 @@ func runCluster(opts clusterOpts) error {
 	c, err := cluster.New(cluster.Config{
 		Hosts:     specs,
 		Telemetry: reg,
-		// A host silent for 25ms of virtual time is sick and evacuated.
+		// A host silent for 25ms of virtual time is declared sick.
 		SickAfter: 25 * time.Millisecond,
 	})
 	if err != nil {
@@ -59,15 +62,14 @@ func runCluster(opts clusterOpts) error {
 		return err
 	}
 
-	// Per-VM GOSHD on each host's own EM; the subscription travels with the
-	// VM if it migrates.
+	// Per-VM GOSHD on each host's own EM.
 	for i := 0; i < c.NumHosts(); i++ {
 		h := c.Host(i)
 		for _, m := range h.Machines() {
 			name := m.Name()
 			det, err := goshd.New(goshd.Config{VM: m.VMID(), Clock: m.Clock(),
 				VCPUs: opts.vcpus, Threshold: 4 * time.Second,
-				OnHang: func(a goshd.HangAlarm) { fmt.Printf("ALARM[%s]: %v\n", name, a) }})
+				OnHang: func(a goshd.HangAlarm) { fmt.Fprintf(w, "ALARM[%s]: %v\n", name, a) }})
 			if err != nil {
 				return err
 			}
@@ -81,50 +83,42 @@ func runCluster(opts clusterOpts) error {
 		}
 	}
 
-	if opts.migrateAt > 0 && c.NumHosts() > 1 {
-		mover := c.Host(0).Machine(0).Name()
-		target := c.Host(1).Name()
-		c.ScheduleMigration(opts.migrateAt, mover, target)
-		fmt.Printf("scheduled: migrate %s -> %s at %v\n", mover, target, opts.migrateAt)
-	}
-
-	fmt.Printf("running %v of virtual time: %d hosts x %d VM(s) x %d vCPUs on one shared clock...\n",
+	fmt.Fprintf(w, "running %v of virtual time: %d hosts x %d VM(s) x %d vCPUs on one shared clock...\n",
 		opts.duration, opts.hosts, opts.vms, opts.vcpus)
 	start := time.Now()
 	c.Run(opts.duration)
 	real := time.Since(start)
-	fmt.Printf("\ndone: %v virtual in %v real (%.0fx)\n", opts.duration, real.Round(time.Millisecond),
+	fmt.Fprintf(w, "\ndone: %v virtual in %v real (%.0fx)\n", opts.duration, real.Round(time.Millisecond),
 		opts.duration.Seconds()/real.Seconds())
 
-	for _, mig := range c.Migrations() {
-		fmt.Printf("migration: %s moved %s -> %s at %v (%d flight exits carried)\n",
-			mig.VM, mig.From, mig.To, mig.At, len(mig.FlightPrefix))
-	}
 	for _, v := range c.Verdicts() {
-		fmt.Printf("verdict: host %s declared sick at %v (silent %v)\n", v.Host, v.At, v.Silence)
-	}
-	for _, err := range c.Failures() {
-		fmt.Println("failure:", err)
+		fmt.Fprintf(w, "verdict: host %s declared sick at %v (silent %v)\n", v.Host, v.At, v.Silence)
 	}
 
+	health := c.Health()
 	for i := 0; i < c.NumHosts(); i++ {
-		h := c.Host(i)
-		fmt.Printf("\n%s: %d resident VM(s), %d events published\n", h.Name(), h.NumVMs(), h.EM().Published())
+		h, hh := c.Host(i), health[i]
+		state := "healthy"
+		if hh.Sick {
+			state = "SICK"
+		}
+		fmt.Fprintf(w, "\n%s: %d VM(s), %d events published, last beat at %v (%s)\n",
+			h.Name(), h.NumVMs(), hh.Published, hh.LastBeat, state)
 		for _, m := range h.Machines() {
 			st := m.Kernel().Stats()
-			fmt.Printf("  %s (vmid %d): %d syscalls, %d context switches, %d events\n",
+			fmt.Fprintf(w, "  %s (vmid %d): %d syscalls, %d context switches, %d events\n",
 				m.Name(), m.VMID(), st.Syscalls, st.ContextSwitches, h.EM().PublishedVM(m.VMID()))
 		}
 	}
 
 	// The rollup registry holds every host's series under a {host=...} label;
 	// the delivered-total counters double as the fleet scoreboard.
-	fmt.Println("\nfleet rollup (hypertap_events_published_total by host):")
+	fmt.Fprintln(w, "\nfleet rollup (hypertap_events_published_total by host):")
 	for _, ctr := range reg.Snapshot().Counters {
 		if ctr.Name != "hypertap_events_published_total" {
 			continue
 		}
-		fmt.Printf("  %v %d\n", ctr.Labels, ctr.Value)
+		fmt.Fprintf(w, "  %v %d\n", ctr.Labels, ctr.Value)
 	}
 	return nil
 }

@@ -42,7 +42,6 @@ func run(args []string) error {
 	var (
 		duration  = fs.Duration("duration", 10*time.Second, "virtual time to run")
 		hosts     = fs.Int("hosts", 1, "hosts stepped under one shared cluster clock; >1 selects the cluster demo path")
-		migrateAt = fs.Duration("migrate-at", 0, "with -hosts>1: live-migrate host0's first VM to host1 at this virtual time (0 = no migration)")
 		vms       = fs.Int("vms", 1, "guest VMs sharing the host's Event Multiplexer")
 		vcpus     = fs.Int("vcpus", 2, "virtual CPUs per VM")
 		sysenter  = fs.Bool("sysenter", false, "use the fast-syscall gate instead of INT 0x80")
@@ -66,11 +65,11 @@ func run(args []string) error {
 		}
 		return runCluster(clusterOpts{
 			hosts: *hosts, vms: *vms, vcpus: *vcpus,
-			duration: *duration, migrateAt: *migrateAt,
-			seed: *seed, sysenter: *sysenter,
+			duration: *duration, seed: *seed, sysenter: *sysenter,
 			features: intercept.Features{
 				ProcessSwitch: true, ThreadSwitch: true, TSSIntegrity: true, Syscalls: true, IO: true,
 			},
+			out: os.Stdout,
 		})
 	}
 

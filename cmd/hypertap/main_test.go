@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"hypertap/internal/core/intercept"
 	"hypertap/internal/flight"
 )
 
@@ -58,14 +61,14 @@ func TestSmokeDefaults(t *testing.T) {
 	}
 }
 
-// TestSmokeCluster drives the -hosts>1 demo path with a mid-run migration,
-// and pins that the single-host-only flags are rejected in cluster mode.
+// TestSmokeCluster drives the -hosts>1 demo path, pins its aggregator and
+// rollup output, and pins that the single-host-only flags are rejected in
+// cluster mode.
 func TestSmokeCluster(t *testing.T) {
 	args := []string{
 		"-duration", "60ms",
 		"-hosts", "2",
 		"-vms", "1",
-		"-migrate-at", "30ms",
 	}
 	if err := run(args); err != nil {
 		t.Fatalf("run(%v): %v", args, err)
@@ -73,6 +76,26 @@ func TestSmokeCluster(t *testing.T) {
 	err := run([]string{"-hosts", "2", "-rhc"})
 	if err == nil || !strings.Contains(err.Error(), "single-host") {
 		t.Fatalf("cluster mode with -rhc: err = %v, want single-host flag complaint", err)
+	}
+
+	var out bytes.Buffer
+	if err := runCluster(clusterOpts{
+		hosts: 2, vms: 1, vcpus: 2, duration: 60 * time.Millisecond, seed: 1,
+		features: intercept.Features{Syscalls: true, IO: true}, out: &out,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	for _, want := range []string{
+		"host0: 1 VM(s)", "host1: 1 VM(s)", "(healthy)",
+		"fleet rollup", "{host host0}", "{host host1}",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("cluster demo output lacks %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "SICK") || strings.Contains(text, "verdict:") {
+		t.Errorf("a healthy cluster reported a sick host:\n%s", text)
 	}
 }
 

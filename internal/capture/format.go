@@ -28,7 +28,7 @@
 // and the host is anonymous. The v2 header carries the cluster plane's
 // identity — the recording host's name and each VM's explicit VMID, so a VM
 // whose ID lives in a sparse cluster range ([h·N, h·N+N)) keeps that identity
-// through capture, migration and replay. The writer emits v1 whenever v1 can
+// through capture and replay. The writer emits v1 whenever v1 can
 // express the header (no host name, dense IDs), so pre-cluster captures stay
 // byte-identical; readers accept both.
 //
@@ -115,7 +115,7 @@ type VMHeader struct {
 	// ID is the VM's VMID on the recording host. Solo hosts leave it zero
 	// across the table and the writer assigns dense IDs (slot i is VMID i);
 	// cluster hosts carry their sparse range explicitly so the ID — and with
-	// it every SpanID and flight record — survives migration and replay.
+	// it every SpanID and flight record — survives replay.
 	ID core.VMID
 	// Name is the VM's EM attachment name; replay re-attaches under it so
 	// actor tables and per-VM routes line up with the live run.

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // The central health aggregator: the cluster-level analogue of the paper's
 // Remote Health Checker. Where internal/core's RHCServer judges VM liveness
@@ -12,12 +9,12 @@ import (
 // round it reads every host's published-event total (the same monotonic
 // counter the RHC sampler feeds), treats any advance as a beat, and declares
 // a host sick once its silence exceeds the configured threshold. Running in
-// virtual time keeps verdicts a pure function of the configuration, so the
-// equivalence gates can pin failover behavior byte-for-byte; production
-// hosts still dial a real RHCServer (host.ConnectRHC) for off-host liveness.
+// virtual time keeps verdicts a pure function of the configuration, so tests
+// pin the exact verdict round; production hosts still dial a real RHCServer
+// (host.ConnectRHC) for off-host liveness.
 
-// Verdict is one host-level failover decision: the aggregator declared the
-// host sick and evacuated its VMs.
+// Verdict is one host-level health decision: the aggregator declared the
+// host sick.
 type Verdict struct {
 	// Host is the host declared sick.
 	Host string
@@ -25,10 +22,6 @@ type Verdict struct {
 	At time.Duration
 	// Silence is how long the host had published nothing.
 	Silence time.Duration
-	// Evacuated lists the completed rescue migrations, in VM slot order.
-	Evacuated []MigrationRecord
-	// Stranded lists VMs no healthy host could take.
-	Stranded []string
 }
 
 // HostHealth is one host's heartbeat summary as the aggregator last saw it.
@@ -64,9 +57,9 @@ func newAggregator(hosts int, sickAfter time.Duration) *aggregator {
 }
 
 // observe consumes one round's heartbeat summaries and issues verdicts. A
-// sick verdict latches: the host is excluded from placement and never judged
-// again — re-admitting a recovered host is an operator decision, not an
-// automatic one (the paper's RHC makes the same choice for VM restarts).
+// sick verdict latches: the host is never judged again — re-admitting a
+// recovered host is an operator decision, not an automatic one (the paper's
+// RHC makes the same choice for VM restarts).
 func (a *aggregator) observe(c *Cluster) {
 	for i, h := range c.hosts {
 		pub := h.EM().Published()
@@ -86,48 +79,8 @@ func (a *aggregator) observe(c *Cluster) {
 		if c.sickHosts != nil {
 			c.sickHosts.Add(1)
 		}
-		v := Verdict{Host: h.Name(), At: c.elapsed, Silence: silence}
-		// Evacuate: snapshot the resident names first (migration mutates the
-		// host's machine list), then place each VM on the least-loaded
-		// healthy host. Load is re-read per VM so a burst of evacuees spreads
-		// instead of piling onto one target.
-		var names []string
-		for _, m := range h.Machines() {
-			names = append(names, m.Name())
-		}
-		for _, name := range names {
-			t := c.cfg.Placement.Place(a.loads(c), i)
-			if t < 0 || t == i {
-				v.Stranded = append(v.Stranded, name)
-				continue
-			}
-			if err := c.Migrate(name, c.hosts[t].Name()); err != nil {
-				v.Stranded = append(v.Stranded, name)
-				c.failures = append(c.failures, fmt.Errorf("cluster: evacuating %q off %q: %w", name, h.Name(), err))
-				continue
-			}
-			v.Evacuated = append(v.Evacuated, c.record[len(c.record)-1])
-			if c.evacuations != nil {
-				c.evacuations.Inc()
-			}
-		}
-		a.verdicts = append(a.verdicts, v)
+		a.verdicts = append(a.verdicts, Verdict{Host: h.Name(), At: c.elapsed, Silence: silence})
 	}
-}
-
-// loads builds the placement view: per-host resident VM counts, with failed
-// and sick hosts marked unplaceable.
-func (a *aggregator) loads(c *Cluster) []HostLoad {
-	out := make([]HostLoad, len(c.hosts))
-	for i, h := range c.hosts {
-		out[i] = HostLoad{
-			Index: i,
-			Name:  h.Name(),
-			VMs:   h.NumVMs(),
-			Sick:  c.failed[i] || a.sick[i],
-		}
-	}
-	return out
 }
 
 // health renders the current summaries.

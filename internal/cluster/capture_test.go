@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -11,24 +12,19 @@ import (
 )
 
 // armClusterCapture taps every host of c with a capture recorder whose header
-// carries the host's name and the full cluster VM table. The table is
-// cluster-wide on purpose: VMIDs are cluster-global, any VM may migrate in
-// mid-stream, and a header that already lists it keeps the stream replayable
-// on its own.
+// carries the host's name and its own VMs at their cluster-global IDs.
 func armClusterCapture(t *testing.T, c *Cluster) ([]*bytes.Buffer, []*capture.Recorder) {
 	t.Helper()
-	var table []capture.VMHeader
-	for i := 0; i < c.NumHosts(); i++ {
-		for _, m := range c.Host(i).Machines() {
-			table = append(table, capture.VMHeader{
-				ID: m.VMID(), Name: m.Name(), VCPUs: m.NumVCPUs(),
-			})
-		}
-	}
 	bufs := make([]*bytes.Buffer, c.NumHosts())
 	recs := make([]*capture.Recorder, c.NumHosts())
 	for i := 0; i < c.NumHosts(); i++ {
 		h := c.Host(i)
+		var table []capture.VMHeader
+		for _, m := range h.Machines() {
+			table = append(table, capture.VMHeader{
+				ID: m.VMID(), Name: m.Name(), VCPUs: m.NumVCPUs(),
+			})
+		}
 		bufs[i] = &bytes.Buffer{}
 		rec, err := capture.NewRecorder(bufs[i], capture.Header{
 			Host: h.Name(), Tick: time.Millisecond, VMs: table,
@@ -42,138 +38,117 @@ func armClusterCapture(t *testing.T, c *Cluster) ([]*bytes.Buffer, []*capture.Re
 	return bufs, recs
 }
 
-// vmRecords decodes a capture stream and returns the event and tick records
-// tagged with VMID vm, in stream order.
-func vmRecords(t *testing.T, stream []byte, vm core.VMID) (events []core.Event, ticks []time.Duration) {
+// vmEventCount decodes a capture stream and counts the event records tagged
+// with VMID vm.
+func vmEventCount(t *testing.T, stream []byte, vm core.VMID) uint64 {
 	t.Helper()
 	rd, err := capture.NewReader(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec capture.Record
-	for {
-		if err := rd.Next(&rec); err != nil {
-			break
-		}
+	var (
+		rec capture.Record
+		n   uint64
+	)
+	for rd.Next(&rec) == nil {
 		switch capture.KindName(rec.Kind) {
 		case "event":
 			if rec.Event.VM == vm {
-				events = append(events, rec.Event)
-			}
-		case "tick":
-			if rec.VM == vm {
-				ticks = append(ticks, rec.Now)
+				n++
 			}
 		case "end":
-			return
+			return n
 		}
 	}
-	return
+	return n
 }
 
-// TestClusterMigrationCaptureStream is the migration gate's .htcs leg: with
-// every host's exit stream recorded, a VM's records in the baseline capture
-// equal its records in the source stream up to the migration followed by its
-// records in the target stream — the same decoded events and ticks,
-// field-for-field, just split across two files. The streams carry the v2
-// header (host name, cluster-global VMIDs), and the post-migration target
-// stream replays on its own.
-func TestClusterMigrationCaptureStream(t *testing.T) {
-	base, _, _ := migGateCluster(t)
-	mig, _, _ := migGateCluster(t)
-	baseBufs, baseRecs := armClusterCapture(t, base)
-	migBufs, migRecs := armClusterCapture(t, mig)
-	mig.ScheduleMigration(gateRun/2, "mover", "h1")
-
-	base.Run(gateRun)
-	mig.Run(gateRun)
-
-	baseStreams := make([][]byte, len(baseBufs))
-	migStreams := make([][]byte, len(migBufs))
-	for i := range baseBufs {
-		if err := baseRecs[i].Finish(); err != nil {
-			t.Fatal(err)
+// TestClusterCaptureStreams records .htcs from a live cluster whose hosts
+// carry uneven fleets, so the VMID ranges are sparse (stride 2: h0 owns 0–1,
+// h1 owns 2 and leaves 3 empty, h2 owns 4–5). Each host's stream carries the
+// v2 header — its host name and its VMs at their cluster IDs — and replays on
+// its own with no divergence, republishing exactly the events it recorded
+// for every VM.
+func TestClusterCaptureStreams(t *testing.T) {
+	fleets := []int{2, 1, 2}
+	specs := make([]HostSpec, len(fleets))
+	for i, n := range fleets {
+		specs[i] = HostSpec{Name: fmt.Sprintf("h%d", i)}
+		for j := 0; j < n; j++ {
+			specs[i].VMs = append(specs[i].VMs, smallSpec(fmt.Sprintf("h%d-vm%d", i, j), int64(301+10*i+j)))
 		}
-		if err := migRecs[i].Finish(); err != nil {
-			t.Fatal(err)
-		}
-		baseStreams[i] = baseBufs[i].Bytes()
-		migStreams[i] = migBufs[i].Bytes()
 	}
+	c, err := New(Config{Hosts: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	g := 0
+	for i := 0; i < c.NumHosts(); i++ {
+		for _, m := range c.Host(i).Machines() {
+			clusterWorkload(t, m, g)
+			g++
+		}
+	}
+	// Boot publishes before the taps are armed; the streams hold the rest.
+	atArm := make(map[core.VMID]uint64)
+	for i := 0; i < c.NumHosts(); i++ {
+		for _, m := range c.Host(i).Machines() {
+			atArm[m.VMID()] = c.Host(i).EM().PublishedVM(m.VMID())
+		}
+	}
+	bufs, recs := armClusterCapture(t, c)
+	c.Run(150 * time.Millisecond)
 
-	// The wire format is v2 and the headers carry host identity and the
-	// sparse cluster IDs.
-	for i, hostName := range []string{"h0", "h1"} {
-		rd, err := capture.NewReader(bytes.NewReader(migStreams[i]))
+	wantIDs := [][]core.VMID{{0, 1}, {2}, {4, 5}}
+	for i, h := range []string{"h0", "h1", "h2"} {
+		if err := recs[i].Finish(); err != nil {
+			t.Fatal(err)
+		}
+		stream := bufs[i].Bytes()
+		rd, err := capture.NewReader(bytes.NewReader(stream))
 		if err != nil {
 			t.Fatal(err)
 		}
 		hdr := rd.Header()
-		if hdr.Host != hostName {
-			t.Fatalf("stream %d header host = %q, want %q", i, hdr.Host, hostName)
+		if hdr.Host != h {
+			t.Fatalf("stream %d header host = %q, want %q", i, hdr.Host, h)
 		}
-		wantIDs := []core.VMID{0, 1, 2}
 		var gotIDs []core.VMID
 		for _, vm := range hdr.VMs {
 			gotIDs = append(gotIDs, vm.ID)
 		}
-		if !reflect.DeepEqual(gotIDs, wantIDs) {
-			t.Fatalf("stream %d header IDs = %v, want %v", i, gotIDs, wantIDs)
+		if !reflect.DeepEqual(gotIDs, wantIDs[i]) {
+			t.Fatalf("stream %d header IDs = %v, want %v", i, gotIDs, wantIDs[i])
 		}
-	}
 
-	// The mover's records: baseline h0 stream vs source-then-target splice.
-	const moverID = core.VMID(1)
-	wantEvents, wantTicks := vmRecords(t, baseStreams[0], moverID)
-	srcEvents, srcTicks := vmRecords(t, migStreams[0], moverID)
-	dstEvents, dstTicks := vmRecords(t, migStreams[1], moverID)
-	if len(srcEvents) == 0 || len(dstEvents) == 0 {
-		t.Fatalf("mover records %d/%d on source/target; the split is vacuous", len(srcEvents), len(dstEvents))
-	}
-	gotEvents := append(append([]core.Event(nil), srcEvents...), dstEvents...)
-	gotTicks := append(append([]time.Duration(nil), srcTicks...), dstTicks...)
-	if !reflect.DeepEqual(gotEvents, wantEvents) {
-		t.Fatalf("mover event records diverged: %d+%d migrated vs %d baseline",
-			len(srcEvents), len(dstEvents), len(wantEvents))
-	}
-	if !reflect.DeepEqual(gotTicks, wantTicks) {
-		t.Fatalf("mover tick records diverged: %d+%d migrated vs %d baseline",
-			len(srcTicks), len(dstTicks), len(wantTicks))
-	}
-
-	// The VMs that stayed put have identical streams with and without the
-	// migration.
-	for _, stay := range []struct {
-		host int
-		vm   core.VMID
-	}{{0, 0}, {1, 2}} {
-		wantE, wantT := vmRecords(t, baseStreams[stay.host], stay.vm)
-		gotE, gotT := vmRecords(t, migStreams[stay.host], stay.vm)
-		if len(wantE) == 0 {
-			t.Fatalf("vm %d produced no records; the check is vacuous", stay.vm)
+		rp, err := capture.NewReplay(bytes.NewReader(stream), capture.ReplayConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotT, wantT) {
-			t.Fatalf("vm %d stream changed under a migration it was not part of", stay.vm)
+		if err := rp.Run(); err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// The post-migration target stream is a self-contained artifact: it
-	// replays alone, attaching the cluster VM table at its sparse IDs, and
-	// the mover's republished count matches its record count.
-	rp, err := capture.NewReplay(bytes.NewReader(migStreams[1]), capture.ReplayConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rp.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rp.Divergences() != 0 {
-		t.Fatalf("target stream replay counted %d divergences", rp.Divergences())
-	}
-	if pub := rp.EM().PublishedVM(moverID); pub != uint64(len(dstEvents)) {
-		t.Fatalf("replayed mover events = %d, want %d", pub, len(dstEvents))
-	}
-	if name, ok := rp.EM().VMName(moverID); !ok || name != "mover" {
-		t.Fatalf("replay EM VM %d = %q/%v, want mover", moverID, name, ok)
+		if rp.Divergences() != 0 {
+			t.Fatalf("%s stream replay counted %d divergences", h, rp.Divergences())
+		}
+		for _, m := range c.Host(i).Machines() {
+			id := m.VMID()
+			recorded := vmEventCount(t, stream, id)
+			if recorded == 0 {
+				t.Fatalf("%s recorded no events for %s; the check is vacuous", h, m.Name())
+			}
+			if pub := rp.EM().PublishedVM(id); pub != recorded {
+				t.Fatalf("%s replay published %d events for %s, stream records %d", h, pub, m.Name(), recorded)
+			}
+			if live := c.Host(i).EM().PublishedVM(id) - atArm[id]; live != recorded {
+				t.Fatalf("%s live published %d events for %s while recording, stream records %d", h, live, m.Name(), recorded)
+			}
+			if name, ok := rp.EM().VMName(id); !ok || name != m.Name() {
+				t.Fatalf("replay EM VM %d = %q/%v, want %s", id, name, ok, m.Name())
+			}
+		}
 	}
 }

@@ -1,26 +1,26 @@
 // Package cluster is the datacenter plane above internal/host: M hosts — each
 // the paper's Fig. 2 deployment of N guest VMs sharing one Event Multiplexer —
 // stepped under a single deterministic shared clock, with a central health
-// aggregator issuing host-level failover verdicts and live VM migration
-// moving guests between hosts without losing a single auditor observation.
+// aggregator issuing latched sick-host verdicts — the cluster-level analogue
+// of the paper's Remote Health Checker.
 //
 // The determinism contract extends the host plane's one level up: each round,
 // every live host advances one tick in fixed index order and drains its own
 // EM. Hosts share no mutable state — a VM's guest, virtual clock and scoped
 // auditors are wholly its own — so an M-host cluster run is byte-identical,
-// per VM, to M solo host runs with the same seeds (the first cluster
-// equivalence gate), and a migration mid-run preserves every auditor verdict,
-// flight record and captured exit byte-for-byte (the second gate).
+// per VM, to M solo host runs with the same seeds (the cluster equivalence
+// gate).
 //
 // VM identity is cluster-global and sparse: host h owns the VMID range
 // [h·stride, h·stride+N), where stride is the largest per-host fleet, so a
-// migrated VM keeps its VMID — and with it its SpanIDs, flight rings and
-// capture identity — on any host in the cluster.
+// VM's SpanIDs, flight rings and capture identity are unique across the
+// cluster.
 package cluster
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"hypertap/internal/core"
@@ -34,9 +34,8 @@ type HostSpec struct {
 	// Name identifies the host; empty defaults to "hostN" by index. Names
 	// must be unique across the cluster.
 	Name string
-	// VMs lists the host's initial fleet. VM names must be unique across the
-	// whole cluster (migration addresses VMs by name); empty names default to
-	// "<host>-vmN".
+	// VMs lists the host's fleet. VM names must be unique across the whole
+	// cluster; empty names default to "<host>-vmN".
 	VMs []host.VMSpec
 }
 
@@ -58,35 +57,9 @@ type Config struct {
 	// hosts never collide.
 	Telemetry *telemetry.Registry
 	// SickAfter arms the central health aggregator: a host publishing no
-	// events for more than SickAfter of virtual time is declared sick and
-	// its VMs are evacuated under Placement. Zero disables verdicts.
+	// events for more than SickAfter of virtual time is declared sick. Zero
+	// disables verdicts.
 	SickAfter time.Duration
-	// Placement decides where evacuated VMs land; nil selects LeastLoaded.
-	Placement Placement
-}
-
-// MigrationRecord is one completed migration.
-type MigrationRecord struct {
-	// VM is the migrated VM's name.
-	VM string
-	// From and To name the source and destination hosts.
-	From, To string
-	// At is the round boundary (cluster virtual time) the move happened at.
-	At time.Duration
-	// FlightPrefix is the VM's source-host flight ring at detach time,
-	// snapshotted while the source routing table still held the VM's
-	// audience (so sync masks are faithful). Prepended to the target ring it
-	// reconstructs the VM's full recent exit history across the move — the
-	// continuity incident bundles on migrated VMs rely on.
-	FlightPrefix []core.FlightExit
-	// FlightWritten is the total exits the source ever recorded for the VM.
-	FlightWritten uint64
-}
-
-// pendingMigration is a scheduled move waiting for its round boundary.
-type pendingMigration struct {
-	at         time.Duration
-	vm, target string
 }
 
 // Cluster is M deterministic hosts under one clock.
@@ -105,14 +78,9 @@ type Cluster struct {
 	lastRoll []telemetry.Snapshot
 	elapsed  time.Duration
 	agg      *aggregator
-	pending  []pendingMigration
-	record   []MigrationRecord
-	failures []error
 	booted   bool
 
-	migrations  *telemetry.Counter
-	evacuations *telemetry.Counter
-	sickHosts   *telemetry.Gauge
+	sickHosts *telemetry.Gauge
 }
 
 // New builds the cluster: VMID ranges are carved first (stride = the largest
@@ -124,9 +92,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Tick == 0 {
 		cfg.Tick = time.Millisecond
 	}
-	if cfg.Placement == nil {
-		cfg.Placement = LeastLoaded{}
-	}
 	stride := 0
 	for _, hs := range cfg.Hosts {
 		if len(hs.VMs) == 0 {
@@ -134,6 +99,13 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		if len(hs.VMs) > stride {
 			stride = len(hs.VMs)
+		}
+	}
+	// Every host's range must fit the VMID domain; checked before any VM is
+	// built, since a wrapped stride*i would alias another host's IDs.
+	for i, hs := range cfg.Hosts {
+		if end := stride*i + len(hs.VMs); end > math.MaxUint16+1 {
+			return nil, fmt.Errorf("cluster: host %d's VMID range [%d, %d) overflows the VMID domain", i, stride*i, end)
 		}
 	}
 	c := &Cluster{
@@ -184,8 +156,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.lastRoll = make([]telemetry.Snapshot, len(c.hosts))
 	if cfg.Telemetry != nil {
-		c.migrations = cfg.Telemetry.Counter("hypertap_cluster_migrations_total")
-		c.evacuations = cfg.Telemetry.Counter("hypertap_cluster_evacuations_total")
 		c.sickHosts = cfg.Telemetry.Gauge("hypertap_cluster_hosts_sick")
 	}
 	if cfg.SickAfter > 0 {
@@ -231,16 +201,13 @@ func (c *Cluster) RunUntil(max time.Duration, cond func() bool) {
 	c.Rollup()
 }
 
-// StepRound advances the cluster by exactly one datacenter round: scheduled
-// migrations due at this boundary fire first (machines are quiescent between
-// rounds — the only legal migration window), then every live host steps one
-// tick in index order, then the health aggregator consumes each host's
-// heartbeat summary and issues any failover verdicts.
+// StepRound advances the cluster by exactly one datacenter round: every live
+// host steps one tick in index order, then the health aggregator consumes
+// each host's heartbeat summary and issues any sick verdicts.
 func (c *Cluster) StepRound() {
 	if !c.booted {
 		panic("cluster: StepRound before Boot")
 	}
-	c.firePending()
 	c.elapsed += c.cfg.Tick
 	for i, h := range c.hosts {
 		if !c.failed[i] {
@@ -252,84 +219,9 @@ func (c *Cluster) StepRound() {
 	}
 }
 
-// firePending runs every scheduled migration whose time has arrived, in
-// scheduling order. A failed move is recorded in Failures and does not stop
-// the round.
-func (c *Cluster) firePending() {
-	if len(c.pending) == 0 {
-		return
-	}
-	rest := c.pending[:0]
-	for _, p := range c.pending {
-		if p.at > c.elapsed {
-			rest = append(rest, p)
-			continue
-		}
-		if err := c.Migrate(p.vm, p.target); err != nil {
-			c.failures = append(c.failures, fmt.Errorf("cluster: scheduled migration of %q at %v: %w", p.vm, c.elapsed, err))
-		}
-	}
-	c.pending = rest
-}
-
-// ScheduleMigration queues a live migration of VM vm to host target, to fire
-// at the first round boundary at or after cluster time at. Migrations never
-// interrupt a round: a time landing mid-tick defers to the next boundary, so
-// the move happens while every machine is quiescent and the result is
-// deterministic.
-func (c *Cluster) ScheduleMigration(at time.Duration, vm, target string) {
-	c.pending = append(c.pending, pendingMigration{at: at, vm: vm, target: target})
-}
-
-// Migrate moves VM vm to host target immediately. The cluster must be
-// between rounds (external callers are; the driver fires scheduled moves at
-// boundaries). The VM arrives with its guest state, virtual clock, scoped
-// auditors, queued events, counters and flight identity intact.
-func (c *Cluster) Migrate(vm, target string) error {
-	srcIdx := -1
-	for i, h := range c.hosts {
-		if h.FindMachine(vm) != nil {
-			srcIdx = i
-			break
-		}
-	}
-	if srcIdx < 0 {
-		return fmt.Errorf("cluster: no VM %q resident anywhere", vm)
-	}
-	tgtIdx := c.hostIndex(target)
-	if tgtIdx < 0 {
-		return fmt.Errorf("cluster: no host %q", target)
-	}
-	if tgtIdx == srcIdx {
-		return fmt.Errorf("cluster: VM %q is already on %q", vm, target)
-	}
-	if c.failed[tgtIdx] || (c.agg != nil && c.agg.sick[tgtIdx]) {
-		return fmt.Errorf("cluster: target host %q is down", target)
-	}
-	mv, err := c.hosts[srcIdx].DetachVM(vm)
-	if err != nil {
-		return err
-	}
-	if err := c.hosts[tgtIdx].AttachVM(mv); err != nil {
-		// The VM is in flight and must not be lost: put it back home.
-		if rerr := c.hosts[srcIdx].AttachVM(mv); rerr != nil {
-			return fmt.Errorf("cluster: VM %q stranded mid-migration: %w (rollback also failed: %v)", vm, err, rerr)
-		}
-		return err
-	}
-	c.record = append(c.record, MigrationRecord{
-		VM: vm, From: c.hosts[srcIdx].Name(), To: c.hosts[tgtIdx].Name(), At: c.elapsed,
-		FlightPrefix: mv.FlightPrefix, FlightWritten: mv.FlightWritten,
-	})
-	if c.migrations != nil {
-		c.migrations.Inc()
-	}
-	return nil
-}
-
 // FailHost simulates a hypervisor crash: the host stops being scheduled, its
 // event production ceases, and — with the aggregator armed — its silence
-// grows until the sick verdict evacuates its VMs. The host's EM state stays
+// grows until the sick verdict fires. The host's VMs and EM state stay
 // intact, mirroring the paper's recovery argument: the architectural
 // invariants keep guest state consistent, so VMs survive their monitor.
 func (c *Cluster) FailHost(name string) error {
@@ -390,14 +282,6 @@ func (c *Cluster) NumHosts() int { return len(c.hosts) }
 // Host returns host i in step order.
 func (c *Cluster) Host(i int) *host.Host { return c.hosts[i] }
 
-// HostByName returns the named host, or nil.
-func (c *Cluster) HostByName(name string) *host.Host {
-	if i := c.hostIndex(name); i >= 0 {
-		return c.hosts[i]
-	}
-	return nil
-}
-
 // Stride returns the VMID range width each host owns: host i assigns
 // [i·Stride, i·Stride+N).
 func (c *Cluster) Stride() core.VMID { return c.stride }
@@ -405,25 +289,7 @@ func (c *Cluster) Stride() core.VMID { return c.stride }
 // Elapsed returns the cluster's virtual time.
 func (c *Cluster) Elapsed() time.Duration { return c.elapsed }
 
-// FindVM locates a VM by name, returning its machine and current host, or
-// (nil, nil) if it is resident nowhere.
-func (c *Cluster) FindVM(name string) (*hv.Machine, *host.Host) {
-	for _, h := range c.hosts {
-		if m := h.FindMachine(name); m != nil {
-			return m, h
-		}
-	}
-	return nil, nil
-}
-
-// Migrations returns every completed migration in order.
-func (c *Cluster) Migrations() []MigrationRecord { return c.record }
-
-// Failures returns the errors of scheduled migrations and evacuations that
-// could not complete.
-func (c *Cluster) Failures() []error { return c.failures }
-
-// Verdicts returns the aggregator's failover verdicts in order. Empty when
+// Verdicts returns the aggregator's sick-host verdicts in order. Empty when
 // the aggregator is disarmed.
 func (c *Cluster) Verdicts() []Verdict {
 	if c.agg == nil {

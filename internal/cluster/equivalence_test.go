@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -131,7 +130,7 @@ func gateSpecs(hostIdx int) []host.VMSpec {
 	return specs
 }
 
-// TestClusterEquivalenceSoloHosts is gate 1: an M-host cluster run is
+// TestClusterEquivalenceSoloHosts is the cluster gate: an M-host cluster run is
 // byte-identical, per VM, to M solo host runs with the same seeds and VMID
 // ranges — the shared cluster clock adds scheduling structure but zero
 // cross-host coupling. Everything compares raw: event streams, GOSHD alarms,
@@ -216,156 +215,5 @@ func TestClusterEquivalenceSoloHosts(t *testing.T) {
 	}
 	if !sawAlarms {
 		t.Fatal("no GOSHD alarms anywhere; the gate's alarm leg is vacuous")
-	}
-}
-
-// maskNames decodes an actor bitmask into sorted auditor names via the EM's
-// actor table. Actor IDs are per-EM registration order, so a migrated VM's
-// auditors hold different bits on source and target; the names are the
-// stable identity the migration gate compares.
-func maskNames(names []string, mask uint64) []string {
-	var out []string
-	for i := 0; i < 64; i++ {
-		if mask&(1<<i) == 0 {
-			continue
-		}
-		if i < len(names) {
-			out = append(out, names[i])
-		} else {
-			out = append(out, fmt.Sprintf("actor%d", i))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// migGateCluster builds the migration gate's fixed 2-host cluster: h0 runs a
-// steady VM and the napper "mover", h1 runs one steady VM. FlightDepth is
-// sized so no ring wraps during the run, making full-history comparison
-// exact.
-func migGateCluster(t *testing.T) (*Cluster, []*collector, []*goshd.Detector) {
-	t.Helper()
-	c, err := New(Config{
-		FlightDepth: 1 << 13,
-		Hosts: []HostSpec{
-			{Name: "h0", VMs: []host.VMSpec{
-				{Name: "steady0", Guest: guest.Config{Seed: 201}, Monitor: true, Features: allFeatures()},
-				{Name: "mover", Guest: guest.Config{Seed: 202}, Monitor: true, Features: allFeatures()},
-			}},
-			{Name: "h1", VMs: []host.VMSpec{
-				{Name: "steady1", Guest: guest.Config{Seed: 203}, Monitor: true, Features: allFeatures()},
-			}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := make([]*collector, 3)
-	dets := make([]*goshd.Detector, 3)
-	cols[0], dets[0] = attachAuditors(t, c.Host(0).Machine(0), 0)
-	cols[1], dets[1] = attachAuditors(t, c.Host(0).Machine(1), 1)
-	cols[2], dets[2] = attachAuditors(t, c.Host(1).Machine(0), 2)
-	if err := c.Boot(); err != nil {
-		t.Fatal(err)
-	}
-	machines := []*hv.Machine{c.Host(0).Machine(0), c.Host(0).Machine(1), c.Host(1).Machine(0)}
-	slots := []int{0, 2, 1} // the mover is the napper
-	for g, m := range machines {
-		dets[g].Start()
-		clusterWorkload(t, m, slots[g])
-	}
-	return c, cols, dets
-}
-
-// TestClusterMigrationEquivalence is gate 2: migrating a VM mid-campaign
-// preserves every auditor verdict, event stream, kernel stat, publish
-// counter and flight record, byte-for-byte against the same cluster run
-// without the migration. Actor bitmasks are compared by auditor name — the
-// one representation that survives crossing EMs.
-func TestClusterMigrationEquivalence(t *testing.T) {
-	base, baseCols, baseDets := migGateCluster(t)
-	mig, migCols, migDets := migGateCluster(t)
-	mig.ScheduleMigration(gateRun/2, "mover", "h1")
-
-	base.Run(gateRun)
-	mig.Run(gateRun)
-
-	if len(mig.Migrations()) != 1 {
-		t.Fatalf("migrations = %+v, want exactly 1", mig.Migrations())
-	}
-	rec := mig.Migrations()[0]
-	if rec.VM != "mover" || rec.From != "h0" || rec.To != "h1" || rec.At != gateRun/2 {
-		t.Fatalf("migration record = %+v", rec)
-	}
-	if mig.Host(0).NumVMs() != 1 || mig.Host(1).NumVMs() != 2 {
-		t.Fatalf("post-migration residency = %d/%d, want 1/2", mig.Host(0).NumVMs(), mig.Host(1).NumVMs())
-	}
-
-	// Every VM's auditor-visible history is identical with and without the
-	// migration.
-	names := []string{"steady0", "mover", "steady1"}
-	for g := range names {
-		want := vmOutcome{events: baseCols[g].events(), alarms: baseDets[g].Alarms()}
-		got := vmOutcome{events: migCols[g].events(), alarms: migDets[g].Alarms()}
-		bm, _ := base.FindVM(names[g])
-		mm, _ := mig.FindVM(names[g])
-		if bm == nil || mm == nil {
-			t.Fatalf("vm %q not resident in both runs", names[g])
-		}
-		want.syscalls, want.switches, want.exits = bm.Kernel().Stats().Syscalls, bm.Kernel().Stats().ContextSwitches, bm.TotalExits()
-		got.syscalls, got.switches, got.exits = mm.Kernel().Stats().Syscalls, mm.Kernel().Stats().ContextSwitches, mm.TotalExits()
-		if len(want.events) == 0 {
-			t.Fatalf("vm %q produced no events; the gate is vacuous", names[g])
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("vm %q diverged under migration:\nmigrated: %d events, %d alarms, %d/%d/%d\nbaseline: %d events, %d alarms, %d/%d/%d",
-				names[g], len(got.events), len(got.alarms), got.syscalls, got.switches, got.exits,
-				len(want.events), len(want.alarms), want.syscalls, want.switches, want.exits)
-		}
-	}
-	if len(baseDets[1].Alarms()) == 0 {
-		t.Fatal("the napper raised no alarms; the verdict leg is vacuous")
-	}
-
-	// Publish accounting: the mover's counter on the target continues the
-	// source's count exactly.
-	const moverID = core.VMID(1)
-	if bp, mp := base.Host(0).EM().PublishedVM(moverID), mig.Host(1).EM().PublishedVM(moverID); bp != mp {
-		t.Fatalf("mover published %d baseline, %d migrated", bp, mp)
-	}
-
-	// Flight continuity: the detach-time prefix plus the target ring is the
-	// baseline ring, record for record. The rings never wrapped (depth 2^13),
-	// so this is the full history, not a suffix.
-	baseExits := base.Host(0).EM().FlightExits(moverID)
-	tailExits := mig.Host(1).EM().FlightExits(moverID)
-	migExits := append(append([]core.FlightExit(nil), rec.FlightPrefix...), tailExits...)
-	if len(migExits) != len(baseExits) {
-		t.Fatalf("flight history: %d migrated records (%d prefix + %d target), %d baseline",
-			len(migExits), len(rec.FlightPrefix), len(tailExits), len(baseExits))
-	}
-	if rec.FlightWritten+mig.Host(1).EM().FlightRecorded(moverID) != base.Host(0).EM().FlightRecorded(moverID) {
-		t.Fatalf("flight write totals: %d + %d migrated, %d baseline",
-			rec.FlightWritten, mig.Host(1).EM().FlightRecorded(moverID), base.Host(0).EM().FlightRecorded(moverID))
-	}
-	baseActors := base.Host(0).EM().ActorNames()
-	srcActors := mig.Host(0).EM().ActorNames()
-	dstActors := mig.Host(1).EM().ActorNames()
-	for k := range migExits {
-		got, want := migExits[k], baseExits[k]
-		actors := srcActors
-		if k >= len(rec.FlightPrefix) {
-			actors = dstActors
-		}
-		gotN := [3][]string{maskNames(actors, got.Sync), maskNames(actors, got.Queued), maskNames(actors, got.Dropped)}
-		wantN := [3][]string{maskNames(baseActors, want.Sync), maskNames(baseActors, want.Queued), maskNames(baseActors, want.Dropped)}
-		if !reflect.DeepEqual(gotN, wantN) {
-			t.Fatalf("flight record %d actor sets diverged: %v vs %v", k, gotN, wantN)
-		}
-		got.Sync, got.Queued, got.Dropped = 0, 0, 0
-		want.Sync, want.Queued, want.Dropped = 0, 0, 0
-		if got != want {
-			t.Fatalf("flight record %d diverged:\nmigrated: %+v\nbaseline: %+v", k, got, want)
-		}
 	}
 }

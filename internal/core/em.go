@@ -222,20 +222,14 @@ func (m *Multiplexer) rebuildRoutesLocked() {
 // registerVMSeriesLocked registers the {vm=name} published-events series for
 // one attached VM. The fn is snapshot-time only: it takes the EM lock, which
 // is the documented CounterFunc pattern (scrapes pay the lock, Publish pays
-// a plain array increment it already owns the lock for). The closure pins the
-// VM name it was registered under: after the VM migrates away (DetachVM) its
-// slot may later host a different VM, and the stale series must report zero
-// rather than the successor's count.
+// a plain array increment it already owns the lock for). A slot keeps its
+// name for the EM's lifetime, so the series reads the slot directly.
 func (m *Multiplexer) registerVMSeriesLocked(id VMID) {
-	name := m.vms[id]
 	m.tel.reg.CounterFunc("hypertap_events_published_total", func() uint64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		if int(id) >= len(m.vms) || m.vms[id] != name {
-			return 0
-		}
 		return m.pubByVM[id]
-	}, telemetry.L("vm", name))
+	}, telemetry.L("vm", m.vms[id]))
 }
 
 // NewMultiplexer creates an empty EM.
@@ -432,20 +426,9 @@ func (m *Multiplexer) FlightOverflow() []FlightExit {
 	return m.fl.exitsOf(len(m.fl.rings)-1, m.syncBitsLocked)
 }
 
-// FlightMapVM gives a migrated-in VMID its own flight ring (see
-// FlightTable.MapVM), serialized against the recorder's single writer by the
-// EM lock. No-op when tracing is off.
-func (m *Multiplexer) FlightMapVM(vm VMID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fl != nil {
-		m.fl.MapVM(vm)
-	}
-}
-
-// FlightVMs lists the VMIDs holding dedicated flight rings, resident range
-// first then migrated-in mappings — the iteration incident bundles use so
-// ring files keep VMID identity under the cluster's sparse ID namespace.
+// FlightVMs lists the VMIDs holding dedicated flight rings — the iteration
+// incident bundles use so ring files keep VMID identity under the cluster's
+// sparse ID namespace.
 func (m *Multiplexer) FlightVMs() []VMID {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -374,3 +374,33 @@ func TestWaitHeartbeat(t *testing.T) {
 		t.Fatalf("second WaitHeartbeat = %+v, %v", hb, ok)
 	}
 }
+
+func TestAttachVMAtSparse(t *testing.T) {
+	em := NewMultiplexer()
+	if id, err := em.AttachVMAt(4, "vm-4"); err != nil || id != 4 {
+		t.Fatalf("AttachVMAt(4) = %d, %v", id, err)
+	}
+	// Slots 0..3 are tombstones: unnamed, unresolvable, unregisterable.
+	for id := VMID(0); id < 4; id++ {
+		if _, ok := em.VMName(id); ok {
+			t.Fatalf("VMName(%d) resolved a tombstone", id)
+		}
+		aud := &AuditorFunc{AuditorName: "t", EventMask: MaskAll, Fn: func(*Event) {}}
+		if err := em.RegisterScoped(aud, ScopeVM(id), DeliverSync, 0); err == nil {
+			t.Fatalf("RegisterScoped accepted tombstoned VM %d", id)
+		}
+	}
+	if name, ok := em.VMName(4); !ok || name != "vm-4" {
+		t.Fatalf("VMName(4) = %q, %v", name, ok)
+	}
+	if _, err := em.AttachVMAt(4, "other"); err == nil {
+		t.Fatal("AttachVMAt accepted an occupied slot")
+	}
+	if _, err := em.AttachVMAt(6, "vm-4"); err == nil {
+		t.Fatal("AttachVMAt accepted a duplicate name")
+	}
+	// Dense attach continues after the sparse block.
+	if id, err := em.AttachVM("vm-5"); err != nil || id != 5 {
+		t.Fatalf("AttachVM after sparse = %d, %v", id, err)
+	}
+}

@@ -201,24 +201,15 @@ type spanRing struct {
 type FlightTable struct {
 	// armed gates recording; the one atomic a slot write pays.
 	armed atomic.Bool
-	// rings holds one exit ring per expected VM plus a final overflow ring
-	// for events stamped with a VMID beyond the preallocated range. Rings
-	// added for migrated-in VMs (MapVM) are inserted before the overflow
-	// ring, which always stays last.
+	// rings holds one exit ring per resident VM plus a final overflow ring
+	// for events stamped with a VMID outside the resident range.
 	rings []exitRing
 	spans spanRing
 	// base is the first resident VMID: a cluster host owning the ID range
-	// [base, base+dedicated) keeps its rings contiguous, so the hot-path
+	// [base, base+VMRings()) keeps its rings contiguous, so the hot-path
 	// mapping stays one subtract and one compare. Zero (the default) is the
 	// pre-cluster dense layout unchanged.
 	base VMID
-	// dedicated is the preallocated resident ring count; rings beyond it
-	// (before overflow) belong to migrated-in VMs via remap.
-	dedicated int
-	// remap routes migrated-in VMIDs — outside [base, base+dedicated) — to
-	// their rings. Nil until the first MapVM; the hot path consults it only
-	// after the contiguous-range check misses.
-	remap map[VMID]int
 }
 
 // ceilPow2 rounds n up to a power of two (minimum 1).
@@ -245,7 +236,7 @@ func NewFlightTable(numVMs, depth, spanDepth int) *FlightTable {
 	}
 	d := ceilPow2(depth)
 	sd := ceilPow2(spanDepth)
-	t := &FlightTable{rings: make([]exitRing, numVMs+1), dedicated: numVMs}
+	t := &FlightTable{rings: make([]exitRing, numVMs+1)}
 	for i := range t.rings {
 		t.rings[i].slots = make([]flightSlot, d)
 		t.rings[i].mask = d - 1
@@ -276,70 +267,33 @@ func (t *FlightTable) Depth() int { return len(t.rings[0].slots) }
 func (t *FlightTable) SpanDepth() int { return len(t.spans.slots) }
 
 // SetVMBase declares the first resident VMID: a cluster host whose VMs carry
-// IDs [base, base+n) calls this once at wiring time so its n dedicated rings
-// map contiguously. Not synchronized — set before traffic starts, like the
+// IDs [base, base+n) calls this once at wiring time so its n rings map
+// contiguously. Not synchronized — set before traffic starts, like the
 // ring allocation itself.
 func (t *FlightTable) SetVMBase(base VMID) { t.base = base }
 
-// MapVM gives a VMID outside the resident range its own dedicated ring — the
-// landing pad for a migrated-in VM, whose exits would otherwise fall into the
-// shared overflow ring. The new ring is inserted before the overflow ring
-// (which always stays last) at the table's common depth. Idempotent for an
-// already-mapped or already-resident ID. Callers synchronize with the writer
-// the same way snapshots do: through the owning Multiplexer (FlightMapVM).
-func (t *FlightTable) MapVM(vm VMID) {
-	if idx := int(vm) - int(t.base); idx >= 0 && idx < t.dedicated {
-		return
-	}
-	if _, ok := t.remap[vm]; ok {
-		return
-	}
-	d := uint64(len(t.rings[0].slots))
-	last := len(t.rings) - 1
-	t.rings = append(t.rings, t.rings[last]) // overflow moves to the new tail
-	t.rings[last] = exitRing{slots: make([]flightSlot, d), mask: d - 1}
-	if t.remap == nil {
-		t.remap = make(map[VMID]int)
-	}
-	t.remap[vm] = last
-}
-
-// MappedVMs lists every VMID with a dedicated ring, resident range first
-// (in ID order) then migrated-in mappings in ring order — the iteration
-// incident bundles use so ring files keep VMID identity under sparse IDs.
+// MappedVMs lists every VMID with a dedicated ring — the resident range in
+// ID order, the iteration incident bundles use so ring files keep VMID
+// identity under sparse IDs.
 func (t *FlightTable) MappedVMs() []VMID {
-	out := make([]VMID, 0, len(t.rings)-1)
-	for i := 0; i < t.dedicated; i++ {
-		out = append(out, t.base+VMID(i))
-	}
-	tail := len(out)
-	for vm := range t.remap {
-		out = append(out, vm)
-	}
-	// Ring order for the remapped tail: ring index grows with MapVM call
-	// order, so sorting by it keeps the listing deterministic.
-	extra := out[tail:]
-	for i := 1; i < len(extra); i++ {
-		for j := i; j > 0 && t.remap[extra[j]] < t.remap[extra[j-1]]; j-- {
-			extra[j], extra[j-1] = extra[j-1], extra[j]
-		}
+	out := make([]VMID, t.VMRings())
+	for i := range out {
+		out[i] = t.base + VMID(i)
 	}
 	return out
 }
 
 // ringIndex maps a VMID to its ring: the resident range maps contiguously
-// (one subtract, one compare — the hot-path cost of sparse cluster IDs),
-// migrated-in IDs go through remap, and everything else lands in overflow.
+// (one subtract, one compare — the hot-path cost of sparse cluster IDs), and
+// everything else lands in overflow.
 //
 //hypertap:hotpath
 func (t *FlightTable) ringIndex(vm VMID) int {
-	if idx := int(vm) - int(t.base); idx >= 0 && idx < t.dedicated {
+	overflow := len(t.rings) - 1
+	if idx := int(vm) - int(t.base); idx >= 0 && idx < overflow {
 		return idx
 	}
-	if ri, ok := t.remap[vm]; ok {
-		return ri
-	}
-	return len(t.rings) - 1
+	return overflow
 }
 
 // recordExit writes one flight record. Publish calls it with the EM lock

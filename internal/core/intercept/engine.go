@@ -224,18 +224,6 @@ func (e *Engine) SetTap(tap core.ExitStreamTap) {
 	e.mu.Unlock()
 }
 
-// Rebind redirects the forwarder's publications to a different EM — the
-// receiving half of a live migration. Everything else (VM identity, exit
-// sequence, armed algorithms, protection state) is untouched, so SpanIDs
-// minted after the move continue the pre-move sequence. The caller must
-// ensure the VM is quiescent: an in-flight HandleExit publishes to the EM it
-// read under the lock.
-func (e *Engine) Rebind(em *core.Multiplexer) {
-	e.mu.Lock()
-	e.em = em
-	e.mu.Unlock()
-}
-
 // onCRAccess handles Fig. 3A plus the arming points of Fig. 3B/3C/3E.
 func (e *Engine) onCRAccess(exit *hav.Exit) {
 	q := &exit.Qual

@@ -19,11 +19,10 @@ import (
 // keeps working unchanged.
 //
 // The cluster plane widens the namespace: a datacenter assigns each host a
-// disjoint VMID range (host h owns [h·N, h·N+N)), so a VM keeps its identity
-// — and therefore its SpanIDs, flight records and capture stream — when it
-// migrates between hosts. Sparse IDs enter through AttachVMAt; the slots
-// below an attached ID are tombstones ("" names) that route like unattached
-// VMs.
+// disjoint VMID range (host h owns [h·N, h·N+N)), so a VM's identity — and
+// therefore its SpanIDs, flight records and capture stream — is unique across
+// the cluster. Sparse IDs enter through AttachVMAt; the slots below an
+// attached ID are tombstones ("" names) that route like unattached VMs.
 type VMID uint16
 
 // maxVMs bounds the per-host fleet: VMIDs index the routing table and the
@@ -77,8 +76,8 @@ func (m *Multiplexer) AttachVM(name string) (VMID, error) {
 }
 
 // AttachVMAt registers a VM under a caller-chosen VMID — the cluster plane's
-// entry point, where host h owns the ID range [h·N, h·N+N) so a VM's identity
-// survives migration. Slots below id that no one attached become tombstones:
+// entry point, where host h owns the ID range [h·N, h·N+N) so VM identities
+// are unique cluster-wide. Slots below id that no one attached become tombstones:
 // they have no name, no telemetry series, and route like unattached VMs.
 // Attaching at an occupied slot is an error; AttachVM is AttachVMAt at the
 // next dense slot, so a base-0 host is byte-identical to the pre-cluster
@@ -119,7 +118,7 @@ func (m *Multiplexer) attachAtLocked(id VMID, name string) (VMID, error) {
 }
 
 // VMName resolves an attached VMID to its name. Tombstoned slots (IDs below
-// a sparse attach that no one occupies, or detached VMs) resolve to nothing.
+// a sparse attach that no one occupies) resolve to nothing.
 func (m *Multiplexer) VMName(id VMID) (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -16,7 +16,7 @@ import (
 
 // ClusterConfig parameterizes the cluster campaign: the sharded unit is not
 // one VM or one host but an entire M-host *cluster* — the datacenter plane
-// with its shared clock, central health aggregator and live migration. Seeds
+// with its shared clock and per-host VMID ranges. Seeds
 // nest the same way the topology does: unit u gets runner.UnitSeed(Seed, u),
 // host i within it runner.UnitSeed(unitSeed, i), and VM j under that
 // runner.UnitSeed(hostSeed, j) — so every guest's stream is a pure function
@@ -45,10 +45,6 @@ type ClusterConfig struct {
 	Telemetry *telemetry.Registry
 	// FlightDepth sizes every host's flight-recorder rings.
 	FlightDepth int
-	// MigrateAt, when positive, live-migrates each unit's last VM of host 0
-	// to host 1 at that virtual time — mid-campaign churn exercising the
-	// migration plane under the determinism contract.
-	MigrateAt time.Duration
 }
 
 func (c *ClusterConfig) fillDefaults() {
@@ -69,8 +65,7 @@ func (c *ClusterConfig) fillDefaults() {
 	}
 }
 
-// ClusterHostReport is one host's outcome within its cluster, listing the
-// VMs resident at campaign end (migration moves them).
+// ClusterHostReport is one host's outcome within its cluster.
 type ClusterHostReport struct {
 	Host   string          `json:"host"`
 	Seed   int64           `json:"seed"`
@@ -80,23 +75,21 @@ type ClusterHostReport struct {
 
 // ClusterUnitReport is one whole cluster's outcome.
 type ClusterUnitReport struct {
-	Cluster    string              `json:"cluster"`
-	Seed       int64               `json:"seed"`
-	Hosts      []ClusterHostReport `json:"hosts"`
-	Events     uint64              `json:"events"`
-	Migrations int                 `json:"migrations"`
+	Cluster string              `json:"cluster"`
+	Seed    int64               `json:"seed"`
+	Hosts   []ClusterHostReport `json:"hosts"`
+	Events  uint64              `json:"events"`
 }
 
 // ClusterResult is the whole campaign.
 type ClusterResult struct {
-	Clusters        []ClusterUnitReport `json:"clusters"`
-	TotalEvents     uint64              `json:"total_events"`
-	TotalAlarms     int                 `json:"total_alarms"`
-	TotalMigrations int                 `json:"total_migrations"`
+	Clusters    []ClusterUnitReport `json:"clusters"`
+	TotalEvents uint64              `json:"total_events"`
+	TotalAlarms int                 `json:"total_alarms"`
 }
 
 // runClusterUnit executes one campaign unit: an M-host cluster with per-VM
-// GOSHD auditors and, when configured, one live migration mid-run.
+// GOSHD auditors.
 func runClusterUnit(cfg *ClusterConfig, ctx *runner.Ctx) (ClusterUnitReport, error) {
 	feat := intercept.Features{
 		ProcessSwitch: true, ThreadSwitch: true, TSSIntegrity: true,
@@ -164,19 +157,11 @@ func runClusterUnit(cfg *ClusterConfig, ctx *runner.Ctx) (ClusterUnitReport, err
 			}
 		}
 	}
-	if cfg.MigrateAt > 0 && cfg.HostsPerCluster > 1 {
-		mover := cl.Host(0).Machine(cfg.VMsPerHost - 1).Name()
-		cl.ScheduleMigration(cfg.MigrateAt, mover, specs[1].Name)
-	}
 	cl.Run(cfg.Duration)
-	if fails := cl.Failures(); len(fails) > 0 {
-		return ClusterUnitReport{}, fails[0]
-	}
 
 	report := ClusterUnitReport{
-		Cluster:    fmt.Sprintf("cluster%d", ctx.Index),
-		Seed:       ctx.Seed,
-		Migrations: len(cl.Migrations()),
+		Cluster: fmt.Sprintf("cluster%d", ctx.Index),
+		Seed:    ctx.Seed,
 	}
 	for i := 0; i < cfg.HostsPerCluster; i++ {
 		h := cl.Host(i)
@@ -203,8 +188,7 @@ func runClusterUnit(cfg *ClusterConfig, ctx *runner.Ctx) (ClusterUnitReport, err
 
 // RunClusterCampaign executes the cluster campaign on the sharded engine:
 // clusters are independent units, so the campaign parallelizes across
-// datacenters while each cluster's internal schedule — hosts, migrations,
-// verdicts and all — stays the deterministic round-robin the equivalence
+// datacenters while each cluster's internal schedule stays the deterministic round-robin the equivalence
 // gates pin.
 func RunClusterCampaign(cfg ClusterConfig) (*ClusterResult, error) {
 	cfg.fillDefaults()
@@ -226,7 +210,6 @@ func RunClusterCampaign(cfg ClusterConfig) (*ClusterResult, error) {
 	out := &ClusterResult{Clusters: res.Units}
 	for _, ur := range res.Units {
 		out.TotalEvents += ur.Events
-		out.TotalMigrations += ur.Migrations
 		for _, hr := range ur.Hosts {
 			for _, vm := range hr.VMs {
 				out.TotalAlarms += vm.Alarms

@@ -30,8 +30,8 @@ type Incident struct {
 	// Kind classifies the trigger: "detection", "error", "panic", ...
 	Kind string `json:"kind"`
 	// Host names the host the incident was captured on. Under the cluster
-	// plane a VM migrates between hosts but keeps its VMID, so the pair
-	// (Host, VM) locates the incident while VM alone locates the evidence.
+	// plane VMIDs are cluster-global, so VM alone identifies the guest and
+	// Host says which host's monitor captured the evidence.
 	Host string `json:"host,omitempty"`
 	// VM is the implicated VM's ID; VMName its attached name when known.
 	VM     core.VMID `json:"vm"`
@@ -67,8 +67,8 @@ type SinkConfig struct {
 	// Dir is the directory incidents are written under (created on demand).
 	Dir string
 	// Host names the capturing host in every bundle manifest. Optional for
-	// solo deployments; cluster hosts set it so incidents raised after a
-	// migration still say where the evidence was captured.
+	// solo deployments; cluster hosts set it so every incident says where
+	// the evidence was captured.
 	Host string
 	// EM is the multiplexer whose flight table is drained. Required, and it
 	// must have a flight table attached (core.Multiplexer.SetFlight).
@@ -179,8 +179,7 @@ func (s *Sink) Raise(kind string, vm core.VMID, at time.Duration, cause error) (
 
 	// Ring files carry the VMID in the name. The EM enumerates the mapped
 	// rings itself — under the cluster's sparse ID namespace (host h owns
-	// [h·N, h·N+N), plus migrated-in mappings) ring index and VMID are no
-	// longer the same thing.
+	// [h·N, h·N+N)) ring index and VMID are no longer the same thing.
 	for _, id := range em.FlightVMs() {
 		if err := writeBin(filepath.Join(dir, fmt.Sprintf("flight-vm%05d.bin", id)), func(f *os.File) error {
 			return WriteExits(f, em.FlightExits(id))

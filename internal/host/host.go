@@ -14,6 +14,7 @@ package host
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"hypertap/internal/core"
@@ -57,8 +58,9 @@ type Config struct {
 	VMs []VMSpec
 	// VMIDBase is the first VMID this host assigns — the cluster plane's
 	// identity discipline, where host h owns the disjoint range
-	// [h·N, h·N+N) so a VM keeps its VMID across migration. Zero (the
-	// default) is the pre-cluster dense assignment unchanged.
+	// [h·N, h·N+N) so VMIDs are unique cluster-wide. Zero (the default) is
+	// the pre-cluster dense assignment unchanged. The range must fit the
+	// VMID domain: VMIDBase+len(VMs) may not exceed 65536.
 	VMIDBase core.VMID
 	// FlightDepth sizes the per-VM flight-recorder rings. Zero selects
 	// core.DefaultFlightDepth; negative disables the tracing plane entirely.
@@ -83,6 +85,9 @@ type Host struct {
 func New(cfg Config) (*Host, error) {
 	if len(cfg.VMs) == 0 {
 		return nil, fmt.Errorf("host: Config.VMs must name at least one VM")
+	}
+	if end := int(cfg.VMIDBase) + len(cfg.VMs); end > math.MaxUint16+1 {
+		return nil, fmt.Errorf("host: VMID range [%d, %d) overflows the VMID domain", cfg.VMIDBase, end)
 	}
 	if cfg.Name == "" {
 		cfg.Name = "host0"
@@ -169,12 +174,11 @@ func (h *Host) RunUntil(max time.Duration, cond func() bool) {
 	}
 }
 
-// StepRound advances the fleet by exactly one round: every resident machine
-// steps one tick in slot order (original slots first, then migrated-in VMs in
-// adoption order), the barrier fires at barrierTime, and the shared EM drains
-// once. The cluster driver calls this directly so every host of a datacenter
-// round advances under one deterministic schedule; RunUntil is the solo-host
-// loop over it.
+// StepRound advances the fleet by exactly one round: every machine steps one
+// tick in slot order, the barrier fires at barrierTime, and the shared EM
+// drains once. The cluster driver calls this directly so every host of a
+// datacenter round advances under one deterministic schedule; RunUntil is the
+// solo-host loop over it.
 func (h *Host) StepRound(barrierTime time.Duration) {
 	if !h.booted {
 		panic("host: StepRound before Boot")
@@ -222,79 +226,6 @@ func (h *Host) ConnectRHC(addr string, sampleEvery uint64) error {
 	return nil
 }
 
-// MigratedVM is one VM in flight between hosts: the machine (guest kernel,
-// memory, vCPUs and virtual clock travel inside it), the EM-plane transfer
-// (identity, scoped subscriptions with queued events, counters), and the
-// source host's flight-ring snapshot for the VM. The flight prefix is
-// captured *before* the EM detach so its records carry the sync-delivery
-// masks the source's routing table held while the VM lived there — after
-// detach that audience is gone from the table and unrecoverable.
-type MigratedVM struct {
-	// Machine is the VM itself, quiescent between rounds.
-	Machine *hv.Machine
-	// Transfer is the EM half (core.Multiplexer.DetachVM's output).
-	Transfer *core.VMTransfer
-	// FlightPrefix is the VM's flight ring at detach time, oldest-first.
-	FlightPrefix []core.FlightExit
-	// FlightWritten is the total exits ever recorded for the VM on the
-	// source, so ring-overflow accounting survives the move.
-	FlightWritten uint64
-}
-
-// DetachVM removes a VM from the host for migration: the flight ring is
-// snapshotted (sync masks derive from the routing table, which still holds
-// the VM's audience), the EM transfer extracted, and the machine dropped from
-// the step schedule. The host must be between rounds — the cluster driver
-// migrates only at round boundaries.
-func (h *Host) DetachVM(name string) (*MigratedVM, error) {
-	idx := -1
-	for i, m := range h.machines {
-		if m.Name() == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("host: %s: no resident VM %q", h.cfg.Name, name)
-	}
-	m := h.machines[idx]
-	mv := &MigratedVM{Machine: m}
-	if h.flight != nil {
-		mv.FlightPrefix = h.em.FlightExits(m.VMID())
-		mv.FlightWritten = h.em.FlightRecorded(m.VMID())
-	}
-	tr, err := h.em.DetachVM(m.VMID())
-	if err != nil {
-		return nil, fmt.Errorf("host: %s: %w", h.cfg.Name, err)
-	}
-	mv.Transfer = tr
-	h.machines = append(h.machines[:idx], h.machines[idx+1:]...)
-	return mv, nil
-}
-
-// AttachVM completes a migration onto this host: the EM adopts the VM under
-// its original VMID (queued events, counters and subscriptions intact), the
-// flight table maps a dedicated ring for the out-of-range ID, and the machine
-// rebinds its forwarder to this host's EM and joins the step schedule at the
-// end of the round-robin order. The VM's guest state and virtual clock arrive
-// untouched inside the machine; heartbeats flow to this host's RHC identity
-// from the next sampled event on.
-func (h *Host) AttachVM(mv *MigratedVM) error {
-	if mv == nil || mv.Machine == nil || mv.Transfer == nil {
-		return fmt.Errorf("host: AttachVM requires a complete MigratedVM")
-	}
-	if err := h.em.AdoptVM(mv.Transfer); err != nil {
-		return fmt.Errorf("host: %s: %w", h.cfg.Name, err)
-	}
-	if h.flight != nil {
-		h.em.FlightMapVM(mv.Transfer.ID)
-	}
-	mv.Machine.Rebind(h.em)
-	mv.Machine.SetExitTap(h.tap)
-	h.machines = append(h.machines, mv.Machine)
-	return nil
-}
-
 // Close releases host resources (currently the RHC connection).
 func (h *Host) Close() error {
 	if h.rhc == nil {
@@ -314,26 +245,14 @@ func (h *Host) Name() string { return h.cfg.Name }
 // EM returns the shared Event Multiplexer.
 func (h *Host) EM() *core.Multiplexer { return h.em }
 
-// NumVMs returns the resident fleet size (migrations move it).
+// NumVMs returns the fleet size.
 func (h *Host) NumVMs() int { return len(h.machines) }
 
-// Machine returns the resident machine in step-order slot i. Before any
-// migration, slot i holds VMID VMIDBase+i; after migrations, consult
-// Machine(i).VMID() — slots compact on detach and adoptees append.
+// Machine returns the machine in slot i, which holds VMID VMIDBase+i.
 func (h *Host) Machine(i int) *hv.Machine { return h.machines[i] }
 
-// Machines returns the resident fleet in step order.
+// Machines returns the fleet in step order.
 func (h *Host) Machines() []*hv.Machine { return h.machines }
-
-// FindMachine returns the resident machine named name, or nil.
-func (h *Host) FindMachine(name string) *hv.Machine {
-	for _, m := range h.machines {
-		if m.Name() == name {
-			return m
-		}
-	}
-	return nil
-}
 
 // RHC returns the host's RHC client, or nil before ConnectRHC.
 func (h *Host) RHC() *core.RHCClient { return h.rhc }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -354,6 +355,23 @@ func TestHostConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{VMs: []VMSpec{{Name: "dup"}, {Name: "dup"}}}); err == nil {
 		t.Fatal("duplicate VM names accepted")
+	}
+	// A VMID range must not wrap uint16: base 65535 with two VMs would give
+	// the second VM VMID 0, outside the flight table's resident range. The
+	// specs carry an unaligned memory size, so a missing range check fails
+	// on the first VM build with a different error instead of building
+	// thousands of VMs.
+	for _, c := range []struct {
+		base core.VMID
+		n    int
+	}{{65535, 2}, {65000, 537}, {1, 65536}} {
+		vms := make([]VMSpec, c.n)
+		for i := range vms {
+			vms[i].MemBytes = 1
+		}
+		if _, err := New(Config{VMIDBase: c.base, VMs: vms}); err == nil || !strings.Contains(err.Error(), "VMID") {
+			t.Fatalf("VMID range base %d + %d VMs: err = %v, want a VMID range error", c.base, c.n, err)
+		}
 	}
 	h, err := New(Config{VMs: []VMSpec{{}, {}}})
 	if err != nil {

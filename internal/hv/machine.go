@@ -74,8 +74,8 @@ type Config struct {
 	EM *core.Multiplexer
 	// PinVMID, when set, attaches the machine at the explicit VMID below
 	// instead of the EM's next dense slot — the cluster plane's identity
-	// discipline, where host h owns the ID range [h·N, h·N+N) and a VM keeps
-	// its VMID (and so its SpanIDs and flight records) across migration.
+	// discipline, where host h owns the ID range [h·N, h·N+N) so a VM's
+	// VMID (and so its SpanIDs and flight records) is unique cluster-wide.
 	PinVMID bool
 	// VMID is the pinned identity; meaningful only with PinVMID.
 	VMID core.VMID
@@ -334,21 +334,6 @@ func (m *Machine) stepTick() {
 		m.tap.TapTick(m.vmid, start+tick)
 	}
 	m.clock.Advance(tick)
-}
-
-// Rebind points the machine at a different host EM — the receiving half of a
-// live migration. The guest (kernel, memory, vCPUs, virtual clock, exit
-// sequence) travels untouched inside the Machine; only the event-plane
-// attachment changes, and the VM keeps its VMID on the new host (the caller
-// adopts it there first via core.Multiplexer.AdoptVM). The machine must be
-// quiescent — between StepTick rounds — when rebound; the cluster driver
-// migrates only at round boundaries, which guarantees it.
-func (m *Machine) Rebind(em *core.Multiplexer) {
-	m.em = em
-	m.ownsEM = false
-	if m.engine != nil {
-		m.engine.Rebind(em)
-	}
 }
 
 // InjectNetRequest queues an inbound network packet, delivered via a device
