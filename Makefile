@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet vet-invariants race equivalence bench-smoke bench-telemetry bench-parallel bench-hotpath bench-fleet bench-trace bench-replay bench-cluster fuzz
+.PHONY: all build test check fmt vet vet-invariants race equivalence bench-smoke bench-telemetry bench-parallel bench-hotpath bench-fleet bench-trace bench-cluster fuzz
 
 all: build
 
@@ -84,12 +84,6 @@ bench-trace:
 # async, with the single-VM baseline embedded.
 bench-fleet:
 	$(GO) run ./cmd/hotpath-bench -fleet-only -fleet-out results/BENCH_fleet.json
-
-# Regenerate the exit-stream replay throughput numbers (see
-# results/BENCH_replay.json): a generated million-event capture replayed
-# bare (decode floor) and through the full fleet auditor plane.
-bench-replay:
-	$(GO) run ./cmd/hotpath-bench -replay-only -replay-out results/BENCH_replay.json
 
 # Regenerate the cluster scaling numbers (see results/BENCH_cluster.json):
 # whole-cluster stepping throughput at 1/2/4 hosts x 2 VMs under the shared

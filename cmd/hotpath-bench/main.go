@@ -20,9 +20,6 @@
 //   - trace (written separately to -trace-out): the flight recorder's
 //     capture overhead on the 3-sync-auditor publish path, off vs on vs
 //     on-with-spans — the ≤5% budget of the tracing plane.
-//   - replay (written separately to -replay-out): exit-stream replay
-//     throughput over a generated million-event capture, bare decode vs the
-//     full fleet auditor plane — the cost of re-judging an incident bundle.
 //   - cluster (written separately to -cluster-out): whole-cluster stepping
 //     throughput at 1/2/4 hosts x 2 VMs under the shared datacenter clock —
 //     the cluster plane's "stepping M hosts is M times one host" scaling
@@ -115,9 +112,6 @@ func run() error {
 		fleetOnly   = flag.Bool("fleet-only", false, "run only the fleet scaling section")
 		traceOut    = flag.String("trace-out", "", "write the tracing-plane overhead report here (default stdout)")
 		traceOnly   = flag.Bool("trace-only", false, "run only the tracing-plane overhead section")
-		replayOut   = flag.String("replay-out", "", "write the exit-stream replay report here (default stdout)")
-		replayOnly  = flag.Bool("replay-only", false, "run only the exit-stream replay section")
-		replayEvs   = flag.Int("replay-events", 1_000_000, "event count for the generated replay capture")
 		clusterOut  = flag.String("cluster-out", "", "write the cluster scaling report here (default stdout)")
 		clusterOnly = flag.Bool("cluster-only", false, "run only the cluster scaling section")
 	)
@@ -132,9 +126,6 @@ func run() error {
 	}
 	if *traceOnly {
 		return runTraceBench(*traceOut)
-	}
-	if *replayOnly {
-		return runReplayBench(*replayOut, *seed, *replayEvs)
 	}
 	if *clusterOnly {
 		return runClusterBench(*clusterOut, *seed)
@@ -186,16 +177,11 @@ func run() error {
 		rep.Campaigns = camps
 	}
 
-	// The fleet scaling and replay sections have their own report files;
-	// without a destination they only run under -fleet-only / -replay-only
+	// The fleet scaling and cluster sections have their own report files;
+	// without a destination they only run under -fleet-only / -cluster-only
 	// (which stream to stdout).
 	if *fleetOut != "" {
 		if err := runFleetBench(*fleetOut); err != nil {
-			return err
-		}
-	}
-	if *replayOut != "" {
-		if err := runReplayBench(*replayOut, *seed, *replayEvs); err != nil {
 			return err
 		}
 	}

@@ -231,54 +231,6 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
-// TestTruncationIsLoud pins the truncation contract: cutting a capture at
-// any byte inside a record produces an error from Next — never a silently
-// short stream. Cuts at record boundaries yield clean io.EOF.
-func TestTruncationIsLoud(t *testing.T) {
-	var buf bytes.Buffer
-	rec, err := NewRecorder(&buf, testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	headerLen := buf.Len()
-	ev := sampleEvent(core.EvSyscall)
-	rec.TapEvent(&ev)
-	rec.TapTick(0, time.Millisecond)
-	rec.TapBarrier(time.Millisecond)
-	if err := rec.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	// Record boundaries: after the header, after the event (header + 1 +
-	// fixed + syscall payload), then each control record.
-	eventLen := eventFixedSize + 4 + 4*8
-	boundaries := map[int]bool{
-		headerLen:                         true,
-		headerLen + eventLen:              true,
-		headerLen + eventLen + 11:         true,
-		headerLen + eventLen + 11 + 9:     true,
-		headerLen + eventLen + 11 + 9 + 1: true,
-	}
-	for cut := headerLen; cut < len(raw); cut++ {
-		rd, err := NewReader(bytes.NewReader(raw[:cut]))
-		if err != nil {
-			t.Fatalf("cut %d: header rejected: %v", cut, err)
-		}
-		var rec Record
-		for err == nil {
-			err = rd.Next(&rec)
-		}
-		if boundaries[cut] {
-			if err != io.EOF {
-				t.Fatalf("cut %d is a record boundary; want io.EOF, got %v", cut, err)
-			}
-		} else if err == io.EOF {
-			t.Fatalf("cut %d is mid-record but the reader reported a clean EOF", cut)
-		}
-	}
-}
-
 // TestHeaderValidation exercises recorder- and reader-side header checks.
 func TestHeaderValidation(t *testing.T) {
 	var buf bytes.Buffer

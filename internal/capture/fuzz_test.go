@@ -3,6 +3,7 @@ package capture
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,6 +55,13 @@ func fuzzReplayOnce(data []byte) []byte {
 	}
 	auds.gos.Start()
 	runErr := rp.Run()
+	// Replay accepts ⇒ reader accepts: a Run that ends cleanly must not
+	// have skipped over damage a plain decode pass reports.
+	if runErr == nil {
+		if err := readThrough(data); err != nil {
+			panic("capture: replay accepted a stream the reader rejects: " + err.Error())
+		}
+	}
 	fmt.Fprintf(&sum, "run: %v\n", runErr)
 	fmt.Fprintf(&sum, "div: %d\n", rp.Divergences())
 	fmt.Fprintf(&sum, "events: %d alarms: %d dets: %d checks: %d storms: %d total: %d\n",
@@ -76,12 +84,33 @@ func fuzzReplayOnce(data []byte) []byte {
 	return sum.Bytes()
 }
 
+// readThrough decodes data record by record up to the end record or a
+// clean io.EOF, returning the first error.
+func readThrough(data []byte) error {
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	var rec Record
+	for {
+		if err := rd.Next(&rec); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		if rec.Kind == recEnd {
+			return nil
+		}
+	}
+}
+
 // FuzzReplay feeds mutated captures — truncations, reorderings, corrupted
 // Seq/VM/Span fields, register bit-flips, illegal ExitReason and payload
 // combinations, hostile headers — through the full replay plane and hunts
 // three classes of bug: panics anywhere in the auditor plane, parse
-// acceptance of malformed streams, and determinism violations (the same
-// bytes replaying to different verdicts).
+// acceptance of malformed streams (a clean Run over bytes a plain Reader
+// pass rejects), and determinism violations (the same bytes replaying to
+// different verdicts).
 func FuzzReplay(f *testing.F) {
 	f.Add(Generate(1, 1, 2, 64, time.Millisecond))
 	f.Add(Generate(7, 4, 2, 256, time.Millisecond))

@@ -145,238 +145,311 @@ func (rd *Reader) Version() int { return rd.version }
 
 // Next decodes the next record into rec. It returns io.EOF at a clean record
 // boundary; a stream that stops mid-record returns a wrapped
-// io.ErrUnexpectedEOF instead, so truncation is never silent.
+// io.ErrUnexpectedEOF instead, so truncation is never silent. Fixed-size
+// records decode straight out of the bufio.Reader's buffer, so Next is
+// allocation-free for every record but the variable-length ReadGPA and
+// C-string views.
+//
+//hypertap:hotpath
 func (rd *Reader) Next(rec *Record) error {
 	kind, err := rd.r.ReadByte()
 	if err != nil {
 		if err == io.EOF {
 			return io.EOF
 		}
-		return fmt.Errorf("capture: reading record kind: %w", err)
+		return decodeError("record kind", 0, 0, err)
 	}
 	*rec = Record{Kind: kind}
+	le := binary.LittleEndian
 	switch kind {
 	case recEvent:
 		return rd.readEvent(rec)
 	case recTick:
-		var b [10]byte
-		if err := rd.fill(b[:], "tick record"); err != nil {
+		b, err := rd.span(10, "tick record")
+		if err != nil {
 			return err
 		}
-		rec.VM = core.VMID(binary.LittleEndian.Uint16(b[:]))
-		rec.Now = time.Duration(binary.LittleEndian.Uint64(b[2:]))
+		rec.VM = core.VMID(le.Uint16(b))
+		rec.Now = time.Duration(le.Uint64(b[2:]))
+		rd.consume(10)
 		return nil
 	case recBarrier:
-		var b [8]byte
-		if err := rd.fill(b[:], "barrier record"); err != nil {
+		b, err := rd.span(8, "barrier record")
+		if err != nil {
 			return err
 		}
-		rec.Now = time.Duration(binary.LittleEndian.Uint64(b[:]))
+		rec.Now = time.Duration(le.Uint64(b))
+		rd.consume(8)
 		return nil
 	case recView:
 		return rd.readView(rec)
 	case recCounter:
-		var b [10]byte
-		if err := rd.fill(b[:], "counter record"); err != nil {
+		b, err := rd.span(10, "counter record")
+		if err != nil {
 			return err
 		}
-		rec.VM = core.VMID(binary.LittleEndian.Uint16(b[:]))
-		rec.Count = int(int64(binary.LittleEndian.Uint64(b[2:])))
+		rec.VM = core.VMID(le.Uint16(b))
+		rec.Count = int(int64(le.Uint64(b[2:])))
+		rd.consume(10)
 		return nil
 	case recEnd:
 		return nil
 	default:
-		return fmt.Errorf("capture: unknown record kind %d", kind)
+		return decodeError("unknown record kind", uint64(kind), 0, nil)
 	}
 }
 
-// fill reads an exact span, converting a clean EOF into an unexpected one:
-// past the kind byte, running out of input is always truncation.
+// span returns the next n bytes of the stream without consuming them: the
+// caller decodes straight out of the bufio.Reader's buffer, then consumes
+// them. n never exceeds maxEventRecSize, far below the buffer size, so a
+// short Peek is always the stream running out (or the underlying reader
+// failing), never bufio.ErrBufferFull.
+//
+//hypertap:hotpath
+func (rd *Reader) span(n int, what string) ([]byte, error) {
+	b, err := rd.r.Peek(n)
+	if err != nil {
+		return nil, decodeError(what, 0, 0, err)
+	}
+	return b, nil
+}
+
+// consume advances past n bytes a successful span already buffered. Its
+// error is dropped because Discard of buffered bytes cannot fail.
+//
+//hypertap:hotpath
+func (rd *Reader) consume(n int) { _, _ = rd.r.Discard(n) }
+
+// fill reads an exact variable-length span into b. Past the kind byte,
+// running out of input is always truncation.
 func (rd *Reader) fill(b []byte, what string) error {
 	if _, err := io.ReadFull(rd.r, b); err != nil {
+		return decodeError(what, 0, 0, err)
+	}
+	return nil
+}
+
+// decodeError formats every decode failure. It is the decode path's one
+// cold exit: the hot-path decoders pass it plain values, never interfaces
+// built from their buffers, so formatting and its allocations happen only
+// when a stream is damaged. A non-nil err is a short read of what and wraps
+// err, with io.EOF turned into io.ErrUnexpectedEOF; a nonzero limit reports
+// a length field v over that limit; otherwise v is the offending value.
+func decodeError(what string, v, limit uint64, err error) error {
+	switch {
+	case err != nil:
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return fmt.Errorf("capture: truncated %s: %w", what, err)
+	case limit != 0:
+		return fmt.Errorf("capture: %s claims %d bytes (limit %d)", what, v, limit)
+	default:
+		return fmt.Errorf("capture: %s %d", what, v)
 	}
-	return nil
 }
 
-// readEvent decodes an event record body.
+// eventPayload returns the wire size and diagnostic name of event type t's
+// payload; unknown types carry the generic payload of every field.
+//
+//hypertap:hotpath
+func eventPayload(t core.EventType) (int, string) {
+	switch t {
+	case core.EvProcessSwitch:
+		return 8, "process-switch payload"
+	case core.EvThreadSwitch:
+		return 16, "thread-switch payload"
+	case core.EvSyscall:
+		return 4 + 4*8, "syscall payload"
+	case core.EvIOPort:
+		return 7, "io-port payload"
+	case core.EvMMIO, core.EvMemAccess:
+		return 17, "memory payload"
+	case core.EvInterrupt, core.EvRawExit:
+		return 1, "vector payload"
+	case core.EvAPICAccess:
+		return 1, "apic payload"
+	case core.EvHalt:
+		return 0, ""
+	case core.EvMSRWrite:
+		return 12, "msr payload"
+	case core.EvTSSRelocated:
+		return 8, "tss payload"
+	default:
+		return genericPayloadSize, "generic payload"
+	}
+}
+
+// readEvent decodes an event record body: the fixed head is validated
+// before the payload is looked at, then head and payload decode from one
+// buffered span.
+//
+//hypertap:hotpath
 func (rd *Reader) readEvent(rec *Record) error {
-	var fixed [eventFixedSize - 1]byte
-	if err := rd.fill(fixed[:], "event record"); err != nil {
+	const head = eventFixedSize - 1
+	b, err := rd.span(head, "event record")
+	if err != nil {
 		return err
+	}
+	typ := core.EventType(b[0])
+	if typ == 0 {
+		return decodeError("event record has invalid type", 0, 0, nil)
+	}
+	reason := hav.ExitReason(b[29])
+	if reason != 0 && !reason.Valid() {
+		return decodeError("event record has invalid exit reason", uint64(reason), 0, nil)
+	}
+	size, what := eventPayload(typ)
+	if size > 0 {
+		if b, err = rd.span(head+size, what); err != nil {
+			return err
+		}
 	}
 	le := binary.LittleEndian
 	ev := &rec.Event
-	ev.Type = core.EventType(fixed[0])
-	if ev.Type == 0 {
-		return fmt.Errorf("capture: event record has zero type")
-	}
-	ev.VM = core.VMID(le.Uint16(fixed[1:]))
-	ev.VCPU = int(le.Uint16(fixed[3:]))
-	ev.Seq = le.Uint64(fixed[5:])
-	ev.Span = core.SpanID(le.Uint64(fixed[13:]))
-	ev.Time = time.Duration(le.Uint64(fixed[21:]))
-	ev.ExitReason = hav.ExitReason(fixed[29])
-	if ev.ExitReason != 0 && !ev.ExitReason.Valid() {
-		return fmt.Errorf("capture: event record has invalid exit reason %d", fixed[29])
-	}
-	getRegs(fixed[30:], &ev.Regs)
-	switch ev.Type {
+	ev.Type = typ
+	ev.VM = core.VMID(le.Uint16(b[1:]))
+	ev.VCPU = int(le.Uint16(b[3:]))
+	ev.Seq = le.Uint64(b[5:])
+	ev.Span = core.SpanID(le.Uint64(b[13:]))
+	ev.Time = time.Duration(le.Uint64(b[21:]))
+	ev.ExitReason = reason
+	getRegs(b[30:], &ev.Regs)
+	p := b[head:]
+	switch typ {
 	case core.EvProcessSwitch:
-		var b [8]byte
-		if err := rd.fill(b[:], "process-switch payload"); err != nil {
-			return err
-		}
-		ev.PDBA = arch.GPA(le.Uint64(b[:]))
+		ev.PDBA = arch.GPA(le.Uint64(p))
 	case core.EvThreadSwitch:
-		var b [16]byte
-		if err := rd.fill(b[:], "thread-switch payload"); err != nil {
-			return err
-		}
-		ev.RSP0 = arch.GVA(le.Uint64(b[:]))
-		ev.GPA = arch.GPA(le.Uint64(b[8:]))
+		ev.RSP0 = arch.GVA(le.Uint64(p))
+		ev.GPA = arch.GPA(le.Uint64(p[8:]))
 	case core.EvSyscall:
-		var b [4 + 4*8]byte
-		if err := rd.fill(b[:], "syscall payload"); err != nil {
-			return err
-		}
-		ev.SyscallNr = le.Uint32(b[:])
+		ev.SyscallNr = le.Uint32(p)
 		for i := range ev.SyscallArgs {
-			ev.SyscallArgs[i] = le.Uint64(b[4+8*i:])
+			ev.SyscallArgs[i] = le.Uint64(p[4+8*i:])
 		}
 	case core.EvIOPort:
-		var b [7]byte
-		if err := rd.fill(b[:], "io-port payload"); err != nil {
-			return err
-		}
-		ev.Port = le.Uint16(b[:])
-		ev.IsWrite = b[2] != 0
-		ev.IOValue = le.Uint32(b[3:])
+		ev.Port = le.Uint16(p)
+		ev.IsWrite = p[2] != 0
+		ev.IOValue = le.Uint32(p[3:])
 	case core.EvMMIO, core.EvMemAccess:
-		var b [17]byte
-		if err := rd.fill(b[:], "memory payload"); err != nil {
-			return err
-		}
-		ev.GPA = arch.GPA(le.Uint64(b[:]))
-		ev.GVA = arch.GVA(le.Uint64(b[8:]))
-		ev.IsWrite = b[16] != 0
+		ev.GPA = arch.GPA(le.Uint64(p))
+		ev.GVA = arch.GVA(le.Uint64(p[8:]))
+		ev.IsWrite = p[16] != 0
 	case core.EvInterrupt, core.EvRawExit:
-		var b [1]byte
-		if err := rd.fill(b[:], "vector payload"); err != nil {
-			return err
-		}
-		ev.Vector = b[0]
+		ev.Vector = p[0]
 	case core.EvAPICAccess:
-		var b [1]byte
-		if err := rd.fill(b[:], "apic payload"); err != nil {
-			return err
-		}
-		ev.IsWrite = b[0] != 0
+		ev.IsWrite = p[0] != 0
 	case core.EvHalt:
 		// No payload.
 	case core.EvMSRWrite:
-		var b [12]byte
-		if err := rd.fill(b[:], "msr payload"); err != nil {
-			return err
-		}
-		ev.MSR = arch.MSR(le.Uint32(b[:]))
-		ev.MSRValue = le.Uint64(b[4:])
+		ev.MSR = arch.MSR(le.Uint32(p))
+		ev.MSRValue = le.Uint64(p[4:])
 	case core.EvTSSRelocated:
-		var b [8]byte
-		if err := rd.fill(b[:], "tss payload"); err != nil {
-			return err
-		}
-		ev.GVA = arch.GVA(le.Uint64(b[:]))
+		ev.GVA = arch.GVA(le.Uint64(p))
 	default:
-		var b [genericPayloadSize]byte
-		if err := rd.fill(b[:], "generic payload"); err != nil {
-			return err
-		}
-		ev.PDBA = arch.GPA(le.Uint64(b[:]))
-		ev.RSP0 = arch.GVA(le.Uint64(b[8:]))
-		ev.SyscallNr = le.Uint32(b[16:])
+		ev.PDBA = arch.GPA(le.Uint64(p))
+		ev.RSP0 = arch.GVA(le.Uint64(p[8:]))
+		ev.SyscallNr = le.Uint32(p[16:])
 		for i := range ev.SyscallArgs {
-			ev.SyscallArgs[i] = le.Uint64(b[20+8*i:])
+			ev.SyscallArgs[i] = le.Uint64(p[20+8*i:])
 		}
-		ev.Port = le.Uint16(b[52:])
-		ev.IsWrite = b[54] != 0
-		ev.IOValue = le.Uint32(b[55:])
-		ev.Vector = b[59]
-		ev.MSR = arch.MSR(le.Uint32(b[60:]))
-		ev.MSRValue = le.Uint64(b[64:])
-		ev.GPA = arch.GPA(le.Uint64(b[72:]))
-		ev.GVA = arch.GVA(le.Uint64(b[80:]))
+		ev.Port = le.Uint16(p[52:])
+		ev.IsWrite = p[54] != 0
+		ev.IOValue = le.Uint32(p[55:])
+		ev.Vector = p[59]
+		ev.MSR = arch.MSR(le.Uint32(p[60:]))
+		ev.MSRValue = le.Uint64(p[64:])
+		ev.GPA = arch.GPA(le.Uint64(p[72:]))
+		ev.GVA = arch.GVA(le.Uint64(p[80:]))
 	}
+	rd.consume(head + size)
 	return nil
 }
 
-// readView decodes a view record body.
+// viewResult returns the wire size and diagnostic name of view method m's
+// fixed-size result; ok is false for an unknown method. ReadGPA and C-string
+// results are followed by their variable-length data.
+func viewResult(m byte) (size int, what string, ok bool) {
+	switch m {
+	case viewRegs:
+		return 2 + regsSize, "regs view", true
+	case viewReadGPA:
+		return 5, "read-gpa view", true
+	case viewReadU64GPA, viewReadU64GVA:
+		return 9, "u64 view", true
+	case viewReadU32GPA, viewReadU32GVA:
+		return 5, "u32 view", true
+	case viewTranslate:
+		return 9, "translate view", true
+	case viewReadCString:
+		return 3, "cstring view", true
+	case viewNow:
+		return 8, "now view", true
+	case viewPaused:
+		return 1, "paused view", true
+	}
+	return 0, "", false
+}
+
+// readView decodes a view record body. The fixed-size part decodes from the
+// buffer like an event; ReadGPA data and C strings are read into their own
+// buffers.
 func (rd *Reader) readView(rec *Record) error {
-	var pre [3]byte
-	if err := rd.fill(pre[:], "view record"); err != nil {
+	const pre = 3
+	b, err := rd.span(pre, "view record")
+	if err != nil {
 		return err
 	}
 	le := binary.LittleEndian
-	rec.VM = core.VMID(le.Uint16(pre[:]))
+	rec.VM = core.VMID(le.Uint16(b))
 	v := &rec.View
-	v.Method = pre[2]
+	v.Method = b[2]
+	size, what, ok := viewResult(v.Method)
+	if !ok {
+		return decodeError("unknown view method", uint64(v.Method), 0, nil)
+	}
+	if b, err = rd.span(pre+size, what); err != nil {
+		return err
+	}
+	b = b[pre:]
+	var n uint64 // length of the ReadGPA data or C string that follows
 	switch v.Method {
 	case viewRegs:
-		var b [2 + regsSize]byte
-		if err := rd.fill(b[:], "regs view"); err != nil {
-			return err
-		}
-		v.VCPU = int(le.Uint16(b[:]))
+		v.VCPU = int(le.Uint16(b))
 		getRegs(b[2:], &v.Regs)
 	case viewReadGPA:
-		var b [5]byte
-		if err := rd.fill(b[:], "read-gpa view"); err != nil {
-			return err
-		}
 		v.Err = b[0] != 0
-		n := le.Uint32(b[1:])
-		if n > maxDataLen {
-			return fmt.Errorf("capture: read-gpa view claims %d bytes (limit %d)", n, maxDataLen)
-		}
-		if n > 0 {
-			v.Data = make([]byte, n)
-			if err := rd.fill(v.Data, "read-gpa view data"); err != nil {
-				return err
-			}
-		}
+		n = uint64(le.Uint32(b[1:]))
 	case viewReadU64GPA, viewReadU64GVA:
-		var b [9]byte
-		if err := rd.fill(b[:], "u64 view"); err != nil {
-			return err
-		}
 		v.Err = b[0] != 0
 		v.U64 = le.Uint64(b[1:])
 	case viewReadU32GPA, viewReadU32GVA:
-		var b [5]byte
-		if err := rd.fill(b[:], "u32 view"); err != nil {
-			return err
-		}
 		v.Err = b[0] != 0
 		v.U32 = le.Uint32(b[1:])
 	case viewTranslate:
-		var b [9]byte
-		if err := rd.fill(b[:], "translate view"); err != nil {
-			return err
-		}
 		v.OK = b[0] != 0
 		v.U64 = le.Uint64(b[1:])
 	case viewReadCString:
-		var b [3]byte
-		if err := rd.fill(b[:], "cstring view"); err != nil {
-			return err
-		}
 		v.Err = b[0] != 0
-		n := int(le.Uint16(b[1:]))
+		n = uint64(le.Uint16(b[1:]))
+	case viewNow:
+		v.Now = time.Duration(le.Uint64(b))
+	case viewPaused:
+		v.OK = b[0] != 0
+	}
+	rd.consume(pre + size)
+	switch v.Method {
+	case viewReadGPA:
+		if n > maxDataLen {
+			return decodeError("read-gpa view", n, maxDataLen, nil)
+		}
+		if n > 0 {
+			v.Data = make([]byte, n)
+			return rd.fill(v.Data, "read-gpa view data")
+		}
+	case viewReadCString:
 		if n > maxStringLen {
-			return fmt.Errorf("capture: cstring view claims %d bytes (limit %d)", n, maxStringLen)
+			return decodeError("cstring view", n, maxStringLen, nil)
 		}
 		if n > 0 {
 			buf := make([]byte, n)
@@ -385,25 +458,13 @@ func (rd *Reader) readView(rec *Record) error {
 			}
 			v.Str = string(buf)
 		}
-	case viewNow:
-		var b [8]byte
-		if err := rd.fill(b[:], "now view"); err != nil {
-			return err
-		}
-		v.Now = time.Duration(le.Uint64(b[:]))
-	case viewPaused:
-		var b [1]byte
-		if err := rd.fill(b[:], "paused view"); err != nil {
-			return err
-		}
-		v.OK = b[0] != 0
-	default:
-		return fmt.Errorf("capture: unknown view method %d", v.Method)
 	}
 	return nil
 }
 
 // getRegs decodes an arch.RegisterFile from b (regsSize bytes).
+//
+//hypertap:hotpath
 func getRegs(b []byte, regs *arch.RegisterFile) {
 	le := binary.LittleEndian
 	regs.RIP = arch.GVA(le.Uint64(b[:]))

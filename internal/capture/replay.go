@@ -64,22 +64,30 @@ type Replay struct {
 	// pending is the one-record lookahead shared by Run and the view pops.
 	pending    Record
 	hasPending bool
+	// err latches the first decode error. Once set the stream position is
+	// mid-record, so every later read returns err instead of decoding
+	// garbage, and Run reports it even when a view pop or a batch lookahead
+	// hit it first.
+	err error
 
 	divergences uint64
-	// batch is the reusable publish buffer: consecutive event records from
-	// one decode batch (same VM and exit sequence) are regrouped and
-	// republished as one PublishBatch, so view records a live batched run
-	// wrote after the whole batch's event records line up with the replayed
-	// auditors' reads. Batching is transparent to every downstream
-	// observable (see core.PublishBatch), so a capture whose live batch
-	// boundaries differ from the replay's regrouping still replays
-	// byte-identically.
+	// batch is the reusable publish buffer: every run of consecutive event
+	// records, up to the next non-event record, republishes as one
+	// PublishBatch (one EM lock round trip per run, not per event). This
+	// is sound because sync delivery stays event-major within a batch, and
+	// any view, counter, tick or barrier record ends the run: a sync read
+	// a live delivery made lands in the stream after the event that caused
+	// it, so the replayed read finds it, and no batch straddles a Dispatch
+	// barrier. Batching is otherwise transparent to every downstream
+	// observable (see core.PublishBatch), so the live run's batch
+	// boundaries need not match.
 	batch []core.Event
 }
 
-// maxReplayBatch bounds one regrouped publish batch. The EF's decode-batch
-// index is 8 bits, so no honest capture has longer same-sequence runs; the
-// cap also bounds hostile captures that repeat one event record forever.
+// maxReplayBatch bounds one regrouped publish batch, and with it the
+// scratch buffer. Honest captures end runs often (every tick, barrier and
+// sync read), so the cap only bites on hostile captures that repeat one
+// event record forever.
 const maxReplayBatch = 256
 
 // NewReplay parses the capture header from r and builds the replay plane:
@@ -110,7 +118,8 @@ func NewReplay(r io.Reader, cfg ReplayConfig) (*Replay, error) {
 		}
 	}
 	rp := &Replay{rd: rd, hdr: hdr, em: core.NewMultiplexer(), cfg: cfg,
-		index: make(map[core.VMID]int, len(hdr.VMs))}
+		index: make(map[core.VMID]int, len(hdr.VMs)),
+		batch: make([]core.Event, 0, maxReplayBatch)}
 	if cfg.Flight != nil {
 		rp.em.SetFlight(cfg.Flight)
 	}
@@ -151,7 +160,9 @@ func (rp *Replay) Divergences() uint64 { return rp.divergences }
 // snapshotted mid-run, e.g. from an incident bundle) so epilogue reads can
 // follow via View/Counter. View or counter records encountered directly are
 // orphans — recorded reads the replayed auditors never performed — and count
-// as divergences (errors under Strict).
+// as divergences (errors under Strict). A damaged stream is an error however
+// it is reached: the first decode error is returned even when a batch
+// lookahead or an auditor's read ran into it.
 func (rp *Replay) Run() error {
 	for {
 		rec, err := rp.next()
@@ -163,21 +174,14 @@ func (rp *Replay) Run() error {
 		}
 		switch rec.Kind {
 		case recEvent:
-			// Regroup the decode batch: consecutive event records carrying
-			// the same (VM, exit sequence) were forwarded by one HandleExit
-			// and republish as one batch. PublishBatch copies into async
-			// rings, so the scratch buffer is safe to reuse across
-			// iterations.
-			if rp.batch == nil {
-				rp.batch = make([]core.Event, 0, maxReplayBatch)
-			}
+			// Regroup the run of event records that starts here. A peek
+			// error ends the run and is latched, so the next read returns
+			// it. PublishBatch copies into async rings, so the scratch
+			// buffer is safe to reuse across iterations.
 			rp.batch = append(rp.batch[:0], rec.Event)
 			for len(rp.batch) < maxReplayBatch {
-				// rec aliases the lookahead slot peek refills, so match
-				// against the copy in batch[0].
 				nxt, err := rp.peek()
-				if err != nil || nxt.Kind != recEvent ||
-					nxt.Event.VM != rp.batch[0].VM || nxt.Event.Seq != rp.batch[0].Seq {
+				if err != nil || nxt.Kind != recEvent {
 					break
 				}
 				rp.batch = append(rp.batch, nxt.Event)
@@ -215,20 +219,22 @@ func (rp *Replay) Run() error {
 
 // next returns the next record, honoring the one-record lookahead.
 func (rp *Replay) next() (*Record, error) {
-	if rp.hasPending {
-		rp.hasPending = false
-		return &rp.pending, nil
-	}
-	if err := rp.rd.Next(&rp.pending); err != nil {
-		return nil, err
-	}
-	return &rp.pending, nil
+	rec, err := rp.peek()
+	rp.hasPending = false
+	return rec, err
 }
 
-// peek exposes the next record without consuming it.
+// peek exposes the next record without consuming it. io.EOF (a clean
+// record boundary) is returned as is; any other error is latched.
 func (rp *Replay) peek() (*Record, error) {
+	if rp.err != nil {
+		return nil, rp.err
+	}
 	if !rp.hasPending {
 		if err := rp.rd.Next(&rp.pending); err != nil {
+			if err != io.EOF {
+				rp.err = err
+			}
 			return nil, err
 		}
 		rp.hasPending = true
