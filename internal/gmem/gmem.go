@@ -6,10 +6,16 @@
 // list, task_structs, thread_infos, TSS and syscall table into these bytes;
 // rootkits manipulate the same bytes (DKOM, hijacking); and both traditional
 // VMI (internal/vmi) and HyperTap's auditors decode them from outside. There
-// is no back channel — every out-of-VM view is derived from this array.
+// is no back channel — every out-of-VM view is derived from this memory.
+//
+// Memory is allocated on first write, one 4 KiB page at a time — the EPT's
+// granularity — the way a host backs guest RAM only where the guest has
+// dirtied it. A VM's size therefore reserves an address range; it costs
+// only the pages the guest writes.
 package gmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,18 +26,36 @@ import (
 // ErrOutOfRange reports an access beyond the end of guest-physical memory.
 var ErrOutOfRange = errors.New("gmem: guest-physical access out of range")
 
-// Memory is a flat, page-granular guest-physical memory.
+const (
+	pageMask = arch.PageSize - 1
+	// blockPages is the number of pages allocated at once. Blocks fill in
+	// order of first write, so a VM carries at most one partly used block.
+	blockPages = 16
+)
+
+// page is one backed guest page.
+type page = [arch.PageSize]byte
+
+// Memory is a page-granular guest-physical memory whose pages are backed on
+// first write. A page never written reads as zero and costs nothing.
+//
+// The page index is a pointer-free []uint32, so the garbage collector
+// never scans it however large the guest; the only pointers are one per
+// backed page.
 //
 // Memory is not safe for concurrent mutation; the deterministic simulator
 // core owns all writes. Concurrent readers (asynchronous auditors) must
 // snapshot through the hypervisor helper API, which serializes access.
 type Memory struct {
-	data []byte
-	// allocNext is the bump pointer used by the boot-time frame allocator.
-	allocNext arch.GPA
-	// resetHook, when set, runs after AllocReset wipes the memory; see
-	// SetResetHook.
-	resetHook func()
+	size uint64
+	// index maps a page number to 1 + its backing slot; 0 marks a page
+	// never written.
+	index []uint32
+	// slots are the backed pages, in order of first write.
+	slots []*page
+	// spare is the unused rest of the block slots are cut from; blocks of
+	// blockPages pages are allocated as they fill.
+	spare []page
 }
 
 // New creates a guest-physical memory of the given size, which must be a
@@ -40,7 +64,12 @@ func New(size uint64) (*Memory, error) {
 	if size == 0 || size%arch.PageSize != 0 {
 		return nil, fmt.Errorf("gmem: size %d is not a positive multiple of the page size", size)
 	}
-	return &Memory{data: make([]byte, size)}, nil
+	// Slot numbers are uint32 with 0 reserved, so 2^32-1 pages (16 TiB)
+	// is the ceiling.
+	if size/arch.PageSize >= 1<<32 {
+		return nil, fmt.Errorf("gmem: size %d exceeds %d pages", size, uint64(1<<32-1))
+	}
+	return &Memory{size: size, index: make([]uint32, size/arch.PageSize)}, nil
 }
 
 // MustNew is New for static configurations known to be valid.
@@ -53,17 +82,82 @@ func MustNew(size uint64) *Memory {
 }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() uint64 { return uint64(len(m.data)) }
+func (m *Memory) Size() uint64 { return m.size }
 
 // Pages returns the number of guest-physical pages.
-func (m *Memory) Pages() uint64 { return uint64(len(m.data)) / arch.PageSize }
+func (m *Memory) Pages() uint64 { return uint64(len(m.index)) }
 
-// check validates an access of n bytes at pa.
+// check validates an access of n bytes at pa. It is small enough to
+// inline into every accessor; the error is built out of line. A negative n
+// converts to a uint64 above any size New accepts, so it fails the length
+// test.
 func (m *Memory) check(pa arch.GPA, n int) error {
-	if n < 0 || uint64(pa) > uint64(len(m.data)) || uint64(n) > uint64(len(m.data))-uint64(pa) {
-		return fmt.Errorf("%w: [%#x,+%d) size %#x", ErrOutOfRange, uint64(pa), n, len(m.data))
+	if uint64(pa) > m.size || uint64(n) > m.size-uint64(pa) {
+		return m.outOfRange(pa, n)
 	}
 	return nil
+}
+
+//go:noinline
+func (m *Memory) outOfRange(pa arch.GPA, n int) error {
+	return fmt.Errorf("%w: [%#x,+%d) size %#x", ErrOutOfRange, uint64(pa), n, m.size)
+}
+
+// at returns the bytes from pa to the end of its page, or nil when the
+// page was never written. pa must be below Size.
+func (m *Memory) at(pa arch.GPA) []byte {
+	s := m.index[pa>>arch.PageShift]
+	if s == 0 {
+		return nil
+	}
+	return m.slots[s-1][pa&pageMask:]
+}
+
+// writable is at for a store: it backs the page first if needed.
+func (m *Memory) writable(pa arch.GPA) []byte {
+	if p := m.at(pa); p != nil {
+		return p
+	}
+	return m.touch(pa)
+}
+
+// touch backs pa's page with the next free slot, cutting a new block when
+// the last one is used up. It is the only allocating step, kept out of the
+// accessors so their steady state stays allocation-free.
+//
+//go:noinline
+func (m *Memory) touch(pa arch.GPA) []byte {
+	if len(m.spare) == 0 {
+		m.spare = make([]page, blockPages)
+	}
+	p := &m.spare[0]
+	m.spare = m.spare[1:]
+	m.slots = append(m.slots, p)
+	m.index[pa>>arch.PageShift] = uint32(len(m.slots))
+	return p[pa&pageMask:]
+}
+
+// read copies memory at pa into dst; the range must be checked.
+func (m *Memory) read(pa arch.GPA, dst []byte) {
+	for len(dst) > 0 {
+		n := min(len(dst), int(arch.PageSize-uint64(pa)&pageMask))
+		if p := m.at(pa); p != nil {
+			copy(dst[:n], p)
+		} else {
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		pa += arch.GPA(n)
+	}
+}
+
+// write copies src into memory at pa; the range must be checked.
+func write[S []byte | string](m *Memory, pa arch.GPA, src S) {
+	for len(src) > 0 {
+		n := copy(m.writable(pa), src)
+		src = src[n:]
+		pa += arch.GPA(n)
+	}
 }
 
 // Read copies len(dst) bytes starting at pa into dst.
@@ -71,7 +165,7 @@ func (m *Memory) Read(pa arch.GPA, dst []byte) error {
 	if err := m.check(pa, len(dst)); err != nil {
 		return err
 	}
-	copy(dst, m.data[pa:])
+	m.read(pa, dst)
 	return nil
 }
 
@@ -80,7 +174,7 @@ func (m *Memory) Write(pa arch.GPA, src []byte) error {
 	if err := m.check(pa, len(src)); err != nil {
 		return err
 	}
-	copy(m.data[pa:], src)
+	write(m, pa, src)
 	return nil
 }
 
@@ -89,7 +183,12 @@ func (m *Memory) ReadU64(pa arch.GPA) (uint64, error) {
 	if err := m.check(pa, 8); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(m.data[pa:]), nil
+	if p := m.at(pa); len(p) >= 8 {
+		return binary.LittleEndian.Uint64(p), nil
+	}
+	var b [8]byte
+	m.read(pa, b[:])
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU64 writes a little-endian 64-bit value at pa.
@@ -97,7 +196,13 @@ func (m *Memory) WriteU64(pa arch.GPA, v uint64) error {
 	if err := m.check(pa, 8); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(m.data[pa:], v)
+	if p := m.writable(pa); len(p) >= 8 {
+		binary.LittleEndian.PutUint64(p, v)
+		return nil
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	write(m, pa, b[:])
 	return nil
 }
 
@@ -106,7 +211,12 @@ func (m *Memory) ReadU32(pa arch.GPA) (uint32, error) {
 	if err := m.check(pa, 4); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(m.data[pa:]), nil
+	if p := m.at(pa); len(p) >= 4 {
+		return binary.LittleEndian.Uint32(p), nil
+	}
+	var b [4]byte
+	m.read(pa, b[:])
+	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
 // WriteU32 writes a little-endian 32-bit value at pa.
@@ -114,7 +224,13 @@ func (m *Memory) WriteU32(pa arch.GPA, v uint32) error {
 	if err := m.check(pa, 4); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(m.data[pa:], v)
+	if p := m.writable(pa); len(p) >= 4 {
+		binary.LittleEndian.PutUint32(p, v)
+		return nil
+	}
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	write(m, pa, b[:])
 	return nil
 }
 
@@ -129,24 +245,37 @@ func (m *Memory) ReadCString(pa arch.GPA, max int) (string, error) {
 	}
 	// pa == size is a legal zero-length window (mirroring Read with an empty
 	// dst there); only addresses strictly past the end are unreachable.
-	if uint64(pa) > uint64(len(m.data)) {
+	if uint64(pa) > m.size {
 		return "", fmt.Errorf("%w: read %d bytes at %#x", ErrOutOfRange, max, uint64(pa))
 	}
 	clamped := false
-	if rem := uint64(len(m.data)) - uint64(pa); uint64(max) > rem {
+	if rem := m.size - uint64(pa); uint64(max) > rem {
 		max = int(rem)
 		clamped = true
 	}
-	raw := m.data[pa : uint64(pa)+uint64(max)]
-	for i, b := range raw {
-		if b == 0 {
-			return string(raw[:i]), nil
+	// A string inside one page converts straight from the backing bytes;
+	// only one that crosses a page boundary is gathered into s.
+	var s []byte
+	for a, end := pa, pa+arch.GPA(max); a < end; {
+		p := m.at(a)
+		if p == nil {
+			// A page never written is all zero: the NUL is here.
+			return string(s), nil
 		}
+		p = p[:min(uint64(len(p)), uint64(end-a))]
+		if i := bytes.IndexByte(p, 0); i >= 0 {
+			if s == nil {
+				return string(p[:i]), nil
+			}
+			return string(append(s, p[:i]...)), nil
+		}
+		s = append(s, p...)
+		a += arch.GPA(len(p))
 	}
 	if clamped {
 		return "", fmt.Errorf("%w: unterminated string at %#x runs past end of memory", ErrOutOfRange, uint64(pa))
 	}
-	return string(raw), nil
+	return string(s), nil
 }
 
 // WriteCString writes s NUL-terminated into a field of exactly size bytes,
@@ -158,56 +287,28 @@ func (m *Memory) WriteCString(pa arch.GPA, s string, size int) error {
 	if err := m.check(pa, size); err != nil {
 		return err
 	}
-	field := m.data[pa : uint64(pa)+uint64(size)]
-	clear(field)
-	copy(field[:size-1], s)
+	m.zero(pa, size)
+	write(m, pa, s[:min(len(s), size-1)])
 	return nil
 }
 
-// Zero clears n bytes starting at pa.
+// Zero clears n bytes starting at pa. Pages never written stay unbacked.
 func (m *Memory) Zero(pa arch.GPA, n int) error {
 	if err := m.check(pa, n); err != nil {
 		return err
 	}
-	region := m.data[pa : uint64(pa)+uint64(n)]
-	clear(region)
+	m.zero(pa, n)
 	return nil
 }
 
-// AllocPages reserves n contiguous pages from the boot-time bump allocator
-// and returns the base GPA of the reservation. The miniOS kernel uses this
-// for its static structures (page directories, kernel stacks, TSS pages,
-// task_struct arena). Freed memory is never reclaimed; experiments size
-// guest memory generously instead, which keeps allocation deterministic.
-func (m *Memory) AllocPages(n int) (arch.GPA, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("gmem: AllocPages(%d): count must be positive", n)
-	}
-	// Compare in pages, not bytes: n*PageSize can wrap uint64 for absurd
-	// counts, and a wrapped product would slip past a byte-level bound check.
-	free := (uint64(len(m.data)) - uint64(m.allocNext)) / arch.PageSize
-	if uint64(n) > free {
-		return 0, fmt.Errorf("%w: allocating %d pages at %#x", ErrOutOfRange, n, uint64(m.allocNext))
-	}
-	base := m.allocNext
-	m.allocNext += arch.GPA(uint64(n) * arch.PageSize)
-	return base, nil
-}
-
-// SetResetHook registers fn to run at the end of every AllocReset. The
-// guest kernel hooks its TLB flush here: a memory-wide reset invalidates
-// every page directory, so every cached translation must die with them.
-func (m *Memory) SetResetHook(fn func()) { m.resetHook = fn }
-
-// AllocReset rewinds the bump allocator; used when rebooting a VM between
-// fault-injection runs without reallocating the backing array.
-func (m *Memory) AllocReset() {
-	m.allocNext = 0
-	clear(m.data)
-	if m.resetHook != nil {
-		m.resetHook()
+// zero clears n checked bytes at pa.
+func (m *Memory) zero(pa arch.GPA, n int) {
+	for n > 0 {
+		k := min(n, int(arch.PageSize-uint64(pa)&pageMask))
+		if p := m.at(pa); p != nil {
+			clear(p[:k])
+		}
+		n -= k
+		pa += arch.GPA(k)
 	}
 }
-
-// AllocatedBytes reports how much memory the bump allocator has handed out.
-func (m *Memory) AllocatedBytes() uint64 { return uint64(m.allocNext) }

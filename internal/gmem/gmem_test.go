@@ -188,59 +188,6 @@ func TestZero(t *testing.T) {
 	}
 }
 
-func TestAllocPages(t *testing.T) {
-	m := MustNew(8 * arch.PageSize)
-	a, err := m.AllocPages(2)
-	if err != nil || a != 0 {
-		t.Fatalf("first alloc = %#x, %v", uint64(a), err)
-	}
-	b, err := m.AllocPages(1)
-	if err != nil || b != 2*arch.PageSize {
-		t.Fatalf("second alloc = %#x, %v", uint64(b), err)
-	}
-	if got := m.AllocatedBytes(); got != 3*arch.PageSize {
-		t.Fatalf("AllocatedBytes = %d", got)
-	}
-	if _, err := m.AllocPages(6); err == nil {
-		t.Fatal("over-allocation succeeded")
-	}
-	if _, err := m.AllocPages(0); err == nil {
-		t.Fatal("AllocPages(0) succeeded")
-	}
-}
-
-func TestAllocReset(t *testing.T) {
-	m := MustNew(2 * arch.PageSize)
-	if _, err := m.AllocPages(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteU64(0, 7); err != nil {
-		t.Fatal(err)
-	}
-	m.AllocReset()
-	if got := m.AllocatedBytes(); got != 0 {
-		t.Fatalf("AllocatedBytes after reset = %d", got)
-	}
-	v, err := m.ReadU64(0)
-	if err != nil || v != 0 {
-		t.Fatalf("memory not cleared after reset: %#x %v", v, err)
-	}
-	if a, err := m.AllocPages(1); err != nil || a != 0 {
-		t.Fatalf("alloc after reset = %#x, %v", uint64(a), err)
-	}
-}
-
-func TestAllocResetRunsHook(t *testing.T) {
-	m := MustNew(arch.PageSize)
-	calls := 0
-	m.SetResetHook(func() { calls++ })
-	m.AllocReset()
-	m.AllocReset()
-	if calls != 2 {
-		t.Fatalf("reset hook ran %d times, want 2", calls)
-	}
-}
-
 // Property: writes never bleed outside their range.
 func TestPropertyWriteIsolation(t *testing.T) {
 	const size = 16 * arch.PageSize
@@ -268,25 +215,6 @@ func TestPropertyWriteIsolation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: AllocPages returns page-aligned, non-overlapping regions.
-func TestPropertyAllocAligned(t *testing.T) {
-	m := MustNew(1 << 20)
-	var prevEnd arch.GPA
-	for i := 1; i <= 16; i++ {
-		a, err := m.AllocPages(i%4 + 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if uint64(a)%arch.PageSize != 0 {
-			t.Fatalf("allocation %#x not page aligned", uint64(a))
-		}
-		if a < prevEnd {
-			t.Fatalf("allocation %#x overlaps previous end %#x", uint64(a), uint64(prevEnd))
-		}
-		prevEnd = a + arch.GPA((i%4+1)*arch.PageSize)
 	}
 }
 
@@ -324,26 +252,33 @@ func TestZeroLengthAtEndOfMemory(t *testing.T) {
 	}
 }
 
-// TestAllocPagesOverflow pins the multiply-overflow guard: page counts whose
-// byte size wraps uint64 must be rejected, not wrapped into a tiny "need"
-// that slips past the bound check and corrupts the bump pointer.
-func TestAllocPagesOverflow(t *testing.T) {
-	m := MustNew(4 * arch.PageSize)
-	huge := int(uint64(1)<<63/arch.PageSize) + 1
-	for _, n := range []int{huge, int(^uint(0) >> 1)} {
-		if _, err := m.AllocPages(n); !errors.Is(err, ErrOutOfRange) {
-			t.Fatalf("AllocPages(%d) = %v, want ErrOutOfRange", n, err)
-		}
+// TestSteadyStateAccessAllocatesNothing pins the cost model: reads of
+// never-written pages and writes to pages already written allocate
+// nothing. Only a page's first write does, in touch.
+func TestSteadyStateAccessAllocatesNothing(t *testing.T) {
+	m := MustNew(64 * arch.PageSize)
+	if err := m.Write(3*arch.PageSize-8, make([]byte, arch.PageSize+16)); err != nil {
+		t.Fatal(err)
 	}
-	if got := m.AllocatedBytes(); got != 0 {
-		t.Fatalf("failed alloc moved the bump pointer: %d", got)
+	buf := make([]byte, 24)
+	allocs := testing.AllocsPerRun(100, func() {
+		// Never-written pages, straddles included.
+		_, _ = m.ReadU64(40 * arch.PageSize)
+		_, _ = m.ReadU32(41*arch.PageSize - 2)
+		_ = m.Read(42*arch.PageSize-12, buf)
+		_, _ = m.ReadCString(43*arch.PageSize, 16)
+		_ = m.Zero(44*arch.PageSize-100, 200)
+		// Pages 2 to 4, already written; straddles included.
+		_ = m.WriteU64(3*arch.PageSize-4, 0x0102030405060708)
+		_ = m.WriteU32(3*arch.PageSize+8, 7)
+		_ = m.Write(4*arch.PageSize-12, buf)
+		_ = m.WriteCString(3*arch.PageSize+16, "kworker/0:1", 16)
+		_ = m.Read(3*arch.PageSize-12, buf)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state accesses allocated %v times per run, want 0", allocs)
 	}
-	// The guard must not cost legitimate allocations anything: the exact
-	// remaining page count still fits.
-	if _, err := m.AllocPages(4); err != nil {
-		t.Fatalf("exact-fit alloc after rejected overflow = %v", err)
-	}
-	if _, err := m.AllocPages(1); !errors.Is(err, ErrOutOfRange) {
-		t.Fatal("allocation from a full memory succeeded")
+	if len(m.slots) != 3 {
+		t.Fatalf("%d pages backed, want the 3 written", len(m.slots))
 	}
 }

@@ -178,6 +178,9 @@ type Kernel struct {
 	// armed, nil when the plan names no site of this kernel.
 	faultPath Syscall
 	faultOps  []kernOp
+	// spinStep is how far one step of a lock spin moves a CPU: spinSpan,
+	// or a probe-by-probe reference that tests check it against.
+	spinStep func(c *cpuState, remaining time.Duration, wakes bool) time.Duration
 
 	sym Symbols
 	// lowNext/highNext are the physical bump allocators (kernel window /
@@ -237,6 +240,7 @@ func New(cfg Config) (*Kernel, error) {
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		plan:         nopPlan{},
 		paths:        kernelPaths(),
+		spinStep:     (*cpuState).spinSpan,
 		lowNext:      arch.PageSize, // page 0 stays unmapped (NULL)
 		highNext:     KernelWindowBytes,
 		tasks:        make(map[int]*Task),
@@ -251,11 +255,8 @@ func New(cfg Config) (*Kernel, error) {
 	for i, v := range cfg.VCPUs {
 		k.cpus = append(k.cpus, &cpuState{id: i, vcpu: v})
 	}
-	// Generation 1 leaves the zero-valued TLB entries invalid; the reset
-	// hook keeps the cache coherent when the backing memory is wiped for a
-	// reboot (page directories are reallocated from scratch afterwards).
+	// Generation 1 leaves the zero-valued TLB entries invalid.
 	k.tlb.gen = 1
-	cfg.Mem.SetResetHook(k.tlb.flush)
 	return k, nil
 }
 

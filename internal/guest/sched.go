@@ -183,7 +183,7 @@ func (k *Kernel) RunSlice(cpu int, start, budget time.Duration) {
 				c.vcpu.Regs.CPL = arch.RingUser
 				continue
 			}
-			use := minDur(costSpinProbe, remaining)
+			use := k.spinStep(c, remaining, c.irqDepth == 0)
 			remaining -= use
 			c.localNow += use
 			continue
@@ -226,6 +226,29 @@ func (c *cpuState) nextSleeperDeadline() (time.Duration, bool) {
 		}
 	}
 	return best, found
+}
+
+// spinSpan returns how much of remaining a lock spin spends before anything
+// it could observe may change. The hypervisor runs each vCPU's slice to the
+// end before starting the next, so while a CPU spins no other CPU can
+// release the lock; the only event inside the slice is a sleeper wakeup,
+// which RunSlice checks before every costSpinProbe probe when wakes is set.
+// The spin therefore jumps to the first probe at or after the next sleeper
+// deadline, where wakeSleepers fires at the instant it would have, or to
+// the end of the slice. A deadline already due keeps the one-probe step.
+func (c *cpuState) spinSpan(remaining time.Duration, wakes bool) time.Duration {
+	if !wakes {
+		return remaining
+	}
+	next, ok := c.nextSleeperDeadline()
+	if !ok {
+		return remaining
+	}
+	if next <= c.localNow {
+		return minDur(costSpinProbe, remaining)
+	}
+	probes := (next - c.localNow + costSpinProbe - 1) / costSpinProbe
+	return minDur(probes*costSpinProbe, remaining)
 }
 
 // schedule picks the next task for a CPU and context-switches to it.
@@ -494,7 +517,9 @@ func (k *Kernel) execKernOps(cpu int, t *Task, remaining time.Duration) time.Dur
 				}
 				t.spinPD = true
 			}
-			use := minDur(costSpinProbe, remaining)
+			// Nothing between probes wakes sleepers here, so the spin
+			// runs out the slice.
+			use := k.spinStep(c, remaining, false)
 			remaining -= use
 			c.localNow += use
 

@@ -60,24 +60,6 @@ func TestTLBClearPageDirectoryInvalidates(t *testing.T) {
 	}
 }
 
-func TestTLBFlushOnMemoryReset(t *testing.T) {
-	vm := newTestVM(t, 1, nil)
-	k := vm.k
-	pdba := k.cpus[0].activePDBA
-
-	if _, ok := k.Translate(pdba, kernelHalfGVA); !ok {
-		t.Fatal("Translate failed before reset")
-	}
-	flushes := k.TLBStats().Flushes
-	vm.mem.AllocReset()
-	if got := k.TLBStats().Flushes; got != flushes+1 {
-		t.Fatalf("AllocReset: flushes %d -> %d, want one new flush", flushes, got)
-	}
-	if _, ok := k.Translate(pdba, kernelHalfGVA); ok {
-		t.Fatal("Translate succeeded against wiped memory (stale TLB entry)")
-	}
-}
-
 func TestTLBExplicitFlush(t *testing.T) {
 	vm := newTestVM(t, 1, nil)
 	k := vm.k

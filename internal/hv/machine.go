@@ -56,7 +56,9 @@ type Config struct {
 	Name string
 	// VCPUs is the virtual CPU count. Default 2 (the paper's guest).
 	VCPUs int
-	// MemBytes is the guest-physical memory size. Default 96 MiB.
+	// MemBytes is the guest-physical memory size. Default 96 MiB. It
+	// reserves the address range; pages are backed on the guest's first
+	// write, so a VM costs only the pages its guest writes.
 	MemBytes uint64
 	// Tick is the scheduler/timer granularity. Default 1ms.
 	Tick time.Duration
