@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet vet-invariants race equivalence bench-smoke bench-telemetry bench-parallel bench-hotpath bench-fleet bench-trace bench-cluster fuzz
+.PHONY: all build test check fmt vet vet-invariants race equivalence bench-smoke bench-telemetry bench-hotpath bench-fleet bench-trace bench-cluster fuzz
 
 all: build
 
@@ -62,10 +62,6 @@ bench-smoke:
 # Regenerate the telemetry micro-benchmark numbers (see results/BENCH_telemetry.json).
 bench-telemetry:
 	$(GO) test -run xxx -bench 'BenchmarkCounterInc|BenchmarkHistogramObserve|BenchmarkEventPublish$$|BenchmarkEventPublishInstrumented' -benchtime 2s .
-
-# Regenerate the campaign-engine speedup numbers (see results/BENCH_parallel.json).
-bench-parallel:
-	$(GO) run ./cmd/parallel-bench -out results/BENCH_parallel.json
 
 # Regenerate the hot-path throughput numbers (see results/BENCH_hotpath.json):
 # events/sec through Publish/Dispatch, translation-cache microcosts, and

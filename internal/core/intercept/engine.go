@@ -96,7 +96,9 @@ type Engine struct {
 	entryPending bool
 	// entryGPA is the protected entry page once armed.
 	entryGPA arch.GPA
-	decoded  map[core.EventType]uint64
+	// decoded counts events by type. EventType is a uint8, so every value
+	// has a slot and counting needs neither a map write nor a bounds check.
+	decoded [256]uint64
 	// batch accumulates the events decoded from one exit. HandleExit hands
 	// it to PublishBatch in place after unlock, so the EM lock is paid once
 	// per exit and no event is copied on the way; its capacity persists, so
@@ -122,7 +124,6 @@ func New(cfg Config) *Engine {
 		savedTR:    make([]arch.GVA, cfg.Control.NumVCPUs()),
 		tssRSP0GPA: make([]arch.GPA, cfg.Control.NumVCPUs()),
 		tssAlerted: make([]bool, cfg.Control.NumVCPUs()),
-		decoded:    make(map[core.EventType]uint64),
 	}
 	if e.now == nil {
 		e.now = func(int) time.Duration { return e.ctl.Now() }
@@ -416,9 +417,11 @@ func (e *Engine) SyscallEntry() arch.GVA {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	decoded := make(map[core.EventType]uint64, len(e.decoded))
-	for k, v := range e.decoded {
-		decoded[k] = v
+	decoded := make(map[core.EventType]uint64)
+	for t, n := range e.decoded {
+		if n != 0 {
+			decoded[core.EventType(t)] = n
+		}
 	}
 	return Stats{
 		Decoded:      decoded,

@@ -163,7 +163,15 @@ type kernOp struct {
 	lock LockID
 	// irq marks irq-save/irq-restore lock variants.
 	irq bool
-	dur time.Duration
+	// runLen, when nonzero, marks a section boundary: the next runLen ops
+	// are an uncontended run that takes every lock in runLocks (bit 1<<id)
+	// and releases it again, burning runWork in total. execKernOps steps
+	// such a run in one charge when nothing in it can be observed; see
+	// annotateRuns.
+	runLen   uint16
+	runLocks uint16
+	dur      time.Duration
+	runWork  time.Duration
 }
 
 // section declares one critical section of a handler path at build time.
@@ -187,8 +195,8 @@ type section struct {
 }
 
 // emit appends the section's op list to ops, consulting the fault plan at
-// each site.
-func (s *section) emit(plan FaultPlan, ops []kernOp) []kernOp {
+// each site, and reports whether any of its sites was armed.
+func (s *section) emit(plan FaultPlan, ops []kernOp) ([]kernOp, bool) {
 	swapped := s.siteOrder != 0 && plan.Armed(s.siteOrder)
 	doublePair := s.sitePair != 0 && plan.Armed(s.sitePair)
 	skipRel := s.siteRel != 0 && plan.Armed(s.siteRel)
@@ -225,7 +233,65 @@ func (s *section) emit(plan FaultPlan, ops []kernOp) []kernOp {
 		// exactly that.
 		ops = append(ops, kernOp{kind: opUnlock, lock: 0, irq: s.irq && !skipIRQ})
 	}
-	return ops
+	return ops, swapped || doublePair || skipRel || skipIRQ
+}
+
+// annotateRuns marks the uncontended runs of a kernel path. Run with every
+// lock free, the ops return to "nothing held, preempt and irq depth
+// unchanged" at each section boundary. The run from a boundary reaches the
+// last such point before the first op whose effect depends on state outside
+// the path: a lock taken twice, an unlock of lock 0 or of a lock not held,
+// an irq restore that does not match its save, or any mutex op (a mutex
+// unlock wakes waiters). Every boundary before that point gets its run; no
+// op from there on gets one. Two linear passes: forward to find the run end,
+// then backward to sum each boundary's work and locks. Before the end every
+// unlock follows its lock, so an op starts balanced exactly when the ops
+// from it to the end take as many locks as they release.
+func annotateRuns(ops []kernOp) {
+	var held, irqs uint16
+	end := 0
+scan:
+	for i := range ops {
+		op := &ops[i]
+		bit := uint16(1) << op.lock
+		switch op.kind {
+		case opLock:
+			if op.lock == 0 || isMutexLock(op.lock) || held&bit != 0 {
+				break scan
+			}
+			held |= bit
+			if op.irq {
+				irqs |= bit
+			}
+		case opUnlock:
+			if op.lock == 0 || isMutexLock(op.lock) || held&bit == 0 || (irqs&bit != 0) != op.irq {
+				break scan
+			}
+			held &^= bit
+			irqs &^= bit
+		}
+		if held == 0 {
+			end = i + 1
+		}
+	}
+	var work time.Duration
+	var locks uint16
+	open := 0
+	for i := end - 1; i >= 0; i-- {
+		op := &ops[i]
+		switch op.kind {
+		case opWork:
+			work += op.dur
+		case opLock:
+			locks |= 1 << op.lock
+			open--
+		case opUnlock:
+			open++
+		}
+		if open == 0 {
+			op.runLen, op.runLocks, op.runWork = uint16(end-i), locks, work
+		}
+	}
 }
 
 // pathBuilder assigns dense site IDs while declaring handler paths, then
@@ -247,16 +313,28 @@ func newPathBuilder() *pathBuilder {
 }
 
 // compile emits the op list of one dispatch of path nr under plan: the
-// syscall's uninstrumented work, then each critical section in order.
+// syscall's uninstrumented work, then each critical section in order. Its
+// runs are annotated up to the first section with an armed site, so a
+// faulty section always runs op by op.
 func (b *pathBuilder) compile(nr Syscall, plan FaultPlan) []kernOp {
 	base := syscallBaseWork[nr]
 	if base == 0 {
 		base = defaultSyscallWork
 	}
 	ops := []kernOp{{kind: opWork, dur: base}}
+	faulty := -1
 	for _, s := range b.paths[nr] {
-		ops = s.emit(plan, ops)
+		start := len(ops)
+		var armed bool
+		ops, armed = s.emit(plan, ops)
+		if armed && faulty < 0 {
+			faulty = start
+		}
 	}
+	if faulty < 0 {
+		faulty = len(ops)
+	}
+	annotateRuns(ops[:faulty])
 	return ops[:len(ops):len(ops)]
 }
 

@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"math/bits"
 	"time"
 
 	"hypertap/internal/arch"
@@ -453,6 +454,19 @@ func (k *Kernel) buildOps(nr Syscall) []kernOp {
 
 // execKernOps interprets the current task's kernel path until the budget is
 // spent, the path blocks, or the syscall completes.
+//
+// At a section boundary it steps the annotated uncontended run (annotateRuns)
+// in one charge when op-by-op interpretation would provably end in the same
+// state. Nothing in this loop reads depth, irq state or lock holders between
+// ops, and the hypervisor runs each vCPU's slice to the end before the next
+// one starts, so no other CPU can touch a lock while the run is stepped. The
+// run must start fresh (a work op already under way has less than its
+// duration left), the task must not come out of a spin (its depth was raised
+// when the spin began, so the run's first lock would not raise it again),
+// every lock of the run must be free (else the op-by-op path spins), and the
+// run must end strictly inside the slice: a run that ends exactly at the
+// slice end leaves its last unlock for the next slice, and until then the
+// other CPUs see the lock held and DeliverTimer may see interrupts off.
 func (k *Kernel) execKernOps(cpu int, t *Task, remaining time.Duration) time.Duration {
 	c := k.cpus[cpu]
 	ke := t.kexec
@@ -462,6 +476,12 @@ func (k *Kernel) execKernOps(cpu int, t *Task, remaining time.Duration) time.Dur
 			return remaining
 		}
 		op := &ke.ops[ke.pos]
+		if op.runLen != 0 && !ke.started && !t.spinPD && op.runWork < remaining && k.locksFree(op.runLocks) {
+			ke.pos += int(op.runLen)
+			remaining -= op.runWork
+			c.localNow += op.runWork
+			continue
+		}
 		switch op.kind {
 		case opWork:
 			if !ke.started {
@@ -549,6 +569,16 @@ func (k *Kernel) execKernOps(cpu int, t *Task, remaining time.Duration) time.Dur
 		}
 	}
 	return 0
+}
+
+// locksFree reports whether no task holds any lock in mask (bit 1<<id).
+func (k *Kernel) locksFree(mask uint16) bool {
+	for ; mask != 0; mask &= mask - 1 {
+		if k.locks[bits.TrailingZeros16(mask)].holder != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // wakeMutexWaiters unblocks every task sleeping on a kernel mutex; they
