@@ -1,40 +1,47 @@
 // Command hypertap-capture works with the exit-stream capture format
 // (internal/capture, .htcs): versioned recordings of the Event Forwarder's
 // decoded exit stream that replay through the auditor plane to the live
-// run's verdicts with no guest anywhere.
+// run's verdicts with no guest anywhere. Captures come from cmd/hypertap
+// -trace, from incident bundles of campaigns run with Capture, and from
+// record.
 //
 // Modes:
 //
 //	hypertap-capture record -o stream.htcs [-seed N -cap-vms N -vcpus N -events N -tick D]
 //	    writes a deterministic synthetic capture (capture.Generate) — fuzz
 //	    seeds, benchmark inputs, format examples.
-//	hypertap-capture info stream.htcs
+//	hypertap-capture info [-json -chrome-trace FILE] <stream.htcs | bundle-dir>
 //	    decodes the header and tallies the stream: records by kind, events
-//	    and ticks per VM, wall and virtual extent.
-//	hypertap-capture replay stream.htcs [-strict -json]
+//	    and ticks per VM, events by type, top system calls, distinct address
+//	    spaces, virtual extent. An incident-bundle directory (internal/flight)
+//	    is summarized first and its capture.htcs, if it has one, tallied.
+//	    -chrome-trace renders the input for ui.perfetto.dev: a bundle's
+//	    flight rings and causal spans, or a stream's events, one track per VM.
+//	hypertap-capture replay [-threshold D -strict -json -metrics FILE] stream.htcs
 //	    re-drives the fleet auditor plane (per-VM GOSHD + fleetwatch) from
-//	    the stream and reports the verdicts.
-//	hypertap-capture replay -bundle dir [-threshold D -json]
-//	    same, from an incident bundle's capture.htcs (campaigns run with
-//	    Capture record one) via experiment.ReplayIncidentStream.
-//
-// Real captures come out of incident bundles; synthetic ones out of record.
+//	    the stream through experiment.ReplayStream and reports the verdicts;
+//	    -metrics writes the replay's telemetry snapshot as JSON.
+//	hypertap-capture replay -bundle dir [-threshold D -json -metrics FILE]
+//	    same, from an incident bundle's capture.htcs via
+//	    experiment.ReplayIncidentStream.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"time"
 
-	"hypertap/internal/auditors/fleetwatch"
-	"hypertap/internal/auditors/goshd"
 	"hypertap/internal/capture"
 	"hypertap/internal/core"
 	"hypertap/internal/experiment"
+	"hypertap/internal/flight"
+	"hypertap/internal/guest"
+	"hypertap/internal/telemetry"
 )
 
 func main() {
@@ -84,120 +91,181 @@ func runRecord(args []string) error {
 	return nil
 }
 
-// streamInfo is the info-mode tally (also its -json shape).
-type streamInfo struct {
-	Version    int              `json:"version"`
-	Host       string           `json:"host,omitempty"`
-	Tick       time.Duration    `json:"tick_ns"`
-	VMs        []vmInfo         `json:"vms"`
-	Records    map[string]int64 `json:"records"`
-	VirtualEnd time.Duration    `json:"virtual_end_ns"`
-	Ended      bool             `json:"ended"`
-	Bytes      int64            `json:"bytes"`
-}
-
-type vmInfo struct {
-	ID     int    `json:"id"`
-	Name   string `json:"name"`
-	VCPUs  int    `json:"vcpus"`
-	Events int64  `json:"events"`
-	Ticks  int64  `json:"ticks"`
+// writeTo hands fill the file dst, or stdout for "-".
+func writeTo(dst string, fill func(io.Writer) error) error {
+	if dst == "-" {
+		return fill(os.Stdout)
+	}
+	f, err := os.Create(dst)
+	if err != nil {
+		return err
+	}
+	if err := fill(f); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func runInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit the tally as JSON")
+	var (
+		jsonOut  = fs.Bool("json", false, "emit the tally as JSON")
+		chromeTo = fs.String("chrome-trace", "", "write a Chrome trace-event JSON rendering (Perfetto-viewable) to this file (- for stdout)")
+	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("info: want exactly one capture file")
+		return fmt.Errorf("info: want exactly one capture file or bundle directory")
 	}
-	path := fs.Arg(0)
-	f, err := os.Open(path)
+	return info(os.Stdout, fs.Arg(0), *jsonOut, *chromeTo)
+}
+
+// infoReport is info's -json shape: the bundle's own summary when the input
+// is a bundle, and the tally of the stream when there is one.
+type infoReport struct {
+	Bytes  int64       `json:"bytes"`
+	Bundle *bundleInfo `json:"bundle,omitempty"`
+	*capture.Summary
+	// Error is the decode error that ended the stream early.
+	Error string `json:"error,omitempty"`
+}
+
+type bundleInfo struct {
+	Kind  string `json:"kind"`
+	Exits int    `json:"exit_records"`
+	Rings int    `json:"rings"`
+	Spans int    `json:"spans"`
+}
+
+// info tallies a capture file or an incident bundle onto w and, with
+// chromeTo set, writes its Chrome trace-event rendering. A stream that
+// cannot be decoded to its end is tallied up to the damage and then
+// reported as an error.
+func info(w io.Writer, path string, jsonOut bool, chromeTo string) error {
+	st, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	rd, err := capture.NewReader(f)
-	if err != nil {
-		return err
-	}
-	hdr := rd.Header()
-	info := streamInfo{
-		Version: rd.Version(),
-		Host:    hdr.Host,
-		Tick:    hdr.Tick,
-		Records: map[string]int64{},
-		Bytes:   st.Size(),
-	}
-	// Cluster (v2) streams carry sparse VMIDs, so the per-VM tally can't
-	// index info.VMs by rec.Event.VM directly.
-	slot := make(map[core.VMID]int, len(hdr.VMs))
-	for _, vm := range hdr.VMs {
-		slot[vm.ID] = len(info.VMs)
-		info.VMs = append(info.VMs, vmInfo{ID: int(vm.ID), Name: vm.Name, VCPUs: vm.VCPUs})
-	}
-	var rec capture.Record
-	for {
-		err := rd.Next(&rec)
+	var (
+		rep    infoReport
+		stream io.Reader
+		chrome func(io.Writer) error
+		events []core.Event
+		names  = map[core.VMID]string{}
+	)
+	if st.IsDir() {
+		b, err := flight.LoadBundle(path)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			// A truncated tail is worth describing, not hiding: report what
-			// decoded cleanly plus the cut point.
-			fmt.Fprintf(os.Stderr, "info: stream ends early: %v\n", err)
-			break
+			return err
 		}
-		name := capture.KindName(rec.Kind)
-		info.Records[name]++
-		switch name {
-		case "event":
-			if i, ok := slot[rec.Event.VM]; ok {
-				info.VMs[i].Events++
-			}
-			if rec.Event.Time > info.VirtualEnd {
-				info.VirtualEnd = rec.Event.Time
-			}
-		case "tick":
-			if i, ok := slot[rec.VM]; ok {
-				info.VMs[i].Ticks++
-			}
-			if rec.Now > info.VirtualEnd {
-				info.VirtualEnd = rec.Now
-			}
-		case "end":
-			// Keep reading: epilogue view records (cross-validation reads
-			// performed after the schedule stopped) trail the end marker and
-			// belong in the tally.
-			info.Ended = true
+		rep.Bundle = &bundleInfo{Kind: b.Meta.Kind, Rings: len(b.Exits), Spans: len(b.Spans)}
+		for _, exits := range b.Exits {
+			rep.Bundle.Exits += len(exits)
+		}
+		if len(b.Capture) > 0 {
+			stream = bytes.NewReader(b.Capture)
+			rep.Bytes = int64(len(b.Capture))
+		}
+		chrome = func(cw io.Writer) error { return flight.WriteChrome(cw, b) }
+	} else {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		stream, rep.Bytes = f, st.Size()
+		chrome = func(cw io.Writer) error { return flight.ChromeFromEvents(cw, events, names) }
+	}
+	var decodeErr error
+	if stream != nil {
+		var onEvent func(*core.Event)
+		if chromeTo != "" && !st.IsDir() {
+			onEvent = func(ev *core.Event) { events = append(events, *ev) }
+		}
+		if rep.Summary, decodeErr = capture.Summarize(stream, onEvent); rep.Summary == nil {
+			return decodeErr
+		}
+		if decodeErr != nil {
+			rep.Error = decodeErr.Error()
+		}
+		for _, vm := range rep.VMs {
+			names[vm.ID] = vm.Name
 		}
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+	if jsonOut {
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(&info)
+		if err := enc.Encode(&rep); err != nil {
+			return err
+		}
+	} else {
+		printInfo(w, path, &rep)
 	}
-	fmt.Printf("%s: format v%d, %d bytes, tick %v\n", path, info.Version, info.Bytes, info.Tick)
-	if info.Host != "" {
-		fmt.Printf("host: %s\n", info.Host)
+	if decodeErr != nil {
+		return fmt.Errorf("info: %s: stream ends early: %w", path, decodeErr)
 	}
-	fmt.Printf("records:")
+	if chromeTo == "" {
+		return nil
+	}
+	return writeTo(chromeTo, chrome)
+}
+
+func printInfo(w io.Writer, path string, rep *infoReport) {
+	name := path
+	if b := rep.Bundle; b != nil {
+		fmt.Fprintf(w, "bundle %s: kind %s, %d exit records across %d rings, %d spans\n",
+			path, b.Kind, b.Exits, b.Rings, b.Spans)
+		if rep.Summary == nil {
+			return
+		}
+		name = "capture.htcs"
+	}
+	s := rep.Summary
+	fmt.Fprintf(w, "%s: format v%d, %d bytes, tick %v\n", name, s.Version, rep.Bytes, s.Tick)
+	if s.Host != "" {
+		fmt.Fprintf(w, "host: %s\n", s.Host)
+	}
+	fmt.Fprintf(w, "records:")
 	for _, k := range []string{"event", "tick", "barrier", "view", "counter", "end"} {
-		if n := info.Records[k]; n > 0 {
-			fmt.Printf("  %s=%d", k, n)
+		if n := s.Records[k]; n > 0 {
+			fmt.Fprintf(w, "  %s=%d", k, n)
 		}
 	}
-	fmt.Printf("\nvirtual extent: %v  clean end marker: %v\n", info.VirtualEnd, info.Ended)
-	for _, vm := range info.VMs {
-		fmt.Printf("  %-12s vmid %-5d %d vCPUs  %8d events  %6d ticks\n", vm.Name, vm.ID, vm.VCPUs, vm.Events, vm.Ticks)
+	fmt.Fprintf(w, "\nvirtual extent: %v  clean end marker: %v\n", s.VirtualEnd, s.Ended)
+	for _, vm := range s.VMs {
+		fmt.Fprintf(w, "  %-12s vmid %-5d %d vCPUs  %8d events  %6d ticks\n", vm.Name, vm.ID, vm.VCPUs, vm.Events, vm.Ticks)
 	}
-	return nil
+	types := make([]string, 0, len(s.EventsByType))
+	for ty := range s.EventsByType {
+		types = append(types, ty)
+	}
+	sort.Strings(types)
+	fmt.Fprintln(w, "events by type:")
+	for _, ty := range types {
+		fmt.Fprintf(w, "  %-16s %8d\n", ty, s.EventsByType[ty])
+	}
+	if len(s.Syscalls) > 0 {
+		nrs := make([]uint32, 0, len(s.Syscalls))
+		for nr := range s.Syscalls {
+			nrs = append(nrs, nr)
+		}
+		sort.Slice(nrs, func(i, j int) bool {
+			if a, b := s.Syscalls[nrs[i]], s.Syscalls[nrs[j]]; a != b {
+				return a > b
+			}
+			return nrs[i] < nrs[j]
+		})
+		fmt.Fprintln(w, "top system calls:")
+		for _, nr := range nrs[:min(len(nrs), 8)] {
+			fmt.Fprintf(w, "  %-16v %8d\n", guest.Syscall(nr), s.Syscalls[nr])
+		}
+	}
+	fmt.Fprintf(w, "distinct address spaces: %d\n", s.AddressSpaces)
+	if rep.Bundle != nil {
+		fmt.Fprintf(w, "replay the auditor plane from it: hypertap-capture replay -bundle %s\n", path)
+	}
 }
 
 func runReplay(args []string) error {
@@ -205,18 +273,26 @@ func runReplay(args []string) error {
 	var (
 		bundle    = fs.String("bundle", "", "replay an incident bundle's capture.htcs instead of a file")
 		threshold = fs.Duration("threshold", 100*time.Millisecond, "GOSHD hang threshold")
-		strict    = fs.Bool("strict", false, "fail on any divergence instead of counting")
+		strict    = fs.Bool("strict", false, "fail on any divergence instead of counting (capture files)")
 		jsonOut   = fs.Bool("json", false, "emit the report as JSON")
+		metricsTo = fs.String("metrics", "", "write the replay's telemetry snapshot as JSON to this file (- for stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	cfg := experiment.FleetConfig{Threshold: *threshold}
+	if *metricsTo != "" {
+		cfg.Telemetry = telemetry.NewRegistry()
 	}
 	var rep *experiment.StreamReplayReport
 	if *bundle != "" {
 		if fs.NArg() != 0 {
 			return fmt.Errorf("replay: -bundle and a capture file are mutually exclusive")
 		}
-		r, err := experiment.ReplayIncidentStream(experiment.FleetConfig{Threshold: *threshold}, *bundle)
+		if *strict {
+			return fmt.Errorf("replay: -strict applies to capture files, not -bundle")
+		}
+		r, err := experiment.ReplayIncidentStream(cfg, *bundle)
 		if err != nil {
 			return err
 		}
@@ -225,16 +301,23 @@ func runReplay(args []string) error {
 		if fs.NArg() != 1 {
 			return fmt.Errorf("replay: want exactly one capture file (or -bundle)")
 		}
-		f, err := os.Open(fs.Arg(0))
+		data, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		r, err := replayStream(f, *threshold, *strict)
-		if err != nil {
+		if rep, err = experiment.ReplayStream(cfg, data, *strict); err != nil {
 			return err
 		}
-		rep = r
+	}
+	if cfg.Telemetry != nil {
+		if err := writeTo(*metricsTo, func(w io.Writer) error {
+			snap := cfg.Telemetry.Snapshot()
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(&snap)
+		}); err != nil {
+			return err
+		}
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -247,56 +330,4 @@ func runReplay(args []string) error {
 		fmt.Printf("  %-12s %8d events  %d goshd alarms\n", vm.Name, vm.Events, vm.Alarms)
 	}
 	return nil
-}
-
-// replayStream re-drives the fleet auditor plane from a raw capture stream —
-// the same wiring ReplayIncidentStream uses for bundles.
-func replayStream(f *os.File, threshold time.Duration, strict bool) (*experiment.StreamReplayReport, error) {
-	rp, err := capture.NewReplay(f, capture.ReplayConfig{Strict: strict})
-	if err != nil {
-		return nil, err
-	}
-	em := rp.EM()
-	hdr := rp.Header()
-	dets := make([]*goshd.Detector, len(hdr.VMs))
-	for j := range dets {
-		// Cluster (v2) captures carry sparse VMIDs — scope each detector to
-		// the header's recorded ID, not the table slot.
-		vm := hdr.VMs[j].ID
-		det, err := goshd.New(goshd.Config{
-			VM:        vm,
-			Clock:     rp.Clock(vm),
-			VCPUs:     hdr.VMs[j].VCPUs,
-			Threshold: threshold,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := em.RegisterAuditor(det, core.DeliverAsync, 0); err != nil {
-			return nil, err
-		}
-		dets[j] = det
-	}
-	fw := fleetwatch.New(fleetwatch.Config{VMName: em.VMName})
-	if err := em.RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
-		return nil, err
-	}
-	for _, det := range dets {
-		det.Start()
-	}
-	if err := rp.Run(); err != nil {
-		return nil, err
-	}
-	rep := &experiment.StreamReplayReport{Host: hdr.Host, Divergences: rp.Divergences()}
-	for j := range hdr.VMs {
-		vm := experiment.StreamVMReport{
-			Name:   hdr.VMs[j].Name,
-			Events: em.PublishedVM(hdr.VMs[j].ID),
-			Alarms: len(dets[j].Alarms()),
-		}
-		rep.VMs = append(rep.VMs, vm)
-		rep.Events += vm.Events
-	}
-	rep.Storms = len(fw.Storms())
-	return rep, nil
 }

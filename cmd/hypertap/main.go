@@ -16,6 +16,7 @@ import (
 	"hypertap/internal/auditors/goshd"
 	"hypertap/internal/auditors/hrkd"
 	"hypertap/internal/auditors/ped"
+	"hypertap/internal/capture"
 	"hypertap/internal/core"
 	"hypertap/internal/core/intercept"
 	"hypertap/internal/flight"
@@ -23,7 +24,6 @@ import (
 	"hypertap/internal/host"
 	"hypertap/internal/telemetry"
 	"hypertap/internal/telemetry/httpexport"
-	"hypertap/internal/trace"
 	"hypertap/internal/vmi"
 	"hypertap/internal/workload"
 )
@@ -47,7 +47,7 @@ func run(args []string) error {
 		sysenter  = fs.Bool("sysenter", false, "use the fast-syscall gate instead of INT 0x80")
 		tailEvent = fs.Int("tail", 20, "print the first N decoded events per type")
 		withRHC   = fs.Bool("rhc", false, "start a Remote Health Checker and heartbeat to it over TCP")
-		traceFile = fs.String("trace", "", "record the event stream to a JSONL trace file")
+		traceFile = fs.String("trace", "", "record the decoded exit stream to this .htcs capture file (read it with hypertap-capture info/replay)")
 		telAddr   = fs.String("telemetry-addr", "", "serve /metrics, /healthz, /flight and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
 		seed      = fs.Int64("seed", 1, "deterministic seed (VM i runs at seed+i)")
 		flightDir = fs.String("flight-dir", "", "drain the flight recorder into a bundle under this directory at exit")
@@ -115,21 +115,27 @@ func run(args []string) error {
 		return err
 	}
 
-	// Optional trace recording (offline analysis via cmd/trace-analyze).
+	// Optional exit-stream capture, tapped in before boot so it sees every
+	// decoded event, tick and barrier. The auditors read the guest directly,
+	// not through recording views, so a replay re-judges the stream with the
+	// fleet plane (GOSHD, fleetwatch), which reads nothing.
+	var capRec *capture.Recorder
+	var capFile *os.File
 	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
+		if capFile, err = os.Create(*traceFile); err != nil {
 			return err
 		}
-		rec := trace.NewRecorder(f, core.MaskAll)
-		if err := em.Register(rec, core.DeliverAsync, 0); err != nil {
+		// Closes on error paths; the success path closes and checks below.
+		defer func() { _ = capFile.Close() }()
+		hdr := capture.Header{Tick: time.Millisecond}
+		for i := 0; i < *vms; i++ {
+			m := h.Machine(i)
+			hdr.VMs = append(hdr.VMs, capture.VMHeader{ID: m.VMID(), Name: m.Name(), VCPUs: m.NumVCPUs()})
+		}
+		if capRec, err = capture.NewRecorder(capFile, hdr); err != nil {
 			return err
 		}
-		defer func() {
-			_ = rec.Flush()
-			_ = f.Close()
-			fmt.Printf("trace: %d events written to %s\n", rec.Count(), *traceFile)
-		}()
+		h.SetExitTap(capRec)
 	}
 
 	// Per-VM GOSHD detectors, registered (VM-scoped) before boot so no
@@ -263,6 +269,16 @@ func run(args []string) error {
 
 	fmt.Printf("\ndone: %v virtual in %v real (%.0fx)\n", *duration, real.Round(time.Millisecond),
 		duration.Seconds()/real.Seconds())
+	if capRec != nil {
+		if err := capRec.Finish(); err != nil {
+			return fmt.Errorf("capture %s: %w", *traceFile, err)
+		}
+		if err := capFile.Close(); err != nil {
+			return fmt.Errorf("capture %s: %w", *traceFile, err)
+		}
+		fmt.Printf("capture: exit stream written to %s (replay at the live threshold: hypertap-capture replay -threshold 4s %s)\n",
+			*traceFile, *traceFile)
+	}
 
 	// Quiesce the RHC before the final drain: heartbeats travel over real
 	// TCP, so the last beats sent during the run may still be in flight when
@@ -276,7 +292,7 @@ func run(args []string) error {
 		}
 	}
 	// Final flight drain: the same bundle format incident capture uses, so
-	// every run can be inspected with trace-analyze -chrome-trace.
+	// every run can be inspected with hypertap-capture info -chrome-trace.
 	if *flightDir != "" {
 		sink, err := flight.NewSink(flight.SinkConfig{
 			Dir: *flightDir, EM: em, Telemetry: reg, RHC: rhcSrv,

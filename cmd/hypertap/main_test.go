@@ -2,19 +2,23 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"hypertap/internal/capture"
 	"hypertap/internal/core/intercept"
+	"hypertap/internal/experiment"
 	"hypertap/internal/flight"
 )
 
 // TestSmokeDefaults drives the binary in-process with a short run and the
 // documented flag defaults: flight recording on (-flight-depth 0 = 1024-deep
-// rings), a bundle drained at exit, and a JSONL trace alongside it.
+// rings), a bundle drained at exit, and an exit-stream capture alongside it
+// that replays Strict to the live run's per-VM event counts.
 func TestSmokeDefaults(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{
@@ -23,7 +27,7 @@ func TestSmokeDefaults(t *testing.T) {
 		"-tail", "0",
 		"-telemetry-addr", "127.0.0.1:0",
 		"-rhc",
-		"-trace", filepath.Join(dir, "run.jsonl"),
+		"-trace", filepath.Join(dir, "run.htcs"),
 		"-flight-dir", filepath.Join(dir, "flight"),
 	}
 	if err := run(args); err != nil {
@@ -56,8 +60,41 @@ func TestSmokeDefaults(t *testing.T) {
 	if b.Telemetry == nil {
 		t.Error("bundle is missing the telemetry snapshot")
 	}
-	if data, err := os.ReadFile(filepath.Join(dir, "run.jsonl")); err != nil || len(data) == 0 {
-		t.Errorf("trace file: err=%v len=%d", err, len(data))
+
+	// The capture replays through the one replay wiring, at the live run's
+	// 4 s GOSHD threshold, with no guest: every event record is republished
+	// to its header VM and nothing diverges.
+	data, err := os.ReadFile(filepath.Join(dir, "run.htcs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := capture.Summarize(bytes.NewReader(data), nil)
+	if err != nil {
+		t.Fatalf("tallying the capture: %v", err)
+	}
+	if !sum.Ended {
+		t.Error("capture lacks its end marker")
+	}
+	rep, err := experiment.ReplayStream(experiment.FleetConfig{Threshold: 4 * time.Second}, data, true)
+	if err != nil {
+		t.Fatalf("strict replay: %v", err)
+	}
+	if rep.Divergences != 0 {
+		t.Errorf("replay divergences = %d, want 0", rep.Divergences)
+	}
+	if len(sum.VMs) != 2 || len(rep.VMs) != 2 {
+		t.Fatalf("capture header lists %d VMs, replay %d; want 2", len(sum.VMs), len(rep.VMs))
+	}
+	for i, vm := range sum.VMs {
+		if want := fmt.Sprintf("vm%d", i); vm.Name != want || vm.VCPUs != 2 {
+			t.Errorf("header VM %d = %q with %d vCPUs, want %q with 2", i, vm.Name, vm.VCPUs, want)
+		}
+		if got := rep.VMs[i].Events; vm.Events == 0 || got != uint64(vm.Events) {
+			t.Errorf("%s: replayed %d events, capture holds %d event records (want equal, > 0)", vm.Name, got, vm.Events)
+		}
+		if rep.VMs[i].Alarms != 0 {
+			t.Errorf("%s: %d GOSHD alarms on replay of a healthy run", vm.Name, rep.VMs[i].Alarms)
+		}
 	}
 }
 

@@ -42,7 +42,6 @@ var deterministicPkgs = []string{
 	"hypertap/internal/telemetry",
 	"hypertap/internal/experiment/...",
 	"hypertap/internal/auditors/...",
-	"hypertap/internal/trace",
 	"hypertap/internal/flight",
 	// The cluster plane steps M hosts on one shared virtual clock; a wall
 	// read anywhere in it desynchronizes the whole fleet from its seed.

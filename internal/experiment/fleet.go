@@ -45,6 +45,7 @@ type FleetConfig struct {
 	Progress func(done, total int)
 	// Telemetry, when set, receives each completed host's registry shard
 	// as it finishes; per-VM labeled series roll up across the campaign.
+	// ReplayStream instruments its replay EM and auditors on it directly.
 	Telemetry *telemetry.Registry
 	// FlightDepth sizes each unit host's flight-recorder rings
 	// (host.Config.FlightDepth): zero selects the default, negative
@@ -396,7 +397,7 @@ type StreamVMReport struct {
 	Alarms int    `json:"goshd_alarms"`
 }
 
-// StreamReplayReport is ReplayIncidentStream's outcome.
+// StreamReplayReport is ReplayStream's outcome.
 type StreamReplayReport struct {
 	Host        string           `json:"host"`
 	VMs         []StreamVMReport `json:"vms"`
@@ -406,14 +407,14 @@ type StreamReplayReport struct {
 }
 
 // ReplayIncidentStream re-drives the auditor plane from a bundle's recorded
-// exit stream (capture.htcs, written by campaigns run with Capture: true).
-// Where ReplayIncident re-executes the whole unit — guests, kernels and all —
-// this replays only the decoded stream the auditors consumed, so it works
-// even when the faulting workload cannot be re-run, and it isolates the
-// auditor plane: identical verdicts here plus a diverging ReplayIncident
-// points the investigation at the simulation, not the auditors. The standard
-// unit auditors (per-VM GOSHD, fleet accountant) are registered in campaign
-// order, so verdict spans land in the same rings under the same actor IDs.
+// exit stream (capture.htcs, written by campaigns run with Capture: true)
+// through ReplayStream. Where ReplayIncident re-executes the whole unit —
+// guests, kernels and all — this replays only the decoded stream the
+// auditors consumed, so it works even when the faulting workload cannot be
+// re-run, and it isolates the auditor plane: identical verdicts here plus a
+// diverging ReplayIncident points the investigation at the simulation, not
+// the auditors. A solo (v1) stream names no host, so the report falls back
+// to the host the bundle's manifest names.
 func ReplayIncidentStream(cfg FleetConfig, bundleDir string) (*StreamReplayReport, error) {
 	b, err := flight.LoadBundle(bundleDir)
 	if err != nil {
@@ -422,11 +423,30 @@ func ReplayIncidentStream(cfg FleetConfig, bundleDir string) (*StreamReplayRepor
 	if len(b.Capture) == 0 {
 		return nil, fmt.Errorf("experiment: bundle %s carries no exit stream (campaign ran without Capture)", bundleDir)
 	}
+	rep, err := ReplayStream(cfg, b.Capture, false)
+	if err != nil {
+		return nil, err
+	}
+	if rep.Host == "" {
+		rep.Host = b.Meta.Context["host"]
+	}
+	return rep, nil
+}
+
+// ReplayStream re-drives the fleet auditor plane from a recorded exit
+// stream with no guest anywhere. The standard unit auditors (per-VM GOSHD
+// at cfg.Threshold, the fleet accountant) are registered in campaign order,
+// so verdict spans land in the same flight rings under the same actor IDs
+// as the live run's. The flight table spans the header's VMID range (cluster
+// streams carry sparse IDs, so the rings sit at a base, not at zero) unless
+// cfg.FlightDepth disables it. cfg.Telemetry, when set, instruments the
+// replay EM and its auditors. strict turns any divergence between the
+// replayed reads and the recorded ones into an error.
+func ReplayStream(cfg FleetConfig, data []byte, strict bool) (*StreamReplayReport, error) {
 	cfg.fillDefaults()
-	// The flight table's resident range comes from the capture header — a v2
-	// (cluster) stream carries sparse VMIDs, so the rings sit at a base, not
-	// at zero. Parse the header alone first; the replay re-reads the stream.
-	pre, err := capture.NewReader(bytes.NewReader(b.Capture))
+	// The flight table must be sized before the replay attaches its VMs, so
+	// parse the header alone first; the replay re-reads the stream.
+	pre, err := capture.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
@@ -445,11 +465,14 @@ func ReplayIncidentStream(cfg FleetConfig, bundleDir string) (*StreamReplayRepor
 		fl = core.NewFlightTable(int(top-base)+1, cfg.FlightDepth, 0)
 		fl.SetVMBase(base)
 	}
-	rp, err := capture.NewReplay(bytes.NewReader(b.Capture), capture.ReplayConfig{Flight: fl})
+	rp, err := capture.NewReplay(bytes.NewReader(data), capture.ReplayConfig{Flight: fl, Strict: strict})
 	if err != nil {
 		return nil, err
 	}
 	em := rp.EM()
+	if cfg.Telemetry != nil {
+		em.EnableTelemetry(cfg.Telemetry)
+	}
 	var goshdActor, fwActor uint8
 	dets := make([]*goshd.Detector, len(hdr.VMs))
 	for j := range dets {
@@ -466,6 +489,9 @@ func ReplayIncidentStream(cfg FleetConfig, bundleDir string) (*StreamReplayRepor
 		if derr != nil {
 			return nil, derr
 		}
+		if cfg.Telemetry != nil {
+			det.EnableTelemetry(cfg.Telemetry)
+		}
 		if rerr := em.RegisterAuditor(det, core.DeliverAsync, 0); rerr != nil {
 			return nil, rerr
 		}
@@ -477,6 +503,9 @@ func ReplayIncidentStream(cfg FleetConfig, bundleDir string) (*StreamReplayRepor
 			em.RecordSpan(s.Span, s.VM, core.PhaseVerdict, fwActor, s.WindowStart)
 		},
 	})
+	if cfg.Telemetry != nil {
+		fw.EnableTelemetry(cfg.Telemetry)
+	}
 	if err := em.RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
 		return nil, err
 	}
@@ -492,11 +521,7 @@ func ReplayIncidentStream(cfg FleetConfig, bundleDir string) (*StreamReplayRepor
 	if err := rp.Run(); err != nil {
 		return nil, err
 	}
-	replayedHost := hdr.Host
-	if replayedHost == "" {
-		replayedHost = b.Meta.Context["host"]
-	}
-	report := &StreamReplayReport{Host: replayedHost, Divergences: rp.Divergences()}
+	report := &StreamReplayReport{Host: hdr.Host, Divergences: rp.Divergences()}
 	for j := range hdr.VMs {
 		vm := StreamVMReport{
 			Name:   hdr.VMs[j].Name,

@@ -10,11 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"hypertap/internal/capture"
 	"hypertap/internal/core"
 	"hypertap/internal/flight"
 	"hypertap/internal/guest"
 	"hypertap/internal/host"
 	"hypertap/internal/inject"
+	"hypertap/internal/telemetry"
 )
 
 // incidentDir returns the directory a campaign test arms incident capture
@@ -372,6 +374,42 @@ func TestFleetIncidentStreamReplay(t *testing.T) {
 	plainBundle := filepath.Join(plainCfg.IncidentDir, "unit-000", "incident-000-detection")
 	if _, err := ReplayIncidentStream(plainCfg, plainBundle); err == nil || !strings.Contains(err.Error(), "no exit stream") {
 		t.Fatalf("stream replay of a captureless bundle: err = %v, want a no-exit-stream refusal", err)
+	}
+}
+
+// TestReplayStreamHosted pins the replay wiring against cluster-era (v2)
+// captures: the auditor wiring must scope to the header's sparse VMIDs, not
+// the table slots — a slot-indexed Clock/PublishedVM lookup panics or tallies
+// zero events here. The replay also instruments the configured registry.
+func TestReplayStreamHosted(t *testing.T) {
+	data := capture.GenerateHosted(7, 2, 2, 400, time.Millisecond, "host1", 4)
+	reg := telemetry.NewRegistry()
+	rep, err := ReplayStream(FleetConfig{Telemetry: reg}, data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	published := uint64(0)
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "hypertap_events_published_total" && len(c.Labels) == 0 {
+			published = c.Value
+		}
+	}
+	if published != 400 {
+		t.Errorf("replay registry counts %d published events, want 400", published)
+	}
+	if rep.Host != "host1" {
+		t.Errorf("report host = %q, want host1", rep.Host)
+	}
+	if rep.Events != 400 {
+		t.Errorf("replayed %d events, want 400", rep.Events)
+	}
+	for _, vm := range rep.VMs {
+		if vm.Events == 0 {
+			t.Errorf("VM %s tallied 0 events — sparse VMID lost in the wiring", vm.Name)
+		}
+	}
+	if rep.Divergences != 0 {
+		t.Errorf("divergences = %d, want 0", rep.Divergences)
 	}
 }
 

@@ -287,8 +287,8 @@ type Bundle struct {
 	// RHC is the health checker's view, nil when absent.
 	RHC *RHCState
 	// Capture is the recorded exit stream (internal/capture format) when the
-	// sink was armed with one, nil when absent. Feed it to capture.NewReplay
-	// to re-drive the auditor plane from the artifact alone.
+	// sink was armed with one, nil when absent. experiment.ReplayStream
+	// re-drives the auditor plane from it, from the artifact alone.
 	Capture []byte
 }
 

@@ -51,15 +51,16 @@ func usToTS(ns int64) float64 { return float64(ns) / 1e3 }
 
 // builder accumulates trace events and the set of tracks needing names.
 type builder struct {
-	events   []chromeEvent
-	vmNames  []string
+	events []chromeEvent
+	// vmNames labels VM tracks; a VM it does not name falls back to "vmN".
+	vmNames  map[core.VMID]string
 	actors   []string
 	flowSeen map[core.SpanID]bool
 }
 
 func (b *builder) vmName(vm core.VMID) string {
-	if int(vm) < len(b.vmNames) {
-		return b.vmNames[vm]
+	if name, ok := b.vmNames[vm]; ok {
+		return name
 	}
 	return fmt.Sprintf("vm%d", vm)
 }
@@ -166,9 +167,12 @@ func (b *builder) write(w io.Writer) error {
 // WriteChrome renders a loaded incident bundle as Chrome trace-event JSON.
 func WriteChrome(w io.Writer, b *Bundle) error {
 	bld := &builder{
-		vmNames:  b.Meta.VMNames,
+		vmNames:  make(map[core.VMID]string, len(b.Meta.VMNames)),
 		actors:   b.Meta.Actors,
 		flowSeen: make(map[core.SpanID]bool),
+	}
+	for id, name := range b.Meta.VMNames {
+		bld.vmNames[core.VMID(id)] = name
 	}
 	bld.meta(0, "process_name")
 	ringVM := func(i int) core.VMID {
@@ -200,10 +204,12 @@ func WriteChrome(w io.Writer, b *Bundle) error {
 	return bld.write(w)
 }
 
-// ChromeFromEvents renders a replayed event stream (a JSONL trace decoded by
-// internal/trace) as Chrome trace-event JSON: one slice per event on its
-// VM's track. vmNames, when non-nil, labels the tracks (index = VMID).
-func ChromeFromEvents(w io.Writer, events []core.Event, vmNames []string) error {
+// ChromeFromEvents renders a decoded exit stream (the events of a .htcs
+// capture, as hypertap-capture info -chrome-trace reads them) as Chrome
+// trace-event JSON: one slice per event on its VM's track. vmNames labels
+// the tracks by VMID — the capture header's IDs, sparse under the cluster
+// plane; a VM it does not name is labeled "vmN".
+func ChromeFromEvents(w io.Writer, events []core.Event, vmNames map[core.VMID]string) error {
 	bld := &builder{vmNames: vmNames, flowSeen: make(map[core.SpanID]bool)}
 	seen := make(map[core.VMID]bool)
 	for i := range events {

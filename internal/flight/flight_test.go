@@ -288,17 +288,19 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
+// TestChromeFromEvents also pins sparse labeling: tracks are named by VMID,
+// so a cluster stream's VM 4 gets its header name, not a slot's.
 func TestChromeFromEvents(t *testing.T) {
 	events := []core.Event{
-		{Type: core.EvSyscall, VM: 0, Seq: 1, Time: time.Millisecond, Span: core.MintSpan(0, 1, 0)},
-		{Type: core.EvHalt, VM: 1, Seq: 2, Time: 2 * time.Millisecond},
+		{Type: core.EvSyscall, VM: 4, Seq: 1, Time: time.Millisecond, Span: core.MintSpan(4, 1, 0)},
+		{Type: core.EvHalt, VM: 5, Seq: 2, Time: 2 * time.Millisecond},
 	}
 	var buf bytes.Buffer
-	if err := ChromeFromEvents(&buf, events, []string{"alpha"}); err != nil {
+	if err := ChromeFromEvents(&buf, events, map[core.VMID]string{4: "alpha"}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"alpha"`, `"vm1"`, `"syscall"`, `"halt"`, `"span"`} {
+	for _, want := range []string{`"alpha"`, `"vm5"`, `"syscall"`, `"halt"`, `"span"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("export missing %s", want)
 		}
