@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet vet-invariants race equivalence bench-smoke bench-telemetry bench-hotpath bench-fleet bench-trace bench-cluster fuzz
+.PHONY: all build test check fmt vet vet-invariants race equivalence bench-smoke experiments fuzz
 
 all: build
 
@@ -59,33 +59,25 @@ equivalence:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# Regenerate the telemetry micro-benchmark numbers (see results/BENCH_telemetry.json).
-bench-telemetry:
-	$(GO) test -run xxx -bench 'BenchmarkCounterInc|BenchmarkHistogramObserve|BenchmarkEventPublish$$|BenchmarkEventPublishInstrumented' -benchtime 2s .
-
-# Regenerate the hot-path throughput numbers (see results/BENCH_hotpath.json):
-# events/sec through Publish/Dispatch, translation-cache microcosts, and
-# end-to-end campaign wall-clock.
-bench-hotpath:
-	$(GO) run ./cmd/hotpath-bench -out results/BENCH_hotpath.json
-
-# Regenerate the tracing-plane overhead numbers (see results/BENCH_trace.json):
-# the 3-auditor publish path with the flight recorder detached vs armed,
-# measured as a median of paired rounds. Budget: ≤5% on the sync path.
-bench-trace:
-	$(GO) run ./cmd/hotpath-bench -trace-only -trace-out results/BENCH_trace.json
-
-# Regenerate the multi-VM scaling numbers (see results/BENCH_fleet.json):
-# events/sec through one host-shared EM at 1/2/4/8 attached VMs, sync and
-# async, with the single-VM baseline embedded.
-bench-fleet:
-	$(GO) run ./cmd/hotpath-bench -fleet-only -fleet-out results/BENCH_fleet.json
-
-# Regenerate the cluster scaling numbers (see results/BENCH_cluster.json):
-# whole-cluster stepping throughput at 1/2/4 hosts x 2 VMs under the shared
-# datacenter clock.
-bench-cluster:
-	$(GO) run ./cmd/hotpath-bench -cluster-only -cluster-out results/BENCH_cluster.json
+# Regenerate every paper result with the command EXPERIMENTS.md names for
+# it, into a temporary directory, and diff each committed results/*.txt
+# against its regenerated copy: any change to virtual behaviour at full
+# campaign scale fails here. About 90 s on a 2-CPU host, most of it the
+# 5,984-injection GOSHD campaign, so it runs as its own CI job rather than
+# inside `make check`.
+experiments:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/hypertap-events > $$tmp/tablei_events.txt; \
+	$(GO) run ./cmd/goshd-campaign -scale full > $$tmp/fig4_fig5_goshd.txt; \
+	$(GO) run ./cmd/hrkd-eval > $$tmp/tableii_hrkd.txt; \
+	$(GO) run ./cmd/ninja-eval > $$tmp/ninja.txt; \
+	$(GO) run ./cmd/ninja-eval -sidechannel=false -attacks=false -showdown=false -sweep > $$tmp/ninja_sweeps.txt; \
+	$(GO) run ./cmd/perf-eval -scale 2 -ablation > $$tmp/fig7_perf.txt; \
+	status=0; for f in results/*.txt; do \
+		diff -u "$$f" "$$tmp/$${f#results/}" || status=1; \
+	done; \
+	if [ $$status -eq 0 ]; then echo "experiments: every results/*.txt regenerates byte for byte"; fi; \
+	exit $$status
 
 # Coverage-guided fuzzing of the replay plane: mutated captures through the
 # full auditor wiring, hunting panics, parser over-acceptance, and

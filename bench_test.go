@@ -5,6 +5,7 @@ package hypertap_test
 // reduced-but-meaningful scale and reports the headline quantity as a custom
 // metric, so `go test -bench=. -benchmem` regenerates the whole evaluation's
 // shape in minutes. The cmd/ tools run the same harnesses at paper scale.
+// BenchmarkEventPublish prices the hot path's telemetry and flight budgets.
 
 import (
 	"strings"
@@ -12,13 +13,8 @@ import (
 	"time"
 
 	"hypertap/internal/core"
-	"hypertap/internal/core/intercept"
 	"hypertap/internal/experiment"
-	"hypertap/internal/guest"
-	"hypertap/internal/hv"
-	"hypertap/internal/inject"
 	"hypertap/internal/telemetry"
-	"hypertap/internal/workload"
 )
 
 // BenchmarkTableI_EventMatrix verifies the guest-event → VM-Exit →
@@ -196,138 +192,43 @@ func BenchmarkAblation_SeparateLogging(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed: virtual
-// seconds per wall second for a fully monitored, busy 2-vCPU guest.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m, err := hv.New(hv.Config{Guest: guest.Config{Seed: 7}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		feat := intercept.Features{
-			ProcessSwitch: true, ThreadSwitch: true, TSSIntegrity: true, Syscalls: true, IO: true,
-		}
-		if _, err := m.EnableMonitoring(feat); err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Boot(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := workload.Launch(m, workload.MakeJ(2, 1<<20)); err != nil {
-			b.Fatal(err)
-		}
-		const virtual = 5 * time.Second
-		start := time.Now()
-		m.Run(virtual)
-		real := time.Since(start)
-		b.ReportMetric(virtual.Seconds()/real.Seconds(), "virtual-x")
-	}
-}
-
-// BenchmarkEventPublish measures the shared logging channel's raw
-// throughput with three registered auditors.
+// BenchmarkEventPublish prices the shared logging channel's hot path: one
+// event, carrying a span, through three sync auditors. The sub-benchmarks
+// share one setup and loop and differ only in what the EM carries, so each
+// budget is a ratio against bare: telemetry enabled (budget: ≤10%) and the
+// flight recorder armed, where every publish also writes an exit record that
+// doubles as the span's decode step (budget: ≤5%). All three must report
+// 0 allocs/op. Compare them over repeated runs:
+//
+//	go test -run '^$' -bench BenchmarkEventPublish -count 10 .
 func BenchmarkEventPublish(b *testing.B) {
-	em := core.NewMultiplexer()
-	for _, name := range []string{"a", "b", "c"} {
-		aud := &core.AuditorFunc{AuditorName: name, EventMask: core.MaskAll, Fn: func(*core.Event) {}}
-		if err := em.Register(aud, core.DeliverSync, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		setup func(*core.Multiplexer)
+	}{
+		{"bare", func(*core.Multiplexer) {}},
+		{"telemetry", func(em *core.Multiplexer) { em.EnableTelemetry(telemetry.NewRegistry()) }},
+		{"flight", func(em *core.Multiplexer) { em.SetFlight(core.NewFlightTable(1, 0, 0)) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			em := core.NewMultiplexer()
+			bc.setup(em)
+			for _, name := range []string{"a", "b", "c"} {
+				aud := &core.AuditorFunc{AuditorName: name, EventMask: core.MaskAll, Fn: func(*core.Event) {}}
+				if err := em.Register(aud, core.DeliverSync, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ev := &core.Event{Type: core.EvSyscall, SyscallNr: 4}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev.Seq = uint64(i)
+				ev.Span = core.MintSpan(0, uint64(i+1), 0)
+				em.Publish(ev)
+			}
+		})
 	}
-	ev := &core.Event{Type: core.EvSyscall, SyscallNr: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Seq = uint64(i)
-		em.Publish(ev)
-	}
-}
-
-// BenchmarkEventPublishInstrumented is BenchmarkEventPublish with telemetry
-// enabled — the pair bounds the instrumentation overhead on the hot path
-// (budget: ≤10%).
-func BenchmarkEventPublishInstrumented(b *testing.B) {
-	em := core.NewMultiplexer()
-	em.EnableTelemetry(telemetry.NewRegistry())
-	for _, name := range []string{"a", "b", "c"} {
-		aud := &core.AuditorFunc{AuditorName: name, EventMask: core.MaskAll, Fn: func(*core.Event) {}}
-		if err := em.Register(aud, core.DeliverSync, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ev := &core.Event{Type: core.EvSyscall, SyscallNr: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Seq = uint64(i)
-		em.Publish(ev)
-	}
-}
-
-// BenchmarkEventPublishAllocs pins down the allocation story of the
-// routed hot path: with the mask-indexed routing table, Publish must not
-// allocate at all.
-func BenchmarkEventPublishAllocs(b *testing.B) {
-	em := core.NewMultiplexer()
-	for _, name := range []string{"a", "b", "c"} {
-		aud := &core.AuditorFunc{AuditorName: name, EventMask: core.MaskAll, Fn: func(*core.Event) {}}
-		if err := em.Register(aud, core.DeliverSync, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ev := &core.Event{Type: core.EvSyscall, SyscallNr: 4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Seq = uint64(i)
-		em.Publish(ev)
-	}
-}
-
-// BenchmarkEventPublishTraced is BenchmarkEventPublish with the flight
-// recorder armed: every publish now also writes an exit record, which
-// doubles as the span's decode step. Against BenchmarkEventPublish the pair
-// bounds the capture overhead (budget: ≤5%, see results/BENCH_trace.json),
-// and the alloc report must stay at zero.
-func BenchmarkEventPublishTraced(b *testing.B) {
-	em := core.NewMultiplexer()
-	em.SetFlight(core.NewFlightTable(1, 0, 0))
-	for _, name := range []string{"a", "b", "c"} {
-		aud := &core.AuditorFunc{AuditorName: name, EventMask: core.MaskAll, Fn: func(*core.Event) {}}
-		if err := em.Register(aud, core.DeliverSync, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ev := &core.Event{Type: core.EvSyscall, SyscallNr: 4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Seq = uint64(i)
-		ev.Span = core.MintSpan(0, uint64(i+1), 0)
-		em.Publish(ev)
-	}
-}
-
-// BenchmarkEventDispatch measures the async drain path: publish a burst
-// into two ring buffers, then Dispatch it. The scratch-buffer reuse inside
-// Dispatch means the steady state allocates nothing per batch.
-func BenchmarkEventDispatch(b *testing.B) {
-	em := core.NewMultiplexer()
-	for _, name := range []string{"a", "b"} {
-		aud := &core.AuditorFunc{AuditorName: name, EventMask: core.MaskAll, Fn: func(*core.Event) {}}
-		if err := em.Register(aud, core.DeliverAsync, 256); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ev := &core.Event{Type: core.EvSyscall, SyscallNr: 4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Seq = uint64(i)
-		em.Publish(ev)
-		if i%128 == 127 {
-			em.Dispatch(0)
-		}
-	}
-	em.Dispatch(0)
 }
 
 // TestDispatchSteadyStateAllocs guards the Dispatch scratch buffer: after
@@ -351,66 +252,9 @@ func TestDispatchSteadyStateAllocs(t *testing.T) {
 		fill()
 		em.Dispatch(0)
 	})
-	// Publish is allocation-free by construction (BenchmarkEventPublishAllocs);
-	// any allocation here is Dispatch's.
+	// Publish is allocation-free by construction (BenchmarkEventPublish
+	// reports 0 allocs/op); any allocation here is Dispatch's.
 	if allocs != 0 {
 		t.Fatalf("steady-state Dispatch allocates %.1f times per drain, want 0", allocs)
 	}
-}
-
-// BenchmarkCounterInc measures the telemetry hot path: one atomic add.
-func BenchmarkCounterInc(b *testing.B) {
-	c := telemetry.NewRegistry().Counter("bench_total")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-// BenchmarkHistogramObserve measures a latency record: bucket index, two
-// atomic adds, and a max CAS.
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := telemetry.NewRegistry().Histogram("bench_seconds")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(time.Duration(i%4096) * time.Microsecond)
-	}
-}
-
-// BenchmarkInjectionRun measures one end-to-end fault-injection run (boot,
-// workload, injection, detection, classification).
-func BenchmarkInjectionRun(b *testing.B) {
-	site := findBenchSite(b)
-	for i := 0; i < b.N; i++ {
-		rr, err := experiment.RunInjection(experiment.InjectionConfig{
-			Workload:  "make -j2",
-			Fault:     inject.Fault{Site: site, Persistence: inject.Persistent},
-			Threshold: 4 * time.Second,
-			Exposure:  15 * time.Second,
-			Runway:    12 * time.Second,
-			Observe:   30 * time.Second,
-			Seed:      int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rr.Outcome == inject.NotActivated {
-			b.Fatal("benchmark fault never activated")
-		}
-	}
-}
-
-func findBenchSite(b *testing.B) guest.SiteID {
-	b.Helper()
-	m, err := hv.New(hv.Config{VCPUs: 1, MemBytes: 64 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, s := range m.Kernel().Sites() {
-		if s.Kind == guest.FaultMissingRelease && s.Path == guest.SysWrite {
-			return s.ID
-		}
-	}
-	b.Fatal("no bench site")
-	return 0
 }

@@ -269,12 +269,21 @@ func run(args []string) error {
 
 	fmt.Printf("\ndone: %v virtual in %v real (%.0fx)\n", *duration, real.Round(time.Millisecond),
 		duration.Seconds()/real.Seconds())
+	// With -flight-dir, the finished stream is read back so the shutdown
+	// bundle carries it as capture.htcs and replays on its own; without
+	// -trace it stays empty and the bundle has no capture.
+	var stream []byte
 	if capRec != nil {
 		if err := capRec.Finish(); err != nil {
 			return fmt.Errorf("capture %s: %w", *traceFile, err)
 		}
 		if err := capFile.Close(); err != nil {
 			return fmt.Errorf("capture %s: %w", *traceFile, err)
+		}
+		if *flightDir != "" {
+			if stream, err = os.ReadFile(*traceFile); err != nil {
+				return fmt.Errorf("capture %s: %w", *traceFile, err)
+			}
 		}
 		fmt.Printf("capture: exit stream written to %s (replay at the live threshold: hypertap-capture replay -threshold 4s %s)\n",
 			*traceFile, *traceFile)
@@ -296,6 +305,7 @@ func run(args []string) error {
 	if *flightDir != "" {
 		sink, err := flight.NewSink(flight.SinkConfig{
 			Dir: *flightDir, EM: em, Telemetry: reg, RHC: rhcSrv,
+			Capture: func() []byte { return stream },
 			Context: map[string]string{"seed": fmt.Sprint(*seed)},
 		})
 		if err != nil {

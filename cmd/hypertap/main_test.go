@@ -61,13 +61,25 @@ func TestSmokeDefaults(t *testing.T) {
 		t.Error("bundle is missing the telemetry snapshot")
 	}
 
-	// The capture replays through the one replay wiring, at the live run's
-	// 4 s GOSHD threshold, with no guest: every event record is republished
-	// to its header VM and nothing diverges.
+	// The shutdown bundle carries the run's exit stream, so it replays on its
+	// own: the same bytes as the -trace file, judged without divergence.
+	bundleDir := filepath.Join(dir, "flight", "incident-000-shutdown")
 	data, err := os.ReadFile(filepath.Join(dir, "run.htcs"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(b.Capture, data) {
+		t.Errorf("bundle capture.htcs is %d bytes, differs from run.htcs (%d bytes)", len(b.Capture), len(data))
+	}
+	if brep, err := experiment.ReplayIncidentStream(experiment.FleetConfig{Threshold: 4 * time.Second}, bundleDir); err != nil {
+		t.Errorf("replaying the shutdown bundle: %v", err)
+	} else if brep.Divergences != 0 {
+		t.Errorf("bundle replay divergences = %d, want 0", brep.Divergences)
+	}
+
+	// The capture replays through the one replay wiring, at the live run's
+	// 4 s GOSHD threshold, with no guest: every event record is republished
+	// to its header VM and nothing diverges.
 	sum, err := capture.Summarize(bytes.NewReader(data), nil)
 	if err != nil {
 		t.Fatalf("tallying the capture: %v", err)
