@@ -38,21 +38,18 @@ fmt:
 	fi
 
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/telemetry/... ./internal/experiment/... ./internal/hv/... ./internal/host/... ./internal/capture/... ./internal/cluster/...
+	$(GO) test -race -short ./internal/core/... ./internal/telemetry/... ./internal/experiment/... ./internal/hv/... ./internal/host/... ./internal/capture/...
 
 # The equivalence suites: serial≡parallel for the sharded campaign engine
 # (including fleet campaigns whose unit is an N-VM host), N-VM-host ≡
 # N-isolated-VMs for the host fleet plane, capture→replay ≡ live for the
-# exit-stream record/replay plane (solo and 8-VM fleet), and the cluster
-# gate — an M-host cluster on one shared clock ≡ M solo hosts byte-for-byte
-# (event streams, GOSHD verdicts, kernel stats, flight rings). GOMAXPROCS=4
+# exit-stream record/replay plane (solo and 8-VM fleet). GOMAXPROCS=4
 # forces real scheduling interleavings even on small runners, and -race
 # turns any unserialized progress/telemetry access into a failure.
 equivalence:
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestParallelMatchesSerial|TestShowdownUnitIsolation|TestFleetCampaignParallelMatchesSerial' ./internal/experiment ./internal/experiment/runner
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestFleetEquivalence|TestFleetSharedRHC' ./internal/host
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestSoloReplayEquivalence|TestFleetReplayEquivalence|TestReplayDeterminism' ./internal/capture
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestClusterEquivalenceSoloHosts' ./internal/cluster
 
 # Compile and run every benchmark exactly once, so a broken benchmark is a
 # gate failure rather than a surprise at measurement time.

@@ -41,7 +41,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("hypertap", flag.ContinueOnError)
 	var (
 		duration  = fs.Duration("duration", 10*time.Second, "virtual time to run")
-		hosts     = fs.Int("hosts", 1, "hosts stepped under one shared cluster clock; >1 selects the cluster demo path")
 		vms       = fs.Int("vms", 1, "guest VMs sharing the host's Event Multiplexer")
 		vcpus     = fs.Int("vcpus", 2, "virtual CPUs per VM")
 		sysenter  = fs.Bool("sysenter", false, "use the fast-syscall gate instead of INT 0x80")
@@ -59,20 +58,6 @@ func run(args []string) error {
 	if *vms < 1 {
 		return fmt.Errorf("-vms must be at least 1, got %d", *vms)
 	}
-	if *hosts > 1 {
-		if *withRHC || *traceFile != "" || *telAddr != "" || *flightDir != "" {
-			return fmt.Errorf("-rhc, -trace, -telemetry-addr and -flight-dir are single-host flags; not supported with -hosts=%d", *hosts)
-		}
-		return runCluster(clusterOpts{
-			hosts: *hosts, vms: *vms, vcpus: *vcpus,
-			duration: *duration, seed: *seed, sysenter: *sysenter,
-			features: intercept.Features{
-				ProcessSwitch: true, ThreadSwitch: true, TSSIntegrity: true, Syscalls: true, IO: true,
-			},
-			out: os.Stdout,
-		})
-	}
-
 	var reg *telemetry.Registry
 	if *telAddr != "" {
 		reg = telemetry.NewRegistry()

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"hypertap/internal/capture"
-	"hypertap/internal/core/intercept"
 	"hypertap/internal/experiment"
 	"hypertap/internal/flight"
 )
@@ -107,44 +106,6 @@ func TestSmokeDefaults(t *testing.T) {
 		if rep.VMs[i].Alarms != 0 {
 			t.Errorf("%s: %d GOSHD alarms on replay of a healthy run", vm.Name, rep.VMs[i].Alarms)
 		}
-	}
-}
-
-// TestSmokeCluster drives the -hosts>1 demo path, pins its aggregator and
-// rollup output, and pins that the single-host-only flags are rejected in
-// cluster mode.
-func TestSmokeCluster(t *testing.T) {
-	args := []string{
-		"-duration", "60ms",
-		"-hosts", "2",
-		"-vms", "1",
-	}
-	if err := run(args); err != nil {
-		t.Fatalf("run(%v): %v", args, err)
-	}
-	err := run([]string{"-hosts", "2", "-rhc"})
-	if err == nil || !strings.Contains(err.Error(), "single-host") {
-		t.Fatalf("cluster mode with -rhc: err = %v, want single-host flag complaint", err)
-	}
-
-	var out bytes.Buffer
-	if err := runCluster(clusterOpts{
-		hosts: 2, vms: 1, vcpus: 2, duration: 60 * time.Millisecond, seed: 1,
-		features: intercept.Features{Syscalls: true, IO: true}, out: &out,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-	for _, want := range []string{
-		"host0: 1 VM(s)", "host1: 1 VM(s)", "(healthy)",
-		"fleet rollup", "{host host0}", "{host host1}",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("cluster demo output lacks %q:\n%s", want, text)
-		}
-	}
-	if strings.Contains(text, "SICK") || strings.Contains(text, "verdict:") {
-		t.Errorf("a healthy cluster reported a sick host:\n%s", text)
 	}
 }
 

@@ -71,9 +71,6 @@ func TestGolden(t *testing.T) {
 		{"wallclock_bad", "hypertap/internal/guest"},
 		{"wallclock_allow", "hypertap/internal/vclock"},
 		{"wallclock_exempt", "hypertap/cmd/fixture"},
-		// the cluster plane joins the deterministic set and the seedflow
-		// scope: wall reads and literal placement seeds are findings there.
-		{"wallclock_cluster", "hypertap/internal/cluster"},
 		// seededrand applies module-wide; the allow fixture also holds a
 		// reason-less directive that must surface as misuse.
 		{"seededrand_bad", "hypertap/internal/experiment"},

@@ -37,7 +37,6 @@ func (SeedFlow) Doc() string {
 var seedScopePkgs = []string{
 	"hypertap/internal/experiment/...",
 	"hypertap/internal/workload",
-	"hypertap/internal/cluster",
 }
 
 // provKind classifies a seed expression's origin.

@@ -43,9 +43,6 @@ var deterministicPkgs = []string{
 	"hypertap/internal/experiment/...",
 	"hypertap/internal/auditors/...",
 	"hypertap/internal/flight",
-	// The cluster plane steps M hosts on one shared virtual clock; a wall
-	// read anywhere in it desynchronizes the whole fleet from its seed.
-	"hypertap/internal/cluster",
 	// The analyzer analyzes itself: its verdicts must be a pure function of
 	// the source it reads, never of when it ran.
 	"hypertap/internal/analysis",

@@ -25,11 +25,11 @@
 // identity for any type a future Event Forwarder might mint.
 //
 // The v1 header is the solo-host form: VMIDs are implicit (slot i is VMID i)
-// and the host is anonymous. The v2 header carries the cluster plane's
-// identity — the recording host's name and each VM's explicit VMID, so a VM
-// whose ID lives in a sparse cluster range ([h·N, h·N+N)) keeps that identity
-// through capture and replay. The writer emits v1 whenever v1 can
-// express the header (no host name, dense IDs), so pre-cluster captures stay
+// and the host is anonymous. The v2 header carries the recording host's name
+// and each VM's explicit VMID. Live hosts assign dense IDs, so sparse IDs now
+// arrive only from v2 captures and bundles already on disk; each such VM
+// keeps its ID through replay. The writer emits v1 whenever v1 can express
+// the header (no host name, dense IDs), so solo captures stay
 // byte-identical; readers accept both.
 //
 // View and counter records capture the results of every GuestView read the
@@ -51,8 +51,8 @@ import (
 const Version = 2
 
 // VersionSolo is the original header layout: implicit dense VMIDs, no host
-// name. Writers still emit it whenever it can express the header, so captures
-// from pre-cluster deployments stay byte-identical.
+// name. Writers still emit it whenever it can express the header, so solo
+// captures stay byte-identical.
 const VersionSolo = 1
 
 // magic identifies a HyperTap capture stream.
@@ -114,8 +114,8 @@ const (
 type VMHeader struct {
 	// ID is the VM's VMID on the recording host. Solo hosts leave it zero
 	// across the table and the writer assigns dense IDs (slot i is VMID i);
-	// cluster hosts carry their sparse range explicitly so the ID — and with
-	// it every SpanID and flight record — survives replay.
+	// a v2 header carries each ID explicitly, sparse ones included, so the
+	// ID — and with it every SpanID and flight record — survives replay.
 	ID core.VMID
 	// Name is the VM's EM attachment name; replay re-attaches under it so
 	// actor tables and per-VM routes line up with the live run.
@@ -126,7 +126,7 @@ type VMHeader struct {
 
 // Header describes a capture: the recording host, the schedule tick and the
 // VM table. Readers always populate VMHeader.ID — implicitly dense for solo
-// (v1) streams, explicit for cluster (v2) streams.
+// (v1) streams, explicit for hosted (v2) streams.
 type Header struct {
 	// Host names the recording host; empty for solo captures.
 	Host string

@@ -23,9 +23,9 @@ func Generate(seed int64, vms, vcpus, events int, tick time.Duration) []byte {
 	return generate(seed, vms, vcpus, events, tick, "", 0)
 }
 
-// GenerateHosted is Generate with the cluster-era (v2) header: the stream
-// carries a host name and a sparse VMID range starting at base, the shape a
-// cluster host's recorder produces.
+// GenerateHosted is Generate with the v2 header: the stream carries a host
+// name and a VMID range starting at base, the shape of the sparse-ID v2
+// captures already on disk.
 func GenerateHosted(seed int64, vms, vcpus, events int, tick time.Duration, hostName string, base core.VMID) []byte {
 	return generate(seed, vms, vcpus, events, tick, hostName, base)
 }

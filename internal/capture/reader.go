@@ -64,7 +64,7 @@ type Reader struct {
 
 // NewReader parses the capture header and positions the reader at the first
 // record. Both header layouts decode: v1 (solo) tables get implicit dense
-// VMIDs, v2 (cluster) tables carry host name and explicit IDs on the wire.
+// VMIDs, v2 (hosted) tables carry host name and explicit IDs on the wire.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var fixed [4 + 1 + 1 + 8]byte

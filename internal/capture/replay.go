@@ -58,7 +58,7 @@ type Replay struct {
 	em     *core.Multiplexer
 	clocks []*vclock.Clock
 	// index maps a wire VMID to its dense slot in hdr.VMs / clocks. For solo
-	// (v1) captures it is the identity; cluster (v2) captures carry sparse IDs.
+	// (v1) captures it is the identity; v2 captures may carry sparse IDs.
 	index map[core.VMID]int
 
 	// pending is the one-record lookahead shared by Run and the view pops.
@@ -110,7 +110,7 @@ func NewReplay(r io.Reader, cfg ReplayConfig) (*Replay, error) {
 		if cfg.MaxVCPUs > 0 && vm.VCPUs > cfg.MaxVCPUs {
 			return nil, fmt.Errorf("capture: VM %q has %d vCPUs, replay cap is %d", vm.Name, vm.VCPUs, cfg.MaxVCPUs)
 		}
-		// The cap bounds the ID domain too: sparse cluster IDs size the EM's
+		// The cap bounds the ID domain too: sparse v2 IDs size the EM's
 		// slot tables, so a hostile v2 header cannot inflate the replay by
 		// naming one VM at the far end of the u16 range.
 		if int(vm.ID) >= maxVMs {
@@ -141,7 +141,7 @@ func (rp *Replay) EM() *core.Multiplexer { return rp.em }
 func (rp *Replay) Header() Header { return rp.hdr }
 
 // Clock returns VM vm's replay clock (GOSHD's Config.Clock and timer base).
-// vm is the wire VMID from the header — sparse under the cluster plane.
+// vm is the wire VMID from the header — possibly sparse in a v2 capture.
 func (rp *Replay) Clock(vm core.VMID) *vclock.Clock {
 	idx, ok := rp.index[vm]
 	if !ok {

@@ -40,7 +40,7 @@ type VMSummary struct {
 }
 
 // Summarize decodes a whole capture stream and tallies it. Per-VM counts
-// are keyed by the header's VMIDs, so cluster (v2) streams with sparse IDs
+// are keyed by the header's VMIDs, so v2 streams with sparse IDs
 // tally like solo ones. onEvent, when non-nil, sees every decoded event in
 // stream order; the event is only valid for the duration of the call.
 //

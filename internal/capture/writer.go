@@ -35,7 +35,7 @@ type Recorder struct {
 
 // NewRecorder writes the capture header for hdr and returns a recorder
 // appending records to w. Headers a v1 (solo) stream can express — no host
-// name, dense VMIDs — are written as v1, byte-identical to pre-cluster
+// name, dense VMIDs — are written as v1, byte-identical to earlier solo
 // captures; a host name or a sparse ID selects the v2 layout.
 func NewRecorder(w io.Writer, hdr Header) (*Recorder, error) {
 	if len(hdr.VMs) == 0 {

@@ -427,8 +427,8 @@ func (m *Multiplexer) FlightOverflow() []FlightExit {
 }
 
 // FlightVMs lists the VMIDs holding dedicated flight rings — the iteration
-// incident bundles use so ring files keep VMID identity under the cluster's
-// sparse ID namespace.
+// incident bundles use so ring files keep VMID identity under the sparse
+// IDs of a replayed v2 capture.
 func (m *Multiplexer) FlightVMs() []VMID {
 	m.mu.Lock()
 	defer m.mu.Unlock()

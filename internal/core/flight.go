@@ -205,10 +205,10 @@ type FlightTable struct {
 	// for events stamped with a VMID outside the resident range.
 	rings []exitRing
 	spans spanRing
-	// base is the first resident VMID: a cluster host owning the ID range
-	// [base, base+VMRings()) keeps its rings contiguous, so the hot-path
-	// mapping stays one subtract and one compare. Zero (the default) is the
-	// pre-cluster dense layout unchanged.
+	// base is the first resident VMID: a replay of a capture whose VMs
+	// carry sparse IDs [base, base+VMRings()) keeps its rings contiguous, so
+	// the hot-path mapping stays one subtract and one compare. Zero (the
+	// default) is the dense layout of a live host.
 	base VMID
 }
 
@@ -266,8 +266,8 @@ func (t *FlightTable) Depth() int { return len(t.rings[0].slots) }
 // SpanDepth returns the span-ring capacity.
 func (t *FlightTable) SpanDepth() int { return len(t.spans.slots) }
 
-// SetVMBase declares the first resident VMID: a cluster host whose VMs carry
-// IDs [base, base+n) calls this once at wiring time so its n rings map
+// SetVMBase declares the first resident VMID: a replay whose capture header
+// names IDs [base, base+n) calls this once at wiring time so its n rings map
 // contiguously. Not synchronized — set before traffic starts, like the
 // ring allocation itself.
 func (t *FlightTable) SetVMBase(base VMID) { t.base = base }
@@ -284,7 +284,7 @@ func (t *FlightTable) MappedVMs() []VMID {
 }
 
 // ringIndex maps a VMID to its ring: the resident range maps contiguously
-// (one subtract, one compare — the hot-path cost of sparse cluster IDs), and
+// (one subtract, one compare — the hot-path cost of sparse IDs), and
 // everything else lands in overflow.
 //
 //hypertap:hotpath

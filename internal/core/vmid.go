@@ -18,11 +18,11 @@ import (
 // as VM 0, so the zero value is always the "solo VM" and pre-fleet wiring
 // keeps working unchanged.
 //
-// The cluster plane widens the namespace: a datacenter assigns each host a
-// disjoint VMID range (host h owns [h·N, h·N+N)), so a VM's identity — and
-// therefore its SpanIDs, flight records and capture stream — is unique across
-// the cluster. Sparse IDs enter through AttachVMAt; the slots below an
-// attached ID are tombstones ("" names) that route like unattached VMs.
+// Sparse IDs now arrive only from recorded v2 captures and incident bundles,
+// whose headers name each VM's ID explicitly; replay keeps that identity, and
+// with it the VM's SpanIDs and flight records. Sparse IDs enter through
+// AttachVMAt; the slots below an attached ID are tombstones ("" names) that
+// route like unattached VMs.
 type VMID uint16
 
 // maxVMs bounds the per-host fleet: VMIDs index the routing table and the
@@ -75,13 +75,11 @@ func (m *Multiplexer) AttachVM(name string) (VMID, error) {
 	return m.attachAtLocked(VMID(len(m.vms)), name)
 }
 
-// AttachVMAt registers a VM under a caller-chosen VMID — the cluster plane's
-// entry point, where host h owns the ID range [h·N, h·N+N) so VM identities
-// are unique cluster-wide. Slots below id that no one attached become tombstones:
-// they have no name, no telemetry series, and route like unattached VMs.
-// Attaching at an occupied slot is an error; AttachVM is AttachVMAt at the
-// next dense slot, so a base-0 host is byte-identical to the pre-cluster
-// dense path.
+// AttachVMAt registers a VM under a caller-chosen VMID — the replay entry
+// point for a recorded v2 capture whose header names sparse IDs. Slots below
+// id that no one attached become tombstones: they have no name, no telemetry
+// series, and route like unattached VMs. Attaching at an occupied slot is an
+// error; AttachVM is AttachVMAt at the next dense slot.
 func (m *Multiplexer) AttachVMAt(id VMID, name string) (VMID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

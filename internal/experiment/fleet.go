@@ -17,11 +17,12 @@ import (
 	"hypertap/internal/guest"
 	"hypertap/internal/host"
 	"hypertap/internal/telemetry"
+	"hypertap/internal/vclock"
 )
 
 // FleetConfig parameterizes the fleet campaign: a sharded run whose unit is
-// not one VM but one N-VM *host* — the paper's Fig. 2 deployment replicated
-// across a cluster. Each unit boots a host with a shared EM, per-VM GOSHD
+// not one VM but one N-VM *host* — the paper's Fig. 2 deployment, replicated
+// as independent units. Each unit boots a host with a shared EM, per-VM GOSHD
 // auditors and a fleet-wide event-rate accountant, runs a mixed workload,
 // and reports per-VM and per-host outcomes.
 type FleetConfig struct {
@@ -142,6 +143,76 @@ func newFleetSink(cfg *FleetConfig, ctx *runner.Ctx, hostName string, h *host.Ho
 	})
 }
 
+// fleetVM is one VM the unit auditors watch: its VMID, the virtual clock
+// GOSHD arms its silence timers on, and its vCPU count. The live unit takes
+// them from the machine and stream replay from the capture header, never
+// from the VM's slot index.
+type fleetVM struct {
+	ID    core.VMID
+	Clock *vclock.Clock
+	VCPUs int
+}
+
+// fleetAuditors is a unit's auditor plane: one GOSHD per VM, in VM order,
+// and the fleet-wide event-rate accountant.
+type fleetAuditors struct {
+	dets []*goshd.Detector
+	fw   *fleetwatch.Accountant
+}
+
+// registerFleetAuditors registers the unit auditors on em in campaign
+// order — every GOSHD, then the accountant — so the live unit and stream
+// replay hand out the same actor IDs. Each detection callback stamps the
+// triggering event's span into the flight rings as a verdict step, tying the
+// verdict to the decode it judged; Multiplexer.RecordSpan serializes the
+// step through the EM lock. goshdTel and fwTel, when set, instrument the
+// detectors and the accountant. The detectors are returned unstarted.
+func registerFleetAuditors(em *core.Multiplexer, vms []fleetVM, threshold time.Duration, goshdTel, fwTel *telemetry.Registry) (*fleetAuditors, error) {
+	var goshdActor, fwActor uint8
+	aud := &fleetAuditors{dets: make([]*goshd.Detector, len(vms))}
+	for j, vm := range vms {
+		vmid := vm.ID
+		det, err := goshd.New(goshd.Config{
+			VM:        vmid,
+			Clock:     vm.Clock,
+			VCPUs:     vm.VCPUs,
+			Threshold: threshold,
+			OnHang: func(a goshd.HangAlarm) {
+				em.RecordSpan(a.Span, vmid, core.PhaseVerdict, goshdActor, a.At)
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
+		if goshdTel != nil {
+			det.EnableTelemetry(goshdTel)
+		}
+		if err := em.RegisterAuditor(det, core.DeliverAsync, 0); err != nil {
+			return nil, err
+		}
+		aud.dets[j] = det
+	}
+	aud.fw = fleetwatch.New(fleetwatch.Config{
+		VMName: em.VMName,
+		OnStorm: func(s fleetwatch.Storm) {
+			em.RecordSpan(s.Span, s.VM, core.PhaseVerdict, fwActor, s.WindowStart)
+		},
+	})
+	if fwTel != nil {
+		aud.fw.EnableTelemetry(fwTel)
+	}
+	if err := em.RegisterAuditor(aud.fw, core.DeliverAsync, 1<<16); err != nil {
+		return nil, err
+	}
+	if id, ok := em.ActorID("goshd"); ok {
+		goshdActor = id
+	}
+	if id, ok := em.ActorID("fleetwatch"); ok {
+		fwActor = id
+	}
+	return aud, nil
+}
+
 // runFleetUnit executes one campaign unit: an N-VM host with per-VM GOSHD,
 // a fleet-wide accountant, and — when the campaign armed an IncidentDir —
 // incident capture for panics, errors and detections.
@@ -217,49 +288,14 @@ func runFleetUnit(cfg *FleetConfig, ctx *runner.Ctx) (rep FleetHostReport, err e
 			}
 		}
 	}()
-	// Verdict spans: each detection callback stamps the triggering event's
-	// span into the shared ring, tying the verdict to the decode it judged.
-	// Multiplexer.RecordSpan serializes the step through the EM lock.
-	em := h.EM()
-	var goshdActor, fwActor uint8
-	dets := make([]*goshd.Detector, cfg.VMsPerHost)
-	for j := range dets {
+	vms := make([]fleetVM, cfg.VMsPerHost)
+	for j := range vms {
 		m := h.Machine(j)
-		vmid := core.VMID(j)
-		det, derr := goshd.New(goshd.Config{
-			VM:        vmid,
-			Clock:     m.Clock(),
-			VCPUs:     m.NumVCPUs(),
-			Threshold: cfg.Threshold,
-			OnHang: func(a goshd.HangAlarm) {
-				em.RecordSpan(a.Span, vmid, core.PhaseVerdict, goshdActor, a.At)
-			},
-		})
-		if derr != nil {
-			return FleetHostReport{}, derr
-		}
-		if rerr := h.EM().RegisterAuditor(det, core.DeliverAsync, 0); rerr != nil {
-			return FleetHostReport{}, rerr
-		}
-		dets[j] = det
+		vms[j] = fleetVM{ID: m.VMID(), Clock: m.Clock(), VCPUs: m.NumVCPUs()}
 	}
-	fw := fleetwatch.New(fleetwatch.Config{
-		VMName: h.EM().VMName,
-		OnStorm: func(s fleetwatch.Storm) {
-			em.RecordSpan(s.Span, s.VM, core.PhaseVerdict, fwActor, s.WindowStart)
-		},
-	})
-	if ctx.Telemetry != nil {
-		fw.EnableTelemetry(ctx.Telemetry)
-	}
-	if err := h.EM().RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
+	aud, err := registerFleetAuditors(h.EM(), vms, cfg.Threshold, nil, ctx.Telemetry)
+	if err != nil {
 		return FleetHostReport{}, err
-	}
-	if id, ok := h.EM().ActorID("goshd"); ok {
-		goshdActor = id
-	}
-	if id, ok := h.EM().ActorID("fleetwatch"); ok {
-		fwActor = id
 	}
 	if cfg.ExtraAuditors != nil {
 		if err := cfg.ExtraAuditors(ctx.Index, h); err != nil {
@@ -270,7 +306,7 @@ func runFleetUnit(cfg *FleetConfig, ctx *runner.Ctx) (rep FleetHostReport, err e
 		return FleetHostReport{}, err
 	}
 	for j := 0; j < cfg.VMsPerHost; j++ {
-		dets[j].Start()
+		aud.dets[j].Start()
 		if _, err := h.Machine(j).Kernel().CreateProcess(&guest.ProcSpec{
 			Comm: fmt.Sprintf("w%d", j), UID: 1000,
 			Program: &guest.LoopProgram{Body: fleetUnitWorkload(j)},
@@ -282,31 +318,31 @@ func runFleetUnit(cfg *FleetConfig, ctx *runner.Ctx) (rep FleetHostReport, err e
 
 	report := FleetHostReport{Host: hostName, Seed: ctx.Seed}
 	totalAlarms := 0
-	firstAlarmVM := core.VMID(0)
+	firstAlarmVM := vms[0].ID
 	for j := 0; j < cfg.VMsPerHost; j++ {
 		m := h.Machine(j)
 		st := m.Kernel().Stats()
 		vm := FleetVMReport{
 			Name:     m.Name(),
 			Seed:     seeds[j],
-			Events:   h.EM().PublishedVM(core.VMID(j)),
+			Events:   h.EM().PublishedVM(vms[j].ID),
 			Syscalls: st.Syscalls,
 			Switches: st.ContextSwitches,
 			Exits:    m.TotalExits(),
-			Alarms:   len(dets[j].Alarms()),
+			Alarms:   len(aud.dets[j].Alarms()),
 		}
 		if vm.Alarms > 0 && totalAlarms == 0 {
-			firstAlarmVM = core.VMID(j)
+			firstAlarmVM = vms[j].ID
 		}
 		totalAlarms += vm.Alarms
 		report.VMs = append(report.VMs, vm)
 		report.Events += vm.Events
 	}
-	report.Storms = len(fw.Storms())
+	report.Storms = len(aud.fw.Storms())
 	if sink != nil && (totalAlarms > 0 || report.Storms > 0) {
 		implicated := firstAlarmVM
 		if totalAlarms == 0 {
-			implicated = fw.Storms()[0].VM
+			implicated = aud.fw.Storms()[0].VM
 		}
 		verdict := fmt.Errorf("%d goshd alarms, %d storms", totalAlarms, report.Storms)
 		if _, serr := sink.Raise("detection", implicated, h.Machine(0).Clock().Now(), verdict); serr != nil {
@@ -434,14 +470,14 @@ func ReplayIncidentStream(cfg FleetConfig, bundleDir string) (*StreamReplayRepor
 }
 
 // ReplayStream re-drives the fleet auditor plane from a recorded exit
-// stream with no guest anywhere. The standard unit auditors (per-VM GOSHD
-// at cfg.Threshold, the fleet accountant) are registered in campaign order,
-// so verdict spans land in the same flight rings under the same actor IDs
-// as the live run's. The flight table spans the header's VMID range (cluster
-// streams carry sparse IDs, so the rings sit at a base, not at zero) unless
-// cfg.FlightDepth disables it. cfg.Telemetry, when set, instruments the
-// replay EM and its auditors. strict turns any divergence between the
-// replayed reads and the recorded ones into an error.
+// stream with no guest anywhere. The unit auditors are registered through
+// the same registerFleetAuditors as the live unit, so verdict spans land in
+// the same flight rings under the same actor IDs as the live run's. The
+// flight table spans the header's VMID range (v2 captures may carry sparse
+// IDs, so the rings sit at a base, not at zero) unless cfg.FlightDepth
+// disables it. cfg.Telemetry, when set, instruments the replay EM and its
+// auditors. strict turns any divergence between the replayed reads and the
+// recorded ones into an error.
 func ReplayStream(cfg FleetConfig, data []byte, strict bool) (*StreamReplayReport, error) {
 	cfg.fillDefaults()
 	// The flight table must be sized before the replay attaches its VMs, so
@@ -473,50 +509,16 @@ func ReplayStream(cfg FleetConfig, data []byte, strict bool) (*StreamReplayRepor
 	if cfg.Telemetry != nil {
 		em.EnableTelemetry(cfg.Telemetry)
 	}
-	var goshdActor, fwActor uint8
-	dets := make([]*goshd.Detector, len(hdr.VMs))
-	for j := range dets {
-		vmid := hdr.VMs[j].ID
-		det, derr := goshd.New(goshd.Config{
-			VM:        vmid,
-			Clock:     rp.Clock(vmid),
-			VCPUs:     hdr.VMs[j].VCPUs,
-			Threshold: cfg.Threshold,
-			OnHang: func(a goshd.HangAlarm) {
-				em.RecordSpan(a.Span, vmid, core.PhaseVerdict, goshdActor, a.At)
-			},
-		})
-		if derr != nil {
-			return nil, derr
-		}
-		if cfg.Telemetry != nil {
-			det.EnableTelemetry(cfg.Telemetry)
-		}
-		if rerr := em.RegisterAuditor(det, core.DeliverAsync, 0); rerr != nil {
-			return nil, rerr
-		}
-		dets[j] = det
+	vms := make([]fleetVM, len(hdr.VMs))
+	for j, vm := range hdr.VMs {
+		vms[j] = fleetVM{ID: vm.ID, Clock: rp.Clock(vm.ID), VCPUs: vm.VCPUs}
 	}
-	fw := fleetwatch.New(fleetwatch.Config{
-		VMName: em.VMName,
-		OnStorm: func(s fleetwatch.Storm) {
-			em.RecordSpan(s.Span, s.VM, core.PhaseVerdict, fwActor, s.WindowStart)
-		},
-	})
-	if cfg.Telemetry != nil {
-		fw.EnableTelemetry(cfg.Telemetry)
-	}
-	if err := em.RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
+	aud, err := registerFleetAuditors(em, vms, cfg.Threshold, cfg.Telemetry, cfg.Telemetry)
+	if err != nil {
 		return nil, err
 	}
-	if id, ok := em.ActorID("goshd"); ok {
-		goshdActor = id
-	}
-	if id, ok := em.ActorID("fleetwatch"); ok {
-		fwActor = id
-	}
-	for j := range dets {
-		dets[j].Start()
+	for _, det := range aud.dets {
+		det.Start()
 	}
 	if err := rp.Run(); err != nil {
 		return nil, err
@@ -526,11 +528,11 @@ func ReplayStream(cfg FleetConfig, data []byte, strict bool) (*StreamReplayRepor
 		vm := StreamVMReport{
 			Name:   hdr.VMs[j].Name,
 			Events: em.PublishedVM(hdr.VMs[j].ID),
-			Alarms: len(dets[j].Alarms()),
+			Alarms: len(aud.dets[j].Alarms()),
 		}
 		report.VMs = append(report.VMs, vm)
 		report.Events += vm.Events
 	}
-	report.Storms = len(fw.Storms())
+	report.Storms = len(aud.fw.Storms())
 	return report, nil
 }

@@ -29,9 +29,9 @@ type Incident struct {
 	Index int `json:"index"`
 	// Kind classifies the trigger: "detection", "error", "panic", ...
 	Kind string `json:"kind"`
-	// Host names the host the incident was captured on. Under the cluster
-	// plane VMIDs are cluster-global, so VM alone identifies the guest and
-	// Host says which host's monitor captured the evidence.
+	// Host names the host the incident was captured on: VM identifies the
+	// guest on that host, and Host says which host's monitor captured the
+	// evidence.
 	Host string `json:"host,omitempty"`
 	// VM is the implicated VM's ID; VMName its attached name when known.
 	VM     core.VMID `json:"vm"`
@@ -67,8 +67,8 @@ type SinkConfig struct {
 	// Dir is the directory incidents are written under (created on demand).
 	Dir string
 	// Host names the capturing host in every bundle manifest. Optional for
-	// solo deployments; cluster hosts set it so every incident says where
-	// the evidence was captured.
+	// solo deployments; fleet campaign units set it so every incident says
+	// where the evidence was captured.
 	Host string
 	// EM is the multiplexer whose flight table is drained. Required, and it
 	// must have a flight table attached (core.Multiplexer.SetFlight).
@@ -178,8 +178,8 @@ func (s *Sink) Raise(kind string, vm core.VMID, at time.Duration, cause error) (
 	}
 
 	// Ring files carry the VMID in the name. The EM enumerates the mapped
-	// rings itself — under the cluster's sparse ID namespace (host h owns
-	// [h·N, h·N+N)) ring index and VMID are no longer the same thing.
+	// rings itself — under the sparse IDs of a replayed v2 capture, ring
+	// index and VMID are no longer the same thing.
 	for _, id := range em.FlightVMs() {
 		if err := writeBin(filepath.Join(dir, fmt.Sprintf("flight-vm%05d.bin", id)), func(f *os.File) error {
 			return WriteExits(f, em.FlightExits(id))
@@ -276,7 +276,7 @@ type Bundle struct {
 	// coincide, so Exits[vm] keeps working as an index by VMID there.
 	Exits [][]core.FlightExit
 	// ExitVMs gives each ring's VMID, parsed from the ring file names —
-	// sparse under the cluster plane's per-host ID ranges.
+	// sparse when the rings came from a replayed v2 capture.
 	ExitVMs []core.VMID
 	// Overflow is the out-of-range-VMID ring capture.
 	Overflow []core.FlightExit
@@ -307,7 +307,7 @@ func LoadBundle(dir string) (*Bundle, error) {
 	}
 	// Ring files embed the VMID (flight-vm%05d.bin; older bundles used
 	// %03d). Sorting numerically by the parsed ID keeps ring order stable
-	// across both paddings and under sparse cluster IDs.
+	// across both paddings and under sparse IDs.
 	ids := make(map[string]int, len(ringFiles))
 	for _, rf := range ringFiles {
 		numeric := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(rf), "flight-vm"), ".bin")

@@ -207,8 +207,8 @@ func WriteChrome(w io.Writer, b *Bundle) error {
 // ChromeFromEvents renders a decoded exit stream (the events of a .htcs
 // capture, as hypertap-capture info -chrome-trace reads them) as Chrome
 // trace-event JSON: one slice per event on its VM's track. vmNames labels
-// the tracks by VMID — the capture header's IDs, sparse under the cluster
-// plane; a VM it does not name is labeled "vmN".
+// the tracks by VMID — the capture header's IDs, which a v2 capture may
+// carry sparse; a VM it does not name is labeled "vmN".
 func ChromeFromEvents(w io.Writer, events []core.Event, vmNames map[core.VMID]string) error {
 	bld := &builder{vmNames: vmNames, flowSeen: make(map[core.SpanID]bool)}
 	seen := make(map[core.VMID]bool)

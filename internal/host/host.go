@@ -54,14 +54,9 @@ type Config struct {
 	// rollups) and every machine.
 	Telemetry *telemetry.Registry
 	// VMs lists the fleet; slot order fixes VMID assignment (slot i is
-	// VMID VMIDBase+i) and the round-robin step order.
+	// VMID i) and the round-robin step order. The fleet must fit the VMID
+	// domain: at most 65536 VMs.
 	VMs []VMSpec
-	// VMIDBase is the first VMID this host assigns — the cluster plane's
-	// identity discipline, where host h owns the disjoint range
-	// [h·N, h·N+N) so VMIDs are unique cluster-wide. Zero (the default) is
-	// the pre-cluster dense assignment unchanged. The range must fit the
-	// VMID domain: VMIDBase+len(VMs) may not exceed 65536.
-	VMIDBase core.VMID
 	// FlightDepth sizes the per-VM flight-recorder rings. Zero selects
 	// core.DefaultFlightDepth; negative disables the tracing plane entirely.
 	// The recorder is on by default — its cost is one gated slot write per
@@ -86,8 +81,8 @@ func New(cfg Config) (*Host, error) {
 	if len(cfg.VMs) == 0 {
 		return nil, fmt.Errorf("host: Config.VMs must name at least one VM")
 	}
-	if end := int(cfg.VMIDBase) + len(cfg.VMs); end > math.MaxUint16+1 {
-		return nil, fmt.Errorf("host: VMID range [%d, %d) overflows the VMID domain", cfg.VMIDBase, end)
+	if n := len(cfg.VMs); n > math.MaxUint16+1 {
+		return nil, fmt.Errorf("host: %d VMs exceed the VMID domain of %d", n, math.MaxUint16+1)
 	}
 	if cfg.Name == "" {
 		cfg.Name = "host0"
@@ -101,7 +96,6 @@ func New(cfg Config) (*Host, error) {
 	}
 	if cfg.FlightDepth >= 0 {
 		h.flight = core.NewFlightTable(len(cfg.VMs), cfg.FlightDepth, 0)
-		h.flight.SetVMBase(cfg.VMIDBase)
 		h.em.SetFlight(h.flight)
 	}
 	for i, spec := range cfg.VMs {
@@ -117,15 +111,10 @@ func New(cfg Config) (*Host, error) {
 			Costs:     cfg.Costs,
 			Guest:     spec.Guest,
 			EM:        h.em,
-			PinVMID:   true,
-			VMID:      cfg.VMIDBase + core.VMID(i),
 			Telemetry: cfg.Telemetry,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("host: vm %q: %w", name, err)
-		}
-		if got, want := m.VMID(), cfg.VMIDBase+core.VMID(i); got != want {
-			return nil, fmt.Errorf("host: vm %q attached as %d, want slot %d", name, got, want)
 		}
 		if spec.Monitor {
 			if _, err := m.EnableMonitoring(spec.Features); err != nil {
@@ -160,7 +149,8 @@ func (h *Host) Run(d time.Duration) {
 }
 
 // RunUntil advances the fleet by at most max, stopping early when cond
-// (checked once per round) returns true.
+// (checked once per round) returns true. A round ends with the capture
+// barrier at the round's end time and one drain of the shared EM.
 func (h *Host) RunUntil(max time.Duration, cond func() bool) {
 	if !h.booted {
 		panic("host: RunUntil before Boot")
@@ -170,26 +160,14 @@ func (h *Host) RunUntil(max time.Duration, cond func() bool) {
 		if cond != nil && cond() {
 			return
 		}
-		h.StepRound(elapsed + tick)
+		for _, m := range h.machines {
+			m.StepTick()
+		}
+		if h.tap != nil {
+			h.tap.TapBarrier(elapsed + tick)
+		}
+		h.em.Dispatch(0)
 	}
-}
-
-// StepRound advances the fleet by exactly one round: every machine steps one
-// tick in slot order, the barrier fires at barrierTime, and the shared EM
-// drains once. The cluster driver calls this directly so every host of a
-// datacenter round advances under one deterministic schedule; RunUntil is the
-// solo-host loop over it.
-func (h *Host) StepRound(barrierTime time.Duration) {
-	if !h.booted {
-		panic("host: StepRound before Boot")
-	}
-	for _, m := range h.machines {
-		m.StepTick()
-	}
-	if h.tap != nil {
-		h.tap.TapBarrier(barrierTime)
-	}
-	h.em.Dispatch(0)
 }
 
 // SetExitTap installs an exit-stream tap across the fleet: every machine's
@@ -248,7 +226,7 @@ func (h *Host) EM() *core.Multiplexer { return h.em }
 // NumVMs returns the fleet size.
 func (h *Host) NumVMs() int { return len(h.machines) }
 
-// Machine returns the machine in slot i, which holds VMID VMIDBase+i.
+// Machine returns the machine in slot i, which holds VMID i.
 func (h *Host) Machine(i int) *hv.Machine { return h.machines[i] }
 
 // Machines returns the fleet in step order.

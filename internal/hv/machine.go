@@ -74,13 +74,6 @@ type Config struct {
 	// unique per host. Nil keeps the pre-fleet behavior: the machine owns a
 	// private EM and attaches itself as VM 0.
 	EM *core.Multiplexer
-	// PinVMID, when set, attaches the machine at the explicit VMID below
-	// instead of the EM's next dense slot — the cluster plane's identity
-	// discipline, where host h owns the ID range [h·N, h·N+N) so a VM's
-	// VMID (and so its SpanIDs and flight records) is unique cluster-wide.
-	PinVMID bool
-	// VMID is the pinned identity; meaningful only with PinVMID.
-	VMID core.VMID
 	// Telemetry, when set, instruments the machine: every VM Exit is
 	// counted by reason (hypertap_vm_exits_total) and, when the machine
 	// owns its EM, the EM registers its publish/queue/latency metrics too.
@@ -167,12 +160,7 @@ func New(cfg Config) (*Machine, error) {
 		m.em = core.NewMultiplexer()
 		m.ownsEM = true
 	}
-	var vmid core.VMID
-	if cfg.PinVMID {
-		vmid, err = m.em.AttachVMAt(cfg.VMID, cfg.Name)
-	} else {
-		vmid, err = m.em.AttachVM(cfg.Name)
-	}
+	vmid, err := m.em.AttachVM(cfg.Name)
 	if err != nil {
 		return nil, fmt.Errorf("hv: %w", err)
 	}

@@ -319,86 +319,6 @@ func (r *Registry) Absorb(s Snapshot) {
 	}
 }
 
-// relabel returns labels plus extra in canonical (key-sorted) order — the
-// same order lookup uses, so a relabeled snapshot absorbed into a registry
-// lands on the series a direct registration with those labels would hit.
-func relabel(labels []Label, extra []Label) []Label {
-	merged := make([]Label, 0, len(labels)+len(extra))
-	merged = append(merged, labels...)
-	merged = append(merged, extra...)
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Key < merged[j].Key })
-	return merged
-}
-
-// Relabeled returns a copy of s with extra appended to every series' labels.
-// It is the cluster rollup's namespace discipline: per-host registries record
-// the same series names (hypertap_em_published_total, per-VM rollups, ...),
-// and stamping {host=hN} onto each host's snapshot before absorbing keeps the
-// fleet registry collision-free — two hosts' counters sum into distinct
-// series instead of silently aliasing.
-func (s Snapshot) Relabeled(extra ...Label) Snapshot {
-	if len(extra) == 0 {
-		return s
-	}
-	out := Snapshot{}
-	for _, c := range s.Counters {
-		c.Labels = relabel(c.Labels, extra)
-		out.Counters = append(out.Counters, c)
-	}
-	for _, g := range s.Gauges {
-		g.Labels = relabel(g.Labels, extra)
-		out.Gauges = append(out.Gauges, g)
-	}
-	for _, h := range s.Histograms {
-		h.Labels = relabel(h.Labels, extra)
-		h.Buckets = append([]uint64(nil), h.Buckets...)
-		out.Histograms = append(out.Histograms, h)
-	}
-	return out
-}
-
-// DeltaSince returns s minus prev, series-wise: counters and histogram
-// buckets subtract (saturating at zero, so a reset series re-reports its
-// full value rather than wrapping), gauges pass through current (an
-// instantaneous value has no meaningful delta), and series absent from prev
-// report whole. Periodic rollups absorb the delta each interval, so a live
-// aggregate registry shows running totals without double-counting.
-func (s Snapshot) DeltaSince(prev Snapshot) Snapshot {
-	pc := make(map[string]uint64, len(prev.Counters))
-	for _, c := range prev.Counters {
-		pc[metricID(c.Name, c.Labels)] = c.Value
-	}
-	ph := make(map[string]*HistogramSnapshot, len(prev.Histograms))
-	for i := range prev.Histograms {
-		h := &prev.Histograms[i]
-		ph[metricID(h.Name, h.Labels)] = h
-	}
-	out := Snapshot{Gauges: append([]GaugeSnapshot(nil), s.Gauges...)}
-	for _, c := range s.Counters {
-		if was, ok := pc[metricID(c.Name, c.Labels)]; ok && was <= c.Value {
-			c.Value -= was
-		}
-		out.Counters = append(out.Counters, c)
-	}
-	for _, h := range s.Histograms {
-		h.Buckets = append([]uint64(nil), h.Buckets...)
-		if was, ok := ph[metricID(h.Name, h.Labels)]; ok && was.Count <= h.Count {
-			h.Count -= was.Count
-			if was.Sum <= h.Sum {
-				h.Sum -= was.Sum
-			}
-			for i, n := range was.Buckets {
-				if i < len(h.Buckets) && n <= h.Buckets[i] {
-					h.Buckets[i] -= n
-				}
-			}
-			h.refreshQuantiles()
-		}
-		out.Histograms = append(out.Histograms, h)
-	}
-	return out
-}
-
 // Merge folds other into s: counters and histograms with identical
 // name+labels are summed; gauges take the maximum (the conservative choice
 // for depth/high-water gauges); series unique to other are appended. Use it
