@@ -83,8 +83,11 @@ experiments:
 # input otherwise dominates the whole budget on small runners. Crashers land
 # in internal/capture/testdata/fuzz/; minimized ones get promoted into
 # internal/capture/testdata/corpus/ as permanent regressions.
-# FuzzMemory then checks demand-paged guest memory against a flat []byte
+# FuzzEventDecode then checks the replay's direct-to-batch event decoder
+# against Reader.Next: same events and same errors for any record bytes.
+# FuzzMemory checks demand-paged guest memory against a flat []byte
 # model: same bytes and same errors for any accessor sequence.
 fuzz:
 	$(GO) test ./internal/capture/ -run '^$$' -fuzz FuzzReplay -fuzztime 60s -fuzzminimizetime 5s
+	$(GO) test ./internal/capture/ -run '^$$' -fuzz FuzzEventDecode -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/gmem/ -run '^$$' -fuzz FuzzMemory -fuzztime 30s -fuzzminimizetime 5s

@@ -19,7 +19,7 @@ import (
 // header or the end marker: write runs against a fresh recorder, so the
 // bytes between the header and the trailing end record are exactly its
 // records.
-func recordOf(t *testing.T, write func(r *Recorder)) []byte {
+func recordOf(t testing.TB, write func(r *Recorder)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	r, err := NewRecorder(&buf, testHeader())
@@ -36,7 +36,7 @@ func recordOf(t *testing.T, write func(r *Recorder)) []byte {
 }
 
 // testHeaderBytes is testHeader's wire encoding.
-func testHeaderBytes(t *testing.T) []byte {
+func testHeaderBytes(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := NewRecorder(&buf, testHeader()); err != nil {
@@ -57,7 +57,7 @@ type shape struct {
 // (the sentinel type 32 carries the generic payload), tick, barrier,
 // counter and every view method — ReadGPA with data and failed, a C
 // string.
-func recordShapes(t *testing.T) []shape {
+func recordShapes(t testing.TB) []shape {
 	t.Helper()
 	var out []shape
 	for _, ty := range append(core.AllEventTypes(), core.EventType(32)) {

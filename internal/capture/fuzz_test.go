@@ -2,11 +2,14 @@ package capture
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"hypertap/internal/core"
@@ -139,6 +142,119 @@ func FuzzReplay(f *testing.F) {
 		second := fuzzReplayOnce(data)
 		if !bytes.Equal(first, second) {
 			t.Fatalf("determinism violation: same bytes, different outcomes\nfirst:\n%s\nsecond:\n%s", first, second)
+		}
+	})
+}
+
+// decodeTrace is one decoder's account of a stream: every event record it
+// decoded, the kind of every other record, and the error that ended the
+// stream (nil at a clean EOF).
+type decodeTrace struct {
+	events []core.Event
+	kinds  []byte
+	err    error
+}
+
+// traceNext decodes a stream record by record with Reader.Next.
+func traceNext(r io.Reader) decodeTrace {
+	var tr decodeTrace
+	rd, err := NewReader(r)
+	if err != nil {
+		panic("capture: fuzz header rejected: " + err.Error())
+	}
+	var rec Record
+	for {
+		if err := rd.Next(&rec); err != nil {
+			if err != io.EOF {
+				tr.err = err
+			}
+			return tr
+		}
+		if rec.Kind == recEvent {
+			tr.events = append(tr.events, rec.Event)
+		} else {
+			tr.kinds = append(tr.kinds, rec.Kind)
+		}
+	}
+}
+
+// traceReplay decodes a stream the way Replay.Run does: each run of event
+// records straight into the publish batch, every other record through the
+// one-record lookahead.
+func traceReplay(r io.Reader) decodeTrace {
+	var tr decodeTrace
+	rp, err := NewReplay(r, ReplayConfig{})
+	if err != nil {
+		panic("capture: fuzz header rejected: " + err.Error())
+	}
+	for {
+		if rp.readEvents() {
+			tr.events = append(tr.events, rp.batch...)
+			continue
+		}
+		rec, err := rp.next()
+		if err != nil {
+			if err != io.EOF {
+				tr.err = err
+			}
+			return tr
+		}
+		tr.kinds = append(tr.kinds, rec.Kind)
+	}
+}
+
+// sameTrace reports how two decode traces differ, or "" when they match:
+// the same events, the same other records, and the same error — same text,
+// same io.ErrUnexpectedEOF wrapping.
+func sameTrace(a, b decodeTrace) string {
+	switch {
+	case !slices.Equal(a.events, b.events):
+		return fmt.Sprintf("events differ: %d vs %d decoded", len(a.events), len(b.events))
+	case !bytes.Equal(a.kinds, b.kinds):
+		return fmt.Sprintf("record kinds differ: %v vs %v", a.kinds, b.kinds)
+	case (a.err == nil) != (b.err == nil) || a.err != nil && a.err.Error() != b.err.Error():
+		return fmt.Sprintf("errors differ: %v vs %v", a.err, b.err)
+	case errors.Is(a.err, io.ErrUnexpectedEOF) != errors.Is(b.err, io.ErrUnexpectedEOF):
+		return fmt.Sprintf("truncation wrapping differs: %v vs %v", a.err, b.err)
+	}
+	return ""
+}
+
+// FuzzEventDecode is a differential fuzzer for the replay's run decoder: a
+// valid header followed by fuzzed record bodies decodes identically through
+// Reader.Next and through the replay's direct-to-batch path. Reader.Next
+// reads through a one-byte reader, so every record is assembled by its
+// checked path; the direct path runs twice, over whole reads (records
+// decode from one buffered span) and over one-byte reads (every record
+// falls back to the checked path).
+func FuzzEventDecode(f *testing.F) {
+	// all is every shape back to back; interleaved follows each shape with
+	// a barrier, so every event starts a run of its own in a reused batch
+	// slot.
+	var all, interleaved []byte
+	barrier := recordOf(f, func(r *Recorder) { r.TapBarrier(time.Millisecond) })
+	for _, s := range recordShapes(f) {
+		f.Add(s.raw)
+		f.Add(s.raw[:len(s.raw)/2])
+		all = append(all, s.raw...)
+		interleaved = append(append(interleaved, s.raw...), barrier...)
+	}
+	f.Add(all)
+	f.Add(interleaved)
+	head := testHeaderBytes(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > fuzzMaxInput {
+			t.Skip("oversized input")
+		}
+		data := append(append([]byte(nil), head...), body...)
+		want := traceNext(iotest.OneByteReader(bytes.NewReader(data)))
+		for name, r := range map[string]io.Reader{
+			"whole":    bytes.NewReader(data),
+			"one-byte": iotest.OneByteReader(bytes.NewReader(data)),
+		} {
+			if diff := sameTrace(want, traceReplay(r)); diff != "" {
+				t.Fatalf("%s reads: replay decode diverges from Reader.Next: %s", name, diff)
+			}
 		}
 	})
 }

@@ -163,7 +163,7 @@ func (rd *Reader) Next(rec *Record) error {
 	le := binary.LittleEndian
 	switch kind {
 	case recEvent:
-		return rd.readEvent(rec)
+		return rd.readEvent(&rec.Event)
 	case recTick:
 		b, err := rd.span(10, "tick record")
 		if err != nil {
@@ -280,42 +280,110 @@ func eventPayload(t core.EventType) (int, string) {
 	}
 }
 
-// readEvent decodes an event record body: the fixed head is validated
-// before the payload is looked at, then head and payload decode from one
-// buffered span.
+// nextEvent decodes the next record into ev if it is an event record — the
+// replay's run decoder, which fills its publish batch slot by slot. It
+// reports ok when it decoded an event; a record of any other kind is left
+// unread (ok false, nil error) for Next. io.EOF marks a clean record
+// boundary; any other error is exactly the one Next would return for the
+// same bytes.
+//
+// An event record the buffer already holds whole decodes from one buffered
+// span: the kind byte, the fixed head and the payload, then one Discard.
+// A record that straddles the buffer end takes Next's checked path.
 //
 //hypertap:hotpath
-func (rd *Reader) readEvent(rec *Record) error {
+func (rd *Reader) nextEvent(ev *core.Event) (ok bool, err error) {
+	b, _ := rd.r.Peek(rd.r.Buffered()) // buffered bytes only: never reads
+	if len(b) > 0 && b[0] != recEvent {
+		return false, nil
+	}
+	if len(b) >= eventFixedSize {
+		size, _, err := eventHead(b[1:])
+		if err != nil {
+			return false, err
+		}
+		if n := eventFixedSize + size; len(b) >= n {
+			decodeEvent(b[1:n], ev)
+			rd.consume(n)
+			return true, nil
+		}
+	}
+	if b, err = rd.r.Peek(1); err != nil {
+		if err == io.EOF {
+			return false, io.EOF
+		}
+		return false, decodeError("record kind", 0, 0, err)
+	}
+	if b[0] != recEvent {
+		return false, nil
+	}
+	rd.consume(1)
+	if err := rd.readEvent(ev); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// readEvent decodes an event record body into ev: the fixed head is
+// validated before the payload is looked at, then head and payload decode
+// from one buffered span.
+//
+//hypertap:hotpath
+func (rd *Reader) readEvent(ev *core.Event) error {
 	const head = eventFixedSize - 1
 	b, err := rd.span(head, "event record")
 	if err != nil {
 		return err
 	}
-	typ := core.EventType(b[0])
-	if typ == 0 {
-		return decodeError("event record has invalid type", 0, 0, nil)
+	size, what, err := eventHead(b)
+	if err != nil {
+		return err
 	}
-	reason := hav.ExitReason(b[29])
-	if reason != 0 && !reason.Valid() {
-		return decodeError("event record has invalid exit reason", uint64(reason), 0, nil)
-	}
-	size, what := eventPayload(typ)
 	if size > 0 {
 		if b, err = rd.span(head+size, what); err != nil {
 			return err
 		}
 	}
+	decodeEvent(b, ev)
+	rd.consume(head + size)
+	return nil
+}
+
+// eventHead validates an event record's fixed head b (the record past its
+// kind byte) and returns its payload's wire size and diagnostic name.
+//
+//hypertap:hotpath
+func eventHead(b []byte) (size int, what string, err error) {
+	typ := core.EventType(b[0])
+	if typ == 0 {
+		return 0, "", decodeError("event record has invalid type", 0, 0, nil)
+	}
+	if reason := hav.ExitReason(b[29]); reason != 0 && !reason.Valid() {
+		return 0, "", decodeError("event record has invalid exit reason", uint64(reason), 0, nil)
+	}
+	size, what = eventPayload(typ)
+	return size, what, nil
+}
+
+// decodeEvent fills ev from a validated event record b (past its kind byte):
+// the fixed head, then the type's payload. Every field the record does not
+// carry is zeroed, so ev may be a reused batch slot.
+//
+//hypertap:hotpath
+func decodeEvent(b []byte, ev *core.Event) {
+	const head = eventFixedSize - 1
+	p := b[head:] // one length check covers every head offset below
 	le := binary.LittleEndian
-	ev := &rec.Event
+	typ := core.EventType(b[0])
+	*ev = core.Event{}
 	ev.Type = typ
 	ev.VM = core.VMID(le.Uint16(b[1:]))
 	ev.VCPU = int(le.Uint16(b[3:]))
 	ev.Seq = le.Uint64(b[5:])
 	ev.Span = core.SpanID(le.Uint64(b[13:]))
 	ev.Time = time.Duration(le.Uint64(b[21:]))
-	ev.ExitReason = reason
+	ev.ExitReason = hav.ExitReason(b[29])
 	getRegs(b[30:], &ev.Regs)
-	p := b[head:]
 	switch typ {
 	case core.EvProcessSwitch:
 		ev.PDBA = arch.GPA(le.Uint64(p))
@@ -362,8 +430,6 @@ func (rd *Reader) readEvent(rec *Record) error {
 		ev.GPA = arch.GPA(le.Uint64(p[72:]))
 		ev.GVA = arch.GVA(le.Uint64(p[80:]))
 	}
-	rd.consume(head + size)
-	return nil
 }
 
 // viewResult returns the wire size and diagnostic name of view method m's
@@ -466,6 +532,7 @@ func (rd *Reader) readView(rec *Record) error {
 //
 //hypertap:hotpath
 func getRegs(b []byte, regs *arch.RegisterFile) {
+	b = b[:regsSize] // one length check covers every fixed offset below
 	le := binary.LittleEndian
 	regs.RIP = arch.GVA(le.Uint64(b[:]))
 	regs.RSP = arch.GVA(le.Uint64(b[8:]))

@@ -72,15 +72,17 @@ type Replay struct {
 
 	divergences uint64
 	// batch is the reusable publish buffer: every run of consecutive event
-	// records, up to the next non-event record, republishes as one
-	// PublishBatch (one EM lock round trip per run, not per event). This
-	// is sound because sync delivery stays event-major within a batch, and
-	// any view, counter, tick or barrier record ends the run: a sync read
-	// a live delivery made lands in the stream after the event that caused
-	// it, so the replayed read finds it, and no batch straddles a Dispatch
-	// barrier. Batching is otherwise transparent to every downstream
-	// observable (see core.PublishBatch), so the live run's batch
-	// boundaries need not match.
+	// records, up to the next non-event record, decodes straight into its
+	// slots — no intermediate Record — and republishes as one PublishBatch
+	// (one EM lock round trip per run, not per event). PublishBatch copies
+	// each event into the async rings it queues on, so the slots are free
+	// to reuse once it returns. This is sound because sync delivery stays
+	// event-major within a batch, and any view, counter, tick or barrier
+	// record ends the run: a sync read a live delivery made lands in the
+	// stream after the event that caused it, so the replayed read finds it,
+	// and no batch straddles a Dispatch barrier. Batching is otherwise
+	// transparent to every downstream observable (see core.PublishBatch),
+	// so the live run's batch boundaries need not match.
 	batch []core.Event
 }
 
@@ -162,9 +164,13 @@ func (rp *Replay) Divergences() uint64 { return rp.divergences }
 // orphans — recorded reads the replayed auditors never performed — and count
 // as divergences (errors under Strict). A damaged stream is an error however
 // it is reached: the first decode error is returned even when a batch
-// lookahead or an auditor's read ran into it.
+// run's decoding or an auditor's read ran into it.
 func (rp *Replay) Run() error {
 	for {
+		if rp.readEvents() {
+			rp.em.PublishBatch(rp.batch)
+			continue
+		}
 		rec, err := rp.next()
 		if err != nil {
 			if err == io.EOF {
@@ -174,20 +180,9 @@ func (rp *Replay) Run() error {
 		}
 		switch rec.Kind {
 		case recEvent:
-			// Regroup the run of event records that starts here. A peek
-			// error ends the run and is latched, so the next read returns
-			// it. PublishBatch copies into async rings, so the scratch
-			// buffer is safe to reuse across iterations.
-			rp.batch = append(rp.batch[:0], rec.Event)
-			for len(rp.batch) < maxReplayBatch {
-				nxt, err := rp.peek()
-				if err != nil || nxt.Kind != recEvent {
-					break
-				}
-				rp.batch = append(rp.batch, nxt.Event)
-				rp.hasPending = false
-			}
-			rp.em.PublishBatch(rp.batch)
+			// Only a reader that yields data after reporting EOF gets
+			// here; put the record back so readEvents starts a run with it.
+			rp.hasPending = true
 		case recTick:
 			idx, ok := rp.index[rec.VM]
 			if !ok {
@@ -215,6 +210,39 @@ func (rp *Replay) Run() error {
 			return nil
 		}
 	}
+}
+
+// readEvents decodes the run of event records at the stream position, up
+// to maxReplayBatch, into rp.batch and reports whether it holds any. A
+// pending event record (one an auditor's read peeked at) starts the run.
+// Whatever ends the run — a record of another kind, a clean EOF, a decode
+// error — is left for next: the record stays unread, and the error is
+// latched so the next read returns it, after the events decoded before it
+// have been published.
+func (rp *Replay) readEvents() bool {
+	rp.batch = rp.batch[:0]
+	if rp.err != nil {
+		return false
+	}
+	if rp.hasPending {
+		if rp.pending.Kind != recEvent {
+			return false
+		}
+		rp.batch = append(rp.batch, rp.pending.Event)
+		rp.hasPending = false
+	}
+	for n := len(rp.batch); n < maxReplayBatch; n++ {
+		rp.batch = rp.batch[:n+1]
+		ok, err := rp.rd.nextEvent(&rp.batch[n])
+		if !ok {
+			rp.batch = rp.batch[:n]
+			if err != nil && err != io.EOF {
+				rp.err = err
+			}
+			break
+		}
+	}
+	return len(rp.batch) > 0
 }
 
 // next returns the next record, honoring the one-record lookahead.

@@ -24,12 +24,17 @@ type Auditor interface {
 }
 
 // BatchAuditor is the optional batched-delivery fast path. An asynchronous
-// auditor implementing it receives each Dispatch claim as one contiguous
-// slice instead of one HandleEvent call per event, amortizing its own
-// per-call overhead (typically a mutex) across the batch. Semantics must be
+// auditor implementing it receives each Dispatch claim as contiguous slices
+// instead of one HandleEvent call per event, amortizing its own per-call
+// overhead (typically a mutex) across the batch. Semantics must be
 // indistinguishable from calling HandleEvent once per event in slice order —
-// the equivalence gates compare the two paths byte-for-byte. The slice is
-// borrowed: valid only for the duration of the call, events read-only.
+// the equivalence gates compare the two paths byte-for-byte.
+//
+// The slice aliases the subscriber's own queue ring: a claim that wraps the
+// ring end arrives as two calls, in queue order. It is borrowed — valid
+// only for the duration of the call, events read-only — and retaining the
+// slice or any *Event into it past the call is forbidden: the EM reuses
+// those slots for later events as soon as the claim is released.
 type BatchAuditor interface {
 	Auditor
 	// HandleBatch processes evs in order.
@@ -83,11 +88,20 @@ type subscription struct {
 	// the delivery path.
 	batch BatchAuditor
 
-	// ring is the bounded event queue for async delivery. Events are
-	// copied in, so auditors never alias the forwarder's buffer.
+	// ring is the bounded event queue for async delivery. Each event is
+	// copied in once, at publish time, so auditors never alias the
+	// forwarder's buffer; Dispatch then delivers claimed events in place,
+	// handing the auditor slices of the ring itself.
 	ring  []Event
 	head  int
 	count int
+	// claimed is the size of the queued prefix at head that a Dispatch is
+	// delivering outside the lock. Claimed slots stay counted in count until
+	// the claim is released, so no publisher overwrites them mid-delivery;
+	// while claimed is nonzero the subscription is busy and every other
+	// Dispatch skips it, which keeps one auditor's deliveries serial and in
+	// queue order.
+	claimed int
 
 	// actor is the auditor's stable flight-recorder identity (see
 	// actorLocked); actorBit is 1<<actor, precomputed so the hot path ORs a
@@ -142,9 +156,9 @@ type Multiplexer struct {
 	// slot — and cold readers (flight snapshots) need no lock at all for the
 	// table itself.
 	routes atomic.Pointer[routeTable]
-	// scratch is the reusable Dispatch batch buffer; a draining goroutine
+	// scratch is the reusable Dispatch segment list; a draining goroutine
 	// detaches it under the lock so concurrent Dispatch calls never share.
-	scratch *dispatchBatch
+	scratch []dispatchSeg
 	// syncDelivered counts synchronous deliveries across all subscriptions,
 	// folded once per publish batch (PublishBatch also returns each batch's
 	// share to its caller).
@@ -317,14 +331,18 @@ func (m *Multiplexer) RegisterScoped(a Auditor, scope VMScope, mode DeliveryMode
 
 // Unregister removes an auditor; pending queued events are discarded and
 // the async depth accounting (and its gauge, when telemetry is on) shrinks
-// with them.
+// with them. An auditor may unregister itself from inside its own handler:
+// the claim being delivered completes, and nothing after it is delivered.
 func (m *Multiplexer) Unregister(a Auditor) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, s := range m.subs {
 		if s.auditor == a {
-			m.asyncDepth -= s.count
-			if m.tel != nil && s.count > 0 {
+			// A claim being delivered already left the depth at claim time;
+			// only the unclaimed rest is discarded here.
+			pending := s.count - s.claimed
+			m.asyncDepth -= pending
+			if m.tel != nil && pending > 0 {
 				m.tel.depth.Set(float64(m.asyncDepth))
 			}
 			m.subs = append(m.subs[:i], m.subs[i+1:]...)
@@ -600,7 +618,7 @@ func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 				}
 				continue
 			}
-			s.ring[(s.head+s.count)%len(s.ring)] = *ev
+			s.ring[s.wrap(s.head+s.count)] = *ev
 			s.count++
 			s.queued++
 			m.asyncDepth++
@@ -698,20 +716,26 @@ func (m *Multiplexer) sampleOne(sampler func(ev *Event), ev *Event) {
 	evPool.Put(c)
 }
 
-// dispatchSeg is one subscriber's contiguous claim within a Dispatch batch:
-// events[off:off+n] of the batch buffer, delivered to s outside the lock.
-type dispatchSeg struct {
-	s   *subscription
-	off int
-	n   int
+// wrap folds a ring index in [0, 2*len(ring)) back into the ring: one
+// compare and subtract instead of an integer division per queued copy.
+//
+//hypertap:hotpath
+func (s *subscription) wrap(i int) int {
+	if i >= len(s.ring) {
+		i -= len(s.ring)
+	}
+	return i
 }
 
-// dispatchBatch is the reusable Dispatch claim buffer: drained event copies
-// flattened into one slice, segmented per subscriber so BatchAuditor
-// subscribers receive their whole claim as a single HandleBatch call.
-type dispatchBatch struct {
-	events []Event
-	segs   []dispatchSeg
+// dispatchSeg is one subscriber's claim within a Dispatch pass: the n
+// events queued at ring[head:], wrapping at the ring end, delivered to s in
+// place outside the lock. off is the claim's running index within the
+// pass, which keeps the latency-sampling cadence across segments.
+type dispatchSeg struct {
+	s    *subscription
+	head int
+	n    int
+	off  int
 }
 
 // Dispatch drains up to max queued events per async subscriber (max <= 0
@@ -722,98 +746,118 @@ type dispatchBatch struct {
 // auditing container goroutine may also call it.
 //
 // Delivery is segment-major, as it always was: each subscriber's claimed
-// events are delivered contiguously in queue order. A subscriber that
-// implements BatchAuditor gets its segment as one HandleBatch call — same
-// events, same order, one auditor-side lock instead of k.
+// events are delivered contiguously in queue order, straight out of its
+// ring — the copy made at publish time is the only one. A subscriber that
+// implements BatchAuditor gets its claim as one HandleBatch call, or two
+// when the claim wraps the ring end — same events, same order, one
+// auditor-side lock instead of k.
 //
-// The batch buffer is retained on the Multiplexer between calls, so a
+// A claim holds its slots until the next lock acquisition of the same
+// Dispatch releases it (the next pass's, or a bounded drain's final one),
+// so a drain takes no more lock round trips than a copying one would. A
+// subscription with a claim outstanding is busy: a concurrent Dispatch
+// skips it, so one auditor never sees two deliveries overlap or reorder.
+// All accounting — delivered counts, async depth and its gauge, drain span
+// steps — happens at claim time.
+//
+// The segment list is retained on the Multiplexer between calls, so a
 // steady-state drain loop performs no allocations; a goroutine adopting it
 // detaches it first, so concurrent Dispatch calls fall back to their own
-// buffers instead of sharing.
+// lists instead of sharing.
 func (m *Multiplexer) Dispatch(max int) int {
 	total := 0
-	var batch *dispatchBatch
-	for {
-		m.mu.Lock()
-		if batch == nil {
-			batch, m.scratch = m.scratch, nil
-			if batch == nil {
-				batch = new(dispatchBatch)
-			}
+	m.mu.Lock()
+	segs := m.scratch
+	m.scratch = nil
+	for pass := 0; ; pass++ {
+		// Release the previous pass's claims: those slots are delivered, so
+		// publishers may reuse them and other drains may claim again.
+		for _, g := range segs {
+			s := g.s
+			s.head = s.wrap(s.head + g.n)
+			s.count -= g.n
+			s.claimed = 0
 		}
-		batch.events = batch.events[:0]
-		batch.segs = batch.segs[:0]
+		segs = segs[:0]
+		claimed := 0
 		tel := m.tel
-		fl := m.fl
-		n := len(m.subs)
-		start := 0
-		if n > 0 {
-			start = m.rrStart % n
-			m.rrStart++
-		}
-		for i := 0; i < n; i++ {
-			s := m.subs[(start+i)%n]
-			if s.mode != DeliverAsync {
-				continue
+		if pass == 0 || max <= 0 {
+			fl := m.fl
+			n := len(m.subs)
+			start := 0
+			if n > 0 {
+				start = m.rrStart % n
+				m.rrStart++
 			}
-			k := s.count
-			if max > 0 && k > max {
-				k = max
-			}
-			if k > 0 {
-				batch.segs = append(batch.segs, dispatchSeg{s: s, off: len(batch.events), n: k})
-			}
-			for j := 0; j < k; j++ {
-				batch.events = append(batch.events, s.ring[s.head])
-				// The drain span step is recorded at claim time, under the
+			for i := 0; i < n; i++ {
+				s := m.subs[(start+i)%n]
+				if s.mode != DeliverAsync || s.claimed != 0 {
+					continue
+				}
+				k := s.count
+				if max > 0 && k > max {
+					k = max
+				}
+				if k == 0 {
+					continue
+				}
+				segs = append(segs, dispatchSeg{s: s, head: s.head, n: k, off: claimed})
+				s.claimed = k
+				s.delivered += uint64(k)
+				// The drain span steps are recorded at claim time, under the
 				// lock the span ring requires; the event's own virtual
 				// timestamp is the step's time either way.
 				if fl != nil {
-					ev := &s.ring[s.head]
-					fl.RecordSpan(ev.Span, ev.VM, PhaseDrain, s.actor, ev.Time)
+					for j, at := 0, s.head; j < k; j, at = j+1, s.wrap(at+1) {
+						ev := &s.ring[at]
+						fl.RecordSpan(ev.Span, ev.VM, PhaseDrain, s.actor, ev.Time)
+					}
 				}
-				s.head = (s.head + 1) % len(s.ring)
-				s.count--
-				s.delivered++
+				m.asyncDepth -= k
+				claimed += k
 			}
-			m.asyncDepth -= k
+			if tel != nil && claimed > 0 {
+				tel.depth.Set(float64(m.asyncDepth))
+			}
 		}
-		if tel != nil && len(batch.events) > 0 {
-			tel.depth.Set(float64(m.asyncDepth))
-		}
-		if len(batch.events) == 0 {
+		if claimed == 0 {
 			if m.scratch == nil {
-				m.scratch = batch
+				m.scratch = segs
 			}
 			m.mu.Unlock()
 			return total
 		}
 		m.mu.Unlock()
-		for _, seg := range batch.segs {
-			s := seg.s
-			evs := batch.events[seg.off : seg.off+seg.n]
-			if s.batch != nil {
-				s.batch.HandleBatch(evs)
-				continue
-			}
-			for j := range evs {
-				if tel != nil && s.hist != nil && (seg.off+j)%latencySampleEvery == 0 {
-					start := time.Now() //hypertap:allow wallclock latency sampling measures real handler cost (every 256th drain)
-					s.auditor.HandleEvent(&evs[j])
-					s.hist.Observe(time.Since(start)) //hypertap:allow wallclock latency sampling measures real handler cost (every 256th drain)
-				} else {
-					s.auditor.HandleEvent(&evs[j])
-				}
+		for _, g := range segs {
+			s := g.s
+			if end := g.head + g.n; end <= len(s.ring) {
+				s.deliver(s.ring[g.head:end], g.off, tel)
+			} else {
+				first := len(s.ring) - g.head
+				s.deliver(s.ring[g.head:], g.off, tel)
+				s.deliver(s.ring[:g.n-first], g.off+first, tel)
 			}
 		}
-		total += len(batch.events)
-		if max > 0 {
-			m.mu.Lock()
-			if m.scratch == nil {
-				m.scratch = batch
-			}
-			m.mu.Unlock()
-			return total
+		total += claimed
+		m.mu.Lock()
+	}
+}
+
+// deliver hands evs, a run of s's own ring, to the auditor outside the EM
+// lock; off is evs[0]'s running index within the Dispatch pass, the
+// latency-sampling cadence.
+func (s *subscription) deliver(evs []Event, off int, tel *emTelemetry) {
+	if s.batch != nil {
+		s.batch.HandleBatch(evs)
+		return
+	}
+	for j := range evs {
+		if tel != nil && s.hist != nil && (off+j)%latencySampleEvery == 0 {
+			start := time.Now() //hypertap:allow wallclock latency sampling measures real handler cost (every 256th drain)
+			s.auditor.HandleEvent(&evs[j])
+			s.hist.Observe(time.Since(start)) //hypertap:allow wallclock latency sampling measures real handler cost (every 256th drain)
+		} else {
+			s.auditor.HandleEvent(&evs[j])
 		}
 	}
 }

@@ -266,13 +266,15 @@ func (s *RHCServer) watchdog() {
 			}
 			for vm, last := range s.last {
 				if silence := now.Sub(last); silence > s.threshold {
+					// Count the miss before raising the alert, so a reader
+					// the alert wakes already sees it counted.
+					if s.tel != nil {
+						s.tel.missed.Inc()
+					}
 					alert := RHCAlert{VM: vm, Silence: silence, At: now}
 					select {
 					case s.alerts <- alert:
 					default:
-					}
-					if s.tel != nil {
-						s.tel.missed.Inc()
 					}
 					// Re-arm rather than flooding.
 					s.last[vm] = now
