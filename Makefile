@@ -59,7 +59,7 @@ bench-smoke:
 # Regenerate every paper result with the command EXPERIMENTS.md names for
 # it, into a temporary directory, and diff each committed results/*.txt
 # against its regenerated copy: any change to virtual behaviour at full
-# campaign scale fails here. About 90 s on a 2-CPU host, most of it the
+# campaign scale fails here. About 75 s on a 2-CPU host, most of it the
 # 5,984-injection GOSHD campaign, so it runs as its own CI job rather than
 # inside `make check`.
 experiments:

@@ -225,8 +225,10 @@ func (f *RegisterFile) SetGPR(r GPR, v uint64) {
 	f.GPRs[r-1] = v
 }
 
-// Clone returns a copy of the register file. VM Exit events carry clones so
-// auditors observe the state at exit time even if the vCPU has resumed.
+// Clone returns a copy of the register file, for a reader that keeps the
+// state past the moment it was read (the hypervisor's GuestView.Regs). A
+// VM Exit carries the registers as a value copied at exit time, so auditors
+// observe the state at exit even after the vCPU has resumed.
 func (f *RegisterFile) Clone() RegisterFile {
 	return *f
 }

@@ -730,3 +730,40 @@ func TestRHCTelemetryAndHealth(t *testing.T) {
 		t.Fatalf("heartbeat age gauge = %v, want > 0 after stall", age)
 	}
 }
+
+// TestHealthNamesEveryStalledVM: with two of three VMs stalled at different
+// ages, the health error names exactly those two, oldest heartbeat first,
+// and reads the same on every call whatever order the heartbeat map yields.
+// VMs stalled since the same instant are ordered by name.
+func TestHealthNamesEveryStalledVM(t *testing.T) {
+	srv, err := NewRHCServer("127.0.0.1:0", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	now := time.Unix(1_000_000, 0)
+	beat := func(vm string, age time.Duration) {
+		srv.mu.Lock()
+		srv.lastBeat[vm] = Heartbeat{VM: vm, Received: now.Add(-age)}
+		srv.mu.Unlock()
+	}
+	beat("vm-fresh", 100*time.Millisecond)
+	beat("vm-newer", 2*time.Second)
+	beat("vm-older", 5*time.Second)
+
+	const want = "rhc: heartbeats stalled: vm-older for 5s, vm-newer for 2s"
+	for i := 0; i < 100; i++ {
+		err := srv.health(now)
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: health = %v, want %q", i, err, want)
+		}
+	}
+
+	beat("vm-a-twin", 2*time.Second)
+	const tied = "rhc: heartbeats stalled: vm-older for 5s, vm-a-twin for 2s, vm-newer for 2s"
+	for i := 0; i < 100; i++ {
+		if err := srv.health(now); err == nil || err.Error() != tied {
+			t.Fatalf("call %d: health = %v, want %q", i, err, tied)
+		}
+	}
+}

@@ -15,6 +15,7 @@ package intercept
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hypertap/internal/arch"
@@ -69,8 +70,18 @@ type Stats struct {
 }
 
 // Engine is the per-VM Event Forwarder. It is driven synchronously from the
-// hypervisor's exit handler; methods other than HandleExit may be called
-// from auditing goroutines and are locked accordingly.
+// hypervisor's exit handler; Stats, PDBASet, TrackedPDBAs and SyscallEntry
+// may be called from any goroutine, and CountProcesses from any goroutine
+// while the guest is not running (see its comment).
+//
+// Ownership rule: every field HandleExit touches is written only on the
+// goroutine that drives the VM, so that goroutine reads its own writes
+// without a lock. Of those writes, the ones the query methods read — the
+// PDBA set, the first-CR3 latch and the fast-syscall entry — are made
+// under mu, which the queries take. Everything else the decode path keeps
+// (TSS snapshots, alarm latches, the protected entry page, the batch, the
+// tap) no query reads, and the decode counters are atomic. An exit that
+// arms or tracks nothing therefore takes no engine lock at all.
 type Engine struct {
 	ctl  core.VMControl
 	em   *core.Multiplexer
@@ -78,6 +89,8 @@ type Engine struct {
 	now  func(vcpu int) time.Duration
 	feat Features
 
+	// mu serializes the query methods against the decode path's writes to
+	// pdbaSet, sawFirstCR3 and syscallEntry.
 	mu sync.Mutex
 	// pdbaSet is Fig. 3A's PDBA_set.
 	pdbaSet map[arch.GPA]struct{}
@@ -97,12 +110,13 @@ type Engine struct {
 	// entryGPA is the protected entry page once armed.
 	entryGPA arch.GPA
 	// decoded counts events by type. EventType is a uint8, so every value
-	// has a slot and counting needs neither a map write nor a bounds check.
-	decoded [256]uint64
-	// batch accumulates the events decoded from one exit. HandleExit hands
-	// it to PublishBatch in place after unlock, so the EM lock is paid once
-	// per exit and no event is copied on the way; its capacity persists, so
-	// steady-state decoding allocates nothing.
+	// has a slot and counting needs neither a map write nor a bounds check;
+	// each slot is atomic so Stats can read it while the VM runs.
+	decoded [256]atomic.Uint64
+	// batch accumulates the events decoded from one exit, each built in its
+	// slot. HandleExit hands it to PublishBatch in place, so the EM lock is
+	// the one lock a publishing exit pays and no event is copied on the way;
+	// its capacity persists, so steady-state decoding allocates nothing.
 	batch []core.Event
 	// tap, when set, observes every decoded event just before publication —
 	// the capture plane's recording point (internal/capture).
@@ -147,9 +161,10 @@ func New(cfg Config) *Engine {
 // HandleExit is the Event Forwarder: decode, arm, publish. The hypervisor's
 // exit handler calls it while the vCPU is suspended, and it reports what the
 // exit cost the monitor — events published and synchronous auditor runs —
-// for the hypervisor to price in guest time. Decoding runs under the engine
-// lock; publication happens after unlock so that synchronous auditors may
-// safely call back into the engine.
+// for the hypervisor to price in guest time. Decoding takes no engine lock
+// (see the ownership rule on Engine): only the handlers that change state a
+// query reads take mu, and they release it before publication, so
+// synchronous auditors may safely call back into the engine.
 //
 // The decode batch goes to PublishBatch in place, with no staging copy and
 // one buffer. A second buffer would only be needed if HandleExit could be
@@ -167,13 +182,12 @@ func New(cfg Config) *Engine {
 //
 //hypertap:hotpath
 func (e *Engine) HandleExit(exit *hav.Exit) (published, syncRuns int) {
-	e.mu.Lock() //hypertap:allow hotpath the engine lock serializes decode against auditors' query calls; taken once per exit, uncontended on the vCPU path
 	e.batch = e.batch[:0]
 	// Fig. 3C: integrity check on every VM Exit.
 	if e.feat.TSSIntegrity && e.sawFirstCR3 {
 		if cur := exit.Guest.TR; cur != e.savedTR[exit.VCPU] && !e.tssAlerted[exit.VCPU] {
 			e.tssAlerted[exit.VCPU] = true
-			e.publishLocked(exit, core.EvTSSRelocated).GVA = cur
+			e.decode(exit, core.EvTSSRelocated).GVA = cur
 		}
 	}
 
@@ -189,51 +203,54 @@ func (e *Engine) HandleExit(exit *hav.Exit) (published, syncRuns int) {
 		e.onWRMSR(exit)
 	case hav.ExitIOInstruction:
 		if e.feat.IO {
-			ev := e.publishLocked(exit, core.EvIOPort)
+			ev := e.decode(exit, core.EvIOPort)
 			ev.Port, ev.IsWrite, ev.IOValue = q.Port, q.Write, uint32(q.Value)
 		}
 	case hav.ExitExternalInterrupt:
 		if e.feat.IO {
-			e.publishLocked(exit, core.EvInterrupt).Vector = q.Vector
+			e.decode(exit, core.EvInterrupt).Vector = q.Vector
 		}
 	case hav.ExitAPICAccess:
 		if e.feat.IO {
-			e.publishLocked(exit, core.EvAPICAccess).IsWrite = q.Write
+			e.decode(exit, core.EvAPICAccess).IsWrite = q.Write
 		}
 	case hav.ExitHLT:
-		e.publishLocked(exit, core.EvHalt)
+		e.decode(exit, core.EvHalt)
 	default:
-		e.publishLocked(exit, core.EvRawExit)
+		e.decode(exit, core.EvRawExit)
 	}
-	batch, tap, em := e.batch, e.tap, e.em
-	e.mu.Unlock()
 
-	if tap != nil {
-		for i := range batch {
-			tap.TapEvent(&batch[i])
+	if e.tap != nil {
+		for i := range e.batch {
+			e.tap.TapEvent(&e.batch[i])
 		}
 	}
-	return len(batch), em.PublishBatch(batch)
+	return len(e.batch), e.em.PublishBatch(e.batch)
 }
 
 // SetTap installs (or, with nil, removes) the decode-time exit-stream tap.
 // The tap fires on the exit hot path; implementations must be cheap and
 // allocation-free (internal/capture's Recorder is the intended one).
+// Like HandleExit, SetTap must be called on the goroutine that drives the
+// VM (Machine.SetExitTap is its one caller), which is why HandleExit reads
+// the tap without a lock.
 func (e *Engine) SetTap(tap core.ExitStreamTap) {
-	e.mu.Lock()
 	e.tap = tap
-	e.mu.Unlock()
 }
 
-// onCRAccess handles Fig. 3A plus the arming points of Fig. 3B/3C/3E.
+// onCRAccess handles Fig. 3A plus the arming points of Fig. 3B/3C/3E. A
+// CR3 load changes what the queries read (the PDBA set and the arming
+// latch), so it is handled under mu.
 func (e *Engine) onCRAccess(exit *hav.Exit) {
 	q := &exit.Qual
 	if q.Register != 3 {
-		e.publishLocked(exit, core.EvRawExit)
+		e.decode(exit, core.EvRawExit)
 		return
 	}
 	newPDBA := arch.GPA(q.Value)
 
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if !e.sawFirstCR3 {
 		e.sawFirstCR3 = true
 		e.armOnFirstCR3(newPDBA)
@@ -241,7 +258,7 @@ func (e *Engine) onCRAccess(exit *hav.Exit) {
 
 	if e.feat.ProcessSwitch {
 		e.pdbaSet[newPDBA] = struct{}{}
-		e.publishLocked(exit, core.EvProcessSwitch).PDBA = newPDBA
+		e.decode(exit, core.EvProcessSwitch).PDBA = newPDBA
 	} else if e.sawFirstCR3 && !e.feat.TSSIntegrity {
 		// Nothing needs further CR3 exits: drop the control to save exits.
 		e.ctl.SetCR3LoadExiting(false)
@@ -281,7 +298,7 @@ func (e *Engine) onEPTViolation(exit *hav.Exit) {
 		if q.GPA == e.tssRSP0GPA[exit.VCPU] {
 			// [Addr] <- V where Addr == &vcpu.TR->RSP0: V is the incoming
 			// thread's kernel stack base.
-			ev := e.publishLocked(exit, core.EvThreadSwitch)
+			ev := e.decode(exit, core.EvThreadSwitch)
 			ev.RSP0 = arch.GVA(q.Value)
 			ev.GPA = q.GPA
 			return
@@ -289,10 +306,10 @@ func (e *Engine) onEPTViolation(exit *hav.Exit) {
 	}
 	if q.Access == hav.AccessExec && e.feat.Syscalls && e.entryGPA != 0 &&
 		arch.PageNumber(q.GPA) == arch.PageNumber(e.entryGPA) {
-		e.publishSyscallLocked(exit)
+		e.decodeSyscall(exit)
 		return
 	}
-	ev := e.publishLocked(exit, core.EvMemAccess)
+	ev := e.decode(exit, core.EvMemAccess)
 	ev.GPA, ev.GVA = q.GPA, q.GVA
 	ev.IsWrite = q.Access == hav.AccessWrite
 }
@@ -302,20 +319,23 @@ func (e *Engine) onException(exit *hav.Exit) {
 	q := &exit.Qual
 	if e.feat.Syscalls && q.ExcType == hav.ExcSoftwareInt &&
 		(q.Vector == arch.VectorLinuxSyscall || q.Vector == arch.VectorWindowsSyscall) {
-		e.publishSyscallLocked(exit)
+		e.decodeSyscall(exit)
 		return
 	}
-	e.publishLocked(exit, core.EvRawExit).Vector = q.Vector
+	e.decode(exit, core.EvRawExit).Vector = q.Vector
 }
 
-// onWRMSR records the fast-syscall entry point (Fig. 3E).
+// onWRMSR records the fast-syscall entry point (Fig. 3E), which
+// SyscallEntry and Stats read, under mu.
 func (e *Engine) onWRMSR(exit *hav.Exit) {
 	q := &exit.Qual
-	ev := e.publishLocked(exit, core.EvMSRWrite)
+	ev := e.decode(exit, core.EvMSRWrite)
 	ev.MSR, ev.MSRValue = q.MSR, q.Value
 	if !e.feat.Syscalls || q.MSR != arch.MSRSysenterEIP {
 		return
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.syscallEntry = arch.GVA(q.Value)
 	// Execute-protect the page containing the entry point. Before the
 	// first CR3 load there is no address space to walk; defer.
@@ -339,10 +359,12 @@ func (e *Engine) protectEntryPage(cr3 arch.GPA) {
 	_ = e.ctl.ProtectPage(gpa, hav.PermRead|hav.PermWrite)
 }
 
-// publishSyscallLocked reads the syscall number and parameters from the
-// saved general-purpose registers, exactly as Fig. 3D/3E's pseudo-code does.
-func (e *Engine) publishSyscallLocked(exit *hav.Exit) {
-	ev := e.publishLocked(exit, core.EvSyscall)
+// decodeSyscall reads the syscall number and parameters from the saved
+// general-purpose registers, exactly as Fig. 3D/3E's pseudo-code does.
+//
+//hypertap:hotpath
+func (e *Engine) decodeSyscall(exit *hav.Exit) {
+	ev := e.decode(exit, core.EvSyscall)
 	ev.SyscallNr = uint32(exit.Guest.GPR(arch.RAX))
 	ev.SyscallArgs = [4]uint64{
 		exit.Guest.GPR(arch.RBX),
@@ -352,31 +374,40 @@ func (e *Engine) publishSyscallLocked(exit *hav.Exit) {
 	}
 }
 
-// publishLocked decodes one event into the pending batch and returns it for
-// the caller to fill in its type-specific fields; the pointer is valid until
-// the next publishLocked. Callers hold e.mu; HandleExit publishes the batch
-// after releasing the lock so synchronous auditors never run under the
-// engine's critical state.
+// decode builds one event in the next slot of the pending batch and returns
+// it for the caller to fill in its type-specific fields; the pointer is
+// valid until the next decode. The slot is zeroed whole before the common
+// fields are set, so nothing an earlier exit decoded into it — in any
+// field, including ones added to Event later — survives into this event.
 //
 //hypertap:hotpath
-func (e *Engine) publishLocked(exit *hav.Exit, t core.EventType) *core.Event {
-	e.decoded[t]++
-	e.batch = append(e.batch, core.Event{ //hypertap:allow hotpath grows only until the largest decode batch fits; the buffer is reused across exits
-		Type:       t,
-		VM:         e.vm,
-		VCPU:       exit.VCPU,
-		Seq:        exit.Sequence,
-		Span:       core.MintSpan(e.vm, exit.Sequence, uint8(len(e.batch))),
-		Time:       e.now(exit.VCPU),
-		Regs:       exit.Guest,
-		ExitReason: exit.Reason,
-	})
-	return &e.batch[len(e.batch)-1]
+func (e *Engine) decode(exit *hav.Exit, t core.EventType) *core.Event {
+	e.decoded[t].Add(1)
+	n := len(e.batch)
+	if n < cap(e.batch) {
+		e.batch = e.batch[:n+1]
+	} else {
+		e.batch = append(e.batch, core.Event{}) //hypertap:allow hotpath grows only until the largest decode batch fits; the buffer is reused across exits
+	}
+	ev := &e.batch[n]
+	*ev = core.Event{}
+	ev.Type = t
+	ev.VM = e.vm
+	ev.VCPU = exit.VCPU
+	ev.Seq = exit.Sequence
+	ev.Span = core.MintSpan(e.vm, exit.Sequence, uint8(n))
+	ev.Time = e.now(exit.VCPU)
+	ev.Regs = exit.Guest
+	ev.ExitReason = exit.Reason
+	return ev
 }
 
 // CountProcesses runs the full Fig. 3A algorithm: sweep the PDBA set,
 // dropping entries whose address space no longer maps the known GVA, and
-// return the number of live virtual address spaces.
+// return the number of live virtual address spaces. The sweep walks guest
+// page tables through the VMControl, which reads guest memory the guest
+// writes, so it must not overlap guest execution: call it between ticks, as
+// async auditors run, or from a synchronous auditor.
 func (e *Engine) CountProcesses() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -418,8 +449,8 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	decoded := make(map[core.EventType]uint64)
-	for t, n := range e.decoded {
-		if n != 0 {
+	for t := range e.decoded {
+		if n := e.decoded[t].Load(); n != 0 {
 			decoded[core.EventType(t)] = n
 		}
 	}

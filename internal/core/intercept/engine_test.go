@@ -365,3 +365,92 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatal("Stats leaked internal map")
 	}
 }
+
+// primedEngine is an engine with every feature armed by a first CR3 load
+// (so thread switches decode) and its event sink emptied again.
+func primedEngine(t *testing.T) (*Engine, *[]core.Event) {
+	t.Helper()
+	e, _, events := newEngine(t, Features{ProcessSwitch: true, ThreadSwitch: true,
+		TSSIntegrity: true, Syscalls: true, IO: true})
+	e.HandleExit(cr3Exit(0, 0x9000, 1))
+	*events = (*events)[:0]
+	return e, events
+}
+
+// unlockedExits are exit classes that change no state a query reads, so the
+// decode path must handle them without the engine lock. Each exit decodes
+// to one event of the type it is keyed by.
+func unlockedExits() map[core.EventType]*hav.Exit {
+	var guestRegs, syscallRegs arch.RegisterFile
+	guestRegs.TR = 0x8000000 // vCPU 0's boot TR: no TSS alarm
+	syscallRegs = guestRegs
+	syscallRegs.SetGPR(arch.RAX, 4)
+	syscallRegs.SetGPR(arch.RBX, 1)
+	syscallRegs.SetGPR(arch.RCX, 4096)
+	return map[core.EventType]*hav.Exit{
+		core.EvSyscall: {Reason: hav.ExitException, Guest: syscallRegs, Sequence: 2,
+			Qual: hav.Qualification{ExcType: hav.ExcSoftwareInt, Vector: arch.VectorLinuxSyscall}},
+		core.EvThreadSwitch: {Reason: hav.ExitEPTViolation, Guest: guestRegs, Sequence: 2,
+			Qual: hav.Qualification{GPA: 0x2000 + arch.TSSOffRSP0, Access: hav.AccessWrite, Value: 0xC0DE000}},
+		core.EvHalt: {Reason: hav.ExitHLT, Guest: guestRegs, Sequence: 2},
+		core.EvIOPort: {Reason: hav.ExitIOInstruction, Guest: guestRegs, Sequence: 2,
+			Qual: hav.Qualification{Port: 0x3F8, Write: true, Value: 'x'}},
+		core.EvInterrupt: {Reason: hav.ExitExternalInterrupt, Guest: guestRegs, Sequence: 2,
+			Qual: hav.Qualification{Vector: arch.VectorTimer}},
+		core.EvAPICAccess: {Reason: hav.ExitAPICAccess, Guest: guestRegs, Sequence: 2,
+			Qual: hav.Qualification{Offset: arch.APICOffEOI, Write: true}},
+	}
+}
+
+// TestDecodeTakesNoEngineLock pins the ownership rule's payoff: an exit that
+// tracks or arms nothing decodes and publishes while a query holds the
+// engine lock, and publishes exactly what an engine nobody locked does.
+func TestDecodeTakesNoEngineLock(t *testing.T) {
+	for typ, exit := range unlockedExits() {
+		fresh, want := primedEngine(t)
+		fresh.HandleExit(exit)
+		if len(*want) != 1 || (*want)[0].Type != typ {
+			t.Fatalf("%v: a fresh engine published %+v, want one %v event", typ, *want, typ)
+		}
+
+		e, got := primedEngine(t)
+		e.mu.Lock()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			e.HandleExit(exit)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			e.mu.Unlock()
+			<-done
+			t.Fatalf("%v: HandleExit blocked on the engine lock", typ)
+		}
+		e.mu.Unlock()
+		if len(*got) != len(*want) || (*got)[0] != (*want)[0] {
+			t.Fatalf("%v: published %+v under a held lock, want %+v", typ, *got, *want)
+		}
+	}
+}
+
+// TestDecodeClearsReusedSlot: each exit decodes into the batch slot the
+// previous exit used, so the slot must be cleared whole — a HLT after a
+// syscall must not inherit the syscall's number and arguments.
+func TestDecodeClearsReusedSlot(t *testing.T) {
+	exits := unlockedExits()
+	halt := exits[core.EvHalt]
+
+	fresh, want := primedEngine(t)
+	fresh.HandleExit(halt)
+
+	e, got := primedEngine(t)
+	e.HandleExit(exits[core.EvSyscall])
+	e.HandleExit(halt)
+	if len(*got) != 2 || (*got)[0].SyscallNr != 4 {
+		t.Fatalf("events = %+v, want a syscall then a halt", *got)
+	}
+	if (*got)[1] != (*want)[0] {
+		t.Fatalf("halt after a syscall = %+v, want %+v", (*got)[1], (*want)[0])
+	}
+}

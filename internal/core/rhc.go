@@ -2,8 +2,10 @@ package core
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -113,18 +115,43 @@ func (s *RHCServer) EnableTelemetry(reg *telemetry.Registry) {
 
 // Health implements the /healthz contract (telemetry/httpexport.Health): it
 // returns an error while any monitored VM's heartbeats have been silent for
-// longer than the alert threshold. A VM that never heartbeat is not
-// reported — the RHC can only miss what it once received.
+// longer than the alert threshold. The error names every stalled VM, oldest
+// heartbeat first and ties by name, so the same stalls always read the same.
+// A VM that never heartbeat is not reported — the RHC can only miss what it
+// once received.
 func (s *RHCServer) Health() error {
-	now := time.Now() //hypertap:allow wallclock the RHC is the real-time side of the system: heartbeat staleness is judged in wall time
+	return s.health(time.Now()) //hypertap:allow wallclock the RHC is the real-time side of the system: heartbeat staleness is judged in wall time
+}
+
+// health is Health judged at now.
+func (s *RHCServer) health(now time.Time) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for vm, hb := range s.lastBeat {
-		if age := now.Sub(hb.Received); age > s.threshold {
-			return fmt.Errorf("rhc: %s heartbeats stalled for %v", vm, age.Round(time.Millisecond))
+	var stalled []Heartbeat
+	for _, hb := range s.lastBeat {
+		if now.Sub(hb.Received) > s.threshold {
+			stalled = append(stalled, hb)
 		}
 	}
-	return nil
+	s.mu.Unlock()
+	if len(stalled) == 0 {
+		return nil
+	}
+	sort.Slice(stalled, func(i, j int) bool {
+		a, b := stalled[i], stalled[j]
+		if !a.Received.Equal(b.Received) {
+			return a.Received.Before(b.Received)
+		}
+		return a.VM < b.VM
+	})
+	var msg strings.Builder
+	msg.WriteString("rhc: heartbeats stalled:")
+	for i, hb := range stalled {
+		if i > 0 {
+			msg.WriteByte(',')
+		}
+		fmt.Fprintf(&msg, " %s for %v", hb.VM, now.Sub(hb.Received).Round(time.Millisecond))
+	}
+	return errors.New(msg.String())
 }
 
 // Addr returns the server's listen address for clients to dial.

@@ -624,7 +624,7 @@ func (k *Kernel) newTask(spec *ProcSpec, parent *Task, pid int) (*Task, error) {
 		RSP0:         GPAToKVA(stackGPA) + KStackSize - 16,
 		parent:       parent,
 		program:      spec.Program,
-		openFDs:      make(map[int]string),
+		openFDs:      make(map[int]struct{}),
 		nextFD:       3,
 		startTime:    k.bootNow,
 	}

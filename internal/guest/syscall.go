@@ -164,10 +164,10 @@ func (k *Kernel) sysSpawn(cpu int, t *Task, _ [4]uint64) SyscallResult {
 	return SyscallResult{Ret: uint64(child.PID)}
 }
 
-func (k *Kernel) sysOpen(_ int, t *Task, args [4]uint64) SyscallResult {
+func (k *Kernel) sysOpen(_ int, t *Task, _ [4]uint64) SyscallResult {
 	fd := t.nextFD
 	t.nextFD++
-	t.openFDs[fd] = fmt.Sprintf("file-%d", args[0])
+	t.openFDs[fd] = struct{}{}
 	return SyscallResult{Ret: uint64(fd)}
 }
 

@@ -84,7 +84,9 @@ type Task struct {
 	// netWaitPort is the port the task is blocked receiving on.
 	netWaitPort *uint16
 
-	openFDs map[int]string
+	// openFDs is the set of open file descriptors: the file calls check
+	// only whether a descriptor is open.
+	openFDs map[int]struct{}
 	nextFD  int
 
 	exitCode  int

@@ -70,8 +70,9 @@ type VCPU struct {
 	inGuest   bool
 	halted    bool
 	exitTally [NumExitReasons + 1]uint64
-	// exitBuf is the Exit handed to the handler, refilled on every exit so
-	// raising one allocates nothing (see ExitHandler for the borrow rule).
+	// exitBuf is the Exit handed to the handler. exit fills its fields in
+	// place on every exit, so raising one allocates nothing and copies the
+	// register file once (see ExitHandler for the borrow rule).
 	exitBuf Exit
 
 	// Regs is the architectural register file (the VMCS guest-state area).
@@ -139,14 +140,13 @@ func (v *VCPU) exit(reason ExitReason, qual Qualification) {
 	v.exitTally[reason]++
 	v.inGuest = false
 	if v.handler != nil {
-		v.exitBuf = Exit{
-			VCPU:     v.id,
-			Reason:   reason,
-			Qual:     qual,
-			Guest:    v.Regs.Clone(),
-			Sequence: *v.seq,
-		}
-		v.handler.HandleExit(&v.exitBuf)
+		x := &v.exitBuf
+		x.VCPU = v.id
+		x.Reason = reason
+		x.Qual = qual
+		x.Guest = v.Regs
+		x.Sequence = *v.seq
+		v.handler.HandleExit(x)
 	}
 	v.inGuest = true
 }

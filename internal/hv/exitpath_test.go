@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -79,5 +80,96 @@ func TestSyncAuditorReentersEngine(t *testing.T) {
 	}
 	if nested != 0 {
 		t.Fatalf("%d of %d deliveries raised a VM exit from inside the auditor", nested, calls)
+	}
+}
+
+// TestEngineQueriesDuringExits runs the engine's query methods on another
+// goroutine while the VM creates processes and makes system calls with
+// every feature armed: Stats, PDBASet, TrackedPDBAs and SyscallEntry loop
+// while exits decode, and CountProcesses runs between ticks, because its
+// sweep walks guest page tables through the guest's software TLB, which one
+// goroutine drives at a time (guest/tlb.go). Under -race this checks the
+// engine's ownership rule; the decode counts must equal those of a run
+// whose only queries are the same CountProcesses calls made inline.
+func TestEngineQueriesDuringExits(t *testing.T) {
+	run := func(concurrent bool) (map[core.EventType]uint64, int) {
+		m, err := New(Config{Guest: guest.Config{Seed: 7}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := m.EnableMonitoring(allFeatures())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Boot(); err != nil {
+			t.Fatal(err)
+		}
+		forker := guest.ProgramFunc(func(ctx *guest.ProgContext) guest.Step {
+			switch ctx.StepIndex % 3 {
+			case 0:
+				return guest.Spawn(&guest.ProcSpec{Comm: "child", UID: 1000,
+					Program: guest.NewStepList(guest.DoSyscall(guest.SysGetPID), guest.Compute(50*time.Microsecond))})
+			case 1:
+				return guest.DoSyscall(guest.SysWrite, 1, 64)
+			default:
+				return guest.Compute(100 * time.Microsecond)
+			}
+		})
+		if _, err := m.Kernel().CreateProcess(&guest.ProcSpec{Comm: "forker", UID: 1000, Program: forker}, nil); err != nil {
+			t.Fatal(err)
+		}
+
+		// between hands the parked machine to the querier for one
+		// CountProcesses; the querier answers on resume.
+		between, resume := make(chan struct{}), make(chan struct{})
+		stop, done := make(chan struct{}), make(chan struct{})
+		var loops int
+		if concurrent {
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					case <-between:
+						_ = e.CountProcesses()
+						resume <- struct{}{}
+					default:
+						_ = e.Stats()
+						_ = e.PDBASet()
+						_ = e.TrackedPDBAs()
+						_ = e.SyscallEntry()
+						loops++
+					}
+				}
+			}()
+		}
+		for end := m.Now() + 200*time.Millisecond; m.Now() < end; {
+			m.StepTick()
+			m.EM().Dispatch(0)
+			if concurrent {
+				between <- struct{}{}
+				<-resume
+			} else {
+				_ = e.CountProcesses()
+			}
+		}
+		if concurrent {
+			close(stop)
+			<-done
+		}
+		return e.Stats().Decoded, loops
+	}
+
+	want, _ := run(false)
+	got, loops := run(true)
+	if loops == 0 {
+		t.Fatal("the querying goroutine never ran a query")
+	}
+	if want[core.EvProcessSwitch] == 0 || want[core.EvSyscall] == 0 {
+		t.Fatalf("decoded %v, want process switches and syscalls", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded with concurrent queries %v, want %v", got, want)
 	}
 }
