@@ -38,7 +38,7 @@ fmt:
 	fi
 
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/telemetry/... ./internal/experiment/... ./internal/hv/... ./internal/host/... ./internal/capture/...
+	$(GO) test -race -short ./internal/core/... ./internal/telemetry/... ./internal/experiment/... ./internal/hv/... ./internal/host/... ./internal/capture/... ./internal/vclock/...
 
 # The equivalence suites: serial≡parallel for the sharded campaign engine
 # (including fleet campaigns whose unit is an N-VM host), N-VM-host ≡
@@ -87,7 +87,10 @@ experiments:
 # against Reader.Next: same events and same errors for any record bytes.
 # FuzzMemory checks demand-paged guest memory against a flat []byte
 # model: same bytes and same errors for any accessor sequence.
+# FuzzLoadBundle loads hostile incident bundles: no panic, allocation
+# bounded by the bytes read, and every decoded ring re-encodes exactly.
 fuzz:
 	$(GO) test ./internal/capture/ -run '^$$' -fuzz FuzzReplay -fuzztime 60s -fuzzminimizetime 5s
 	$(GO) test ./internal/capture/ -run '^$$' -fuzz FuzzEventDecode -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/gmem/ -run '^$$' -fuzz FuzzMemory -fuzztime 30s -fuzzminimizetime 5s
+	$(GO) test ./internal/flight/ -run '^$$' -fuzz FuzzLoadBundle -fuzztime 30s -fuzzminimizetime 5s

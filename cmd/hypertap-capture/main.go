@@ -153,7 +153,7 @@ func info(w io.Writer, path string, jsonOut bool, chromeTo string) error {
 		stream io.Reader
 		chrome func(io.Writer) error
 		events []core.Event
-		names  = map[core.VMID]string{}
+		names  []string
 	)
 	if st.IsDir() {
 		b, err := flight.LoadBundle(path)
@@ -191,7 +191,7 @@ func info(w io.Writer, path string, jsonOut bool, chromeTo string) error {
 			rep.Error = decodeErr.Error()
 		}
 		for _, vm := range rep.VMs {
-			names[vm.ID] = vm.Name
+			names = append(names, vm.Name)
 		}
 	}
 	if jsonOut {

@@ -39,7 +39,7 @@ func writeBundle(t *testing.T, stream []byte) (string, []uint64) {
 	var buf bytes.Buffer
 	hdr := capture.Header{Tick: time.Millisecond}
 	for _, m := range h.Machines() {
-		hdr.VMs = append(hdr.VMs, capture.VMHeader{ID: m.VMID(), Name: m.Name(), VCPUs: m.NumVCPUs()})
+		hdr.VMs = append(hdr.VMs, capture.VMHeader{Name: m.Name(), VCPUs: m.NumVCPUs()})
 	}
 	rec, err := capture.NewRecorder(&buf, hdr)
 	if err != nil {
@@ -131,34 +131,6 @@ func TestInfoBundle(t *testing.T) {
 	}
 }
 
-// TestInfoSparseBundle feeds the cluster corpus stream (VMIDs 4 and 5) as a
-// bundle's capture: the tally keys VMs by header VMID, not by slot, so both
-// VMs keep their events.
-func TestInfoSparseBundle(t *testing.T) {
-	stream, err := os.ReadFile(filepath.Join("..", "..", "internal", "capture", "testdata", "corpus", "cluster-sparse.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, _ := writeBundle(t, stream)
-	var out bytes.Buffer
-	if err := info(&out, dir, true, ""); err != nil {
-		t.Fatal(err)
-	}
-	var rep infoReport
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Summary == nil || len(rep.VMs) != 2 {
-		t.Fatalf("sparse bundle tally = %s, want 2 VMs", out.String())
-	}
-	want := map[core.VMID]int64{4: 104, 5: 96}
-	for _, vm := range rep.VMs {
-		if vm.Events != want[vm.ID] {
-			t.Errorf("vmid %d (%s): %d events, want %d", vm.ID, vm.Name, vm.Events, want[vm.ID])
-		}
-	}
-}
-
 // TestInfoStreamEndsEarly pins that a damaged record is an error: the tally
 // covers the records before it and info fails naming the cut, instead of
 // reporting a short stream as a clean one.
@@ -205,12 +177,12 @@ func TestInfoStreamEndsEarly(t *testing.T) {
 	}
 }
 
-// TestInfoChromeStream renders a cluster stream's events: one track per
-// header VM, labeled by the header name under its sparse VMID.
+// TestInfoChromeStream renders a hosted stream's events: one track per
+// header VM, labeled by the header name.
 func TestInfoChromeStream(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "hosted.htcs")
-	if err := os.WriteFile(path, capture.GenerateHosted(7, 2, 2, 400, time.Millisecond, "host1", 4), 0o644); err != nil {
+	if err := os.WriteFile(path, capture.GenerateHosted(7, 2, 2, 400, time.Millisecond, "host1"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	chrome := filepath.Join(dir, "stream.json")

@@ -115,7 +115,7 @@ func run(args []string) error {
 		hdr := capture.Header{Tick: time.Millisecond}
 		for i := 0; i < *vms; i++ {
 			m := h.Machine(i)
-			hdr.VMs = append(hdr.VMs, capture.VMHeader{ID: m.VMID(), Name: m.Name(), VCPUs: m.NumVCPUs()})
+			hdr.VMs = append(hdr.VMs, capture.VMHeader{Name: m.Name(), VCPUs: m.NumVCPUs()})
 		}
 		if capRec, err = capture.NewRecorder(capFile, hdr); err != nil {
 			return err
@@ -279,10 +279,8 @@ func run(args []string) error {
 	// the run loop returns. Waiting for each VM's beat keeps the shutdown
 	// bundle's rhc.json a faithful end-of-run view instead of a race.
 	if rhcSrv != nil {
-		for i := 0; i < *vms; i++ {
-			if name, ok := em.VMName(core.VMID(i)); ok {
-				rhcSrv.WaitHeartbeat(name, time.Second)
-			}
+		for _, name := range em.VMs() {
+			rhcSrv.WaitHeartbeat(name, time.Second)
 		}
 	}
 	// Final flight drain: the same bundle format incident capture uses, so

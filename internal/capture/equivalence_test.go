@@ -74,8 +74,7 @@ type soloAuditors struct {
 }
 
 // buildSoloAuditors registers the full set on em, scoped to VM vm — the
-// anchor VM of the stream, which is 0 for solo captures but sparse (nonzero)
-// for cluster-era streams. view/counter are the live machine wrapped by the
+// anchor VM of the stream. view/counter are the live machine wrapped by the
 // recorder, or the replay's stream-backed implementations — the auditors
 // cannot tell the difference, which is the point. It is t-free so the fuzz
 // harness can share the exact wiring.

@@ -24,13 +24,13 @@
 // carry a generic payload of every decoded field, so round-tripping is the
 // identity for any type a future Event Forwarder might mint.
 //
-// The v1 header is the solo-host form: VMIDs are implicit (slot i is VMID i)
-// and the host is anonymous. The v2 header carries the recording host's name
-// and each VM's explicit VMID. Live hosts assign dense IDs, so sparse IDs now
-// arrive only from v2 captures and bundles already on disk; each such VM
-// keeps its ID through replay. The writer emits v1 whenever v1 can express
-// the header (no host name, dense IDs), so solo captures stay
-// byte-identical; readers accept both.
+// Under both layouts slot i of the VM table is VMID i, the ID the recording
+// EM's AttachVM assigned. The v1 header is the solo-host form: the host is
+// anonymous. The v2 header carries the recording host's name and an ID
+// column that is always 0..n-1; the column is kept only so hosted captures
+// stay byte-identical, and a reader rejects any entry that is not its slot
+// index. The writer picks the layout by the host name alone: v1 without one,
+// v2 with one. Readers accept both.
 //
 // View and counter records capture the results of every GuestView read the
 // auditors performed, in issue order. On replay the same auditors, driven by
@@ -38,11 +38,7 @@
 // not needed. Everything is little-endian.
 package capture
 
-import (
-	"time"
-
-	"hypertap/internal/core"
-)
+import "time"
 
 // Version is the current capture format version. Readers accept the current
 // version and VersionSolo; anything else is rejected outright — record
@@ -50,9 +46,9 @@ import (
 // events, not graceful degradation.
 const Version = 2
 
-// VersionSolo is the original header layout: implicit dense VMIDs, no host
-// name. Writers still emit it whenever it can express the header, so solo
-// captures stay byte-identical.
+// VersionSolo is the original header layout: no host name and no ID column.
+// Writers emit it for every header without a host name, so solo captures
+// stay byte-identical.
 const VersionSolo = 1
 
 // magic identifies a HyperTap capture stream.
@@ -110,13 +106,9 @@ const (
 	maxEventRecSize = eventFixedSize + genericPayloadSize
 )
 
-// VMHeader describes one recorded VM.
+// VMHeader describes one recorded VM. Its VMID is its index in
+// Header.VMs.
 type VMHeader struct {
-	// ID is the VM's VMID on the recording host. Solo hosts leave it zero
-	// across the table and the writer assigns dense IDs (slot i is VMID i);
-	// a v2 header carries each ID explicitly, sparse ones included, so the
-	// ID — and with it every SpanID and flight record — survives replay.
-	ID core.VMID
 	// Name is the VM's EM attachment name; replay re-attaches under it so
 	// actor tables and per-VM routes line up with the live run.
 	Name string
@@ -125,35 +117,12 @@ type VMHeader struct {
 }
 
 // Header describes a capture: the recording host, the schedule tick and the
-// VM table. Readers always populate VMHeader.ID — implicitly dense for solo
-// (v1) streams, explicit for hosted (v2) streams.
+// VM table, indexed by VMID.
 type Header struct {
 	// Host names the recording host; empty for solo captures.
 	Host string
-	// VMs lists the recorded VMs in table order.
+	// VMs lists the recorded VMs; VMs[i] is VMID i.
 	VMs []VMHeader
 	// Tick is the scheduler granularity of the recorded run.
 	Tick time.Duration
-}
-
-// denseIDs reports whether the VM table's IDs are expressible by the v1
-// header: either every ID is zero (the solo form — the writer assigns slot
-// order) or the IDs are explicitly 0..n-1 in order.
-func (h *Header) denseIDs() bool {
-	explicit := false
-	for _, vm := range h.VMs {
-		if vm.ID != 0 {
-			explicit = true
-			break
-		}
-	}
-	if !explicit {
-		return true
-	}
-	for i, vm := range h.VMs {
-		if vm.ID != core.VMID(i) {
-			return false
-		}
-	}
-	return true
 }

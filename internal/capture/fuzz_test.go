@@ -48,11 +48,9 @@ func fuzzReplayOnce(data []byte) []byte {
 	// makes every introspection walk take its error path — also worth
 	// fuzzing. Construction can only fail on duplicate registration, which a
 	// fresh EM rules out, so a failure here is itself a finding (panic).
-	// The first header VM's wire ID anchors the wiring — a v2 (cluster)
-	// stream's IDs are sparse, so 0 may not exist.
-	vm0 := rp.Header().VMs[0].ID
-	auds, err := buildSoloAuditors(rp.EM(), vm0, rp.Clock(vm0), rp.Header().VMs[0].VCPUs,
-		rp.View(vm0), rp.Counter(vm0), guest.Symbols{})
+	// VMID 0 anchors the wiring; every accepted header has it.
+	auds, err := buildSoloAuditors(rp.EM(), 0, rp.Clock(0), rp.Header().VMs[0].VCPUs,
+		rp.View(0), rp.Counter(0), guest.Symbols{})
 	if err != nil {
 		panic("capture: fuzz auditor wiring failed: " + err.Error())
 	}
@@ -78,8 +76,8 @@ func fuzzReplayOnce(data []byte) []byte {
 	} else {
 		fmt.Fprintf(&sum, "crosscheck err: %v\n", err)
 	}
-	for _, hvm := range rp.Header().VMs {
-		for _, rec := range rp.EM().FlightExits(hvm.ID) {
+	for vm := range rp.Header().VMs {
+		for _, rec := range rp.EM().FlightExits(core.VMID(vm)) {
 			fmt.Fprintf(&sum, "exit %d %d %d %d %d %d\n",
 				rec.Span, rec.TimeNS, rec.Digest, rec.Sync, rec.Queued, rec.Dropped)
 		}
@@ -119,7 +117,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add(Generate(7, 4, 2, 256, time.Millisecond))
 	f.Add(Generate(42, 2, 1, 32, 5*time.Millisecond))
 	f.Add(Generate(9, 8, 4, 128, 100*time.Microsecond))
-	f.Add(GenerateHosted(11, 2, 2, 64, time.Millisecond, "fuzzhost", 4))
+	f.Add(GenerateHosted(11, 2, 2, 64, time.Millisecond, "fuzzhost"))
 	f.Add(magic[:])
 	f.Add([]byte{})
 	if ents, err := os.ReadDir(corpusDir); err == nil {
@@ -290,6 +288,35 @@ func TestCorpusRegression(t *testing.T) {
 	}
 }
 
+// seedCorpus is the Generate output checked in under corpusDir. The v1
+// files pin the solo writer's bytes; hosted.bin pins the v2 header.
+var seedCorpus = []struct {
+	name string
+	data []byte
+}{
+	{"solo-small", Generate(101, 1, 2, 200, time.Millisecond)},
+	{"fleet-4vm", Generate(202, 4, 2, 400, time.Millisecond)},
+	{"fleet-8vm-wide", Generate(303, 8, 8, 600, 500*time.Microsecond)},
+	{"single-vcpu", Generate(404, 2, 1, 100, 10*time.Millisecond)},
+	{"hosted", GenerateHosted(505, 2, 2, 200, time.Millisecond, "h1")},
+}
+
+// TestSeedCorpusIsGenerated pins the checked-in seed corpus to the writer:
+// every seed file must equal its Generate output byte for byte, so a change
+// to the v1 or v2 writer bytes fails here instead of silently re-seeding.
+func TestSeedCorpusIsGenerated(t *testing.T) {
+	for _, s := range seedCorpus {
+		got, err := os.ReadFile(filepath.Join(corpusDir, s.name+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, s.data) {
+			t.Errorf("%s.bin (%d bytes) differs from its Generate output (%d bytes); regenerate with HYPERTAP_UPDATE_CORPUS=1 only for an intended format change",
+				s.name, len(got), len(s.data))
+		}
+	}
+}
+
 // TestWriteSeedCorpus regenerates the checked-in seed corpus when
 // HYPERTAP_UPDATE_CORPUS=1. The files are pure Generate output, so the
 // regenerated bytes are reproducible; the env gate keeps `go test` read-only.
@@ -300,17 +327,7 @@ func TestWriteSeedCorpus(t *testing.T) {
 	if err := os.MkdirAll(corpusDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	seeds := []struct {
-		name string
-		data []byte
-	}{
-		{"solo-small", Generate(101, 1, 2, 200, time.Millisecond)},
-		{"fleet-4vm", Generate(202, 4, 2, 400, time.Millisecond)},
-		{"fleet-8vm-wide", Generate(303, 8, 8, 600, 500*time.Microsecond)},
-		{"single-vcpu", Generate(404, 2, 1, 100, 10*time.Millisecond)},
-		{"cluster-sparse", GenerateHosted(505, 2, 2, 200, time.Millisecond, "h1", 4)},
-	}
-	for _, s := range seeds {
+	for _, s := range seedCorpus {
 		path := filepath.Join(corpusDir, s.name+".bin")
 		if err := os.WriteFile(path, s.data, 0o644); err != nil {
 			t.Fatal(err)

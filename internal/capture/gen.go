@@ -20,17 +20,12 @@ import (
 // eventsPerRound events per VM followed by per-VM ticks and one barrier, the
 // shape the live scheduler produces.
 func Generate(seed int64, vms, vcpus, events int, tick time.Duration) []byte {
-	return generate(seed, vms, vcpus, events, tick, "", 0)
+	return GenerateHosted(seed, vms, vcpus, events, tick, "")
 }
 
-// GenerateHosted is Generate with the v2 header: the stream carries a host
-// name and a VMID range starting at base, the shape of the sparse-ID v2
-// captures already on disk.
-func GenerateHosted(seed int64, vms, vcpus, events int, tick time.Duration, hostName string, base core.VMID) []byte {
-	return generate(seed, vms, vcpus, events, tick, hostName, base)
-}
-
-func generate(seed int64, vms, vcpus, events int, tick time.Duration, hostName string, base core.VMID) []byte {
+// GenerateHosted is Generate with the recording host named: a non-empty
+// hostName selects the v2 header.
+func GenerateHosted(seed int64, vms, vcpus, events int, tick time.Duration, hostName string) []byte {
 	if vms < 1 {
 		vms = 1
 	}
@@ -41,7 +36,7 @@ func generate(seed int64, vms, vcpus, events int, tick time.Duration, hostName s
 	var buf bytes.Buffer
 	hdr := Header{Host: hostName, Tick: tick}
 	for i := 0; i < vms; i++ {
-		hdr.VMs = append(hdr.VMs, VMHeader{ID: base + core.VMID(i), Name: vmName(i), VCPUs: vcpus})
+		hdr.VMs = append(hdr.VMs, VMHeader{Name: vmName(i), VCPUs: vcpus})
 	}
 	rec, err := NewRecorder(&buf, hdr)
 	if err != nil {
@@ -64,7 +59,7 @@ func generate(seed int64, vms, vcpus, events int, tick time.Duration, hostName s
 			for i := 0; i < n; i++ {
 				var ev core.Event
 				ev.Type = types[rng.Intn(len(types))]
-				ev.VM = base + core.VMID(vm)
+				ev.VM = core.VMID(vm)
 				ev.VCPU = rng.Intn(vcpus)
 				seqs[vm]++
 				ev.Seq = seqs[vm]
@@ -80,7 +75,7 @@ func generate(seed int64, vms, vcpus, events int, tick time.Duration, hostName s
 				rec.TapEvent(&ev)
 				written++
 			}
-			rec.TapTick(base+core.VMID(vm), now)
+			rec.TapTick(core.VMID(vm), now)
 		}
 		rec.TapBarrier(now)
 	}

@@ -63,8 +63,8 @@ type Reader struct {
 }
 
 // NewReader parses the capture header and positions the reader at the first
-// record. Both header layouts decode: v1 (solo) tables get implicit dense
-// VMIDs, v2 (hosted) tables carry host name and explicit IDs on the wire.
+// record. Both header layouts decode; a v2 (hosted) table also carries the
+// host name and an ID column, each entry of which must be its slot index.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var fixed [4 + 1 + 1 + 8]byte
@@ -102,20 +102,16 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	// The VM table is read incrementally — a hostile count cannot trigger a
 	// large up-front allocation, only as many appends as bytes back it up.
-	seen := make(map[core.VMID]bool, nVMs)
 	for i := 0; i < nVMs; i++ {
-		id := core.VMID(i)
 		if version == Version {
 			var raw [2]byte
 			if _, err := io.ReadFull(br, raw[:]); err != nil {
 				return nil, fmt.Errorf("capture: reading VM table: %w", err)
 			}
-			id = core.VMID(binary.LittleEndian.Uint16(raw[:]))
+			if id := binary.LittleEndian.Uint16(raw[:]); int(id) != i {
+				return nil, fmt.Errorf("%w: VM table slot %d carries VMID %d; only slot-indexed IDs are read", ErrUnsupportedVersion, i, id)
+			}
 		}
-		if seen[id] {
-			return nil, fmt.Errorf("capture: duplicate VMID %d in header", id)
-		}
-		seen[id] = true
 		nameLen, err := br.ReadByte()
 		if err != nil {
 			return nil, fmt.Errorf("capture: reading VM table: %w", err)
@@ -131,7 +127,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 		if vcpus == 0 {
 			return nil, fmt.Errorf("capture: VM %q has zero vCPUs", buf[:nameLen])
 		}
-		hdr.VMs = append(hdr.VMs, VMHeader{ID: id, Name: string(buf[:nameLen]), VCPUs: vcpus})
+		hdr.VMs = append(hdr.VMs, VMHeader{Name: string(buf[:nameLen]), VCPUs: vcpus})
 	}
 	return &Reader{r: br, hdr: hdr, version: int(version)}, nil
 }

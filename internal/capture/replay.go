@@ -57,9 +57,6 @@ type Replay struct {
 	cfg    ReplayConfig
 	em     *core.Multiplexer
 	clocks []*vclock.Clock
-	// index maps a wire VMID to its dense slot in hdr.VMs / clocks. For solo
-	// (v1) captures it is the identity; v2 captures may carry sparse IDs.
-	index map[core.VMID]int
 
 	// pending is the one-record lookahead shared by Run and the view pops.
 	pending    Record
@@ -112,25 +109,17 @@ func NewReplay(r io.Reader, cfg ReplayConfig) (*Replay, error) {
 		if cfg.MaxVCPUs > 0 && vm.VCPUs > cfg.MaxVCPUs {
 			return nil, fmt.Errorf("capture: VM %q has %d vCPUs, replay cap is %d", vm.Name, vm.VCPUs, cfg.MaxVCPUs)
 		}
-		// The cap bounds the ID domain too: sparse v2 IDs size the EM's
-		// slot tables, so a hostile v2 header cannot inflate the replay by
-		// naming one VM at the far end of the u16 range.
-		if int(vm.ID) >= maxVMs {
-			return nil, fmt.Errorf("capture: VM %q has VMID %d, replay cap is %d", vm.Name, vm.ID, maxVMs)
-		}
 	}
 	rp := &Replay{rd: rd, hdr: hdr, em: core.NewMultiplexer(), cfg: cfg,
-		index: make(map[core.VMID]int, len(hdr.VMs)),
 		batch: make([]core.Event, 0, maxReplayBatch)}
 	if cfg.Flight != nil {
 		rp.em.SetFlight(cfg.Flight)
 	}
-	for i, vm := range hdr.VMs {
-		if _, err := rp.em.AttachVMAt(vm.ID, vm.Name); err != nil {
+	for _, vm := range hdr.VMs {
+		if _, err := rp.em.AttachVM(vm.Name); err != nil {
 			return nil, fmt.Errorf("capture: attaching recorded VM: %w", err)
 		}
 		rp.clocks = append(rp.clocks, &vclock.Clock{})
-		rp.index[vm.ID] = i
 	}
 	return rp, nil
 }
@@ -143,13 +132,11 @@ func (rp *Replay) EM() *core.Multiplexer { return rp.em }
 func (rp *Replay) Header() Header { return rp.hdr }
 
 // Clock returns VM vm's replay clock (GOSHD's Config.Clock and timer base).
-// vm is the wire VMID from the header — possibly sparse in a v2 capture.
 func (rp *Replay) Clock(vm core.VMID) *vclock.Clock {
-	idx, ok := rp.index[vm]
-	if !ok {
+	if int(vm) >= len(rp.clocks) {
 		panic(fmt.Sprintf("capture: Clock(%d): VM not in the capture header", vm))
 	}
-	return rp.clocks[idx]
+	return rp.clocks[vm]
 }
 
 // Divergences counts reads and records that did not line up with the live
@@ -184,8 +171,7 @@ func (rp *Replay) Run() error {
 			// here; put the record back so readEvents starts a run with it.
 			rp.hasPending = true
 		case recTick:
-			idx, ok := rp.index[rec.VM]
-			if !ok {
+			if int(rec.VM) >= len(rp.clocks) {
 				rp.divergences++
 				if rp.cfg.Strict {
 					return fmt.Errorf("capture: tick record names VM %d, not in the header table", rec.VM)
@@ -194,11 +180,11 @@ func (rp *Replay) Run() error {
 			}
 			target := rec.Now
 			if rp.cfg.MaxTick > 0 {
-				if now := rp.clocks[idx].Now(); target > now+rp.cfg.MaxTick {
+				if now := rp.clocks[rec.VM].Now(); target > now+rp.cfg.MaxTick {
 					target = now + rp.cfg.MaxTick
 				}
 			}
-			rp.clocks[idx].AdvanceTo(target)
+			rp.clocks[rec.VM].AdvanceTo(target)
 		case recBarrier:
 			rp.em.Dispatch(0)
 		case recView, recCounter:
@@ -304,13 +290,12 @@ func KindName(kind byte) string {
 
 // View returns VM vm's replay-side GuestView: reads are answered from the
 // recorded stream in issue order. Hand it to the same auditors the live run
-// wrapped with Recorder.View. vm is the wire VMID from the header.
+// wrapped with Recorder.View.
 func (rp *Replay) View(vm core.VMID) *ReplayView {
-	idx, ok := rp.index[vm]
-	if !ok {
+	if int(vm) >= len(rp.hdr.VMs) {
 		panic(fmt.Sprintf("capture: View(%d): VM not in the capture header", vm))
 	}
-	return &ReplayView{rp: rp, vm: vm, idx: idx}
+	return &ReplayView{rp: rp, vm: vm}
 }
 
 // Counter returns VM vm's replay-side process counter.
@@ -322,15 +307,14 @@ func (rp *Replay) Counter(vm core.VMID) *ReplayCounter {
 // records in order; a read with no matching record is a divergence and
 // returns a zero value with errDivergence.
 type ReplayView struct {
-	rp  *Replay
-	vm  core.VMID
-	idx int
+	rp *Replay
+	vm core.VMID
 }
 
 var _ core.GuestView = (*ReplayView)(nil)
 
 // NumVCPUs implements core.GuestView from the capture header.
-func (v *ReplayView) NumVCPUs() int { return v.rp.hdr.VMs[v.idx].VCPUs }
+func (v *ReplayView) NumVCPUs() int { return v.rp.hdr.VMs[v.vm].VCPUs }
 
 // Regs implements core.GuestView.
 func (v *ReplayView) Regs(vcpu int) arch.RegisterFile {

@@ -40,8 +40,7 @@ type VMSummary struct {
 }
 
 // Summarize decodes a whole capture stream and tallies it. Per-VM counts
-// are keyed by the header's VMIDs, so v2 streams with sparse IDs
-// tally like solo ones. onEvent, when non-nil, sees every decoded event in
+// are indexed by VMID, which is the header slot. onEvent, when non-nil, sees every decoded event in
 // stream order; the event is only valid for the duration of the call.
 //
 // A stream that cannot be decoded to its end returns the tally of every
@@ -62,10 +61,8 @@ func Summarize(r io.Reader, onEvent func(*core.Event)) (*Summary, error) {
 		EventsByType: map[string]int64{},
 		Syscalls:     map[uint32]int64{},
 	}
-	slot := make(map[core.VMID]int, len(hdr.VMs))
 	for i, vm := range hdr.VMs {
-		slot[vm.ID] = i
-		s.VMs = append(s.VMs, VMSummary{ID: vm.ID, Name: vm.Name, VCPUs: vm.VCPUs})
+		s.VMs = append(s.VMs, VMSummary{ID: core.VMID(i), Name: vm.Name, VCPUs: vm.VCPUs})
 	}
 	spaces := map[uint64]bool{}
 	var rec Record
@@ -81,8 +78,8 @@ func Summarize(r io.Reader, onEvent func(*core.Event)) (*Summary, error) {
 		switch rec.Kind {
 		case recEvent:
 			ev := &rec.Event
-			if i, ok := slot[ev.VM]; ok {
-				s.VMs[i].Events++
+			if int(ev.VM) < len(s.VMs) {
+				s.VMs[ev.VM].Events++
 			}
 			s.EventsByType[ev.Type.String()]++
 			switch ev.Type {
@@ -96,8 +93,8 @@ func Summarize(r io.Reader, onEvent func(*core.Event)) (*Summary, error) {
 				onEvent(ev)
 			}
 		case recTick:
-			if i, ok := slot[rec.VM]; ok {
-				s.VMs[i].Ticks++
+			if int(rec.VM) < len(s.VMs) {
+				s.VMs[rec.VM].Ticks++
 			}
 			s.VirtualEnd = max(s.VirtualEnd, rec.Now)
 		case recEnd:

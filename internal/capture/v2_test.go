@@ -3,17 +3,16 @@ package capture
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 	"time"
-
-	"hypertap/internal/core"
 )
 
-// TestV1HeaderByteCompat pins the compatibility contract the cluster-era
-// format keeps with pre-cluster captures: a header a v1 stream can express —
-// no host name, dense (or unset) VMIDs — is written byte-for-byte as the v1
-// layout, so old goldens, corpora and tooling stay valid.
+// TestV1HeaderByteCompat pins the compatibility contract the v2 format keeps
+// with earlier captures: a header without a host name is written
+// byte-for-byte as the v1 layout, so old goldens, corpora and tooling stay
+// valid.
 func TestV1HeaderByteCompat(t *testing.T) {
 	hdr := Header{
 		Tick: 2 * time.Millisecond,
@@ -39,16 +38,6 @@ func TestV1HeaderByteCompat(t *testing.T) {
 		t.Fatalf("v1 header bytes changed:\n got %x\nwant %x", buf.Bytes(), want)
 	}
 
-	// Explicitly dense IDs are the same header: still v1, still those bytes.
-	hdr.VMs[0].ID, hdr.VMs[1].ID = 0, 1
-	var buf2 bytes.Buffer
-	if _, err := NewRecorder(&buf2, hdr); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf2.Bytes(), want) {
-		t.Fatalf("explicit dense IDs changed the v1 bytes:\n got %x\nwant %x", buf2.Bytes(), want)
-	}
-
 	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -57,18 +46,13 @@ func TestV1HeaderByteCompat(t *testing.T) {
 	if got.Host != "" {
 		t.Fatalf("v1 header host = %q, want empty", got.Host)
 	}
-	for i, vm := range got.VMs {
-		if vm.ID != core.VMID(i) {
-			t.Fatalf("v1 VM %d decoded with ID %d, want implicit dense", i, vm.ID)
-		}
-	}
 
 	// The reader reports the wire version, not the newest one it accepts —
 	// tooling (hypertap-capture info) surfaces this to the user.
 	if rd.Version() != VersionSolo {
 		t.Fatalf("solo stream Version() = %d, want %d", rd.Version(), VersionSolo)
 	}
-	v2 := GenerateHosted(1, 2, 1, 16, time.Millisecond, "h0", 4)
+	v2 := GenerateHosted(1, 2, 1, 16, time.Millisecond, "h0")
 	rd2, err := NewReader(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
@@ -78,91 +62,9 @@ func TestV1HeaderByteCompat(t *testing.T) {
 	}
 }
 
-// TestV2RoundTripSparse drives the cluster header end to end: a host name and
-// a sparse VMID range survive the write/read/replay cycle, the replay EM
-// attaches the VMs at their recorded IDs (tombstones below), and the records
-// land under those IDs.
-func TestV2RoundTripSparse(t *testing.T) {
-	hdr := Header{
-		Host: "h1",
-		Tick: time.Millisecond,
-		VMs: []VMHeader{
-			{ID: 4, Name: "mover", VCPUs: 2},
-			{ID: 5, Name: "anchor", VCPUs: 1},
-		},
-	}
-	var buf bytes.Buffer
-	rec, err := NewRecorder(&buf, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes()[4]; got != Version {
-		t.Fatalf("sparse header wrote version %d, want %d", got, Version)
-	}
-	for i, vm := range []core.VMID{4, 5, 4} {
-		ev := sampleEvent(core.EvSyscall)
-		ev.VM = vm
-		ev.Seq = uint64(i + 1)
-		rec.TapEvent(&ev)
-	}
-	rec.TapTick(4, 3*time.Millisecond)
-	rec.TapTick(5, 3*time.Millisecond)
-	rec.TapBarrier(3 * time.Millisecond)
-	if err := rec.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := rd.Header()
-	if got.Host != "h1" {
-		t.Fatalf("decoded host = %q, want h1", got.Host)
-	}
-	if len(got.VMs) != 2 || got.VMs[0].ID != 4 || got.VMs[1].ID != 5 {
-		t.Fatalf("decoded VM table = %+v, want IDs 4 and 5", got.VMs)
-	}
-	if got.VMs[0].Name != "mover" || got.VMs[0].VCPUs != 2 {
-		t.Fatalf("decoded VM 4 = %+v", got.VMs[0])
-	}
-
-	rp, err := NewReplay(bytes.NewReader(buf.Bytes()), ReplayConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rp.Run(); err != nil {
-		t.Fatal(err)
-	}
-	names := rp.EM().VMs()
-	if len(names) != 6 || names[4] != "mover" || names[5] != "anchor" {
-		t.Fatalf("replay EM VM table = %v, want tombstones below mover/anchor at 4/5", names)
-	}
-	for _, slot := range names[:4] {
-		if slot != "" {
-			t.Fatalf("replay EM slot below the sparse range is %q, want tombstone", slot)
-		}
-	}
-	if pub := rp.EM().PublishedVM(4); pub != 2 {
-		t.Fatalf("replayed VM 4 published %d events, want 2", pub)
-	}
-	if pub := rp.EM().PublishedVM(5); pub != 1 {
-		t.Fatalf("replayed VM 5 published %d events, want 1", pub)
-	}
-	if now := rp.Clock(4).Now(); now != 3*time.Millisecond {
-		t.Fatalf("replayed VM 4 clock = %v, want 3ms", now)
-	}
-	if n := rp.View(4).NumVCPUs(); n != 2 {
-		t.Fatalf("replay view NumVCPUs = %d, want 2", n)
-	}
-	if rp.Divergences() != 0 {
-		t.Fatalf("clean sparse replay counted %d divergences", rp.Divergences())
-	}
-}
-
-// TestV2HostOnlyAssignsDenseIDs covers the host-name-only corner: a dense
-// table with a host name must use v2 (v1 cannot carry the host) and the
-// writer materializes the implicit slot IDs instead of writing duplicates.
+// TestV2HostOnlyAssignsDenseIDs pins the v2 header bytes: a host name
+// selects v2 (v1 cannot carry the host), and the ID column holds each
+// VM's slot index.
 func TestV2HostOnlyAssignsDenseIDs(t *testing.T) {
 	hdr := Header{
 		Host: "host0",
@@ -176,8 +78,19 @@ func TestV2HostOnlyAssignsDenseIDs(t *testing.T) {
 	if _, err := NewRecorder(&buf, hdr); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes()[4]; got != Version {
-		t.Fatalf("hosted header wrote version %d, want %d", got, Version)
+	want := []byte{'H', 'T', 'C', 'S', Version, 0}
+	want = binary.LittleEndian.AppendUint64(want, uint64(time.Millisecond))
+	want = append(want, 5)
+	want = append(want, "host0"...)
+	want = binary.LittleEndian.AppendUint16(want, 2)
+	for i, vm := range hdr.VMs {
+		want = binary.LittleEndian.AppendUint16(want, uint16(i))
+		want = append(want, byte(len(vm.Name)))
+		want = append(want, vm.Name...)
+		want = binary.LittleEndian.AppendUint16(want, 1)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("v2 header bytes changed:\n got %x\nwant %x", buf.Bytes(), want)
 	}
 	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -187,8 +100,8 @@ func TestV2HostOnlyAssignsDenseIDs(t *testing.T) {
 	if got.Host != "host0" {
 		t.Fatalf("decoded host = %q, want host0", got.Host)
 	}
-	if got.VMs[0].ID != 0 || got.VMs[1].ID != 1 {
-		t.Fatalf("decoded IDs = %d/%d, want dense 0/1", got.VMs[0].ID, got.VMs[1].ID)
+	if len(got.VMs) != 2 || got.VMs[0].Name != "vm-a" || got.VMs[1].Name != "vm-b" {
+		t.Fatalf("decoded VM table = %+v, want vm-a, vm-b", got.VMs)
 	}
 }
 
@@ -201,19 +114,9 @@ func TestV2HeaderRejections(t *testing.T) {
 	}); err == nil {
 		t.Fatal("oversized host name accepted")
 	}
-	if _, err := NewRecorder(&buf, Header{
-		VMs: []VMHeader{{ID: 7, Name: "x", VCPUs: 1}, {ID: 7, Name: "y", VCPUs: 1}},
-	}); err == nil {
-		t.Fatal("duplicate explicit VMIDs accepted")
-	}
-	if _, err := NewRecorder(&buf, Header{
-		VMs: []VMHeader{{ID: 7, Name: "x", VCPUs: 1}, {Name: "y", VCPUs: 1}},
-	}); err == nil {
-		t.Fatal("zero ID mixed into an explicit table accepted")
-	}
 
-	// Reader side: duplicate IDs on the wire are rejected, and a sparse ID
-	// past the replay cap cannot inflate the EM.
+	// Reader side: the wire ID column must be the slot index. Any other
+	// table is rejected as a format the reader does not understand.
 	mk := func(ids []uint16) []byte {
 		h := []byte{'H', 'T', 'C', 'S', Version, 0}
 		h = binary.LittleEndian.AppendUint64(h, uint64(time.Millisecond))
@@ -227,13 +130,12 @@ func TestV2HeaderRejections(t *testing.T) {
 		}
 		return append(h, recEnd)
 	}
-	if _, err := NewReader(bytes.NewReader(mk([]uint16{3, 3}))); err == nil {
-		t.Fatal("reader accepted duplicate wire VMIDs")
+	for _, ids := range [][]uint16{{3, 3}, {3, 9}, {0, 2}} {
+		if _, err := NewReader(bytes.NewReader(mk(ids))); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("reader on wire VMIDs %v: err = %v, want ErrUnsupportedVersion", ids, err)
+		}
 	}
-	if _, err := NewReader(bytes.NewReader(mk([]uint16{3, 9}))); err != nil {
-		t.Fatalf("reader rejected a valid sparse table: %v", err)
-	}
-	if _, err := NewReplay(bytes.NewReader(mk([]uint16{3, 65535})), ReplayConfig{MaxVMs: 16}); err == nil {
-		t.Fatal("replay accepted a VMID beyond its cap")
+	if _, err := NewReader(bytes.NewReader(mk([]uint16{0, 1}))); err != nil {
+		t.Fatalf("reader rejected a slot-indexed table: %v", err)
 	}
 }

@@ -34,9 +34,9 @@ type Recorder struct {
 }
 
 // NewRecorder writes the capture header for hdr and returns a recorder
-// appending records to w. Headers a v1 (solo) stream can express — no host
-// name, dense VMIDs — are written as v1, byte-identical to earlier solo
-// captures; a host name or a sparse ID selects the v2 layout.
+// appending records to w. A header without a host name is written as v1,
+// byte-identical to earlier solo captures; a host name selects the v2
+// layout, whose ID column is the slot index.
 func NewRecorder(w io.Writer, hdr Header) (*Recorder, error) {
 	if len(hdr.VMs) == 0 {
 		return nil, fmt.Errorf("capture: header needs at least one VM")
@@ -47,23 +47,7 @@ func NewRecorder(w io.Writer, hdr Header) (*Recorder, error) {
 	if len(hdr.Host) > 255 {
 		return nil, fmt.Errorf("capture: host name %q exceeds 255 bytes", hdr.Host)
 	}
-	// An all-zero ID column is the solo form: the writer assigns slot order.
-	implicit := true
 	for _, vm := range hdr.VMs {
-		if vm.ID != 0 {
-			implicit = false
-			break
-		}
-	}
-	seen := make(map[core.VMID]bool, len(hdr.VMs))
-	for i, vm := range hdr.VMs {
-		if vm.ID != 0 && seen[vm.ID] {
-			return nil, fmt.Errorf("capture: duplicate VMID %d in header", vm.ID)
-		}
-		seen[vm.ID] = true
-		if vm.ID == 0 && i > 0 && hdr.VMs[0].ID != 0 {
-			return nil, fmt.Errorf("capture: VM %q mixes an implicit zero ID into an explicit table", vm.Name)
-		}
 		if len(vm.Name) == 0 || len(vm.Name) > 255 {
 			return nil, fmt.Errorf("capture: VM name %q must be 1..255 bytes", vm.Name)
 		}
@@ -71,7 +55,7 @@ func NewRecorder(w io.Writer, hdr Header) (*Recorder, error) {
 			return nil, fmt.Errorf("capture: VM %q has %d vCPUs, want 1..65535", vm.Name, vm.VCPUs)
 		}
 	}
-	v2 := hdr.Host != "" || !hdr.denseIDs()
+	v2 := hdr.Host != ""
 	h := make([]byte, 0, 64)
 	h = append(h, magic[:]...)
 	if v2 {
@@ -87,11 +71,7 @@ func NewRecorder(w io.Writer, hdr Header) (*Recorder, error) {
 	h = binary.LittleEndian.AppendUint16(h, uint16(len(hdr.VMs)))
 	for i, vm := range hdr.VMs {
 		if v2 {
-			id := vm.ID
-			if implicit {
-				id = core.VMID(i)
-			}
-			h = binary.LittleEndian.AppendUint16(h, uint16(id))
+			h = binary.LittleEndian.AppendUint16(h, uint16(i))
 		}
 		h = append(h, byte(len(vm.Name)))
 		h = append(h, vm.Name...)

@@ -211,10 +211,8 @@ func (m *Multiplexer) EnableTelemetry(reg *telemetry.Registry) {
 		highWater: reg.Gauge("hypertap_async_queue_highwater"),
 	}
 	reg.CounterFunc("hypertap_events_published_total", m.Published)
-	for id, name := range m.vms {
-		if name != "" {
-			m.registerVMSeriesLocked(VMID(id))
-		}
+	for id := range m.vms {
+		m.registerVMSeriesLocked(VMID(id))
 	}
 	for _, s := range m.subs {
 		s.hist = m.tel.reg.Histogram("hypertap_auditor_handle_seconds",
@@ -298,9 +296,6 @@ func (m *Multiplexer) RegisterScoped(a Auditor, scope VMScope, mode DeliveryMode
 		}
 		if int(scope.vm) >= attached {
 			return fmt.Errorf("core: scope %v names an unattached VM (%d attached)", scope, len(m.vms))
-		}
-		if int(scope.vm) < len(m.vms) && m.vms[scope.vm] == "" {
-			return fmt.Errorf("core: scope %v names a tombstoned VM slot", scope)
 		}
 	}
 	for _, s := range m.subs {
@@ -442,18 +437,6 @@ func (m *Multiplexer) FlightOverflow() []FlightExit {
 		return nil
 	}
 	return m.fl.exitsOf(len(m.fl.rings)-1, m.syncBitsLocked)
-}
-
-// FlightVMs lists the VMIDs holding dedicated flight rings — the iteration
-// incident bundles use so ring files keep VMID identity under the sparse
-// IDs of a replayed v2 capture.
-func (m *Multiplexer) FlightVMs() []VMID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fl == nil {
-		return nil
-	}
-	return m.fl.MappedVMs()
 }
 
 // syncBitsLocked resolves the synchronous-delivery actor mask for a recorded

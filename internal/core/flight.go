@@ -201,15 +201,11 @@ type spanRing struct {
 type FlightTable struct {
 	// armed gates recording; the one atomic a slot write pays.
 	armed atomic.Bool
-	// rings holds one exit ring per resident VM plus a final overflow ring
-	// for events stamped with a VMID outside the resident range.
+	// rings holds one exit ring per VM — ring i is VMID i — plus a final
+	// overflow ring for events stamped with a VMID past the preallocated
+	// range.
 	rings []exitRing
 	spans spanRing
-	// base is the first resident VMID: a replay of a capture whose VMs
-	// carry sparse IDs [base, base+VMRings()) keeps its rings contiguous, so
-	// the hot-path mapping stays one subtract and one compare. Zero (the
-	// default) is the dense layout of a live host.
-	base VMID
 }
 
 // ceilPow2 rounds n up to a power of two (minimum 1).
@@ -266,32 +262,14 @@ func (t *FlightTable) Depth() int { return len(t.rings[0].slots) }
 // SpanDepth returns the span-ring capacity.
 func (t *FlightTable) SpanDepth() int { return len(t.spans.slots) }
 
-// SetVMBase declares the first resident VMID: a replay whose capture header
-// names IDs [base, base+n) calls this once at wiring time so its n rings map
-// contiguously. Not synchronized — set before traffic starts, like the
-// ring allocation itself.
-func (t *FlightTable) SetVMBase(base VMID) { t.base = base }
-
-// MappedVMs lists every VMID with a dedicated ring — the resident range in
-// ID order, the iteration incident bundles use so ring files keep VMID
-// identity under sparse IDs.
-func (t *FlightTable) MappedVMs() []VMID {
-	out := make([]VMID, t.VMRings())
-	for i := range out {
-		out[i] = t.base + VMID(i)
-	}
-	return out
-}
-
-// ringIndex maps a VMID to its ring: the resident range maps contiguously
-// (one subtract, one compare — the hot-path cost of sparse IDs), and
-// everything else lands in overflow.
+// ringIndex maps a VMID to its ring: VMID i is ring i, and every VMID past
+// the preallocated range lands in overflow.
 //
 //hypertap:hotpath
 func (t *FlightTable) ringIndex(vm VMID) int {
 	overflow := len(t.rings) - 1
-	if idx := int(vm) - int(t.base); idx >= 0 && idx < overflow {
-		return idx
+	if int(vm) < overflow {
+		return int(vm)
 	}
 	return overflow
 }

@@ -340,39 +340,3 @@ func TestPublishFlightZeroAllocs(t *testing.T) {
 		t.Fatalf("RecordSpan allocates %.1f per record, want 0", spanAllocs)
 	}
 }
-
-// TestFlightVMBase pins the sparse resident range: a table based at VMID 4
-// records VMs 4 and 5 into their own rings, and an ID outside the range
-// lands in the overflow ring.
-func TestFlightVMBase(t *testing.T) {
-	fl := NewFlightTable(2, 8, 8)
-	fl.SetVMBase(4)
-	em := NewMultiplexer()
-	if _, err := em.AttachVMAt(4, "vm-4"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := em.AttachVMAt(5, "vm-5"); err != nil {
-		t.Fatal(err)
-	}
-	em.SetFlight(fl)
-	em.Publish(&Event{Type: EvSyscall, VM: 4, Span: MintSpan(4, 1, 0)})
-	em.Publish(&Event{Type: EvSyscall, VM: 5, Span: MintSpan(5, 1, 0)})
-	if got := em.FlightExits(4); len(got) != 1 {
-		t.Fatalf("FlightExits(4) = %d records, want 1", len(got))
-	}
-	if got := em.FlightExits(5); len(got) != 1 {
-		t.Fatalf("FlightExits(5) = %d records, want 1", len(got))
-	}
-	if got := em.FlightOverflow(); len(got) != 0 {
-		t.Fatalf("overflow = %d records, want 0", len(got))
-	}
-	// Below and above the range both overflow.
-	em.Publish(&Event{Type: EvSyscall, VM: 3, Span: MintSpan(3, 1, 0)})
-	em.Publish(&Event{Type: EvSyscall, VM: 9, Span: MintSpan(9, 1, 0)})
-	if got := em.FlightOverflow(); len(got) != 2 {
-		t.Fatalf("overflow = %d records, want 2", len(got))
-	}
-	if got, want := em.FlightVMs(), []VMID{4, 5}; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("FlightVMs = %v, want %v", got, want)
-	}
-}

@@ -13,16 +13,12 @@ import (
 // sees the integer.
 
 // VMID compactly identifies one VM attached to a host Event Multiplexer.
-// IDs are dense, assigned by AttachVM in attach order starting at 0. A
-// machine that owns a private EM (the single-VM deployment) attaches itself
-// as VM 0, so the zero value is always the "solo VM" and pre-fleet wiring
-// keeps working unchanged.
-//
-// Sparse IDs now arrive only from recorded v2 captures and incident bundles,
-// whose headers name each VM's ID explicitly; replay keeps that identity, and
-// with it the VM's SpanIDs and flight records. Sparse IDs enter through
-// AttachVMAt; the slots below an attached ID are tombstones ("" names) that
-// route like unattached VMs.
+// IDs are dense, assigned by AttachVM in attach order starting at 0, and
+// every other layer — capture headers, replay, flight rings, incident
+// bundles — indexes by them: slot i is VMID i. A machine that owns a
+// private EM (the single-VM deployment) attaches itself as VM 0, so the
+// zero value is always the "solo VM" and pre-fleet wiring keeps working
+// unchanged.
 type VMID uint16
 
 // maxVMs bounds the per-host fleet: VMIDs index the routing table and the
@@ -65,29 +61,14 @@ type VMScoped interface {
 	VMScope() VMScope
 }
 
-// AttachVM registers a VM with the host EM and returns its VMID. Names must
-// be unique per EM (they key RHC heartbeats and telemetry labels). Attaching
-// rebuilds the routing table with a slot for the new VM; when telemetry is
-// enabled the VM also gets a labeled published-events series.
+// AttachVM registers a VM with the host EM and returns its VMID, the next
+// dense slot. Names must be unique per EM (they key RHC heartbeats and
+// telemetry labels). Attaching rebuilds the routing table with a slot for
+// the new VM; when telemetry is enabled the VM also gets a labeled
+// published-events series.
 func (m *Multiplexer) AttachVM(name string) (VMID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.attachAtLocked(VMID(len(m.vms)), name)
-}
-
-// AttachVMAt registers a VM under a caller-chosen VMID — the replay entry
-// point for a recorded v2 capture whose header names sparse IDs. Slots below
-// id that no one attached become tombstones: they have no name, no telemetry
-// series, and route like unattached VMs. Attaching at an occupied slot is an
-// error; AttachVM is AttachVMAt at the next dense slot.
-func (m *Multiplexer) AttachVMAt(id VMID, name string) (VMID, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.attachAtLocked(id, name)
-}
-
-// attachAtLocked is the shared attach path. Caller holds the EM lock.
-func (m *Multiplexer) attachAtLocked(id VMID, name string) (VMID, error) {
 	if name == "" {
 		return 0, fmt.Errorf("core: AttachVM requires a VM name")
 	}
@@ -96,18 +77,12 @@ func (m *Multiplexer) attachAtLocked(id VMID, name string) (VMID, error) {
 			return 0, fmt.Errorf("core: VM %q already attached", name)
 		}
 	}
-	if len(m.vms) >= maxVMs && int(id) >= len(m.vms) {
+	if len(m.vms) >= maxVMs {
 		return 0, fmt.Errorf("core: host EM is full (%d VMs)", maxVMs)
 	}
-	for int(id) >= len(m.vms) {
-		m.vms = append(m.vms, "")
-		m.pubByVM = append(m.pubByVM, 0)
-	}
-	if m.vms[id] != "" {
-		return 0, fmt.Errorf("core: VMID %d already attached (%q)", id, m.vms[id])
-	}
-	m.vms[id] = name
-	m.pubByVM[id] = 0
+	id := VMID(len(m.vms))
+	m.vms = append(m.vms, name)
+	m.pubByVM = append(m.pubByVM, 0)
 	if m.tel != nil {
 		m.registerVMSeriesLocked(id)
 	}
@@ -115,19 +90,17 @@ func (m *Multiplexer) attachAtLocked(id VMID, name string) (VMID, error) {
 	return id, nil
 }
 
-// VMName resolves an attached VMID to its name. Tombstoned slots (IDs below
-// a sparse attach that no one occupies) resolve to nothing.
+// VMName resolves an attached VMID to its name.
 func (m *Multiplexer) VMName(id VMID) (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if int(id) >= len(m.vms) || m.vms[id] == "" {
+	if int(id) >= len(m.vms) {
 		return "", false
 	}
 	return m.vms[id], true
 }
 
-// VMs returns the attached VM names indexed by VMID; tombstoned slots hold
-// the empty string.
+// VMs returns the attached VM names indexed by VMID.
 func (m *Multiplexer) VMs() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()

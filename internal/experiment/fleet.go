@@ -143,12 +143,11 @@ func newFleetSink(cfg *FleetConfig, ctx *runner.Ctx, hostName string, h *host.Ho
 	})
 }
 
-// fleetVM is one VM the unit auditors watch: its VMID, the virtual clock
-// GOSHD arms its silence timers on, and its vCPU count. The live unit takes
-// them from the machine and stream replay from the capture header, never
-// from the VM's slot index.
+// fleetVM is one VM the unit auditors watch: the virtual clock GOSHD arms
+// its silence timers on, and its vCPU count. Its VMID is its index in the
+// unit's VM slice. The live unit takes them from the machine and stream
+// replay from the capture header.
 type fleetVM struct {
-	ID    core.VMID
 	Clock *vclock.Clock
 	VCPUs int
 }
@@ -171,7 +170,7 @@ func registerFleetAuditors(em *core.Multiplexer, vms []fleetVM, threshold time.D
 	var goshdActor, fwActor uint8
 	aud := &fleetAuditors{dets: make([]*goshd.Detector, len(vms))}
 	for j, vm := range vms {
-		vmid := vm.ID
+		vmid := core.VMID(j)
 		det, err := goshd.New(goshd.Config{
 			VM:        vmid,
 			Clock:     vm.Clock,
@@ -251,10 +250,7 @@ func runFleetUnit(cfg *FleetConfig, ctx *runner.Ctx) (rep FleetHostReport, err e
 		}
 		hdr := capture.Header{Host: hostName, Tick: time.Millisecond}
 		for j := range specs {
-			hdr.VMs = append(hdr.VMs, capture.VMHeader{
-				ID:   h.Machine(j).VMID(),
-				Name: specs[j].Name, VCPUs: h.Machine(j).NumVCPUs(),
-			})
+			hdr.VMs = append(hdr.VMs, capture.VMHeader{Name: specs[j].Name, VCPUs: h.Machine(j).NumVCPUs()})
 		}
 		if capRec, err = capture.NewRecorder(&capBuf, hdr); err != nil {
 			return FleetHostReport{}, err
@@ -291,7 +287,7 @@ func runFleetUnit(cfg *FleetConfig, ctx *runner.Ctx) (rep FleetHostReport, err e
 	vms := make([]fleetVM, cfg.VMsPerHost)
 	for j := range vms {
 		m := h.Machine(j)
-		vms[j] = fleetVM{ID: m.VMID(), Clock: m.Clock(), VCPUs: m.NumVCPUs()}
+		vms[j] = fleetVM{Clock: m.Clock(), VCPUs: m.NumVCPUs()}
 	}
 	aud, err := registerFleetAuditors(h.EM(), vms, cfg.Threshold, nil, ctx.Telemetry)
 	if err != nil {
@@ -318,21 +314,21 @@ func runFleetUnit(cfg *FleetConfig, ctx *runner.Ctx) (rep FleetHostReport, err e
 
 	report := FleetHostReport{Host: hostName, Seed: ctx.Seed}
 	totalAlarms := 0
-	firstAlarmVM := vms[0].ID
+	var firstAlarmVM core.VMID
 	for j := 0; j < cfg.VMsPerHost; j++ {
 		m := h.Machine(j)
 		st := m.Kernel().Stats()
 		vm := FleetVMReport{
 			Name:     m.Name(),
 			Seed:     seeds[j],
-			Events:   h.EM().PublishedVM(vms[j].ID),
+			Events:   h.EM().PublishedVM(core.VMID(j)),
 			Syscalls: st.Syscalls,
 			Switches: st.ContextSwitches,
 			Exits:    m.TotalExits(),
 			Alarms:   len(aud.dets[j].Alarms()),
 		}
 		if vm.Alarms > 0 && totalAlarms == 0 {
-			firstAlarmVM = vms[j].ID
+			firstAlarmVM = core.VMID(j)
 		}
 		totalAlarms += vm.Alarms
 		report.VMs = append(report.VMs, vm)
@@ -473,9 +469,8 @@ func ReplayIncidentStream(cfg FleetConfig, bundleDir string) (*StreamReplayRepor
 // stream with no guest anywhere. The unit auditors are registered through
 // the same registerFleetAuditors as the live unit, so verdict spans land in
 // the same flight rings under the same actor IDs as the live run's. The
-// flight table spans the header's VMID range (v2 captures may carry sparse
-// IDs, so the rings sit at a base, not at zero) unless cfg.FlightDepth
-// disables it. cfg.Telemetry, when set, instruments the replay EM and its
+// flight table holds one ring per header VM unless cfg.FlightDepth disables
+// it. cfg.Telemetry, when set, instruments the replay EM and its
 // auditors. strict turns any divergence between the replayed reads and the
 // recorded ones into an error.
 func ReplayStream(cfg FleetConfig, data []byte, strict bool) (*StreamReplayReport, error) {
@@ -489,17 +484,7 @@ func ReplayStream(cfg FleetConfig, data []byte, strict bool) (*StreamReplayRepor
 	hdr := pre.Header()
 	var fl *core.FlightTable
 	if cfg.FlightDepth >= 0 {
-		base, top := hdr.VMs[0].ID, hdr.VMs[0].ID
-		for _, vm := range hdr.VMs {
-			if vm.ID < base {
-				base = vm.ID
-			}
-			if vm.ID > top {
-				top = vm.ID
-			}
-		}
-		fl = core.NewFlightTable(int(top-base)+1, cfg.FlightDepth, 0)
-		fl.SetVMBase(base)
+		fl = core.NewFlightTable(len(hdr.VMs), cfg.FlightDepth, 0)
 	}
 	rp, err := capture.NewReplay(bytes.NewReader(data), capture.ReplayConfig{Flight: fl, Strict: strict})
 	if err != nil {
@@ -511,7 +496,7 @@ func ReplayStream(cfg FleetConfig, data []byte, strict bool) (*StreamReplayRepor
 	}
 	vms := make([]fleetVM, len(hdr.VMs))
 	for j, vm := range hdr.VMs {
-		vms[j] = fleetVM{ID: vm.ID, Clock: rp.Clock(vm.ID), VCPUs: vm.VCPUs}
+		vms[j] = fleetVM{Clock: rp.Clock(core.VMID(j)), VCPUs: vm.VCPUs}
 	}
 	aud, err := registerFleetAuditors(em, vms, cfg.Threshold, cfg.Telemetry, cfg.Telemetry)
 	if err != nil {
@@ -527,7 +512,7 @@ func ReplayStream(cfg FleetConfig, data []byte, strict bool) (*StreamReplayRepor
 	for j := range hdr.VMs {
 		vm := StreamVMReport{
 			Name:   hdr.VMs[j].Name,
-			Events: em.PublishedVM(hdr.VMs[j].ID),
+			Events: em.PublishedVM(core.VMID(j)),
 			Alarms: len(aud.dets[j].Alarms()),
 		}
 		report.VMs = append(report.VMs, vm)

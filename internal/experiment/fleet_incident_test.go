@@ -377,12 +377,12 @@ func TestFleetIncidentStreamReplay(t *testing.T) {
 	}
 }
 
-// TestReplayStreamHosted pins the replay wiring against cluster-era (v2)
-// captures: the auditor wiring must scope to the header's sparse VMIDs, not
-// the table slots — a slot-indexed Clock/PublishedVM lookup panics or tallies
-// zero events here. The replay also instruments the configured registry.
+// TestReplayStreamHosted pins the replay wiring against hosted (v2)
+// captures: every header VM is wired and tallies its events, and the report
+// carries the recording host. The replay also instruments the configured
+// registry.
 func TestReplayStreamHosted(t *testing.T) {
-	data := capture.GenerateHosted(7, 2, 2, 400, time.Millisecond, "host1", 4)
+	data := capture.GenerateHosted(7, 2, 2, 400, time.Millisecond, "host1")
 	reg := telemetry.NewRegistry()
 	rep, err := ReplayStream(FleetConfig{Telemetry: reg}, data, false)
 	if err != nil {
@@ -405,7 +405,7 @@ func TestReplayStreamHosted(t *testing.T) {
 	}
 	for _, vm := range rep.VMs {
 		if vm.Events == 0 {
-			t.Errorf("VM %s tallied 0 events — sparse VMID lost in the wiring", vm.Name)
+			t.Errorf("VM %s tallied 0 events", vm.Name)
 		}
 	}
 	if rep.Divergences != 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -177,12 +176,10 @@ func (s *Sink) Raise(kind string, vm core.VMID, at time.Duration, cause error) (
 		return "", err
 	}
 
-	// Ring files carry the VMID in the name. The EM enumerates the mapped
-	// rings itself — under the sparse IDs of a replayed v2 capture, ring
-	// index and VMID are no longer the same thing.
-	for _, id := range em.FlightVMs() {
+	// Ring files carry the VMID in the name; ring i is VMID i.
+	for id := 0; id < em.Flight().VMRings(); id++ {
 		if err := writeBin(filepath.Join(dir, fmt.Sprintf("flight-vm%05d.bin", id)), func(f *os.File) error {
-			return WriteExits(f, em.FlightExits(id))
+			return WriteExits(f, em.FlightExits(core.VMID(id)))
 		}); err != nil {
 			return "", err
 		}
@@ -271,13 +268,9 @@ type Bundle struct {
 	Dir string
 	// Meta is the manifest.
 	Meta Incident
-	// Exits holds the per-VM ring captures in ascending-VMID order; ring i
-	// belongs to ExitVMs[i]. On a solo (base-0, dense) host the two orders
-	// coincide, so Exits[vm] keeps working as an index by VMID there.
+	// Exits holds the per-VM ring captures indexed by VMID: Exits[i] is
+	// VM i's ring.
 	Exits [][]core.FlightExit
-	// ExitVMs gives each ring's VMID, parsed from the ring file names —
-	// sparse when the rings came from a replayed v2 capture.
-	ExitVMs []core.VMID
 	// Overflow is the out-of-range-VMID ring capture.
 	Overflow []core.FlightExit
 	// Spans is the span-ring capture.
@@ -306,25 +299,22 @@ func LoadBundle(dir string) (*Bundle, error) {
 		return nil, fmt.Errorf("flight: %w", err)
 	}
 	// Ring files embed the VMID (flight-vm%05d.bin; older bundles used
-	// %03d). Sorting numerically by the parsed ID keeps ring order stable
-	// across both paddings and under sparse IDs.
-	ids := make(map[string]int, len(ringFiles))
+	// %03d), and the set must be exactly VMIDs 0..n-1.
+	b.Exits = make([][]core.FlightExit, len(ringFiles))
+	loaded := make([]bool, len(ringFiles))
 	for _, rf := range ringFiles {
 		numeric := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(rf), "flight-vm"), ".bin")
 		id, convErr := strconv.Atoi(numeric)
-		if convErr != nil || id < 0 || id > int(^uint16(0)) {
+		if convErr != nil || id < 0 {
 			return nil, fmt.Errorf("flight: ring file %s has no parsable VMID", rf)
 		}
-		ids[rf] = id
-	}
-	sort.Slice(ringFiles, func(i, j int) bool { return ids[ringFiles[i]] < ids[ringFiles[j]] })
-	for _, rf := range ringFiles {
-		recs, err := readExitsFile(rf)
-		if err != nil {
+		if id >= len(ringFiles) || loaded[id] {
+			return nil, fmt.Errorf("flight: ring file %s breaks the VMID sequence 0..%d", rf, len(ringFiles)-1)
+		}
+		loaded[id] = true
+		if b.Exits[id], err = readExitsFile(rf); err != nil {
 			return nil, err
 		}
-		b.Exits = append(b.Exits, recs)
-		b.ExitVMs = append(b.ExitVMs, core.VMID(ids[rf]))
 	}
 	if b.Overflow, err = readExitsFile(filepath.Join(dir, "flight-overflow.bin")); err != nil {
 		return nil, err

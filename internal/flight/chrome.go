@@ -52,15 +52,16 @@ func usToTS(ns int64) float64 { return float64(ns) / 1e3 }
 // builder accumulates trace events and the set of tracks needing names.
 type builder struct {
 	events []chromeEvent
-	// vmNames labels VM tracks; a VM it does not name falls back to "vmN".
-	vmNames  map[core.VMID]string
+	// vmNames labels VM tracks by VMID; a VM it does not name falls back to
+	// "vmN".
+	vmNames  []string
 	actors   []string
 	flowSeen map[core.SpanID]bool
 }
 
 func (b *builder) vmName(vm core.VMID) string {
-	if name, ok := b.vmNames[vm]; ok {
-		return name
+	if int(vm) < len(b.vmNames) {
+		return b.vmNames[vm]
 	}
 	return fmt.Sprintf("vm%d", vm)
 }
@@ -167,22 +168,13 @@ func (b *builder) write(w io.Writer) error {
 // WriteChrome renders a loaded incident bundle as Chrome trace-event JSON.
 func WriteChrome(w io.Writer, b *Bundle) error {
 	bld := &builder{
-		vmNames:  make(map[core.VMID]string, len(b.Meta.VMNames)),
+		vmNames:  b.Meta.VMNames,
 		actors:   b.Meta.Actors,
 		flowSeen: make(map[core.SpanID]bool),
 	}
-	for id, name := range b.Meta.VMNames {
-		bld.vmNames[core.VMID(id)] = name
-	}
 	bld.meta(0, "process_name")
-	ringVM := func(i int) core.VMID {
-		if i < len(b.ExitVMs) {
-			return b.ExitVMs[i]
-		}
-		return core.VMID(i)
-	}
 	for i := range b.Exits {
-		bld.meta(vmTID(ringVM(i)), bld.vmName(ringVM(i)))
+		bld.meta(vmTID(core.VMID(i)), bld.vmName(core.VMID(i)))
 	}
 	if len(b.Overflow) > 0 {
 		bld.meta(overflowTID, "overflow")
@@ -192,7 +184,7 @@ func WriteChrome(w io.Writer, b *Bundle) error {
 	}
 	for i := range b.Exits {
 		for j := range b.Exits[i] {
-			bld.exit(vmTID(ringVM(i)), &b.Exits[i][j])
+			bld.exit(vmTID(core.VMID(i)), &b.Exits[i][j])
 		}
 	}
 	for i := range b.Overflow {
@@ -207,9 +199,9 @@ func WriteChrome(w io.Writer, b *Bundle) error {
 // ChromeFromEvents renders a decoded exit stream (the events of a .htcs
 // capture, as hypertap-capture info -chrome-trace reads them) as Chrome
 // trace-event JSON: one slice per event on its VM's track. vmNames labels
-// the tracks by VMID — the capture header's IDs, which a v2 capture may
-// carry sparse; a VM it does not name is labeled "vmN".
-func ChromeFromEvents(w io.Writer, events []core.Event, vmNames map[core.VMID]string) error {
+// the tracks by VMID, in capture-header order; a VM it does not name is
+// labeled "vmN".
+func ChromeFromEvents(w io.Writer, events []core.Event, vmNames []string) error {
 	bld := &builder{vmNames: vmNames, flowSeen: make(map[core.SpanID]bool)}
 	seen := make(map[core.VMID]bool)
 	for i := range events {

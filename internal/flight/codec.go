@@ -98,18 +98,21 @@ func WriteExits(w io.Writer, recs []core.FlightExit) error {
 // ReadExits deserializes an exit-ring capture, validating each record's
 // closed-enum fields: a Reason byte that is neither zero (synthetic event)
 // nor a modeled hav.ExitReason marks the file as damaged, not merely skewed.
+// The slice grows as records arrive, so a hostile header count allocates
+// only as much as the bytes behind it.
 func ReadExits(r io.Reader) ([]core.FlightExit, error) {
 	n, err := readHeader(r, kindExits)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]core.FlightExit, n)
+	var out []core.FlightExit
 	var b [exitRecSize]byte
-	for i := range out {
+	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(r, b[:]); err != nil {
 			return nil, fmt.Errorf("flight: exit record %d: %w", i, err)
 		}
 		le := binary.LittleEndian
+		out = append(out, core.FlightExit{})
 		rec := &out[i]
 		rec.Span = core.SpanID(le.Uint64(b[0:]))
 		rec.TimeNS = int64(le.Uint64(b[8:]))
@@ -148,19 +151,21 @@ func WriteSpans(w io.Writer, recs []core.SpanRecord) error {
 	return nil
 }
 
-// ReadSpans deserializes a span-ring capture.
+// ReadSpans deserializes a span-ring capture, growing the slice as records
+// arrive, as ReadExits does.
 func ReadSpans(r io.Reader) ([]core.SpanRecord, error) {
 	n, err := readHeader(r, kindSpans)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]core.SpanRecord, n)
+	var out []core.SpanRecord
 	var b [spanRecSize]byte
-	for i := range out {
+	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(r, b[:]); err != nil {
 			return nil, fmt.Errorf("flight: span record %d: %w", i, err)
 		}
 		le := binary.LittleEndian
+		out = append(out, core.SpanRecord{})
 		rec := &out[i]
 		rec.Span = core.SpanID(le.Uint64(b[0:]))
 		rec.TimeNS = int64(le.Uint64(b[8:]))

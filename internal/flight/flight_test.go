@@ -2,10 +2,12 @@ package flight
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -98,8 +100,41 @@ func TestCodecRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestCodecHostileCount feeds headers claiming 1<<32-1 records followed by
+// one record: the readers must fail at record 1 having allocated only for
+// the record that is there, not for the count the header claims.
+func TestCodecHostileCount(t *testing.T) {
+	var exits, spans bytes.Buffer
+	if err := WriteExits(&exits, []core.FlightExit{{Type: core.EvHalt}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSpans(&spans, []core.SpanRecord{{Phase: core.PhaseDrain}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		read func([]byte) error
+	}{
+		{"exits", exits.Bytes(), func(b []byte) error { _, err := ReadExits(bytes.NewReader(b)); return err }},
+		{"spans", spans.Bytes(), func(b []byte) error { _, err := ReadSpans(bytes.NewReader(b)); return err }},
+	} {
+		binary.LittleEndian.PutUint32(c.data[8:], 1<<32-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.read(c.data)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "record 1:") {
+			t.Errorf("%s: err = %v, want a record-1 error", c.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: reading a 1-record file allocated %d bytes, want < 1 MiB", c.name, grew)
+		}
+	}
+}
+
 // bundleHost builds a 2-VM EM with a flight table and some recorded traffic.
-func bundleHost(t *testing.T) (*core.Multiplexer, *core.FlightTable) {
+func bundleHost(t testing.TB) (*core.Multiplexer, *core.FlightTable) {
 	t.Helper()
 	em := core.NewMultiplexer()
 	fl := core.NewFlightTable(2, 32, 0)
@@ -288,19 +323,19 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
-// TestChromeFromEvents also pins sparse labeling: tracks are named by VMID,
-// so a cluster stream's VM 4 gets its header name, not a slot's.
+// TestChromeFromEvents also pins track labels: tracks are named by VMID
+// from the header's name list, and a VM past it is labeled "vmN".
 func TestChromeFromEvents(t *testing.T) {
 	events := []core.Event{
-		{Type: core.EvSyscall, VM: 4, Seq: 1, Time: time.Millisecond, Span: core.MintSpan(4, 1, 0)},
-		{Type: core.EvHalt, VM: 5, Seq: 2, Time: 2 * time.Millisecond},
+		{Type: core.EvSyscall, VM: 0, Seq: 1, Time: time.Millisecond, Span: core.MintSpan(0, 1, 0)},
+		{Type: core.EvHalt, VM: 1, Seq: 2, Time: 2 * time.Millisecond},
 	}
 	var buf bytes.Buffer
-	if err := ChromeFromEvents(&buf, events, map[core.VMID]string{4: "alpha"}); err != nil {
+	if err := ChromeFromEvents(&buf, events, []string{"alpha"}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"alpha"`, `"vm5"`, `"syscall"`, `"halt"`, `"span"`} {
+	for _, want := range []string{`"alpha"`, `"vm1"`, `"syscall"`, `"halt"`, `"span"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("export missing %s", want)
 		}
@@ -308,6 +343,51 @@ func TestChromeFromEvents(t *testing.T) {
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
+	}
+}
+
+// TestLoadBundleRingSet pins the ring-file contract: ring i is VM i, both
+// name paddings load, and a set that is not exactly VMIDs 0..n-1 — a gap or
+// the same VMID under two paddings — is rejected.
+func TestLoadBundleRingSet(t *testing.T) {
+	em, _ := bundleHost(t)
+	sink, err := NewSink(SinkConfig{Dir: t.TempDir(), EM: em})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bdir, err := sink.Raise("detection", 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := func(name string) string { return filepath.Join(bdir, name) }
+	for _, id := range []string{"0", "1"} {
+		if err := os.Rename(ring("flight-vm0000"+id+".bin"), ring("flight-vm00"+id+".bin")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := LoadBundle(bdir)
+	if err != nil {
+		t.Fatalf("old %%03d ring names: %v", err)
+	}
+	if len(b.Exits) != 2 || len(b.Exits[0]) != 3 || len(b.Exits[1]) != 2 {
+		t.Fatalf("old ring names loaded %d rings, want VM 0 with 3 exits and VM 1 with 2", len(b.Exits))
+	}
+
+	data, err := os.ReadFile(ring("flight-vm000.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ring("flight-vm00000.bin"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBundle(bdir); err == nil || !strings.Contains(err.Error(), "VMID sequence") {
+		t.Fatalf("VM 0 under two paddings: err = %v, want a VMID-sequence rejection", err)
+	}
+	if err := os.Rename(ring("flight-vm00000.bin"), ring("flight-vm00003.bin")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBundle(bdir); err == nil || !strings.Contains(err.Error(), "VMID sequence") {
+		t.Fatalf("rings 0, 1, 3: err = %v, want a VMID-sequence rejection", err)
 	}
 }
 

@@ -50,9 +50,10 @@ func TestExitPathZeroAllocs(t *testing.T) {
 
 // TestSyncAuditorReentersEngine shows what a synchronous auditor can reach
 // while the EF's decode batch is being delivered: the engine's query methods
-// (which take the engine lock HandleExit released before publishing) and the
-// guest view — but never guest code, so no exit is raised mid-delivery and
-// the engine's single decode buffer is never refilled while it is borrowed.
+// (which take the engine lock; HandleExit decodes without it and never
+// holds it while publishing) and the guest view — but never guest code, so
+// no exit is raised mid-delivery and the engine's single decode buffer is
+// never refilled while it is borrowed.
 func TestSyncAuditorReentersEngine(t *testing.T) {
 	m, _ := newMonitoredVM(t, nil)
 	var calls, nested int

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,18 +26,19 @@ import (
 // for concurrent use; the simulator core advances it from a single goroutine
 // while auditors and the remote health checker may read it concurrently.
 type Clock struct {
-	mu     sync.RWMutex
-	now    time.Duration
+	mu sync.RWMutex
+	// now is the current time in nanoseconds. It is stored only under mu
+	// (by Advance, the one writer), so timer code under mu sees it stable,
+	// and loaded without the lock by Now.
+	now    atomic.Int64
 	timers timerHeap
 	nextID int64
 }
 
 // Now returns the current virtual time as an offset from the start of the
-// simulation.
+// simulation. It takes no lock.
 func (c *Clock) Now() time.Duration {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.now
+	return time.Duration(c.now.Load())
 }
 
 // Advance moves virtual time forward by d and fires every timer whose
@@ -48,9 +50,9 @@ func (c *Clock) Advance(d time.Duration) {
 		panic(fmt.Sprintf("vclock: Advance called with negative duration %v", d))
 	}
 	c.mu.Lock()
-	target := c.now + d
+	target := c.Now() + d
 	fired := c.collectDueLocked(target)
-	c.now = target
+	c.now.Store(int64(target))
 	c.mu.Unlock()
 
 	// Callbacks run outside the lock so they may schedule new timers.
@@ -90,7 +92,7 @@ func (c *Clock) AfterFunc(d time.Duration, fn func(now time.Duration)) *Timer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
-	t := &Timer{id: c.nextID, when: c.now + d, fn: fn}
+	t := &Timer{id: c.nextID, when: c.Now() + d, fn: fn}
 	c.timers.push(t)
 	return t
 }
@@ -124,7 +126,7 @@ func (c *Clock) Reset(t *Timer, d time.Duration) *Timer {
 	}
 	c.nextID++
 	t.id = c.nextID
-	t.when = c.now + d
+	t.when = c.Now() + d
 	c.timers.push(t)
 	return t
 }

@@ -192,12 +192,18 @@ func TestConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var last time.Duration
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					_ = c.Now()
+					now := c.Now()
+					if now < last {
+						t.Errorf("Now() went back from %v to %v", last, now)
+						return
+					}
+					last = now
 					_ = c.PendingTimers()
 				}
 			}
