@@ -38,7 +38,7 @@ fmt:
 	fi
 
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/telemetry/... ./internal/experiment/... ./internal/hv/... ./internal/host/... ./internal/capture/... ./internal/vclock/...
+	$(GO) test -race -short ./internal/core/... ./internal/telemetry/... ./internal/experiment/... ./internal/hv/... ./internal/host/... ./internal/capture/... ./internal/vclock/... ./internal/flight/...
 
 # The equivalence suites: serial≡parallel for the sharded campaign engine
 # (including fleet campaigns whose unit is an N-VM host), N-VM-host ≡

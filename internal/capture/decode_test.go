@@ -3,6 +3,7 @@ package capture
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -312,5 +313,78 @@ func TestReplayLatchesViewDecodeErrors(t *testing.T) {
 	}
 	if err := rp.Run(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("Run after a truncated view pop returned %v, want truncation", err)
+	}
+}
+
+// TestReaderRejectsOutOfTableVM pins the reader's VMID boundary check: on a
+// three-VM header, an event, tick, view or counter record naming VM 2 is
+// accepted, and one naming VM 3 fails to decode with an error naming the
+// record kind and the VM — through Reader.Next and, for events, through the
+// replay's direct-to-batch path too. A lenient (non-strict) replay fails on
+// such a record as well, instead of counting a divergence.
+func TestReaderRejectsOutOfTableVM(t *testing.T) {
+	hdr := Header{Tick: time.Millisecond, VMs: []VMHeader{{Name: "a", VCPUs: 1}, {Name: "b", VCPUs: 1}, {Name: "c", VCPUs: 1}}}
+	n := core.VMID(len(hdr.VMs))
+	kinds := []struct {
+		kind  string
+		write func(r *Recorder, vm core.VMID)
+	}{
+		{"event", func(r *Recorder, vm core.VMID) {
+			ev := sampleEvent(core.EvSyscall)
+			ev.VM = vm
+			r.TapEvent(&ev)
+		}},
+		{"tick", func(r *Recorder, vm core.VMID) { r.TapTick(vm, time.Millisecond) }},
+		{"view", func(r *Recorder, vm core.VMID) { r.View(&fakeView{}, vm).ReadU64GPA(0x1000) }},
+		{"counter", func(r *Recorder, vm core.VMID) { r.Counter(staticCounter(5), vm).CountProcesses() }},
+	}
+	for _, k := range kinds {
+		for _, vm := range []core.VMID{n - 1, n} {
+			var buf bytes.Buffer
+			r, err := NewRecorder(&buf, hdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.write(r, vm)
+			if err := r.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
+			rd, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rec Record
+			err = rd.Next(&rec)
+			if vm < n {
+				if err != nil {
+					t.Errorf("%s record naming VM %d: %v", k.kind, vm, err)
+				} else if got := max(rec.VM, rec.Event.VM); got != vm {
+					t.Errorf("%s record naming VM %d decoded VM %d", k.kind, vm, got)
+				}
+				continue
+			}
+			want := fmt.Sprintf("%s record names VM %d,", k.kind, vm)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s record naming VM %d: err = %v, want one containing %q", k.kind, vm, err, want)
+			}
+			if k.kind == "event" {
+				rd, err := NewReader(bytes.NewReader(data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ev core.Event
+				if ok, err := rd.nextEvent(&ev); ok || err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("batch decode of an event naming VM %d: ok %v, err %v, want %q", vm, ok, err, want)
+				}
+			}
+			rp, err := NewReplay(bytes.NewReader(data), ReplayConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rp.Run(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("lenient replay of a %s record naming VM %d: Run returned %v, want %q", k.kind, vm, err, want)
+			}
+		}
 	}
 }

@@ -231,7 +231,8 @@ func FuzzEventDecode(f *testing.F) {
 	// slot.
 	var all, interleaved []byte
 	barrier := recordOf(f, func(r *Recorder) { r.TapBarrier(time.Millisecond) })
-	for _, s := range recordShapes(f) {
+	shapes := recordShapes(f)
+	for _, s := range shapes {
 		f.Add(s.raw)
 		f.Add(s.raw[:len(s.raw)/2])
 		all = append(all, s.raw...)
@@ -239,6 +240,13 @@ func FuzzEventDecode(f *testing.F) {
 	}
 	f.Add(all)
 	f.Add(interleaved)
+	// An event naming VM 1 of the one-VM test header, alone and ending a
+	// run: both paths must reject it with the same error.
+	stray := sampleEvent(core.EvSyscall)
+	stray.VM = 1
+	strayRec := recordOf(f, func(r *Recorder) { r.TapEvent(&stray) })
+	f.Add(strayRec)
+	f.Add(append(append([]byte(nil), shapes[0].raw...), strayRec...))
 	head := testHeaderBytes(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > fuzzMaxInput {

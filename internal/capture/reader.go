@@ -55,11 +55,16 @@ type ViewRecord struct {
 	Now time.Duration
 }
 
-// Reader decodes a capture stream record by record.
+// Reader decodes a capture stream record by record. It is the one place a
+// capture's VMIDs are checked: every event, tick, view and counter record
+// must name a VM of the header table, so everything downstream indexes per-VM
+// state by VMID without a check of its own.
 type Reader struct {
 	r       *bufio.Reader
 	hdr     Header
 	version int
+	// vms is len(hdr.VMs), the bound every record's VMID is checked against.
+	vms int
 }
 
 // NewReader parses the capture header and positions the reader at the first
@@ -129,7 +134,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 		}
 		hdr.VMs = append(hdr.VMs, VMHeader{Name: string(buf[:nameLen]), VCPUs: vcpus})
 	}
-	return &Reader{r: br, hdr: hdr, version: int(version)}, nil
+	return &Reader{r: br, hdr: hdr, version: int(version), vms: nVMs}, nil
 }
 
 // Header returns the parsed capture header.
@@ -165,7 +170,9 @@ func (rd *Reader) Next(rec *Record) error {
 		if err != nil {
 			return err
 		}
-		rec.VM = core.VMID(le.Uint16(b))
+		if rec.VM = core.VMID(le.Uint16(b)); int(rec.VM) >= rd.vms {
+			return vmError("tick", rec.VM, rd.vms)
+		}
 		rec.Now = time.Duration(le.Uint64(b[2:]))
 		rd.consume(10)
 		return nil
@@ -184,7 +191,9 @@ func (rd *Reader) Next(rec *Record) error {
 		if err != nil {
 			return err
 		}
-		rec.VM = core.VMID(le.Uint16(b))
+		if rec.VM = core.VMID(le.Uint16(b)); int(rec.VM) >= rd.vms {
+			return vmError("counter", rec.VM, rd.vms)
+		}
 		rec.Count = int(int64(le.Uint64(b[2:])))
 		rd.consume(10)
 		return nil
@@ -245,6 +254,16 @@ func decodeError(what string, v, limit uint64, err error) error {
 	}
 }
 
+// vmError reports a record of the given kind naming a VM outside the
+// header's n-VM table. Like decodeError it is a cold exit taking plain
+// values; it is kept out of line so its formatting's escapes stay out of
+// the hot-path decoders.
+//
+//go:noinline
+func vmError(kind string, vm core.VMID, n int) error {
+	return fmt.Errorf("capture: %s record names VM %d, outside the %d-VM header table", kind, vm, n)
+}
+
 // eventPayload returns the wire size and diagnostic name of event type t's
 // payload; unknown types carry the generic payload of every field.
 //
@@ -294,7 +313,7 @@ func (rd *Reader) nextEvent(ev *core.Event) (ok bool, err error) {
 		return false, nil
 	}
 	if len(b) >= eventFixedSize {
-		size, _, err := eventHead(b[1:])
+		size, _, err := eventHead(b[1:], rd.vms)
 		if err != nil {
 			return false, err
 		}
@@ -331,7 +350,7 @@ func (rd *Reader) readEvent(ev *core.Event) error {
 	if err != nil {
 		return err
 	}
-	size, what, err := eventHead(b)
+	size, what, err := eventHead(b, rd.vms)
 	if err != nil {
 		return err
 	}
@@ -346,13 +365,18 @@ func (rd *Reader) readEvent(ev *core.Event) error {
 }
 
 // eventHead validates an event record's fixed head b (the record past its
-// kind byte) and returns its payload's wire size and diagnostic name.
+// kind byte) against a header table of vms VMs and returns its payload's
+// wire size and diagnostic name. Both event decode paths call it, so they
+// accept and reject the same records.
 //
 //hypertap:hotpath
-func eventHead(b []byte) (size int, what string, err error) {
+func eventHead(b []byte, vms int) (size int, what string, err error) {
 	typ := core.EventType(b[0])
 	if typ == 0 {
 		return 0, "", decodeError("event record has invalid type", 0, 0, nil)
+	}
+	if vm := core.VMID(binary.LittleEndian.Uint16(b[1:])); int(vm) >= vms {
+		return 0, "", vmError("event", vm, vms)
 	}
 	if reason := hav.ExitReason(b[29]); reason != 0 && !reason.Valid() {
 		return 0, "", decodeError("event record has invalid exit reason", uint64(reason), 0, nil)
@@ -463,7 +487,9 @@ func (rd *Reader) readView(rec *Record) error {
 		return err
 	}
 	le := binary.LittleEndian
-	rec.VM = core.VMID(le.Uint16(b))
+	if rec.VM = core.VMID(le.Uint16(b)); int(rec.VM) >= rd.vms {
+		return vmError("view", rec.VM, rd.vms)
+	}
 	v := &rec.View
 	v.Method = b[2]
 	size, what, ok := viewResult(v.Method)

@@ -171,13 +171,6 @@ func (rp *Replay) Run() error {
 			// here; put the record back so readEvents starts a run with it.
 			rp.hasPending = true
 		case recTick:
-			if int(rec.VM) >= len(rp.clocks) {
-				rp.divergences++
-				if rp.cfg.Strict {
-					return fmt.Errorf("capture: tick record names VM %d, not in the header table", rec.VM)
-				}
-				continue
-			}
 			target := rec.Now
 			if rp.cfg.MaxTick > 0 {
 				if now := rp.clocks[rec.VM].Now(); target > now+rp.cfg.MaxTick {

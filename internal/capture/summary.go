@@ -40,8 +40,10 @@ type VMSummary struct {
 }
 
 // Summarize decodes a whole capture stream and tallies it. Per-VM counts
-// are indexed by VMID, which is the header slot. onEvent, when non-nil, sees every decoded event in
-// stream order; the event is only valid for the duration of the call.
+// are indexed by VMID, which is the header slot; the Reader rejects any
+// record naming a VM outside the table. onEvent, when non-nil, sees every
+// decoded event in stream order; the event is only valid for the duration
+// of the call.
 //
 // A stream that cannot be decoded to its end returns the tally of every
 // record before the damage together with the decode error: a corrupt or
@@ -78,9 +80,7 @@ func Summarize(r io.Reader, onEvent func(*core.Event)) (*Summary, error) {
 		switch rec.Kind {
 		case recEvent:
 			ev := &rec.Event
-			if int(ev.VM) < len(s.VMs) {
-				s.VMs[ev.VM].Events++
-			}
+			s.VMs[ev.VM].Events++
 			s.EventsByType[ev.Type.String()]++
 			switch ev.Type {
 			case core.EvSyscall:
@@ -93,9 +93,7 @@ func Summarize(r io.Reader, onEvent func(*core.Event)) (*Summary, error) {
 				onEvent(ev)
 			}
 		case recTick:
-			if int(rec.VM) < len(s.VMs) {
-				s.VMs[rec.VM].Ticks++
-			}
+			s.VMs[rec.VM].Ticks++
 			s.VirtualEnd = max(s.VirtualEnd, rec.Now)
 		case recEnd:
 			s.Ended = true

@@ -63,12 +63,12 @@ func newBatchRig(t *testing.T) *batchRig {
 }
 
 // flightState snapshots every flight-observable of the rig's EM.
-func (r *batchRig) flightState() ([][]FlightExit, []FlightExit, []SpanRecord) {
+func (r *batchRig) flightState() ([][]FlightExit, []SpanRecord) {
 	var exits [][]FlightExit
 	for vm := 0; vm < batchRigVMs; vm++ {
 		exits = append(exits, r.em.FlightExits(VMID(vm)))
 	}
-	return exits, r.em.FlightOverflow(), r.em.FlightSpans()
+	return exits, r.em.FlightSpans()
 }
 
 // TestPublishBatchSerialEquivalence is the batching-transparency gate at
@@ -84,7 +84,7 @@ func TestPublishBatchSerialEquivalence(t *testing.T) {
 	for i := range stream {
 		stream[i] = Event{
 			Type: types[rng.Intn(len(types))],
-			VM:   VMID(rng.Intn(batchRigVMs + 1)), // +1: exercise the overflow route
+			VM:   VMID(rng.Intn(batchRigVMs)),
 			Seq:  uint64(i),
 			Span: MintSpan(VMID(i%batchRigVMs), uint64(i), 0),
 			Time: time.Duration(i) * time.Microsecond,
@@ -150,13 +150,10 @@ func TestPublishBatchSerialEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(serial.sampled, batched.sampled) {
 		t.Fatalf("sampler feed diverges: serial %d events, batched %d", len(serial.sampled), len(batched.sampled))
 	}
-	sx, so, ss := serial.flightState()
-	bx, bo, bs := batched.flightState()
+	sx, ss := serial.flightState()
+	bx, bs := batched.flightState()
 	if !reflect.DeepEqual(sx, bx) {
 		t.Fatal("flight exit rings diverge")
-	}
-	if !reflect.DeepEqual(so, bo) {
-		t.Fatal("flight overflow ring diverges")
 	}
 	if !reflect.DeepEqual(ss, bs) {
 		t.Fatalf("span rings diverge:\nserial  %v\nbatched %v", ss, bs)
@@ -256,19 +253,23 @@ func TestBatchAuditorSyncIgnored(t *testing.T) {
 
 // TestPublishBatchChurnRace drives PublishBatch from several goroutines while
 // another churns the route table (AttachVM, Register, Unregister) and a
-// drainer runs Dispatch — the copy-on-write snapshot race test. Run under
-// -race in make check. Afterwards the accounting invariants must hold: every
+// drainer runs Dispatch — the copy-on-write snapshot race test. Late attaches
+// also grow the flight table past its pre-size while publishers record into
+// it; publishers pick only VMs whose AttachVM has returned. Run under -race
+// in make check. Afterwards the accounting invariants must hold: every
 // surviving subscription's queue fully drains, and scoped subscribers only
 // ever saw their own VM.
 func TestPublishBatchChurnRace(t *testing.T) {
 	em := NewMultiplexer()
-	em.SetFlight(NewFlightTable(4, 64, 128))
+	em.SetFlight(NewFlightTable(1, 64, 128))
 	em.EnableTelemetry(telemetry.NewRegistry())
 	for i := 0; i < 2; i++ {
 		if _, err := em.AttachVM(fmt.Sprintf("vm-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var attached atomic.Int64
+	attached.Store(2)
 	var wrongVM atomic.Uint64
 	scoped := &AuditorFunc{AuditorName: "scoped-0", EventMask: MaskAll, Fn: func(ev *Event) {
 		if ev.VM != 0 {
@@ -288,10 +289,11 @@ func TestPublishBatchChurnRace(t *testing.T) {
 			defer wg.Done()
 			batch := make([]Event, 8)
 			for round := 0; !stop.Load(); round++ {
+				n := int(attached.Load())
 				for i := range batch {
 					batch[i] = Event{
 						Type: EvSyscall,
-						VM:   VMID((p + i) % 6), // includes not-yet-attached IDs
+						VM:   VMID((p + i) % n),
 						Seq:  uint64(round*len(batch) + i),
 					}
 				}
@@ -309,7 +311,6 @@ func TestPublishBatchChurnRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		attached := 2
 		for i := 0; !stop.Load(); i++ {
 			aud := &AuditorFunc{AuditorName: fmt.Sprintf("churn-%d", i%8), EventMask: MaskAll, Fn: func(*Event) {}}
 			mode := DeliverSync
@@ -319,9 +320,9 @@ func TestPublishBatchChurnRace(t *testing.T) {
 			if err := em.Register(aud, mode, 32); err == nil {
 				em.Unregister(aud)
 			}
-			if attached < 6 && i%16 == 0 {
-				if _, err := em.AttachVM(fmt.Sprintf("late-vm-%d", attached)); err == nil {
-					attached++
+			if n := attached.Load(); n < 6 && i%16 == 0 {
+				if _, err := em.AttachVM(fmt.Sprintf("late-vm-%d", n)); err == nil {
+					attached.Add(1)
 				}
 			}
 		}

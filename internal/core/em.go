@@ -244,12 +244,17 @@ func (m *Multiplexer) registerVMSeriesLocked(id VMID) {
 	}, telemetry.L("vm", m.vms[id]))
 }
 
-// NewMultiplexer creates an empty EM.
+// NewMultiplexer creates an empty EM: no subscribers, and no VMs attached
+// beyond the implicit VM 0 a bare EM routes (one empty route slot).
 func NewMultiplexer() *Multiplexer {
 	m := &Multiplexer{}
-	m.routes.Store(new(routeTable))
+	m.routes.Store(&routeTable{perVM: make([]vmRoutes, 1)})
 	return m
 }
+
+// numVMsLocked is the number of routable VMs: the attached ones, or the
+// implicit VM 0 of a bare EM. Caller holds the EM lock.
+func (m *Multiplexer) numVMsLocked() int { return max(len(m.vms), 1) }
 
 // DefaultQueueCap is the per-auditor async ring capacity.
 const DefaultQueueCap = 4096
@@ -276,7 +281,7 @@ func (m *Multiplexer) RegisterAuditor(a Auditor, mode DeliveryMode, queueCap int
 
 // RegisterScoped subscribes an auditor for one VM's events (ScopeVM) or the
 // whole fleet's (ScopeFleet). A VM scope must name an attached VM — or VM 0
-// on a bare EM, where unattached publishes default to VM 0.
+// on a bare EM, whose events are all VM 0.
 func (m *Multiplexer) RegisterScoped(a Auditor, scope VMScope, mode DeliveryMode, queueCap int) error {
 	if a == nil {
 		return fmt.Errorf("core: Register called with nil auditor")
@@ -289,14 +294,8 @@ func (m *Multiplexer) RegisterScoped(a Auditor, scope VMScope, mode DeliveryMode
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !scope.fleet {
-		attached := len(m.vms)
-		if attached == 0 {
-			attached = 1 // bare EM: VM 0 exists implicitly
-		}
-		if int(scope.vm) >= attached {
-			return fmt.Errorf("core: scope %v names an unattached VM (%d attached)", scope, len(m.vms))
-		}
+	if !scope.fleet && int(scope.vm) >= m.numVMsLocked() {
+		return fmt.Errorf("core: scope %v names an unattached VM (%d attached)", scope, len(m.vms))
 	}
 	for _, s := range m.subs {
 		if s.auditor == a {
@@ -397,12 +396,16 @@ func (m *Multiplexer) ActorID(name string) (uint8, bool) {
 	return id, ok
 }
 
-// SetFlight attaches (or, with nil, detaches) a flight recorder. Like
-// SetSampler it is safe at any time: Publish and Dispatch snapshot the table
-// under the EM lock.
+// SetFlight attaches (or, with nil, detaches) a flight recorder, growing it
+// to one ring per attached VM; later AttachVM calls grow it further. A table
+// belongs to one EM. Like SetSampler it is safe at any time: Publish and
+// Dispatch snapshot the table under the EM lock.
 func (m *Multiplexer) SetFlight(fl *FlightTable) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if fl != nil {
+		fl.grow(m.numVMsLocked())
+	}
 	m.fl = fl
 }
 
@@ -413,30 +416,18 @@ func (m *Multiplexer) Flight() *FlightTable {
 	return m.fl
 }
 
-// FlightExits snapshots VM vm's flight ring oldest-first (events stamped with
-// an unattached VMID land in the shared overflow ring; see FlightOverflow).
-// Taking the EM lock is what makes the copy sound: the rings' only writer
-// runs under it. The records' Sync masks are derived here from the routing
-// table — exactly the lookup Publish used at delivery time — instead of
-// being stored per event.
+// FlightExits snapshots VM vm's flight ring oldest-first; nil when tracing
+// is off or vm is not attached. Taking the EM lock is what makes the copy
+// sound: the rings' only writer runs under it. The records' Sync masks are
+// derived here from the routing table — exactly the lookup Publish used at
+// delivery time — instead of being stored per event.
 func (m *Multiplexer) FlightExits(vm VMID) []FlightExit {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.fl == nil {
+	if m.fl == nil || int(vm) >= m.numVMsLocked() {
 		return nil
 	}
-	return m.fl.exitsOf(m.fl.ringIndex(vm), m.syncBitsLocked)
-}
-
-// FlightOverflow snapshots the overflow ring (VMIDs beyond the preallocated
-// range) oldest-first.
-func (m *Multiplexer) FlightOverflow() []FlightExit {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fl == nil {
-		return nil
-	}
-	return m.fl.exitsOf(len(m.fl.rings)-1, m.syncBitsLocked)
+	return m.fl.exitsOf(vm, m.syncBitsLocked)
 }
 
 // syncBitsLocked resolves the synchronous-delivery actor mask for a recorded
@@ -445,22 +436,7 @@ func (m *Multiplexer) FlightOverflow() []FlightExit {
 // storing it. Callers hold the EM lock (for the ring copy, not the table:
 // the routing snapshot itself is an immutable atomic load).
 func (m *Multiplexer) syncBitsLocked(vm VMID, et EventType) uint64 {
-	return m.loadRoutes().vmFor(vm).syncBits[routeIndex(et)]
-}
-
-// zeroRoutes is the fallback snapshot for a Multiplexer constructed as a
-// composite literal rather than through NewMultiplexer: no VMs, no
-// subscribers.
-var zeroRoutes routeTable
-
-// loadRoutes returns the current immutable routing snapshot.
-//
-//hypertap:hotpath
-func (m *Multiplexer) loadRoutes() *routeTable {
-	if rt := m.routes.Load(); rt != nil {
-		return rt
-	}
-	return &zeroRoutes
+	return m.routes.Load().vmFor(vm).syncBits[routeIndex(et)]
 }
 
 // RecordSpan appends one step to the span ring under the EM lock — the
@@ -486,14 +462,14 @@ func (m *Multiplexer) FlightSpans() []SpanRecord {
 }
 
 // FlightRecorded returns the total exits ever recorded for VM vm (not capped
-// by ring depth).
+// by ring depth); 0 when tracing is off or vm is not attached.
 func (m *Multiplexer) FlightRecorded(vm VMID) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.fl == nil {
+	if m.fl == nil || int(vm) >= m.numVMsLocked() {
 		return 0
 	}
-	return m.fl.writtenOf(m.fl.ringIndex(vm))
+	return m.fl.writtenOf(vm)
 }
 
 // SetSampler installs the RHC feed: fn receives every n-th published event.
@@ -533,6 +509,12 @@ func (m *Multiplexer) Publish(ev *Event) {
 // boundaries (an EF decode run, a replay grouping) are unobservable
 // downstream.
 //
+// Every event's VM must be attached (VM 0 on a bare EM), the rule that
+// makes slot i VMID i in the routing and flight tables. An event naming
+// any other VMID is a publisher bug: PublishBatch releases the EM lock and
+// panics, leaving the events before it in the batch accounted but
+// undelivered.
+//
 // The locked phase runs once per batch: per-event accounting — publish and
 // sync-delivery counters, async queueing, exit-ring recording — with the
 // depth gauges folded once at the end. Delivery then runs outside the lock,
@@ -558,7 +540,7 @@ func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 	// in the delivery loop instead (the snapshot is the same rt either way).
 	var syncBuf [syncBufCap][]*subscription
 	m.mu.Lock() //hypertap:allow hotpath the EM is the multi-producer fan-out point; one lock acquisition covers the whole batch
-	rt := m.loadRoutes()
+	rt := m.routes.Load()
 	tel := m.tel
 	fl := m.fl
 	sampler := m.sampler
@@ -567,6 +549,9 @@ func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 	queuedAny := false
 	for i := range evs {
 		ev := &evs[i]
+		if int(ev.VM) >= len(rt.perVM) {
+			m.unattachedLocked(ev.VM)
+		}
 		m.published++
 		if int(ev.VM) < len(m.pubByVM) {
 			m.pubByVM[ev.VM]++
@@ -669,6 +654,18 @@ func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 		}
 	}
 	return syncRuns
+}
+
+// unattachedLocked panics on a published VMID no one attached, after
+// releasing the EM lock, so a caller that recovers — an incident sink
+// draining the flight rings — can still use the EM. Kept out of line so the
+// formatting stays off the publish path.
+//
+//go:noinline
+func (m *Multiplexer) unattachedLocked(vm VMID) {
+	n := len(m.vms)
+	m.mu.Unlock()
+	panic(fmt.Sprintf("core: published event names VM %d, but %d VMs are attached", vm, n))
 }
 
 // evPool recycles the sampler's scratch copies. The RHC feed runs unlocked,

@@ -150,31 +150,44 @@ func TestScopedRoutingDeliversPerVM(t *testing.T) {
 	}
 }
 
-// TestUnattachedVMRoutesToFleetOnly: an event stamped with a VMID no one
-// attached has no per-VM audience but must still reach fleet-wide
-// subscribers (the overflow table).
-func TestUnattachedVMRoutesToFleetOnly(t *testing.T) {
-	em := NewMultiplexer()
-	if _, err := em.AttachVM("vm-0"); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var scoped, fleet []Event
-	if err := em.RegisterScoped(collect("scoped", MaskAll, &mu, &scoped),
-		ScopeVM(0), DeliverSync, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := em.Register(collect("fleet", MaskAll, &mu, &fleet), DeliverSync, 0); err != nil {
-		t.Fatal(err)
-	}
-	em.Publish(&Event{Type: EvSyscall, VM: 9})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(scoped) != 0 {
-		t.Fatalf("VM-0-scoped auditor saw %d events for unattached VM 9", len(scoped))
-	}
-	if len(fleet) != 1 {
-		t.Fatalf("fleet auditor saw %d events, want 1", len(fleet))
+// TestPublishUnattachedVMPanics: every published VMID must be attached (VM
+// 0 on a bare EM). An event naming any other VMID is a publisher bug, so
+// Publish panics instead of routing it anywhere — not even to fleet-wide
+// subscribers — and releases the EM lock first, so a caller that recovers
+// can still drain the flight rings.
+func TestPublishUnattachedVMPanics(t *testing.T) {
+	for _, attached := range []int{0, 1, 3} {
+		em := NewMultiplexer()
+		for i := 0; i < attached; i++ {
+			if _, err := em.AttachVM(fmt.Sprintf("vm-%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		em.SetFlight(NewFlightTable(attached, 8, 0))
+		var mu sync.Mutex
+		var fleet []Event
+		if err := em.Register(collect("fleet", MaskAll, &mu, &fleet), DeliverSync, 0); err != nil {
+			t.Fatal(err)
+		}
+		stray := VMID(max(attached, 1))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d attached: publishing unattached VM %d did not panic", attached, stray)
+				}
+			}()
+			em.Publish(&Event{Type: EvSyscall, VM: stray})
+		}()
+		if len(fleet) != 0 {
+			t.Errorf("%d attached: fleet auditor saw %d events for unattached VM %d", attached, len(fleet), stray)
+		}
+		if !em.mu.TryLock() {
+			t.Fatalf("%d attached: the panic left the EM locked", attached)
+		}
+		em.mu.Unlock()
+		if n := em.Published(); n != 0 {
+			t.Errorf("%d attached: Published() = %d after the rejected event, want 0", attached, n)
+		}
 	}
 }
 

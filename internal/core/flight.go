@@ -30,6 +30,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -159,9 +160,8 @@ const DefaultFlightDepth = 1024
 
 // flightSlot is the packed hot-path form of a FlightExit: 48 bytes. It
 // carries only the dynamic per-event facts — the sync mask is reconstructed
-// from the routing table at snapshot time (exitsOf), and vm is stored so
-// that reconstruction keys on the event's true VM even in the shared
-// overflow ring.
+// from the routing table at snapshot time (exitsOf), keyed on the vm stored
+// in meta.
 type flightSlot struct {
 	span    SpanID
 	timeNS  int64
@@ -201,10 +201,12 @@ type spanRing struct {
 type FlightTable struct {
 	// armed gates recording; the one atomic a slot write pays.
 	armed atomic.Bool
-	// rings holds one exit ring per VM — ring i is VMID i — plus a final
-	// overflow ring for events stamped with a VMID past the preallocated
-	// range.
+	// rings holds one exit ring per VM: ring i is VMID i. The owning
+	// Multiplexer grows it under its lock (grow), so it always covers every
+	// attached VM, and only readers holding that lock touch it.
 	rings []exitRing
+	// depth is every exit ring's capacity, fixed at construction.
+	depth uint64
 	spans spanRing
 }
 
@@ -216,31 +218,38 @@ func ceilPow2(n int) uint64 {
 	return 1 << bits.Len64(uint64(n-1))
 }
 
-// NewFlightTable preallocates rings for numVMs VMs (plus the overflow ring)
-// of depth exits each, and a span ring of spanDepth records. Depths round up
-// to powers of two; zero selects DefaultFlightDepth (and 4× that for spans).
-// The table starts armed.
+// NewFlightTable preallocates rings for numVMs VMs (at least one) of depth
+// exits each, and a span ring of spanDepth records. numVMs is only a
+// pre-size: SetFlight and AttachVM grow the table to one ring per attached
+// VM. Depths round up to powers of two; zero selects DefaultFlightDepth (and
+// 4× that for spans). The table starts armed.
 func NewFlightTable(numVMs, depth, spanDepth int) *FlightTable {
-	if numVMs < 1 {
-		numVMs = 1
-	}
 	if depth <= 0 {
 		depth = DefaultFlightDepth
 	}
 	if spanDepth <= 0 {
 		spanDepth = 4 * depth
 	}
-	d := ceilPow2(depth)
 	sd := ceilPow2(spanDepth)
-	t := &FlightTable{rings: make([]exitRing, numVMs+1)}
-	for i := range t.rings {
-		t.rings[i].slots = make([]flightSlot, d)
-		t.rings[i].mask = d - 1
-	}
+	t := &FlightTable{depth: ceilPow2(depth)}
+	t.grow(numVMs)
 	t.spans.slots = make([]SpanRecord, sd)
 	t.spans.mask = sd - 1
 	t.armed.Store(true)
 	return t
+}
+
+// grow extends the table to at least n rings (and at least one). Callers
+// hold the owning Multiplexer's lock, like every other ring access.
+func (t *FlightTable) grow(n int) {
+	n = max(n, 1)
+	if n <= len(t.rings) {
+		return
+	}
+	t.rings = slices.Grow(t.rings, n-len(t.rings))
+	for len(t.rings) < n {
+		t.rings = append(t.rings, exitRing{slots: make([]flightSlot, t.depth), mask: t.depth - 1})
+	}
 }
 
 // Arm (re-)enables recording.
@@ -252,27 +261,11 @@ func (t *FlightTable) Disarm() { t.armed.Store(false) }
 // Armed reports whether the table is recording.
 func (t *FlightTable) Armed() bool { return t.armed.Load() }
 
-// VMRings returns the number of dedicated per-VM rings (the overflow ring is
-// extra).
-func (t *FlightTable) VMRings() int { return len(t.rings) - 1 }
-
 // Depth returns the per-VM exit-ring capacity.
-func (t *FlightTable) Depth() int { return len(t.rings[0].slots) }
+func (t *FlightTable) Depth() int { return int(t.depth) }
 
 // SpanDepth returns the span-ring capacity.
 func (t *FlightTable) SpanDepth() int { return len(t.spans.slots) }
-
-// ringIndex maps a VMID to its ring: VMID i is ring i, and every VMID past
-// the preallocated range lands in overflow.
-//
-//hypertap:hotpath
-func (t *FlightTable) ringIndex(vm VMID) int {
-	overflow := len(t.rings) - 1
-	if int(vm) < overflow {
-		return int(vm)
-	}
-	return overflow
-}
 
 // recordExit writes one flight record. Publish calls it with the EM lock
 // held — the exit rings' single-writer contract — so every store below is a
@@ -288,7 +281,7 @@ func (t *FlightTable) recordExit(ev *Event, queuedBits, droppedBits uint64) {
 	if !t.armed.Load() {
 		return
 	}
-	r := &t.rings[t.ringIndex(ev.VM)]
+	r := &t.rings[ev.VM]
 	slot := &r.slots[r.w&r.mask]
 	r.w++
 	slot.span = ev.Span
@@ -320,12 +313,12 @@ func (t *FlightTable) RecordSpan(span SpanID, vm VMID, phase FlightPhase, actor 
 	s.Actor = actor
 }
 
-// exitsOf copies ring ri oldest-first, expanding the packed slots into full
-// records. syncFor resolves the derived sync mask for a (VM, event type)
-// pair from the routing table. Callers synchronize with the writer (the
-// Multiplexer wraps this under its lock).
-func (t *FlightTable) exitsOf(ri int, syncFor func(vm VMID, et EventType) uint64) []FlightExit {
-	r := &t.rings[ri]
+// exitsOf copies VM vm's ring oldest-first, expanding the packed slots into
+// full records. syncFor resolves the derived sync mask for a (VM, event
+// type) pair from the routing table. Callers synchronize with the writer
+// (the Multiplexer wraps this under its lock).
+func (t *FlightTable) exitsOf(vm VMID, syncFor func(vm VMID, et EventType) uint64) []FlightExit {
+	r := &t.rings[vm]
 	n := r.w
 	depth := uint64(len(r.slots))
 	if n > depth {
@@ -352,8 +345,8 @@ func (t *FlightTable) exitsOf(ri int, syncFor func(vm VMID, et EventType) uint64
 	return out
 }
 
-// writtenOf returns the total records ever written to ring ri.
-func (t *FlightTable) writtenOf(ri int) uint64 { return t.rings[ri].w }
+// writtenOf returns the total records ever written to VM vm's ring.
+func (t *FlightTable) writtenOf(vm VMID) uint64 { return t.rings[vm].w }
 
 // Spans snapshots the span ring oldest-first, skipping span-less steps
 // (events published without a forwarder-minted identity). Callers

@@ -131,7 +131,7 @@ func TestFlightDroppedBits(t *testing.T) {
 	}
 }
 
-func TestFlightRingWrapAndOverflow(t *testing.T) {
+func TestFlightRingWrap(t *testing.T) {
 	em, fl := flightEM(t, 8)
 	depth := fl.Depth()
 	total := depth + 5
@@ -151,16 +151,50 @@ func TestFlightRingWrapAndOverflow(t *testing.T) {
 	if got := em.FlightRecorded(0); got != uint64(total) {
 		t.Fatalf("FlightRecorded = %d, want %d", got, total)
 	}
+}
 
-	// A VMID beyond the preallocated range routes to the overflow ring.
-	stray := &Event{Type: EvHalt, VM: 9, Seq: 1, Span: MintSpan(9, 1, 0)}
-	em.Publish(stray)
-	over := em.FlightOverflow()
-	if len(over) != 1 || over[0].Span.VM() != 9 {
-		t.Fatalf("overflow ring %+v, want the stray vm9 event", over)
+// TestFlightTableGrowsToAttachedVMs pins that the table is only a pre-size:
+// a one-ring table on a three-VM EM — attached before and after SetFlight —
+// gives every attached VM its own ring, and an unattached VMID has none.
+func TestFlightTableGrowsToAttachedVMs(t *testing.T) {
+	em := NewMultiplexer()
+	if _, err := em.AttachVM("vm0"); err != nil {
+		t.Fatal(err)
 	}
-	if got := em.FlightExits(9); len(got) != 1 {
-		t.Fatalf("FlightExits(9) returned %d records, want the overflow view", len(got))
+	fl := NewFlightTable(1, 8, 0)
+	em.SetFlight(fl)
+	for _, name := range []string{"vm1", "vm2"} {
+		if _, err := em.AttachVM(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for vm := VMID(0); vm < 3; vm++ {
+		for i := 0; i <= int(vm); i++ {
+			em.Publish(&Event{Type: EvHalt, VM: vm, Seq: uint64(i + 1), Span: MintSpan(vm, uint64(i+1), 0)})
+		}
+	}
+	for vm := VMID(0); vm < 3; vm++ {
+		recs := em.FlightExits(vm)
+		if len(recs) != int(vm)+1 {
+			t.Fatalf("vm%d ring holds %d records, want %d", vm, len(recs), vm+1)
+		}
+		for _, r := range recs {
+			if r.Span.VM() != vm {
+				t.Fatalf("vm%d ring holds a record of vm%d", vm, r.Span.VM())
+			}
+		}
+		if got := em.FlightRecorded(vm); got != uint64(vm)+1 {
+			t.Fatalf("FlightRecorded(%d) = %d, want %d", vm, got, vm+1)
+		}
+	}
+	if got := em.FlightExits(3); got != nil {
+		t.Fatalf("FlightExits of unattached VM 3 = %v, want nil", got)
+	}
+	if got := em.FlightRecorded(3); got != 0 {
+		t.Fatalf("FlightRecorded of unattached VM 3 = %d, want 0", got)
+	}
+	if fl.Depth() != 8 {
+		t.Fatalf("Depth() = %d, want 8", fl.Depth())
 	}
 }
 
@@ -300,7 +334,6 @@ func TestFlightConcurrency(t *testing.T) {
 			em.RecordSpan(MintSpan(0, uint64(i), 0), 0, PhaseVerdict, 1, time.Duration(i))
 			_ = em.FlightSpans()
 			_ = em.FlightExits(0)
-			_ = em.FlightOverflow()
 		}
 	}()
 	wg.Wait()

@@ -1,20 +1,18 @@
 package core
 
-// (VMID, EventType)-indexed event routing. Publish used to scan every
-// subscription per event and build the synchronous delivery set with append —
-// a linear walk plus a heap allocation on the hottest path in the system.
-// PR 4 traded that for a mask-indexed table; the host fleet plane (PR 5)
-// generalizes the key from EventType to (VMID, EventType): at
-// AttachVM/Register/Unregister (and EnableTelemetry) time the EM precomputes,
-// for every attached VM and event type, the exact sync and async subscription
-// lists — the VM's own scoped auditors plus every fleet-wide subscriber, in
-// registration order — so a host-wide Publish delivers each VM's events only
-// to that VM's auditors and still touches nothing else and allocates nothing.
+// (VMID, EventType)-indexed event routing. At AttachVM, Register,
+// Unregister and EnableTelemetry time the EM precomputes, for every attached
+// VM and event type, the exact sync and async subscription lists — the VM's
+// own scoped auditors plus every fleet-wide subscriber, in registration
+// order — so Publish delivers each VM's events only to that VM's auditors,
+// touches nothing else and allocates nothing. Slot i is VMID i, and every
+// VMID an event may carry has a slot: publishers stamp events only with
+// VMIDs AttachVM returned (or VM 0 on a bare EM).
 
 // routeBits spans every bit an EventMask (uint32) can hold. Event types at
 // or above routeBits can never match a mask — the non-constant shift in
 // EventMask.Has overflows to zero — so they route to an always-empty
-// sentinel slot, preserving the linear scan's semantics exactly.
+// sentinel slot that no subscriber is ever on.
 const (
 	routeBits     = 32
 	routeSentinel = routeBits
@@ -34,11 +32,8 @@ type vmRoutes struct {
 	syncBits [routeSlots]uint64
 }
 
-// routeTable is the full host routing table: one vmRoutes per attached VM
-// (at least one, so solo machines and bare EMs route VM 0 without attach),
-// plus an overflow table holding only the fleet-wide subscribers for events
-// stamped with a VMID no one attached — those can belong to no VM-scoped
-// auditor, but a fleet-wide accountant still must not miss them.
+// routeTable is the full host routing table: one vmRoutes per attached VM,
+// at least one, so solo machines and bare EMs route VM 0 without attach.
 //
 // A table is immutable once installed: rebuilds construct a fresh table and
 // publish it wholesale through the Multiplexer's atomic pointer (copy-on-
@@ -46,20 +41,15 @@ type vmRoutes struct {
 // one pointer and never serialize on table access or observe a half-rebuilt
 // slot.
 type routeTable struct {
-	perVM    []vmRoutes
-	overflow vmRoutes
+	perVM []vmRoutes
 }
 
-// vmFor returns the route slot covering VM vm; events stamped with a VMID no
-// one attached carry no VM-scoped audience and route to the fleet-only
-// overflow table.
+// vmFor returns VM vm's route slot. vm must be attached (or 0 on a bare
+// EM); PublishBatch checks that before it routes.
 //
 //hypertap:hotpath
 func (rt *routeTable) vmFor(vm VMID) *vmRoutes {
-	if int(vm) < len(rt.perVM) {
-		return &rt.perVM[vm]
-	}
-	return &rt.overflow
+	return &rt.perVM[vm]
 }
 
 // routeIndex maps an event type to its table slot.
@@ -78,34 +68,22 @@ func (s *subscription) matchesVM(vm VMID) bool {
 // rebuild recomputes every slot from the subscription list for numVM
 // attached VMs (clamped to at least one slot). Registration order is
 // preserved within each slot — scoped and fleet-wide subscribers interleave
-// exactly as registered — so delivery order is identical to the per-event
-// scan the table replaced. Must be called with the EM lock held.
+// exactly as registered — so delivery order is registration order. Must be
+// called with the EM lock held.
 func (rt *routeTable) rebuild(subs []*subscription, numVM int) {
-	if numVM < 1 {
-		numVM = 1
+	rt.perVM = make([]vmRoutes, max(numVM, 1))
+	for vm := range rt.perVM {
+		rt.perVM[vm].fill(subs, VMID(vm))
 	}
-	perVM := make([]vmRoutes, numVM)
-	for vm := range perVM {
-		perVM[vm].fill(subs, VMID(vm), false)
-	}
-	rt.perVM = perVM
-	rt.overflow.fill(subs, 0, true)
 }
 
-// fill computes one VM's (or, with fleetOnly, the overflow) slot lists.
-func (vr *vmRoutes) fill(subs []*subscription, vm VMID, fleetOnly bool) {
+// fill computes VM vm's slot lists.
+func (vr *vmRoutes) fill(subs []*subscription, vm VMID) {
 	for t := 0; t < routeBits; t++ {
 		var syncList, asyncList []*subscription
 		var sbits uint64
 		for _, s := range subs {
-			if fleetOnly {
-				if !s.scope.fleet {
-					continue
-				}
-			} else if !s.matchesVM(vm) {
-				continue
-			}
-			if !s.mask.Has(EventType(t)) {
+			if !s.matchesVM(vm) || !s.mask.Has(EventType(t)) {
 				continue
 			}
 			if s.mode == DeliverSync {

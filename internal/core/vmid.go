@@ -64,8 +64,9 @@ type VMScoped interface {
 // AttachVM registers a VM with the host EM and returns its VMID, the next
 // dense slot. Names must be unique per EM (they key RHC heartbeats and
 // telemetry labels). Attaching rebuilds the routing table with a slot for
-// the new VM; when telemetry is enabled the VM also gets a labeled
-// published-events series.
+// the new VM and grows an attached flight table to a ring for it (a no-op
+// when the table was pre-sized); when telemetry is enabled the VM also gets
+// a labeled published-events series.
 func (m *Multiplexer) AttachVM(name string) (VMID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -83,6 +84,9 @@ func (m *Multiplexer) AttachVM(name string) (VMID, error) {
 	id := VMID(len(m.vms))
 	m.vms = append(m.vms, name)
 	m.pubByVM = append(m.pubByVM, 0)
+	if m.fl != nil {
+		m.fl.grow(len(m.vms))
+	}
 	if m.tel != nil {
 		m.registerVMSeriesLocked(id)
 	}

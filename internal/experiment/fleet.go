@@ -475,21 +475,16 @@ func ReplayIncidentStream(cfg FleetConfig, bundleDir string) (*StreamReplayRepor
 // recorded ones into an error.
 func ReplayStream(cfg FleetConfig, data []byte, strict bool) (*StreamReplayReport, error) {
 	cfg.fillDefaults()
-	// The flight table must be sized before the replay attaches its VMs, so
-	// parse the header alone first; the replay re-reads the stream.
-	pre, err := capture.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	hdr := pre.Header()
 	var fl *core.FlightTable
 	if cfg.FlightDepth >= 0 {
-		fl = core.NewFlightTable(len(hdr.VMs), cfg.FlightDepth, 0)
+		// Attaching the header's VMs grows the table to one ring each.
+		fl = core.NewFlightTable(1, cfg.FlightDepth, 0)
 	}
 	rp, err := capture.NewReplay(bytes.NewReader(data), capture.ReplayConfig{Flight: fl, Strict: strict})
 	if err != nil {
 		return nil, err
 	}
+	hdr := rp.Header()
 	em := rp.EM()
 	if cfg.Telemetry != nil {
 		em.EnableTelemetry(cfg.Telemetry)

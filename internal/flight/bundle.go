@@ -176,18 +176,14 @@ func (s *Sink) Raise(kind string, vm core.VMID, at time.Duration, cause error) (
 		return "", err
 	}
 
-	// Ring files carry the VMID in the name; ring i is VMID i.
-	for id := 0; id < em.Flight().VMRings(); id++ {
+	// One ring file per attached VM, carrying the VMID in the name: ring i
+	// is VMID i.
+	for id := range vmNames {
 		if err := writeBin(filepath.Join(dir, fmt.Sprintf("flight-vm%05d.bin", id)), func(f *os.File) error {
 			return WriteExits(f, em.FlightExits(core.VMID(id)))
 		}); err != nil {
 			return "", err
 		}
-	}
-	if err := writeBin(filepath.Join(dir, "flight-overflow.bin"), func(f *os.File) error {
-		return WriteExits(f, em.FlightOverflow())
-	}); err != nil {
-		return "", err
 	}
 	if err := writeBin(filepath.Join(dir, "spans.bin"), func(f *os.File) error {
 		return WriteSpans(f, em.FlightSpans())
@@ -271,8 +267,6 @@ type Bundle struct {
 	// Exits holds the per-VM ring captures indexed by VMID: Exits[i] is
 	// VM i's ring.
 	Exits [][]core.FlightExit
-	// Overflow is the out-of-range-VMID ring capture.
-	Overflow []core.FlightExit
 	// Spans is the span-ring capture.
 	Spans []core.SpanRecord
 	// Telemetry is the capture-time metrics snapshot, nil when absent.
@@ -316,9 +310,8 @@ func LoadBundle(dir string) (*Bundle, error) {
 			return nil, err
 		}
 	}
-	if b.Overflow, err = readExitsFile(filepath.Join(dir, "flight-overflow.bin")); err != nil {
-		return nil, err
-	}
+	// Bundles from before every published VMID had a ring also carry a
+	// flight-overflow.bin; no VM owns it, so it is not read.
 	spansPath := filepath.Join(dir, "spans.bin")
 	sf, err := os.Open(spansPath)
 	if err != nil {

@@ -35,12 +35,11 @@ type chromeDoc struct {
 	TraceEvents []chromeEvent `json:"traceEvents"`
 }
 
-// Track numbering: tid 0 is reserved, VMs occupy 1..N, the overflow ring a
-// fixed slot, auditors 1001+actor. All under one pid.
+// Track numbering: tid 0 is reserved, VMs occupy 1..N, auditors
+// 1001+actor. All under one pid.
 const (
 	chromePID     = 1
 	vmTIDBase     = 1
-	overflowTID   = 999
 	auditorTIDOff = 1001
 )
 
@@ -95,9 +94,9 @@ func (b *builder) meta(tid int, name string) {
 	})
 }
 
-// exit emits one flight record as a 1µs slice on its VM track (tid overrides
-// for the overflow ring).
-func (b *builder) exit(tid int, r *core.FlightExit) {
+// exit emits one of VM vm's flight records as a 1µs slice on its track.
+func (b *builder) exit(vm core.VMID, r *core.FlightExit) {
+	tid := vmTID(vm)
 	args := map[string]any{
 		"span":   fmt.Sprintf("%#x", uint64(r.Span)),
 		"digest": fmt.Sprintf("%#x", r.Digest),
@@ -176,19 +175,13 @@ func WriteChrome(w io.Writer, b *Bundle) error {
 	for i := range b.Exits {
 		bld.meta(vmTID(core.VMID(i)), bld.vmName(core.VMID(i)))
 	}
-	if len(b.Overflow) > 0 {
-		bld.meta(overflowTID, "overflow")
-	}
 	for a, name := range bld.actors {
 		bld.meta(auditorTIDOff+a, name)
 	}
 	for i := range b.Exits {
 		for j := range b.Exits[i] {
-			bld.exit(vmTID(core.VMID(i)), &b.Exits[i][j])
+			bld.exit(core.VMID(i), &b.Exits[i][j])
 		}
-	}
-	for i := range b.Overflow {
-		bld.exit(overflowTID, &b.Overflow[i])
 	}
 	for i := range b.Spans {
 		bld.span(&b.Spans[i])

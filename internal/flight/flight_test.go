@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -347,8 +348,9 @@ func TestChromeFromEvents(t *testing.T) {
 }
 
 // TestLoadBundleRingSet pins the ring-file contract: ring i is VM i, both
-// name paddings load, and a set that is not exactly VMIDs 0..n-1 — a gap or
-// the same VMID under two paddings — is rejected.
+// name paddings load, an older bundle's leftover flight-overflow.bin is
+// ignored, and a set that is not exactly VMIDs 0..n-1 — a gap or the same
+// VMID under two paddings — is rejected.
 func TestLoadBundleRingSet(t *testing.T) {
 	em, _ := bundleHost(t)
 	sink, err := NewSink(SinkConfig{Dir: t.TempDir(), EM: em})
@@ -360,13 +362,30 @@ func TestLoadBundleRingSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := func(name string) string { return filepath.Join(bdir, name) }
+	if _, err := os.Stat(ring("flight-overflow.bin")); !os.IsNotExist(err) {
+		t.Fatalf("Raise wrote flight-overflow.bin (stat err %v)", err)
+	}
+	var old bytes.Buffer
+	if err := WriteExits(&old, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ring("flight-overflow.bin"), old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadBundle(bdir)
+	if err != nil {
+		t.Fatalf("bundle with a leftover flight-overflow.bin: %v", err)
+	}
+	if len(b.Exits) != 2 || len(b.Exits[0]) != 3 || len(b.Exits[1]) != 2 {
+		t.Fatalf("bundle with a leftover flight-overflow.bin loaded %d rings, want VM 0 with 3 exits and VM 1 with 2", len(b.Exits))
+	}
+
 	for _, id := range []string{"0", "1"} {
 		if err := os.Rename(ring("flight-vm0000"+id+".bin"), ring("flight-vm00"+id+".bin")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b, err := LoadBundle(bdir)
-	if err != nil {
+	if b, err = LoadBundle(bdir); err != nil {
 		t.Fatalf("old %%03d ring names: %v", err)
 	}
 	if len(b.Exits) != 2 || len(b.Exits[0]) != 3 || len(b.Exits[1]) != 2 {
@@ -388,6 +407,52 @@ func TestLoadBundleRingSet(t *testing.T) {
 	}
 	if _, err := LoadBundle(bdir); err == nil || !strings.Contains(err.Error(), "VMID sequence") {
 		t.Fatalf("rings 0, 1, 3: err = %v, want a VMID-sequence rejection", err)
+	}
+}
+
+// TestRaiseDuringAttach raises bundles while another goroutine attaches
+// VMs and publishes on them, so the flight table grows under the sink's
+// reads (make race runs it under -race). Every bundle holds exactly one
+// ring per VM its manifest names.
+func TestRaiseDuringAttach(t *testing.T) {
+	em := core.NewMultiplexer()
+	if _, err := em.AttachVM("vm0"); err != nil {
+		t.Fatal(err)
+	}
+	em.SetFlight(core.NewFlightTable(1, 16, 0))
+	sink, err := NewSink(SinkConfig{Dir: t.TempDir(), EM: em})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i < 16; i++ {
+			vm, err := em.AttachVM(fmt.Sprintf("vm%d", i))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			em.Publish(&core.Event{Type: core.EvHalt, VM: vm, Seq: uint64(i)})
+		}
+	}()
+	var dirs []string
+	for i := 0; i < 8; i++ {
+		dir, err := sink.Raise("detection", 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, dir)
+	}
+	<-done
+	for _, dir := range dirs {
+		b, err := LoadBundle(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.Exits) != len(b.Meta.VMNames) {
+			t.Fatalf("%s: %d rings for %d VMs", filepath.Base(dir), len(b.Exits), len(b.Meta.VMNames))
+		}
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 )
 
 // bundleFiles are the files FuzzLoadBundle fuzzes, in its argument order.
-var bundleFiles = []string{"meta.json", "flight-vm00000.bin", "flight-overflow.bin", "spans.bin"}
+var bundleFiles = []string{"meta.json", "flight-vm00000.bin", "spans.bin"}
 
 // FuzzLoadBundle feeds hostile incident bundles — a fuzzed manifest, one VM
-// ring, the overflow ring and the span ring — through LoadBundle and
+// ring and the span ring — through LoadBundle and
 // WriteChrome. Bundles are outside input to every tool that loads them, so
 // the oracles are: no panic; decoding allocates in proportion to the bytes
 // read, never to a count a header claims; a ring or span file that decodes
@@ -29,19 +29,19 @@ func FuzzLoadBundle(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var seed [4][]byte
+	var seed [3][]byte
 	for i, name := range bundleFiles {
 		if seed[i], err = os.ReadFile(filepath.Join(bdir, name)); err != nil {
 			f.Fatal(err)
 		}
 	}
-	f.Add(seed[0], seed[1], seed[2], seed[3])
-	f.Add(seed[0], seed[1][:headerSize], seed[2], seed[3][:headerSize+spanRecSize/2])
+	f.Add(seed[0], seed[1], seed[2])
+	f.Add(seed[0], seed[1][:headerSize], seed[2][:headerSize+spanRecSize/2])
 
-	// One directory per fuzz process: every input overwrites the same four
+	// One directory per fuzz process: every input overwrites the same three
 	// files, which keeps the harness off the filesystem's slow paths.
 	dir := f.TempDir()
-	f.Fuzz(func(t *testing.T, meta, ring, overflow, spans []byte) {
+	f.Fuzz(func(t *testing.T, meta, ring, spans []byte) {
 		decodeExits := func(r io.Reader, w io.Writer) error {
 			recs, err := ReadExits(r)
 			if err != nil {
@@ -50,7 +50,6 @@ func FuzzLoadBundle(f *testing.F) {
 			return WriteExits(w, recs)
 		}
 		ringOK := reencodes(t, ring, decodeExits)
-		overflowOK := reencodes(t, overflow, decodeExits)
 		spansOK := reencodes(t, spans, func(r io.Reader, w io.Writer) error {
 			recs, err := ReadSpans(r)
 			if err != nil {
@@ -59,7 +58,7 @@ func FuzzLoadBundle(f *testing.F) {
 			return WriteSpans(w, recs)
 		})
 
-		for i, data := range [][]byte{meta, ring, overflow, spans} {
+		for i, data := range [][]byte{meta, ring, spans} {
 			if err := os.WriteFile(filepath.Join(dir, bundleFiles[i]), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +67,7 @@ func FuzzLoadBundle(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !ringOK || !overflowOK || !spansOK || len(b.Exits) != 1 {
+		if !ringOK || !spansOK || len(b.Exits) != 1 {
 			t.Fatalf("LoadBundle accepted a bundle whose rings do not decode (VM rings loaded: %d)", len(b.Exits))
 		}
 		if err := WriteChrome(io.Discard, b); err != nil {

@@ -126,11 +126,10 @@ type flightVMJSON struct {
 
 // flightJSON is the /flight response body.
 type flightJSON struct {
-	Armed    bool             `json:"armed"`
-	Depth    int              `json:"depth"`
-	VMs      []flightVMJSON   `json:"vms"`
-	Overflow []flightExitJSON `json:"overflow,omitempty"`
-	Spans    []flightSpanJSON `json:"spans,omitempty"`
+	Armed bool             `json:"armed"`
+	Depth int              `json:"depth"`
+	VMs   []flightVMJSON   `json:"vms"`
+	Spans []flightSpanJSON `json:"spans,omitempty"`
 }
 
 func renderExits(exits []core.FlightExit) []flightExitJSON {
@@ -190,7 +189,6 @@ func serveFlight(w http.ResponseWriter, r *http.Request, em *core.Multiplexer) {
 				Exits:    renderExits(em.FlightExits(core.VMID(id))),
 			})
 		}
-		resp.Overflow = renderExits(em.FlightOverflow())
 		actors := em.ActorNames()
 		for _, s := range em.FlightSpans() {
 			actor := fmt.Sprintf("actor%d", s.Actor)
