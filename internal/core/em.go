@@ -31,7 +31,10 @@ type Auditor interface {
 // the equivalence gates compare the two paths byte-for-byte.
 //
 // The slice aliases the subscriber's own queue ring: a claim that wraps the
-// ring end arrives as two calls, in queue order. It is borrowed — valid
+// ring end arrives as two calls, in queue order. Rings grow with their
+// traffic, so where a claim splits follows the ring's size at claim time:
+// the batch boundaries of HandleBatch are not part of the contract, only
+// the order of the events across calls. The slice is borrowed — valid
 // only for the duration of the call, events read-only — and retaining the
 // slice or any *Event into it past the call is forbidden: the EM reuses
 // those slots for later events as soon as the claim is released.
@@ -88,13 +91,17 @@ type subscription struct {
 	// the delivery path.
 	batch BatchAuditor
 
-	// ring is the bounded event queue for async delivery. Each event is
-	// copied in once, at publish time, so auditors never alias the
-	// forwarder's buffer; Dispatch then delivers claimed events in place,
-	// handing the auditor slices of the ring itself.
-	ring  []Event
-	head  int
-	count int
+	// ring is the event queue for async delivery. Each event is copied in
+	// once, at publish time, so auditors never alias the forwarder's
+	// buffer; Dispatch then delivers claimed events in place, handing the
+	// auditor slices of the ring itself. The ring starts at initialRing
+	// slots (queueCap, if smaller) and doubles under the EM lock whenever a
+	// publish finds it full below queueCap (see grow), so its size follows
+	// the queue's high-water mark; queueCap alone decides drops.
+	ring     []Event
+	queueCap int
+	head     int
+	count    int
 	// claimed is the size of the queued prefix at head that a Dispatch is
 	// delivering outside the lock. Claimed slots stay counted in count until
 	// the claim is released, so no publisher overwrites them mid-delivery;
@@ -145,9 +152,10 @@ type Multiplexer struct {
 	// vms names the attached VMs, indexed by VMID (see vmid.go); empty for
 	// a bare EM, where every event is implicitly VM 0.
 	vms []string
-	// pubByVM counts published events per attached VM, maintained under the
-	// EM lock so the per-VM telemetry series are snapshot-time CounterFuncs
-	// like the host total — the hot path pays one bounds-checked increment.
+	// pubByVM counts published events per routable VM — one slot per route
+	// table slot, so a bare EM counts its implicit VM 0 too — maintained
+	// under the EM lock so the per-VM telemetry series are snapshot-time
+	// CounterFuncs like the host total; the hot path pays one increment.
 	pubByVM []uint64
 	// routes points at the current immutable routing snapshot (see
 	// route.go): AttachVM/Register/Unregister/EnableTelemetry build a fresh
@@ -247,7 +255,7 @@ func (m *Multiplexer) registerVMSeriesLocked(id VMID) {
 // NewMultiplexer creates an empty EM: no subscribers, and no VMs attached
 // beyond the implicit VM 0 a bare EM routes (one empty route slot).
 func NewMultiplexer() *Multiplexer {
-	m := &Multiplexer{}
+	m := &Multiplexer{pubByVM: make([]uint64, 1)}
 	m.routes.Store(&routeTable{perVM: make([]vmRoutes, 1)})
 	return m
 }
@@ -256,13 +264,21 @@ func NewMultiplexer() *Multiplexer {
 // implicit VM 0 of a bare EM. Caller holds the EM lock.
 func (m *Multiplexer) numVMsLocked() int { return max(len(m.vms), 1) }
 
-// DefaultQueueCap is the per-auditor async ring capacity.
+// DefaultQueueCap is the per-auditor async queue cap: how many events an
+// async auditor may have queued before the EM drops further events for it.
+// The cap bounds how far an auditor may fall behind; it is not allocated up
+// front, because each ring grows with its traffic (see subscription.ring).
 const DefaultQueueCap = 4096
+
+// initialRing is the slot count an async ring starts with, when its cap is
+// larger: enough for a light auditor never to grow, small enough that an
+// idle one costs a few KiB instead of its cap.
+const initialRing = 16
 
 // Register subscribes an auditor fleet-wide: it receives every attached
 // VM's events. On a solo machine (one VM) this is the pre-fleet behavior
-// unchanged. queueCap bounds the async ring (0 means DefaultQueueCap);
-// events beyond capacity are dropped and counted, matching the non-blocking
+// unchanged. queueCap bounds the async queue (0 means DefaultQueueCap);
+// events beyond it are dropped and counted, matching the non-blocking
 // forwarding design.
 func (m *Multiplexer) Register(a Auditor, mode DeliveryMode, queueCap int) error {
 	return m.RegisterScoped(a, ScopeFleet(), mode, queueCap)
@@ -306,7 +322,8 @@ func (m *Multiplexer) RegisterScoped(a Auditor, scope VMScope, mode DeliveryMode
 	sub.actor = m.actorLocked(a.Name())
 	sub.actorBit = 1 << sub.actor
 	if mode == DeliverAsync {
-		sub.ring = make([]Event, queueCap)
+		sub.queueCap = queueCap
+		sub.ring = make([]Event, min(queueCap, initialRing))
 		// The batched fast path only applies to drained (async) claims; sync
 		// delivery stays event-major so cross-auditor ordering per event is
 		// preserved exactly.
@@ -553,9 +570,7 @@ func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 			m.unattachedLocked(ev.VM)
 		}
 		m.published++
-		if int(ev.VM) < len(m.pubByVM) {
-			m.pubByVM[ev.VM]++
-		}
+		m.pubByVM[ev.VM]++
 		// Indexed routing on (VMID, event type) against the immutable
 		// snapshot loaded above; rebuilds serialize on the EM lock we hold,
 		// so rt is current for the entire locked phase.
@@ -579,12 +594,15 @@ func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 		var queuedBits, droppedBits uint64
 		for _, s := range vt.async[slot] {
 			if s.count == len(s.ring) {
-				s.dropped++
-				droppedBits |= s.actorBit
-				if tel != nil {
-					tel.dropped.Inc()
+				if s.count == s.queueCap {
+					s.dropped++
+					droppedBits |= s.actorBit
+					if tel != nil {
+						tel.dropped.Inc()
+					}
+					continue
 				}
-				continue
+				s.grow()
 			}
 			s.ring[s.wrap(s.head+s.count)] = *ev
 			s.count++
@@ -696,6 +714,22 @@ func (m *Multiplexer) sampleOne(sampler func(ev *Event), ev *Event) {
 	evPool.Put(c)
 }
 
+// grow doubles s's full ring, up to its cap, into a fresh array with the
+// queue — a claimed prefix included — copied unwrapped to slot 0. Caller
+// holds the EM lock, and s.count == len(s.ring) < s.queueCap. A claim being
+// delivered outside the lock keeps reading the old array, which nothing
+// writes again; its release then advances head over the copied prefix of
+// the new one. Outlined so the allocation stays off the publish path.
+//
+//go:noinline
+func (s *subscription) grow() {
+	ring := make([]Event, min(2*len(s.ring), s.queueCap))
+	n := copy(ring, s.ring[s.head:])
+	copy(ring[n:], s.ring[:s.head])
+	s.ring = ring
+	s.head = 0
+}
+
 // wrap folds a ring index in [0, 2*len(ring)) back into the ring: one
 // compare and subtract instead of an integer division per queued copy.
 //
@@ -709,10 +743,13 @@ func (s *subscription) wrap(i int) int {
 
 // dispatchSeg is one subscriber's claim within a Dispatch pass: the n
 // events queued at ring[head:], wrapping at the ring end, delivered to s in
-// place outside the lock. off is the claim's running index within the
-// pass, which keeps the latency-sampling cadence across segments.
+// place outside the lock. ring is s.ring as of the claim: a publish may
+// grow s.ring while the claim is delivered, so delivery reads the array the
+// claim was made in. off is the claim's running index within the pass,
+// which keeps the latency-sampling cadence across segments.
 type dispatchSeg struct {
 	s    *subscription
+	ring []Event
 	head int
 	n    int
 	off  int
@@ -737,6 +774,10 @@ type dispatchSeg struct {
 // so a drain takes no more lock round trips than a copying one would. A
 // subscription with a claim outstanding is busy: a concurrent Dispatch
 // skips it, so one auditor never sees two deliveries overlap or reorder.
+// A publish that grows the ring meanwhile copies the claimed prefix to the
+// new ring's front and leaves the old array untouched; the claim is
+// delivered from the old array, the one its segment carries, and its
+// release applies to the new ring.
 // All accounting — delivered counts, async depth and its gauge, drain span
 // steps — happens at claim time.
 //
@@ -758,6 +799,9 @@ func (m *Multiplexer) Dispatch(max int) int {
 			s.count -= g.n
 			s.claimed = 0
 		}
+		// The retained list must not keep a ring a publish has since
+		// replaced alive until the next drain.
+		clear(segs)
 		segs = segs[:0]
 		claimed := 0
 		tel := m.tel
@@ -781,7 +825,7 @@ func (m *Multiplexer) Dispatch(max int) int {
 				if k == 0 {
 					continue
 				}
-				segs = append(segs, dispatchSeg{s: s, head: s.head, n: k, off: claimed})
+				segs = append(segs, dispatchSeg{s: s, ring: s.ring, head: s.head, n: k, off: claimed})
 				s.claimed = k
 				s.delivered += uint64(k)
 				// The drain span steps are recorded at claim time, under the
@@ -810,12 +854,12 @@ func (m *Multiplexer) Dispatch(max int) int {
 		m.mu.Unlock()
 		for _, g := range segs {
 			s := g.s
-			if end := g.head + g.n; end <= len(s.ring) {
-				s.deliver(s.ring[g.head:end], g.off, tel)
+			if end := g.head + g.n; end <= len(g.ring) {
+				s.deliver(g.ring[g.head:end], g.off, tel)
 			} else {
-				first := len(s.ring) - g.head
-				s.deliver(s.ring[g.head:], g.off, tel)
-				s.deliver(s.ring[:g.n-first], g.off+first, tel)
+				first := len(g.ring) - g.head
+				s.deliver(g.ring[g.head:], g.off, tel)
+				s.deliver(g.ring[:g.n-first], g.off+first, tel)
 			}
 		}
 		total += claimed

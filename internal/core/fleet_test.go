@@ -356,6 +356,51 @@ func TestPerVMTelemetryRollup(t *testing.T) {
 	}
 }
 
+// TestBareEMCountsVMZero: a bare EM routes every event as its implicit VM
+// 0, so PublishedVM(0) is the whole published total.
+func TestBareEMCountsVMZero(t *testing.T) {
+	em := NewMultiplexer()
+	em.Publish(&Event{Type: EvSyscall})
+	em.PublishBatch([]Event{{Type: EvHalt}})
+	if p, p0 := em.Published(), em.PublishedVM(0); p != 2 || p0 != 2 {
+		t.Fatalf("Published() = %d, PublishedVM(0) = %d; want 2 and 2", p, p0)
+	}
+	if n := em.PublishedVM(1); n != 0 {
+		t.Fatalf("PublishedVM(1) = %d on a bare EM, want 0", n)
+	}
+}
+
+// TestAttachVMZeroKeepsBareCount: the first AttachVM takes over the bare
+// EM's VM 0 slot, and with it the events already counted there, so the
+// per-VM series still sums to the host total.
+func TestAttachVMZeroKeepsBareCount(t *testing.T) {
+	em := NewMultiplexer()
+	em.Publish(&Event{Type: EvSyscall})
+	em.Publish(&Event{Type: EvSyscall})
+	if _, err := em.AttachVM("vm-0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := em.AttachVM("vm-1"); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	em.EnableTelemetry(reg)
+	em.Publish(&Event{Type: EvSyscall, VM: 0})
+	em.Publish(&Event{Type: EvSyscall, VM: 1})
+	if a, b := em.PublishedVM(0), em.PublishedVM(1); a != 3 || b != 1 {
+		t.Fatalf("PublishedVM = %d,%d, want 3,1", a, b)
+	}
+	var sum uint64
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "hypertap_events_published_total" && len(c.Labels) > 0 {
+			sum += c.Value
+		}
+	}
+	if total := em.Published(); sum != total {
+		t.Fatalf("per-VM series sum to %d, host total %d", sum, total)
+	}
+}
+
 // TestWaitHeartbeat covers the RHC-side wait helper: immediate return when
 // a beat already arrived, blocking arrival, and timeout.
 func TestWaitHeartbeat(t *testing.T) {

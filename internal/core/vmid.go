@@ -83,7 +83,10 @@ func (m *Multiplexer) AttachVM(name string) (VMID, error) {
 	}
 	id := VMID(len(m.vms))
 	m.vms = append(m.vms, name)
-	m.pubByVM = append(m.pubByVM, 0)
+	// The first attach takes over the bare EM's VM 0 slot, and its count.
+	if len(m.vms) > len(m.pubByVM) {
+		m.pubByVM = append(m.pubByVM, 0)
+	}
 	if m.fl != nil {
 		m.fl.grow(len(m.vms))
 	}
@@ -113,7 +116,8 @@ func (m *Multiplexer) VMs() []string {
 	return out
 }
 
-// PublishedVM returns the number of events published for one VM.
+// PublishedVM returns the number of events published for one VM; on a bare
+// EM, VM 0's count is every event.
 func (m *Multiplexer) PublishedVM(id VMID) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -21,10 +21,22 @@ func (k *Kernel) allocLow(n, align int) (arch.GPA, error) {
 	base := (k.lowNext + step - 1) &^ (step - 1)
 	end := base + arch.GPA(n)*arch.PageSize
 	if end > KernelWindowBytes {
-		return 0, fmt.Errorf("guest: kernel window exhausted (need %d pages at %#x)", n, uint64(base))
+		return 0, &windowExhaustedError{pages: n, base: base}
 	}
 	k.lowNext = end
 	return base, nil
+}
+
+// windowExhaustedError is allocLow's failure. A guest that has used up its
+// kernel window fails every later spawn, so the message is formatted only
+// when someone reads it.
+type windowExhaustedError struct {
+	pages int
+	base  arch.GPA
+}
+
+func (e *windowExhaustedError) Error() string {
+	return fmt.Sprintf("guest: kernel window exhausted (need %d pages at %#x)", e.pages, uint64(e.base))
 }
 
 // allocHigh reserves n pages above the kernel window (page directories and

@@ -198,14 +198,23 @@ func (k *Kernel) RunSlice(cpu int, start, budget time.Duration) {
 	}
 }
 
-// wakeSleepers moves due sleepers to the runqueue.
+// wakeSleepers moves due sleepers to the runqueue. It runs before every
+// scheduler step, and usually nobody is due, so it looks for the first due
+// sleeper before it writes anything: the list is compacted only from there.
 func (k *Kernel) wakeSleepers(c *cpuState) {
-	if len(c.sleepers) == 0 {
+	first := -1
+	for i, s := range c.sleepers {
+		if s.dueAt(c.localNow) {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
 		return
 	}
-	kept := c.sleepers[:0]
-	for _, s := range c.sleepers {
-		if s.State == StateSleeping && s.sleepUntil <= c.localNow {
+	kept := c.sleepers[:first]
+	for _, s := range c.sleepers[first:] {
+		if s.dueAt(c.localNow) {
 			s.State = StateRunning
 			k.syncState(s)
 			s.setResult(SyscallResult{})
@@ -215,6 +224,11 @@ func (k *Kernel) wakeSleepers(c *cpuState) {
 		kept = append(kept, s)
 	}
 	c.sleepers = kept
+}
+
+// dueAt reports whether a sleeping task's deadline has passed at now.
+func (t *Task) dueAt(now time.Duration) bool {
+	return t.State == StateSleeping && t.sleepUntil <= now
 }
 
 // nextSleeperDeadline returns the earliest pending sleeper deadline.

@@ -167,21 +167,21 @@ func (k *Kernel) sysSpawn(cpu int, t *Task, _ [4]uint64) SyscallResult {
 func (k *Kernel) sysOpen(_ int, t *Task, _ [4]uint64) SyscallResult {
 	fd := t.nextFD
 	t.nextFD++
-	t.openFDs[fd] = struct{}{}
+	t.openFDs = append(t.openFDs, fd)
 	return SyscallResult{Ret: uint64(fd)}
 }
 
 func (k *Kernel) sysClose(_ int, t *Task, args [4]uint64) SyscallResult {
-	fd := int(args[0])
-	if _, ok := t.openFDs[fd]; !ok {
+	i := t.fdIndex(int(args[0]))
+	if i < 0 {
 		return SyscallResult{Err: ErrBadFd}
 	}
-	delete(t.openFDs, fd)
+	t.openFDs = append(t.openFDs[:i], t.openFDs[i+1:]...)
 	return SyscallResult{}
 }
 
 func (k *Kernel) sysRead(_ int, t *Task, args [4]uint64) SyscallResult {
-	if _, ok := t.openFDs[int(args[0])]; !ok && args[0] != 0 {
+	if t.fdIndex(int(args[0])) < 0 && args[0] != 0 {
 		return SyscallResult{Err: ErrBadFd}
 	}
 	k.stats.BytesRead += args[1]
@@ -189,7 +189,7 @@ func (k *Kernel) sysRead(_ int, t *Task, args [4]uint64) SyscallResult {
 }
 
 func (k *Kernel) sysWrite(_ int, t *Task, args [4]uint64) SyscallResult {
-	if _, ok := t.openFDs[int(args[0])]; !ok && args[0] > 2 {
+	if t.fdIndex(int(args[0])) < 0 && args[0] > 2 {
 		return SyscallResult{Err: ErrBadFd}
 	}
 	k.stats.BytesWritten += args[1]
@@ -197,7 +197,7 @@ func (k *Kernel) sysWrite(_ int, t *Task, args [4]uint64) SyscallResult {
 }
 
 func (k *Kernel) sysLseek(_ int, t *Task, args [4]uint64) SyscallResult {
-	if _, ok := t.openFDs[int(args[0])]; !ok {
+	if t.fdIndex(int(args[0])) < 0 {
 		return SyscallResult{Err: ErrBadFd}
 	}
 	return SyscallResult{Ret: args[1]}

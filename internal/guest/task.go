@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hypertap/internal/arch"
@@ -84,9 +85,10 @@ type Task struct {
 	// netWaitPort is the port the task is blocked receiving on.
 	netWaitPort *uint16
 
-	// openFDs is the set of open file descriptors: the file calls check
-	// only whether a descriptor is open.
-	openFDs map[int]struct{}
+	// openFDs holds the open file descriptors in ascending order: the file
+	// calls check only whether a descriptor is open. nextFD never reuses a
+	// descriptor, so open appends and the list stays sorted.
+	openFDs []int
 	nextFD  int
 
 	exitCode  int
@@ -109,6 +111,17 @@ func (t *Task) IsIdle() bool { return t.program == nil }
 func (t *Task) setResult(res SyscallResult) {
 	t.res = res
 	t.lastResult = &t.res
+}
+
+// fdIndex returns fd's index in t.openFDs, or -1 when fd is not open. The
+// search is binary, not a scan from the newest: a program that loses track
+// of its descriptors (one opening each iteration and closing a fixed fd
+// that is long gone) keeps thousands open, and its checks name the oldest.
+func (t *Task) fdIndex(fd int) int {
+	if i, ok := slices.BinarySearch(t.openFDs, fd); ok {
+		return i
+	}
+	return -1
 }
 
 // kernExec is the interpreted execution state of one in-flight system call.
