@@ -40,14 +40,13 @@ fmt:
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/telemetry/... ./internal/experiment/... ./internal/hv/... ./internal/host/... ./internal/capture/... ./internal/vclock/... ./internal/flight/...
 
-# The equivalence suites: serial≡parallel for the sharded campaign engine
-# (including fleet campaigns whose unit is an N-VM host), N-VM-host ≡
-# N-isolated-VMs for the host fleet plane, capture→replay ≡ live for the
-# exit-stream record/replay plane (solo and 8-VM fleet). GOMAXPROCS=4
+# The equivalence suites: serial≡parallel for the sharded campaign engine,
+# N-VM-host ≡ N-isolated-VMs for the host fleet plane, capture→replay ≡ live
+# for the exit-stream record/replay plane (solo and 8-VM fleet). GOMAXPROCS=4
 # forces real scheduling interleavings even on small runners, and -race
 # turns any unserialized progress/telemetry access into a failure.
 equivalence:
-	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestParallelMatchesSerial|TestShowdownUnitIsolation|TestFleetCampaignParallelMatchesSerial' ./internal/experiment ./internal/experiment/runner
+	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestParallelMatchesSerial|TestShowdownUnitIsolation' ./internal/experiment ./internal/experiment/runner
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestFleetEquivalence|TestFleetSharedRHC' ./internal/host
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestSoloReplayEquivalence|TestFleetReplayEquivalence|TestReplayDeterminism' ./internal/capture
 

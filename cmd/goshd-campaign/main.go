@@ -47,7 +47,7 @@ func run() error {
 	cfg := experiment.GOSHDConfig{SampleEvery: sample, Seed: *seed, Parallel: *parallel}
 	if *telAddr != "" {
 		cfg.Telemetry = telemetry.NewRegistry()
-		srv, err := httpexport.Serve(*telAddr, cfg.Telemetry, nil)
+		srv, err := httpexport.Serve(*telAddr, httpexport.Options{Registry: cfg.Telemetry})
 		if err != nil {
 			return err
 		}

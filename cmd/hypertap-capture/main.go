@@ -2,7 +2,7 @@
 // (internal/capture, .htcs): versioned recordings of the Event Forwarder's
 // decoded exit stream that replay through the auditor plane to the live
 // run's verdicts with no guest anywhere. Captures come from cmd/hypertap
-// -trace, from incident bundles of campaigns run with Capture, and from
+// -trace (also written into its -flight-dir shutdown bundle) and from
 // record.
 //
 // Modes:
@@ -18,10 +18,10 @@
 //	    -chrome-trace renders the input for ui.perfetto.dev: a bundle's
 //	    flight rings and causal spans, or a stream's events, one track per VM.
 //	hypertap-capture replay [-threshold D -strict -json -metrics FILE] stream.htcs
-//	    re-drives the fleet auditor plane (per-VM GOSHD + fleetwatch) from
+//	    re-drives the host auditor plane (per-VM GOSHD + fleetwatch) from
 //	    the stream through experiment.ReplayStream and reports the verdicts;
 //	    -metrics writes the replay's telemetry snapshot as JSON.
-//	hypertap-capture replay -bundle dir [-threshold D -json -metrics FILE]
+//	hypertap-capture replay -bundle dir [-threshold D -strict -json -metrics FILE]
 //	    same, from an incident bundle's capture.htcs via
 //	    experiment.ReplayIncidentStream.
 package main
@@ -273,14 +273,14 @@ func runReplay(args []string) error {
 	var (
 		bundle    = fs.String("bundle", "", "replay an incident bundle's capture.htcs instead of a file")
 		threshold = fs.Duration("threshold", 100*time.Millisecond, "GOSHD hang threshold")
-		strict    = fs.Bool("strict", false, "fail on any divergence instead of counting (capture files)")
+		strict    = fs.Bool("strict", false, "fail on any divergence instead of counting")
 		jsonOut   = fs.Bool("json", false, "emit the report as JSON")
 		metricsTo = fs.String("metrics", "", "write the replay's telemetry snapshot as JSON to this file (- for stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := experiment.FleetConfig{Threshold: *threshold}
+	cfg := experiment.StreamConfig{Threshold: *threshold, Strict: *strict}
 	if *metricsTo != "" {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
@@ -288,9 +288,6 @@ func runReplay(args []string) error {
 	if *bundle != "" {
 		if fs.NArg() != 0 {
 			return fmt.Errorf("replay: -bundle and a capture file are mutually exclusive")
-		}
-		if *strict {
-			return fmt.Errorf("replay: -strict applies to capture files, not -bundle")
 		}
 		r, err := experiment.ReplayIncidentStream(cfg, *bundle)
 		if err != nil {
@@ -305,7 +302,7 @@ func runReplay(args []string) error {
 		if err != nil {
 			return err
 		}
-		if rep, err = experiment.ReplayStream(cfg, data, *strict); err != nil {
+		if rep, err = experiment.ReplayStream(cfg, data); err != nil {
 			return err
 		}
 	}

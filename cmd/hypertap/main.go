@@ -112,7 +112,7 @@ func run(args []string) error {
 		}
 		// Closes on error paths; the success path closes and checks below.
 		defer func() { _ = capFile.Close() }()
-		hdr := capture.Header{Tick: time.Millisecond}
+		hdr := capture.Header{Host: h.Name(), Tick: time.Millisecond}
 		for i := 0; i < *vms; i++ {
 			m := h.Machine(i)
 			hdr.VMs = append(hdr.VMs, capture.VMHeader{Name: m.Name(), VCPUs: m.NumVCPUs()})
@@ -225,7 +225,7 @@ func run(args []string) error {
 	// /healthz (degraded when heartbeats stall; always healthy without -rhc),
 	// the /flight debug drain, and the Go profiler under /debug/pprof/.
 	if *telAddr != "" {
-		tsrv, err := httpexport.ServeOptions(*telAddr, httpexport.Options{
+		tsrv, err := httpexport.Serve(*telAddr, httpexport.Options{
 			Registry: reg, Health: health, EM: em, Pprof: true,
 		})
 		if err != nil {

@@ -17,7 +17,8 @@ import (
 // TestSmokeDefaults drives the binary in-process with a short run and the
 // documented flag defaults: flight recording on (-flight-depth 0 = 1024-deep
 // rings), a bundle drained at exit, and an exit-stream capture alongside it
-// that replays Strict to the live run's per-VM event counts.
+// that names its host and replays Strict to the live run's per-VM event
+// counts.
 func TestSmokeDefaults(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{
@@ -70,10 +71,15 @@ func TestSmokeDefaults(t *testing.T) {
 	if !bytes.Equal(b.Capture, data) {
 		t.Errorf("bundle capture.htcs is %d bytes, differs from run.htcs (%d bytes)", len(b.Capture), len(data))
 	}
-	if brep, err := experiment.ReplayIncidentStream(experiment.FleetConfig{Threshold: 4 * time.Second}, bundleDir); err != nil {
+	if brep, err := experiment.ReplayIncidentStream(experiment.StreamConfig{Threshold: 4 * time.Second}, bundleDir); err != nil {
 		t.Errorf("replaying the shutdown bundle: %v", err)
-	} else if brep.Divergences != 0 {
-		t.Errorf("bundle replay divergences = %d, want 0", brep.Divergences)
+	} else {
+		if brep.Divergences != 0 {
+			t.Errorf("bundle replay divergences = %d, want 0", brep.Divergences)
+		}
+		if brep.Host != "host0" {
+			t.Errorf("bundle replay host = %q, want host0", brep.Host)
+		}
 	}
 
 	// The capture replays through the one replay wiring, at the live run's
@@ -86,12 +92,18 @@ func TestSmokeDefaults(t *testing.T) {
 	if !sum.Ended {
 		t.Error("capture lacks its end marker")
 	}
-	rep, err := experiment.ReplayStream(experiment.FleetConfig{Threshold: 4 * time.Second}, data, true)
+	if sum.Host != "host0" {
+		t.Errorf("capture header host = %q, want host0", sum.Host)
+	}
+	rep, err := experiment.ReplayStream(experiment.StreamConfig{Threshold: 4 * time.Second, Strict: true}, data)
 	if err != nil {
 		t.Fatalf("strict replay: %v", err)
 	}
 	if rep.Divergences != 0 {
 		t.Errorf("replay divergences = %d, want 0", rep.Divergences)
+	}
+	if rep.Host != "host0" {
+		t.Errorf("replay host = %q, want host0", rep.Host)
 	}
 	if len(sum.VMs) != 2 || len(rep.VMs) != 2 {
 		t.Fatalf("capture header lists %d VMs, replay %d; want 2", len(sum.VMs), len(rep.VMs))

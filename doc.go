@@ -12,6 +12,7 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and the
 // simulation-substitution rationale, and EXPERIMENTS.md for reproduced
-// numbers. The benchmarks in bench_test.go regenerate each table and figure
-// at reduced scale; the cmd/ tools run them at paper scale.
+// numbers. The golden tests in internal/experiment pin each table and
+// figure's harness at reduced scale; the cmd/ tools run them at paper scale,
+// and `make experiments` diffs their output against results/.
 package hypertap

@@ -9,9 +9,9 @@ package core
 // (DESIGN.md §8): recording must be cheap enough to stay enabled during
 // benchmarks. The exit rings therefore have exactly one writer — Publish,
 // already serialized by the EM lock — so slot writes are plain stores with no
-// per-record synchronization at all; the only atomic on the path is the load
-// of the armed gate. Readers snapshot rings under the same EM lock
-// (Multiplexer.FlightExits), so the race detector proves the discipline.
+// per-record synchronization at all. Readers snapshot rings under the same
+// EM lock (Multiplexer.FlightExits), so the race detector proves the
+// discipline.
 // Per-auditor fan-out is not recorded per handle: each exit record stores
 // the two async actor bitmasks (queued/dropped) the Publish loop already
 // assembles in registers, and the synchronous set — a pure function of
@@ -26,12 +26,11 @@ package core
 // duplicated into the span ring at all — the exit record already carries the
 // SpanID, timestamp and VM, so it IS the decode step. Slot writes are
 // therefore plain stores, and the recorder's whole per-event cost is a
-// handful of word stores behind one atomic armed check.
+// handful of word stores.
 
 import (
 	"math/bits"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"hypertap/internal/arch"
@@ -199,8 +198,6 @@ type spanRing struct {
 // with SetFlight. The cold half — serialization, incident bundles, export —
 // lives in internal/flight.
 type FlightTable struct {
-	// armed gates recording; the one atomic a slot write pays.
-	armed atomic.Bool
 	// rings holds one exit ring per VM: ring i is VMID i. The owning
 	// Multiplexer grows it under its lock (grow), so it always covers every
 	// attached VM, and only readers holding that lock touch it.
@@ -222,7 +219,7 @@ func ceilPow2(n int) uint64 {
 // exits each, and a span ring of spanDepth records. numVMs is only a
 // pre-size: SetFlight and AttachVM grow the table to one ring per attached
 // VM. Depths round up to powers of two; zero selects DefaultFlightDepth (and
-// 4× that for spans). The table starts armed.
+// 4× that for spans).
 func NewFlightTable(numVMs, depth, spanDepth int) *FlightTable {
 	if depth <= 0 {
 		depth = DefaultFlightDepth
@@ -235,7 +232,6 @@ func NewFlightTable(numVMs, depth, spanDepth int) *FlightTable {
 	t.grow(numVMs)
 	t.spans.slots = make([]SpanRecord, sd)
 	t.spans.mask = sd - 1
-	t.armed.Store(true)
 	return t
 }
 
@@ -252,15 +248,6 @@ func (t *FlightTable) grow(n int) {
 	}
 }
 
-// Arm (re-)enables recording.
-func (t *FlightTable) Arm() { t.armed.Store(true) }
-
-// Disarm stops recording; rings keep their contents.
-func (t *FlightTable) Disarm() { t.armed.Store(false) }
-
-// Armed reports whether the table is recording.
-func (t *FlightTable) Armed() bool { return t.armed.Load() }
-
 // Depth returns the per-VM exit-ring capacity.
 func (t *FlightTable) Depth() int { return int(t.depth) }
 
@@ -269,18 +256,15 @@ func (t *FlightTable) SpanDepth() int { return len(t.spans.slots) }
 
 // recordExit writes one flight record. Publish calls it with the EM lock
 // held — the exit rings' single-writer contract — so every store below is a
-// plain store; the armed gate is the record's one atomic. The record doubles
-// as the span's decode step (same SpanID, timestamp and VM), so the span
-// ring is not touched here, and the sync mask is not stored either — both
-// would be per-event stores for information that is already held (by the
-// exit ring) or derivable (from the routing table). Six word stores is the
-// floor the dynamic per-event information sets.
+// plain store. The record doubles as the span's decode step (same SpanID,
+// timestamp and VM), so the span ring is not touched here, and the sync
+// mask is not stored either — both would be per-event stores for
+// information that is already held (by the exit ring) or derivable (from
+// the routing table). Six word stores is the floor the dynamic per-event
+// information sets.
 //
 //hypertap:hotpath
 func (t *FlightTable) recordExit(ev *Event, queuedBits, droppedBits uint64) {
-	if !t.armed.Load() {
-		return
-	}
 	r := &t.rings[ev.VM]
 	slot := &r.slots[r.w&r.mask]
 	r.w++
@@ -301,7 +285,7 @@ func (t *FlightTable) recordExit(ev *Event, queuedBits, droppedBits uint64) {
 //
 //hypertap:hotpath
 func (t *FlightTable) RecordSpan(span SpanID, vm VMID, phase FlightPhase, actor uint8, at time.Duration) {
-	if t == nil || !t.armed.Load() {
+	if t == nil {
 		return
 	}
 	s := &t.spans.slots[t.spans.w&t.spans.mask]

@@ -198,26 +198,6 @@ func TestFlightTableGrowsToAttachedVMs(t *testing.T) {
 	}
 }
 
-func TestFlightDisarm(t *testing.T) {
-	em, fl := flightEM(t, 8)
-	ev := &Event{Type: EvHalt, VM: 0}
-	em.Publish(ev)
-	fl.Disarm()
-	em.Publish(ev)
-	fl.RecordSpan(MintSpan(0, 1, 0), 0, PhaseDecode, 0, 0)
-	if got := len(em.FlightExits(0)); got != 1 {
-		t.Fatalf("disarmed table recorded: %d exits, want 1", got)
-	}
-	if got := len(fl.Spans()); got != 0 {
-		t.Fatalf("disarmed table recorded %d spans, want 0", got)
-	}
-	fl.Arm()
-	em.Publish(ev)
-	if got := len(em.FlightExits(0)); got != 2 {
-		t.Fatalf("re-armed table did not record: %d exits, want 2", got)
-	}
-}
-
 func TestSpanRing(t *testing.T) {
 	fl := NewFlightTable(1, 4, 8)
 	if fl.SpanDepth() != 8 {
@@ -355,9 +335,6 @@ func TestPublishFlightZeroAllocs(t *testing.T) {
 		if err := em.Register(aud, DeliverSync, 0); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !fl.Armed() {
-		t.Fatal("table should start armed")
 	}
 	ev := &Event{Type: EvSyscall, VM: 0, Span: MintSpan(0, 1, 0)}
 	allocs := testing.AllocsPerRun(200, func() {

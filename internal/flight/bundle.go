@@ -14,11 +14,12 @@ import (
 	"hypertap/internal/telemetry"
 )
 
-// Incident bundles: when an auditor raises a detection, returns an error or
-// panics, the host dumps a self-contained directory — the implicated VM's
-// flight ring plus every other ring on the host, the span ring, a telemetry
-// snapshot, the RHC's view and the campaign coordinates — so the failure
-// replays from the artifact alone, with no access to the original process.
+// Incident bundles: on Sink.Raise the host dumps a self-contained
+// directory — every VM's flight ring, the span ring, a telemetry snapshot,
+// the RHC's view, the caller's context and, when the sink was given one, the
+// recorded exit stream — so the run can be inspected and its auditor plane
+// replayed from the artifact alone, with no access to the original process.
+// cmd/hypertap raises one at shutdown.
 
 // Incident is the bundle's manifest (meta.json).
 type Incident struct {
@@ -26,20 +27,16 @@ type Incident struct {
 	FormatVersion int `json:"format_version"`
 	// Index is the sink-local incident number (0, 1, ...).
 	Index int `json:"index"`
-	// Kind classifies the trigger: "detection", "error", "panic", ...
+	// Kind classifies the trigger: "shutdown", "detection", ...
 	Kind string `json:"kind"`
-	// Host names the host the incident was captured on: VM identifies the
-	// guest on that host, and Host says which host's monitor captured the
-	// evidence.
-	Host string `json:"host,omitempty"`
 	// VM is the implicated VM's ID; VMName its attached name when known.
 	VM     core.VMID `json:"vm"`
 	VMName string    `json:"vm_name,omitempty"`
-	// Error carries the rendered detection / error / panic value.
+	// Error carries the rendered cause, empty for a clean capture.
 	Error string `json:"error,omitempty"`
 	// VTimeNS is the virtual time of capture.
 	VTimeNS int64 `json:"vtime_ns"`
-	// Context carries caller coordinates: campaign seed, unit index, ...
+	// Context carries caller coordinates: the run's seed, ...
 	Context map[string]string `json:"context,omitempty"`
 	// Actors is the EM's actor table (index = actor ID in the bitmasks).
 	Actors []string `json:"actors"`
@@ -65,10 +62,6 @@ type RHCState struct {
 type SinkConfig struct {
 	// Dir is the directory incidents are written under (created on demand).
 	Dir string
-	// Host names the capturing host in every bundle manifest. Optional for
-	// solo deployments; fleet campaign units set it so every incident says
-	// where the evidence was captured.
-	Host string
 	// EM is the multiplexer whose flight table is drained. Required, and it
 	// must have a flight table attached (core.Multiplexer.SetFlight).
 	EM *core.Multiplexer
@@ -82,7 +75,7 @@ type SinkConfig struct {
 	// decoupled from the capture codec and lets the recorder flush lazily —
 	// only an actual incident pays for materializing the stream.
 	Capture func() []byte
-	// Context is stamped into every bundle's manifest (campaign seed, ...).
+	// Context is stamped into every bundle's manifest (the run's seed, ...).
 	Context map[string]string
 }
 
@@ -131,8 +124,8 @@ func sanitizeKind(kind string) string {
 }
 
 // Raise captures one bundle: kind classifies the trigger, vm names the
-// implicated VM, at is the virtual capture time and cause the detection /
-// error / recovered panic. It returns the bundle directory.
+// implicated VM, at is the virtual capture time and cause, when non-nil,
+// the error or verdict that raised it. It returns the bundle directory.
 func (s *Sink) Raise(kind string, vm core.VMID, at time.Duration, cause error) (string, error) {
 	s.mu.Lock()
 	idx := s.n
@@ -159,7 +152,6 @@ func (s *Sink) Raise(kind string, vm core.VMID, at time.Duration, cause error) (
 		FormatVersion: Version,
 		Index:         idx,
 		Kind:          kind,
-		Host:          s.cfg.Host,
 		VM:            vm,
 		VTimeNS:       int64(at),
 		Context:       s.cfg.Context,

@@ -3,9 +3,9 @@
 // in internal/core (core.FlightTable) so the Event Multiplexer can record
 // into it with zero allocations; this package handles everything that is
 // allowed to be slow: serializing drained rings to a compact versioned
-// binary format, capturing self-contained incident bundles when an auditor
-// raises a detection / returns an error / panics, and exporting captures as
-// Chrome trace-event JSON for Perfetto.
+// binary format, capturing self-contained incident bundles on request
+// (cmd/hypertap raises one at shutdown), and exporting captures as Chrome
+// trace-event JSON for Perfetto.
 //
 // The package is part of the determinism contract (hypertap-vet's wallclock
 // pass): everything it writes is a pure function of the recorded rings, so

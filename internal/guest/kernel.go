@@ -75,16 +75,19 @@ type Config struct {
 	Mech SyscallMech
 	// Preemptible enables kernel preemption (CONFIG_PREEMPT).
 	Preemptible bool
-	// Timeslice is the scheduler round-robin quantum. Default 6ms.
-	Timeslice time.Duration
-	// HousekeepingPeriod is the kworker wake period, bounding the maximum
-	// inter-context-switch gap on an idle CPU. Default 900ms.
-	HousekeepingPeriod time.Duration
 	// Seed drives the deterministic jitter in housekeeping and workloads.
 	Seed int64
-	// UserPagesPerProc is the initial user mapping size. Default 4.
-	UserPagesPerProc int
 }
+
+const (
+	// timeslice is the scheduler round-robin quantum.
+	timeslice = 6 * time.Millisecond
+	// housekeepingPeriod is the kworker wake period, bounding the maximum
+	// inter-context-switch gap on an idle CPU.
+	housekeepingPeriod = 900 * time.Millisecond
+	// userPagesPerProc is the initial user mapping size.
+	userPagesPerProc = 4
+)
 
 func (c *Config) fillDefaults() {
 	if c.Profile == 0 {
@@ -96,15 +99,6 @@ func (c *Config) fillDefaults() {
 		} else {
 			c.Mech = MechInt80
 		}
-	}
-	if c.Timeslice == 0 {
-		c.Timeslice = 6 * time.Millisecond
-	}
-	if c.HousekeepingPeriod == 0 {
-		c.HousekeepingPeriod = 900 * time.Millisecond
-	}
-	if c.UserPagesPerProc == 0 {
-		c.UserPagesPerProc = 4
 	}
 }
 
@@ -421,22 +415,21 @@ func (k *Kernel) Boot() error {
 		if err := k.kwrite64(c.id, c.tssGVA+arch.TSSOffRSP0, uint64(boot.RSP0)); err != nil {
 			return err
 		}
-		c.sliceLeft = k.cfg.Timeslice
+		c.sliceLeft = timeslice
 	}
 
 	// Housekeeping kernel threads (kworkers): they bound the maximum
 	// inter-switch gap on an otherwise idle CPU, which is what the paper's
 	// guest profiling measures to set the GOSHD threshold.
 	for _, c := range k.cpus {
-		period := k.cfg.HousekeepingPeriod
-		jitter := time.Duration(k.rng.Int63n(int64(period / 4)))
+		jitter := time.Duration(k.rng.Int63n(int64(housekeepingPeriod / 4)))
 		_, err := k.CreateProcess(&ProcSpec{
 			Comm:         fmt.Sprintf("kworker/%d", c.id),
 			KernelThread: true,
 			Pinned:       true,
 			CPUAffinity:  c.id,
 			Program: &LoopProgram{Body: []Step{
-				Sleep(period + jitter),
+				Sleep(housekeepingPeriod + jitter),
 				Compute(200 * time.Microsecond),
 				DoSyscall(SysLog, 1),
 			}},
@@ -594,7 +587,7 @@ func (k *Kernel) newTask(spec *ProcSpec, parent *Task, pid int) (*Task, error) {
 		pdba = leader.PDBA
 		tgid = leader.TGID
 	default:
-		pdba, err = k.newPageDirectory(k.cfg.UserPagesPerProc)
+		pdba, err = k.newPageDirectory(userPagesPerProc)
 		if err != nil {
 			return nil, err
 		}

@@ -87,7 +87,7 @@ func (k *Kernel) DeliverTimer(cpu int, tick time.Duration) {
 	c.vcpu.APICAccess(arch.APICOffEOI, true)
 	c.sliceLeft -= tick
 	if c.sliceLeft <= 0 {
-		c.sliceLeft = k.cfg.Timeslice
+		c.sliceLeft = timeslice
 		if len(c.rq) > 0 && c.current != c.idle {
 			c.current.needResched = true
 		}
@@ -327,7 +327,7 @@ func (k *Kernel) contextSwitch(cpu int, next *Task) {
 	} else {
 		c.vcpu.Regs.CPL = arch.RingUser
 	}
-	c.sliceLeft = k.cfg.Timeslice
+	c.sliceLeft = timeslice
 	c.extraCharge += costContextSwitch
 }
 

@@ -8,10 +8,10 @@
 // stack — flips /healthz to 503, so the same invariant the RHC enforces
 // over TCP is visible to any off-the-shelf prober.
 //
-// With Options the endpoint also exposes the tracing plane: /flight drains
-// the flight recorder's rings as JSON (the live sibling of an incident
-// bundle), and /debug/pprof/ mounts the standard Go profiler so the hot
-// path can be profiled on a running deployment.
+// Options can also expose the tracing plane: /flight drains the flight
+// recorder's rings as JSON (the live sibling of an incident bundle), and
+// /debug/pprof/ mounts the standard Go profiler so the hot path can be
+// profiled on a running deployment.
 package httpexport
 
 import (
@@ -49,13 +49,8 @@ type Options struct {
 }
 
 // Handler returns an http.Handler serving /metrics, /metrics.json and
-// /healthz for the registry.
-func Handler(reg *telemetry.Registry, health Health) http.Handler {
-	return HandlerOptions(Options{Registry: reg, Health: health})
-}
-
-// HandlerOptions returns an http.Handler for the full option set.
-func HandlerOptions(o Options) http.Handler {
+// /healthz, plus /flight and /debug/pprof/ when o asks for them.
+func Handler(o Options) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -126,7 +121,6 @@ type flightVMJSON struct {
 
 // flightJSON is the /flight response body.
 type flightJSON struct {
-	Armed bool             `json:"armed"`
 	Depth int              `json:"depth"`
 	VMs   []flightVMJSON   `json:"vms"`
 	Spans []flightSpanJSON `json:"spans,omitempty"`
@@ -163,7 +157,7 @@ func serveFlight(w http.ResponseWriter, r *http.Request, em *core.Multiplexer) {
 		// A bare EM publishes everything as VM 0; give the drain one row.
 		vms = []string{"vm0"}
 	}
-	resp := flightJSON{Armed: fl.Armed(), Depth: fl.Depth()}
+	resp := flightJSON{Depth: fl.Depth()}
 	if q := r.URL.Query().Get("vm"); q != "" {
 		id, err := strconv.Atoi(q)
 		if err != nil || id < 0 {
@@ -217,17 +211,12 @@ type Server struct {
 }
 
 // Serve starts the telemetry endpoint on addr (e.g. "127.0.0.1:0").
-func Serve(addr string, reg *telemetry.Registry, health Health) (*Server, error) {
-	return ServeOptions(addr, Options{Registry: reg, Health: health})
-}
-
-// ServeOptions starts the extended endpoint on addr.
-func ServeOptions(addr string, o Options) (*Server, error) {
+func Serve(addr string, o Options) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("httpexport: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: HandlerOptions(o), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: Handler(o), ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return &Server{ln: ln, srv: srv}, nil
 }

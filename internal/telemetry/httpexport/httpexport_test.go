@@ -39,7 +39,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 }
 
 func TestMetricsEndpointPromFormat(t *testing.T) {
-	h := Handler(testRegistry(), nil)
+	h := Handler(Options{Registry: testRegistry()})
 	code, body := get(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d", code)
@@ -68,7 +68,7 @@ func TestMetricsEndpointPromFormat(t *testing.T) {
 }
 
 func TestMetricsJSONEndpoint(t *testing.T) {
-	h := Handler(testRegistry(), nil)
+	h := Handler(Options{Registry: testRegistry()})
 	code, body := get(t, h, "/metrics.json")
 	if code != http.StatusOK {
 		t.Fatalf("GET /metrics.json = %d", code)
@@ -80,17 +80,17 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 
 func TestHealthzHealthyAndDegraded(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	code, body := get(t, Handler(reg, nil), "/healthz")
+	code, body := get(t, Handler(Options{Registry: reg}), "/healthz")
 	if code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("nil health: %d %q", code, body)
 	}
 	healthy := true
-	h := Handler(reg, func() error {
+	h := Handler(Options{Registry: reg, Health: func() error {
 		if healthy {
 			return nil
 		}
 		return errors.New("vm0 heartbeat stalled")
-	})
+	}})
 	if code, _ := get(t, h, "/healthz"); code != http.StatusOK {
 		t.Fatalf("healthy probe = %d", code)
 	}
@@ -105,7 +105,7 @@ func TestHealthzHealthyAndDegraded(t *testing.T) {
 }
 
 func TestServeOverTCP(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", testRegistry(), nil)
+	srv, err := Serve("127.0.0.1:0", Options{Registry: testRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMultiVMHostEndpoint(t *testing.T) {
 	if _, ok := srv.WaitHeartbeat("vm-b", 2*time.Second); !ok {
 		t.Fatal("no heartbeats from vm-b")
 	}
-	handler := HandlerOptions(Options{Registry: reg, Health: srv.Health, EM: h.EM(), Pprof: true})
+	handler := Handler(Options{Registry: reg, Health: srv.Health, EM: h.EM(), Pprof: true})
 
 	// Both VMs beating: healthy.
 	if code, body := get(t, handler, "/healthz"); code != http.StatusOK {
@@ -202,8 +202,7 @@ func TestMultiVMHostEndpoint(t *testing.T) {
 		t.Fatalf("/flight = %d", code)
 	}
 	var drain struct {
-		Armed bool `json:"armed"`
-		VMs   []struct {
+		VMs []struct {
 			Name     string `json:"name"`
 			Recorded uint64 `json:"recorded"`
 			Exits    []struct {
@@ -218,8 +217,8 @@ func TestMultiVMHostEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &drain); err != nil {
 		t.Fatalf("/flight is not JSON: %v", err)
 	}
-	if !drain.Armed || len(drain.VMs) != 2 {
-		t.Fatalf("drain armed=%v vms=%d, want armed 2-VM table", drain.Armed, len(drain.VMs))
+	if len(drain.VMs) != 2 {
+		t.Fatalf("drain vms=%d, want a 2-VM table", len(drain.VMs))
 	}
 	for _, vm := range drain.VMs {
 		if vm.Recorded == 0 || len(vm.Exits) == 0 {
