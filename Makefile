@@ -38,7 +38,7 @@ fmt:
 	fi
 
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/telemetry/... ./internal/experiment/... ./internal/hv/... ./internal/host/... ./internal/capture/... ./internal/vclock/... ./internal/flight/...
+	$(GO) test -race -short ./internal/core/... ./internal/telemetry/... ./internal/experiment/... ./internal/hv/... ./internal/host/... ./internal/capture/... ./internal/vclock/... ./internal/flight/... ./internal/guest/... ./internal/workload/...
 
 # The equivalence suites: serial≡parallel for the sharded campaign engine,
 # N-VM-host ≡ N-isolated-VMs for the host fleet plane, capture→replay ≡ live

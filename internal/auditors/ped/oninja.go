@@ -108,12 +108,13 @@ const (
 var _ guest.Program = (*oNinjaProgram)(nil)
 
 // Next implements guest.Program.
-func (p *oNinjaProgram) Next(ctx *guest.ProgContext) guest.Step {
+func (p *oNinjaProgram) Next(ctx *guest.ProgContext, st *guest.Step) {
 	for {
 		switch p.mode {
 		case modeList:
 			p.mode = modeConsumeList
-			return guest.DoSyscall(guest.SysListProcs)
+			st.SetSyscall(guest.SysListProcs)
+			return
 
 		case modeConsumeList:
 			p.pids = p.pids[:0]
@@ -127,7 +128,8 @@ func (p *oNinjaProgram) Next(ctx *guest.ProgContext) guest.Step {
 			p.idx = 0
 			p.mode = modeStat
 			// Fixed directory-read cost before the per-pid loop.
-			return guest.Compute(p.o.PerEntryCost)
+			st.SetCompute(p.o.PerEntryCost)
+			return
 
 		case modeStat:
 			if p.idx >= len(p.pids) {
@@ -136,39 +138,44 @@ func (p *oNinjaProgram) Next(ctx *guest.ProgContext) guest.Step {
 				p.o.mu.Unlock()
 				p.mode = modeSleepDone
 				if p.o.Interval > 0 {
-					return guest.Sleep(p.o.Interval)
+					st.SetSleep(p.o.Interval)
+					return
 				}
-				return guest.DoSyscall(guest.SysYieldCPU)
+				st.SetSyscall(guest.SysYieldCPU)
+				return
 			}
 			pid := p.pids[p.idx]
 			p.idx++
 			p.mode = modeEval
-			return guest.DoSyscall(guest.SysProcStat, uint64(pid))
+			st.SetSyscall(guest.SysProcStat, uint64(pid))
+			return
 
 		case modeEval:
 			p.mode = modeStat
 			if ctx.LastResult != nil && ctx.LastResult.Err == 0 {
-				if st, ok := ctx.LastResult.Data.(guest.ProcStat); ok {
-					if p.o.Policy.ViolatesStat(st) {
+				if ps, ok := ctx.LastResult.Data.(guest.ProcStat); ok {
+					if p.o.Policy.ViolatesStat(ps) {
 						p.o.record(Detection{
-							PID: st.PID, Comm: st.Comm, At: ctx.Now,
+							PID: ps.PID, Comm: ps.Comm, At: ctx.Now,
 							By: "o-ninja", Trigger: "scan",
 						})
 						if p.o.Kill {
-							p.killPID = st.PID
+							p.killPID = ps.PID
 							p.mode = modeKill
 						}
 					}
 				}
 			}
 			// The per-entry checking cost (user time).
-			return guest.Compute(p.o.PerEntryCost)
+			st.SetCompute(p.o.PerEntryCost)
+			return
 
 		case modeKill:
 			p.mode = modeStat
 			pid := p.killPID
 			p.killPID = 0
-			return guest.DoSyscall(guest.SysKill, uint64(pid))
+			st.SetSyscall(guest.SysKill, uint64(pid))
+			return
 
 		default: // modeSleepDone
 			p.mode = modeList

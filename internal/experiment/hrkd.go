@@ -181,9 +181,10 @@ func RunHRKDOnce(entry malware.CatalogEntry, seed int64) (*HRKDRow, error) {
 func guestPS(m *hv.Machine) ([]guest.ProcEntry, error) {
 	var view []guest.ProcEntry
 	got := false
-	prog := guest.ProgramFunc(func(ctx *guest.ProgContext) guest.Step {
+	prog := guest.ProgramFunc(func(ctx *guest.ProgContext, st *guest.Step) {
 		if ctx.StepIndex == 0 {
-			return guest.DoSyscall(guest.SysListProcs)
+			st.SetSyscall(guest.SysListProcs)
+			return
 		}
 		if !got && ctx.LastResult != nil {
 			if entries, ok := ctx.LastResult.Data.([]guest.ProcEntry); ok {
@@ -191,7 +192,7 @@ func guestPS(m *hv.Machine) ([]guest.ProcEntry, error) {
 				got = true
 			}
 		}
-		return guest.Exit(0)
+		st.SetExit(0)
 	})
 	if _, err := m.Kernel().CreateProcess(&guest.ProcSpec{Comm: "ps", UID: 0, Program: prog}, nil); err != nil {
 		return nil, err

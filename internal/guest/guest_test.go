@@ -385,24 +385,24 @@ func TestExitClearsPageDirectory(t *testing.T) {
 func TestCredentialChecks(t *testing.T) {
 	vm := newTestVM(t, 1, nil)
 	var gotUID, escalatedUID uint64 = 999, 999
-	prog := ProgramFunc(func(ctx *ProgContext) Step {
+	prog := ProgramFunc(func(ctx *ProgContext, st *Step) {
 		switch ctx.StepIndex {
 		case 0:
-			return DoSyscall(SysSetUID, 0) // should fail: not root
+			st.SetSyscall(SysSetUID, 0) // should fail: not root
 		case 1:
-			return DoSyscall(SysGetUID)
+			st.SetSyscall(SysGetUID)
 		case 2:
 			if ctx.LastResult != nil {
 				gotUID = ctx.LastResult.Ret
 			}
-			return DoSyscall(SysVulnIoctl, vulnMagic) // exploit
+			st.SetSyscall(SysVulnIoctl, vulnMagic) // exploit
 		case 3:
-			return DoSyscall(SysGetUID)
+			st.SetSyscall(SysGetUID)
 		default:
 			if ctx.LastResult != nil && ctx.StepIndex == 4 {
 				escalatedUID = ctx.LastResult.Ret
 			}
-			return Exit(0)
+			st.SetExit(0)
 		}
 	})
 	if _, err := vm.k.CreateProcess(&ProcSpec{Comm: "attacker", UID: 1000, Program: prog}, nil); err != nil {
@@ -442,15 +442,15 @@ func TestCredentialsVisibleInGuestMemory(t *testing.T) {
 func TestSleepAndWake(t *testing.T) {
 	vm := newTestVM(t, 1, nil)
 	var wokeAt time.Duration = -1
-	prog := ProgramFunc(func(ctx *ProgContext) Step {
+	prog := ProgramFunc(func(ctx *ProgContext, st *Step) {
 		switch ctx.StepIndex {
 		case 0:
-			return Sleep(10 * time.Millisecond)
+			st.SetSleep(10 * time.Millisecond)
 		case 1:
 			wokeAt = ctx.Now
-			return Exit(0)
+			st.SetExit(0)
 		default:
-			return Exit(0)
+			st.SetExit(0)
 		}
 	})
 	if _, err := vm.k.CreateProcess(&ProcSpec{Comm: "sleeper", UID: 1, Program: prog}, nil); err != nil {
@@ -472,30 +472,30 @@ func TestUserLockContention(t *testing.T) {
 	vm := newTestVM(t, 1, func(c *Config) { c.Preemptible = true })
 	const lock = 42
 	order := []int{}
-	holder := ProgramFunc(func(ctx *ProgContext) Step {
+	holder := ProgramFunc(func(ctx *ProgContext, st *Step) {
 		switch ctx.StepIndex {
 		case 0:
-			return DoSyscall(SysULock, lock)
+			st.SetSyscall(SysULock, lock)
 		case 1:
-			return Compute(20 * time.Millisecond)
+			st.SetCompute(20 * time.Millisecond)
 		case 2:
 			order = append(order, 1)
-			return DoSyscall(SysUUnlock, lock)
+			st.SetSyscall(SysUUnlock, lock)
 		default:
-			return Exit(0)
+			st.SetExit(0)
 		}
 	})
-	waiter := ProgramFunc(func(ctx *ProgContext) Step {
+	waiter := ProgramFunc(func(ctx *ProgContext, st *Step) {
 		switch ctx.StepIndex {
 		case 0:
-			return Sleep(2 * time.Millisecond) // let holder grab it first
+			st.SetSleep(2 * time.Millisecond) // let holder grab it first
 		case 1:
-			return DoSyscall(SysULock, lock)
+			st.SetSyscall(SysULock, lock)
 		case 2:
 			order = append(order, 2)
-			return DoSyscall(SysUUnlock, lock)
+			st.SetSyscall(SysUUnlock, lock)
 		default:
-			return Exit(0)
+			st.SetExit(0)
 		}
 	})
 	if _, err := vm.k.CreateProcess(&ProcSpec{Comm: "holder", UID: 1, Program: holder}, nil); err != nil {
@@ -723,10 +723,10 @@ func TestSyscallTableHijackFiltersListing(t *testing.T) {
 
 	// A guest observer calls listprocs; init must be missing from its view.
 	var sawInit, ran bool
-	prog := ProgramFunc(func(ctx *ProgContext) Step {
+	prog := ProgramFunc(func(ctx *ProgContext, st *Step) {
 		switch ctx.StepIndex {
 		case 0:
-			return DoSyscall(SysListProcs)
+			st.SetSyscall(SysListProcs)
 		default:
 			if ctx.LastResult != nil {
 				ran = true
@@ -738,7 +738,7 @@ func TestSyscallTableHijackFiltersListing(t *testing.T) {
 					}
 				}
 			}
-			return Exit(0)
+			st.SetExit(0)
 		}
 	})
 	if _, err := k.CreateProcess(&ProcSpec{Comm: "ps", UID: 1000, Program: prog}, nil); err != nil {
@@ -777,19 +777,21 @@ func TestProcStatSideChannelVisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	var states []TaskState
-	observer := ProgramFunc(func(ctx *ProgContext) Step {
+	observer := ProgramFunc(func(ctx *ProgContext, st *Step) {
 		if ctx.StepIndex%2 == 0 {
-			return DoSyscall(SysProcStat, uint64(sleeper.PID))
+			st.SetSyscall(SysProcStat, uint64(sleeper.PID))
+			return
 		}
 		if ctx.LastResult != nil {
-			if st, ok := ctx.LastResult.Data.(ProcStat); ok {
-				states = append(states, st.State)
+			if ps, ok := ctx.LastResult.Data.(ProcStat); ok {
+				states = append(states, ps.State)
 			}
 		}
 		if ctx.StepIndex > 400 {
-			return Exit(0)
+			st.SetExit(0)
+			return
 		}
-		return Sleep(time.Millisecond)
+		st.SetSleep(time.Millisecond)
 	})
 	if _, err := vm.k.CreateProcess(&ProcSpec{Comm: "spy", UID: 1000, Program: observer}, nil); err != nil {
 		t.Fatal(err)
@@ -852,6 +854,17 @@ func TestStringersGuest(t *testing.T) {
 		if v == "" {
 			t.Fatalf("stringer %d returned empty", i)
 		}
+	}
+	names := map[string]StepKind{}
+	for k := StepCompute; k <= StepLoadModule; k++ {
+		name := k.String()
+		if name == "?" || name == "" {
+			t.Fatalf("step kind %d has no name", k)
+		}
+		if prev, dup := names[name]; dup {
+			t.Fatalf("step kinds %d and %d share the name %q", prev, k, name)
+		}
+		names[name] = k
 	}
 	vm := newTestVM(t, 1, nil)
 	if vm.k.CurrentTask(0).String() == "" {

@@ -10,35 +10,37 @@ import (
 
 // randomProgram builds a seeded random mix of every step kind.
 func randomProgram(rng *rand.Rand) Program {
-	return ProgramFunc(func(ctx *ProgContext) Step {
+	return ProgramFunc(func(ctx *ProgContext, st *Step) {
 		if ctx.StepIndex > 200 && rng.Intn(10) == 0 {
-			return Exit(0)
+			st.SetExit(0)
+			return
 		}
 		switch rng.Intn(10) {
 		case 0:
-			return Compute(time.Duration(rng.Intn(2000)+1) * time.Microsecond)
+			st.SetCompute(time.Duration(rng.Intn(2000)+1) * time.Microsecond)
 		case 1:
-			return Sleep(time.Duration(rng.Intn(5)+1) * time.Millisecond)
+			st.SetSleep(time.Duration(rng.Intn(5)+1) * time.Millisecond)
 		case 2:
-			return DoSyscall(SysOpen, uint64(rng.Intn(8)))
+			st.SetSyscall(SysOpen, uint64(rng.Intn(8)))
 		case 3:
-			return DoSyscall(SysRead, 3, uint64(rng.Intn(4096)))
+			st.SetSyscall(SysRead, 3, uint64(rng.Intn(4096)))
 		case 4:
-			return DoSyscall(SysWrite, 3, uint64(rng.Intn(4096)))
+			st.SetSyscall(SysWrite, 3, uint64(rng.Intn(4096)))
 		case 5:
-			return DoSyscall(SysGetPID)
+			st.SetSyscall(SysGetPID)
 		case 6:
-			return DoSyscall(SysListProcs)
+			st.SetSyscall(SysListProcs)
 		case 7:
-			return DoSyscall(SysLog, 1)
+			st.SetSyscall(SysLog, 1)
 		case 8:
 			if rng.Intn(4) == 0 {
-				return Spawn(&ProcSpec{Comm: "rchild", UID: 1000,
+				st.SetSpawn(&ProcSpec{Comm: "rchild", UID: 1000,
 					Program: NewStepList(Compute(time.Millisecond))})
+				return
 			}
-			return DoSyscall(SysYieldCPU)
+			st.SetSyscall(SysYieldCPU)
 		default:
-			return DoSyscall(SysULock, uint64(rng.Intn(2)+5000))
+			st.SetSyscall(SysULock, uint64(rng.Intn(2)+5000))
 		}
 	})
 }

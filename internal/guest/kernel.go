@@ -145,13 +145,6 @@ type cpuState struct {
 	activePDBA arch.GPA
 }
 
-// netPacket is a simulated inbound or outbound network unit.
-type netPacket struct {
-	Port    uint16
-	Payload uint64
-	At      time.Duration
-}
-
 // NetReply is a packet emitted by the guest, observed by the harness.
 type NetReply struct {
 	Port    uint16
@@ -184,8 +177,6 @@ type Kernel struct {
 	// taskArena suballocates task_structs within kernel-window pages.
 	taskArena    arch.GPA
 	taskArenaOff int
-	// textNext allocates kernel-text slot addresses for handlers.
-	textNext arch.GVA
 
 	tasks   map[int]*Task
 	nextPID int
@@ -197,12 +188,14 @@ type Kernel struct {
 	userLocks map[uint64]*Task
 	// mutexWaiters holds tasks blocked on kernel mutexes.
 	mutexWaiters map[LockID][]*Task
-	// textHandlers maps kernel-text GVAs to Go handler functions.
-	textHandlers map[arch.GVA]SyscallHandler
+	// textHandlers binds kernel-text slots to Go handler functions: handler
+	// i lives at KernelTextBase + i*textSlotSize.
+	textHandlers []SyscallHandler
 
-	// netIn queues inbound packets by port; netWaiters holds blocked
-	// receivers by port.
-	netIn      map[uint16][]netPacket
+	// netIn queues inbound packet payloads by port; netWaiters holds
+	// blocked receivers by port. Both pop with popFront, so a queue that
+	// fills and drains reuses its backing array.
+	netIn      map[uint16][]uint64
 	netWaiters map[uint16][]*Task
 	netOut     []NetReply
 
@@ -242,8 +235,7 @@ func New(cfg Config) (*Kernel, error) {
 		userLocks:    make(map[uint64]*Task),
 		mutexWaiters: make(map[LockID][]*Task),
 		mmUsers:      make(map[arch.GPA]int),
-		textHandlers: make(map[arch.GVA]SyscallHandler),
-		netIn:        make(map[uint16][]netPacket),
+		netIn:        make(map[uint16][]uint64),
 		netWaiters:   make(map[uint16][]*Task),
 	}
 	for i, v := range cfg.VCPUs {
@@ -317,7 +309,6 @@ func (k *Kernel) Boot() error {
 		return err
 	}
 	k.sym.KernelTextBase = GPAToKVA(textGPA)
-	k.textNext = k.sym.KernelTextBase
 
 	// The fast-syscall entry stub gets its own page so execute-protecting
 	// it does not perturb neighbours.
@@ -446,13 +437,14 @@ func (k *Kernel) Boot() error {
 	// Fig. 5 full-hang line shows).
 	{
 		rng := k.rng
-		journal := ProgramFunc(func(ctx *ProgContext) Step {
+		journal := ProgramFunc(func(ctx *ProgContext, st *Step) {
 			if ctx.StepIndex%2 == 0 {
 				// Commit interval: long and jittered, so propagation of a
 				// leaked lock to this CPU spreads over tens of seconds.
-				return Sleep(10*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))))
+				st.SetSleep(10*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))))
+				return
 			}
-			return DoSyscall(SysWrite, 1, 4096)
+			st.SetSyscall(SysWrite, 1, 4096)
 		})
 		if _, err := k.CreateProcess(&ProcSpec{
 			Comm:         "kjournald",
@@ -520,20 +512,27 @@ func (k *Kernel) LiveTaskCount() int {
 // it. Kernel modules (rootkits) use this to create hooks; the returned GVA
 // is what they write into the syscall table.
 func (k *Kernel) RegisterKernelText(h SyscallHandler) arch.GVA {
-	gva := k.textNext
-	k.textNext += 16
-	k.textHandlers[gva] = h
+	gva := k.sym.KernelTextBase + arch.GVA(len(k.textHandlers)*textSlotSize)
+	k.textHandlers = append(k.textHandlers, h)
 	return gva
 }
 
+// textSlotSize is the spacing of kernel-text handler addresses.
+const textSlotSize = 16
+
 // DispatchText invokes the handler bound to a kernel-text address; rootkit
-// wrappers use it to chain to the original handler.
+// wrappers use it to chain to the original handler. The address comes from
+// guest memory (the syscall table), so any value that is not a registered
+// slot — unaligned, below KernelTextBase or past the last slot — returns
+// ErrInval.
+//
+//hypertap:hotpath
 func (k *Kernel) DispatchText(gva arch.GVA, cpu int, t *Task, args [4]uint64) SyscallResult {
-	h, ok := k.textHandlers[gva]
-	if !ok {
+	off := uint64(gva - k.sym.KernelTextBase) // wraps for gva below the base
+	if off%textSlotSize != 0 || off/textSlotSize >= uint64(len(k.textHandlers)) {
 		return SyscallResult{Err: ErrInval}
 	}
-	return h(k, cpu, t, args)
+	return k.textHandlers[off/textSlotSize](k, cpu, t, args)
 }
 
 // KernelRead64 reads kernel memory by GVA with full privilege (module API).
@@ -790,7 +789,7 @@ func (k *Kernel) terminateTask(cpu int, t *Task, code int) {
 
 	k.dequeue(t)
 	k.removeSleeper(t)
-	if t.netWaitPort != nil {
+	if t.netWaiting {
 		k.removeNetWaiter(t)
 	}
 	if c := k.cpus[t.CPU]; c.current == t {
@@ -841,11 +840,11 @@ func (k *Kernel) userLockRelease(t *Task, id uint64) {
 // netRecv returns a queued packet or blocks the caller on the port.
 func (k *Kernel) netRecv(cpu int, t *Task, port uint16) SyscallResult {
 	if q := k.netIn[port]; len(q) > 0 {
-		pkt := q[0]
-		k.netIn[port] = q[1:]
-		return SyscallResult{Ret: pkt.Payload, Data: pkt}
+		payload := q[0]
+		k.netIn[port] = popFront(q)
+		return SyscallResult{Ret: payload}
 	}
-	t.netWaitPort = &port
+	t.netWaiting = true
 	t.State = StateBlocked
 	k.syncState(t)
 	k.netWaiters[port] = append(k.netWaiters[port], t)
@@ -871,21 +870,30 @@ func (k *Kernel) netSend(t *Task, port uint16, payload uint64) {
 // InjectPacket queues an inbound packet and wakes a blocked receiver. The
 // hypervisor calls this when delivering a virtual device interrupt.
 func (k *Kernel) InjectPacket(port uint16, payload uint64) {
-	k.netIn[port] = append(k.netIn[port], netPacket{Port: port, Payload: payload, At: k.bootNow})
+	q := append(k.netIn[port], payload)
+	k.netIn[port] = q
 	waiters := k.netWaiters[port]
 	if len(waiters) == 0 {
 		return
 	}
 	t := waiters[0]
-	k.netWaiters[port] = waiters[1:]
-	t.netWaitPort = nil
+	k.netWaiters[port] = popFront(waiters)
+	t.netWaiting = false
 	t.State = StateRunning
 	k.syncState(t)
 	// Deliver the queued packet to the blocked syscall's result.
-	pkt := k.netIn[port][0]
-	k.netIn[port] = k.netIn[port][1:]
-	t.setResult(SyscallResult{Ret: pkt.Payload, Data: pkt})
+	t.setResult(SyscallResult{Ret: q[0]})
+	k.netIn[port] = popFront(q)
 	k.enqueue(t)
+}
+
+// popFront removes q's first element in place and returns the shorter
+// queue, which keeps q's backing array.
+func popFront[T any](q []T) []T {
+	n := copy(q, q[1:])
+	var zero T
+	q[n] = zero
+	return q[:n]
 }
 
 // removeNetWaiter removes t from any port wait queue.
@@ -894,7 +902,7 @@ func (k *Kernel) removeNetWaiter(t *Task) {
 		for i, w := range waiters {
 			if w == t {
 				k.netWaiters[port] = append(waiters[:i], waiters[i+1:]...)
-				t.netWaitPort = nil
+				t.netWaiting = false
 				return
 			}
 		}

@@ -25,10 +25,10 @@ func runPlanScenario(t *testing.T, plan FaultPlan) planRun {
 	run.nowDigest = 14695981039346656037
 	record := func(body ...Step) Program {
 		loop := &LoopProgram{Body: body}
-		return ProgramFunc(func(ctx *ProgContext) Step {
+		return ProgramFunc(func(ctx *ProgContext, st *Step) {
 			run.steps++
 			run.nowDigest = (run.nowDigest ^ uint64(ctx.Now)) * 1099511628211
-			return loop.Next(ctx)
+			loop.Next(ctx, st)
 		})
 	}
 	for _, spec := range []*ProcSpec{

@@ -44,6 +44,8 @@ func (k StepKind) String() string {
 		return "io"
 	case StepYield:
 		return "yield"
+	case StepLoadModule:
+		return "loadmodule"
 	default:
 		return "?"
 	}
@@ -68,15 +70,15 @@ type Step struct {
 	Module KernelModule
 }
 
-// Convenience constructors keep workload definitions readable.
+// Convenience constructors build steps for StepList and LoopProgram bodies.
 
 // Compute returns a user-mode CPU burn step.
 func Compute(d time.Duration) Step { return Step{Kind: StepCompute, Dur: d} }
 
 // DoSyscall returns a system-call step.
 func DoSyscall(nr Syscall, args ...uint64) Step {
-	s := Step{Kind: StepSyscall, Nr: nr}
-	copy(s.Args[:], args)
+	var s Step
+	s.SetSyscall(nr, args...)
 	return s
 }
 
@@ -89,14 +91,37 @@ func Exit(code int) Step { return Step{Kind: StepExit, Code: code} }
 // Spawn returns a fork step.
 func Spawn(child *ProcSpec) Step { return Step{Kind: StepSpawn, Child: child} }
 
-// Yield returns a voluntary CPU release step.
-func Yield() Step { return Step{Kind: StepYield} }
-
 // LoadModule returns a kernel-module load step.
 func LoadModule(m KernelModule) Step { return Step{Kind: StepLoadModule, Module: m} }
 
 // PortIO returns a programmed-I/O step.
 func PortIO(port uint16, out bool) Step { return Step{Kind: StepIO, Port: port, Out: out} }
+
+// The Set methods fill a step in place, for programs that compute their
+// steps in Next. Each writes its kind's fields and leaves every other field
+// alone, so on the zeroed slot Next receives it yields the same step as the
+// matching constructor.
+
+// SetCompute makes s a user-mode CPU burn of d.
+func (s *Step) SetCompute(d time.Duration) { s.Kind, s.Dur = StepCompute, d }
+
+// SetSyscall makes s a system call nr with up to four args.
+func (s *Step) SetSyscall(nr Syscall, args ...uint64) {
+	s.Kind, s.Nr = StepSyscall, nr
+	copy(s.Args[:], args)
+}
+
+// SetSleep makes s a sleep of d.
+func (s *Step) SetSleep(d time.Duration) { s.Kind, s.Dur = StepSleep, d }
+
+// SetExit makes s a process exit with code.
+func (s *Step) SetExit(code int) { s.Kind, s.Code = StepExit, code }
+
+// SetSpawn makes s a fork of child.
+func (s *Step) SetSpawn(child *ProcSpec) { s.Kind, s.Child = StepSpawn, child }
+
+// SetLoadModule makes s a load of kernel module m.
+func (s *Step) SetLoadModule(m KernelModule) { s.Kind, s.Module = StepLoadModule, m }
 
 // SyscallResult carries a completed system call's outcome back to the
 // program on its next scheduling.
@@ -126,19 +151,27 @@ type ProgContext struct {
 }
 
 // Program produces the behaviour of one process as a stream of steps. Next
-// is called each time the previous step completes; returning a StepExit ends
-// the process. Programs run inside the deterministic simulator core and must
-// not retain ctx or ctx.LastResult past the call: both live in the task's
+// is called each time the previous step completes and writes the next step
+// into st; a StepExit ends the process.
+//
+// st is the task's own step slot, reused for every step so that producing a
+// step copies nothing. The kernel zeroes the slot before each call, so Next
+// writes only the fields its step uses (the Set methods do exactly that) and
+// no field of an earlier step survives into the next: a Next that writes
+// nothing yields a zero Kind, which the kernel treats as a yield.
+//
+// Programs run inside the deterministic simulator core and must not retain
+// ctx, ctx.LastResult or st past the call: all three live in the task's
 // reused storage and are overwritten by later steps.
 type Program interface {
-	Next(ctx *ProgContext) Step
+	Next(ctx *ProgContext, st *Step)
 }
 
 // ProgramFunc adapts a function to the Program interface.
-type ProgramFunc func(ctx *ProgContext) Step
+type ProgramFunc func(ctx *ProgContext, st *Step)
 
 // Next implements Program.
-func (f ProgramFunc) Next(ctx *ProgContext) Step { return f(ctx) }
+func (f ProgramFunc) Next(ctx *ProgContext, st *Step) { f(ctx, st) }
 
 var _ Program = (ProgramFunc)(nil)
 
@@ -170,10 +203,12 @@ type ProcSpec struct {
 }
 
 // StepList is a Program that plays a fixed sequence of steps and then exits.
+// It keeps no position of its own: it plays step ctx.StepIndex of the task
+// running it, so one StepList (and one ProcSpec) serves every task spawned
+// from it.
 type StepList struct {
 	Steps    []Step
 	ExitCode int
-	pos      int
 }
 
 // NewStepList builds a StepList program.
@@ -182,13 +217,12 @@ func NewStepList(steps ...Step) *StepList {
 }
 
 // Next implements Program.
-func (s *StepList) Next(*ProgContext) Step {
-	if s.pos >= len(s.Steps) {
-		return Exit(s.ExitCode)
+func (s *StepList) Next(ctx *ProgContext, st *Step) {
+	if ctx.StepIndex >= len(s.Steps) {
+		st.SetExit(s.ExitCode)
+		return
 	}
-	st := s.Steps[s.pos]
-	s.pos++
-	return st
+	*st = s.Steps[ctx.StepIndex]
 }
 
 var _ Program = (*StepList)(nil)
@@ -200,13 +234,13 @@ type LoopProgram struct {
 }
 
 // Next implements Program.
-func (l *LoopProgram) Next(*ProgContext) Step {
+func (l *LoopProgram) Next(_ *ProgContext, st *Step) {
 	if len(l.Body) == 0 {
-		return Sleep(time.Second)
+		st.SetSleep(time.Second)
+		return
 	}
-	st := l.Body[l.pos]
+	*st = l.Body[l.pos]
 	l.pos = (l.pos + 1) % len(l.Body)
-	return st
 }
 
 var _ Program = (*LoopProgram)(nil)
@@ -216,4 +250,4 @@ var _ Program = (*LoopProgram)(nil)
 // implemented defensively.
 type idleProgram struct{}
 
-func (idleProgram) Next(*ProgContext) Step { return Yield() }
+func (idleProgram) Next(_ *ProgContext, st *Step) { st.Kind = StepYield }

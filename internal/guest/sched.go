@@ -101,7 +101,7 @@ func (k *Kernel) DeliverDevice(cpu int, port uint16, payload uint64) {
 	if c.irqDepth > 0 {
 		// The packet is lost to this CPU until interrupts return; queue it
 		// without a wakeup (level-triggered redelivery is not modeled).
-		k.netIn[port] = append(k.netIn[port], netPacket{Port: port, Payload: payload, At: k.bootNow})
+		k.netIn[port] = append(k.netIn[port], payload)
 		return
 	}
 	c.vcpu.ExternalInterrupt(arch.VectorDevice)
@@ -344,10 +344,12 @@ func (k *Kernel) execUserStep(cpu int, t *Task, remaining time.Duration) time.Du
 			return remaining
 		}
 		t.ctx = ProgContext{PID: t.PID, Now: c.localNow, LastResult: t.lastResult, StepIndex: t.stepIndex}
-		t.step = t.program.Next(&t.ctx)
+		// The program fills the zeroed slot in place (see Program).
+		st := &t.step
+		*st = Step{}
+		t.program.Next(&t.ctx, st)
 		t.stepIndex++
 		t.lastResult = nil
-		st := &t.step
 		t.curStep = st
 		t.remaining = st.Dur
 
@@ -445,8 +447,12 @@ func (k *Kernel) enterSyscall(cpu int, t *Task, nr Syscall, args [4]uint64) {
 		regs.RSP = arch.GVA(rsp0)
 	}
 
-	t.kx = kernExec{nr: nr, args: args, ops: k.buildOps(nr)}
-	t.kexec = &t.kx
+	// Field by field: a whole-struct assignment builds a temporary and
+	// copies it.
+	kx := &t.kx
+	kx.nr, kx.args, kx.ops = nr, args, k.buildOps(nr)
+	kx.pos, kx.opLeft, kx.started = 0, 0, false
+	t.kexec = kx
 	c.extraCharge += costSyscallEntry
 }
 
@@ -637,7 +643,7 @@ func (k *Kernel) finishSyscall(cpu int, t *Task) {
 		// Still spinning for a user lock: the syscall has not returned.
 		return
 	}
-	if t.netWaitPort != nil {
+	if t.netWaiting {
 		// Blocked in netrecv: the result arrives with the packet.
 		return
 	}

@@ -168,9 +168,9 @@ func writerScenario(ncpu int, writerCPUs []int, spinning func(k *Kernel) bool) s
 // with its virtual time.
 func notePrograms(t *testing.T, vm *testVM, comm string, cpu int, p Program, note func(string, ...any)) {
 	t.Helper()
-	prog := ProgramFunc(func(ctx *ProgContext) Step {
+	prog := ProgramFunc(func(ctx *ProgContext, st *Step) {
 		note("%v %s step %d", ctx.Now, comm, ctx.StepIndex)
-		return p.Next(ctx)
+		p.Next(ctx, st)
 	})
 	spec := &ProcSpec{Comm: comm, UID: 1, Program: prog, Pinned: true, CPUAffinity: cpu}
 	if _, err := vm.k.CreateProcess(spec, nil); err != nil {

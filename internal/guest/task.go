@@ -61,8 +61,8 @@ type Task struct {
 	// ctx, step, res and kx are the task's reusable storage for the context
 	// its program reads, its current step, its last syscall result and its
 	// in-flight syscall: curStep, lastResult and kexec point into them, so
-	// the steady-state syscall path allocates nothing. A program sees ctx
-	// and ctx.LastResult only for the duration of its Next call.
+	// the steady-state syscall path allocates nothing. A program sees ctx,
+	// ctx.LastResult and step only for the duration of its Next call.
 	ctx  ProgContext
 	step Step
 	res  SyscallResult
@@ -82,8 +82,9 @@ type Task struct {
 	ulockWait uint64
 	// kmutexWait is the kernel mutex the task is blocked on (0 = none).
 	kmutexWait LockID
-	// netWaitPort is the port the task is blocked receiving on.
-	netWaitPort *uint16
+	// netWaiting marks a task blocked receiving on a port (it is queued in
+	// that port's netWaiters).
+	netWaiting bool
 
 	// openFDs holds the open file descriptors in ascending order: the file
 	// calls check only whether a descriptor is open. nextFD never reuses a

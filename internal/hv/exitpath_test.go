@@ -105,15 +105,15 @@ func TestEngineQueriesDuringExits(t *testing.T) {
 		if err := m.Boot(); err != nil {
 			t.Fatal(err)
 		}
-		forker := guest.ProgramFunc(func(ctx *guest.ProgContext) guest.Step {
+		forker := guest.ProgramFunc(func(ctx *guest.ProgContext, st *guest.Step) {
 			switch ctx.StepIndex % 3 {
 			case 0:
-				return guest.Spawn(&guest.ProcSpec{Comm: "child", UID: 1000,
+				st.SetSpawn(&guest.ProcSpec{Comm: "child", UID: 1000,
 					Program: guest.NewStepList(guest.DoSyscall(guest.SysGetPID), guest.Compute(50*time.Microsecond))})
 			case 1:
-				return guest.DoSyscall(guest.SysWrite, 1, 64)
+				st.SetSyscall(guest.SysWrite, 1, 64)
 			default:
-				return guest.Compute(100 * time.Microsecond)
+				st.SetCompute(100 * time.Microsecond)
 			}
 		})
 		if _, err := m.Kernel().CreateProcess(&guest.ProcSpec{Comm: "forker", UID: 1000, Program: forker}, nil); err != nil {

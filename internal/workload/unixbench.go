@@ -17,8 +17,8 @@ import (
 // Dhrystone is the integer-CPU benchmark: pure user-mode compute.
 func Dhrystone(scale int) Spec {
 	s := &Status{expected: 1}
-	prog := seqProgram(s, 40*clamp(scale), func(_, _ int) guest.Step {
-		return guest.Compute(2 * time.Millisecond)
+	prog := seqProgram(s, 40*clamp(scale), func(_, _ int, st *guest.Step) {
+		st.SetCompute(2 * time.Millisecond)
 	}, 1)
 	return Spec{Name: "Dhrystone 2", Status: s,
 		Procs: []*guest.ProcSpec{{Comm: "dhry", UID: 1000, Program: prog}}}
@@ -27,11 +27,12 @@ func Dhrystone(scale int) Spec {
 // Whetstone is the floating-point benchmark: compute with rare syscalls.
 func Whetstone(scale int) Spec {
 	s := &Status{expected: 1}
-	prog := seqProgram(s, 20*clamp(scale), func(_, sub int) guest.Step {
+	prog := seqProgram(s, 20*clamp(scale), func(_, sub int, st *guest.Step) {
 		if sub == 1 {
-			return guest.DoSyscall(guest.SysGetPID)
+			st.SetSyscall(guest.SysGetPID)
+			return
 		}
-		return guest.Compute(3 * time.Millisecond)
+		st.SetCompute(3 * time.Millisecond)
 	}, 2)
 	return Spec{Name: "Whetstone", Status: s,
 		Procs: []*guest.ProcSpec{{Comm: "whet", UID: 1000, Program: prog}}}
@@ -41,8 +42,8 @@ func Whetstone(scale int) Spec {
 // worst case for syscall interception, the paper's ~19% row.
 func SyscallOverhead(scale int) Spec {
 	s := &Status{expected: 1}
-	prog := seqProgram(s, 4000*clamp(scale), func(_, _ int) guest.Step {
-		return guest.DoSyscall(guest.SysGetPID)
+	prog := seqProgram(s, 4000*clamp(scale), func(_, _ int, st *guest.Step) {
+		st.SetSyscall(guest.SysGetPID)
 	}, 1)
 	return Spec{Name: "System Call Overhead", Status: s,
 		Procs: []*guest.ProcSpec{{Comm: "syscall", UID: 1000, Program: prog}}}
@@ -52,11 +53,12 @@ func SyscallOverhead(scale int) Spec {
 // small I/O syscalls in one process.
 func PipeThroughput(scale int) Spec {
 	s := &Status{expected: 1}
-	prog := seqProgram(s, 1500*clamp(scale), func(_, sub int) guest.Step {
+	prog := seqProgram(s, 1500*clamp(scale), func(_, sub int, st *guest.Step) {
 		if sub == 0 {
-			return guest.DoSyscall(guest.SysWrite, 1, 512)
+			st.SetSyscall(guest.SysWrite, 1, 512)
+			return
 		}
-		return guest.DoSyscall(guest.SysRead, 0, 512)
+		st.SetSyscall(guest.SysRead, 0, 512)
 	}, 2)
 	return Spec{Name: "Pipe Throughput", Status: s,
 		Procs: []*guest.ProcSpec{{Comm: "pipe", UID: 1000, Program: prog}}}
@@ -70,17 +72,19 @@ func ContextSwitching(scale int) Spec {
 	s := &Status{expected: 2}
 	const pipeAB, pipeBA = 9001, 9002
 	n := 800 * clamp(scale)
-	ping := seqProgram(s, n, func(unit, sub int) guest.Step {
+	ping := seqProgram(s, n, func(unit, sub int, st *guest.Step) {
 		if sub == 0 {
-			return guest.DoSyscall(guest.SysNetSend, pipeAB, uint64(unit))
+			st.SetSyscall(guest.SysNetSend, pipeAB, uint64(unit))
+			return
 		}
-		return guest.DoSyscall(guest.SysNetRecv, pipeBA)
+		st.SetSyscall(guest.SysNetRecv, pipeBA)
 	}, 2)
-	pong := seqProgram(s, n, func(unit, sub int) guest.Step {
+	pong := seqProgram(s, n, func(unit, sub int, st *guest.Step) {
 		if sub == 0 {
-			return guest.DoSyscall(guest.SysNetRecv, pipeAB)
+			st.SetSyscall(guest.SysNetRecv, pipeAB)
+			return
 		}
-		return guest.DoSyscall(guest.SysNetSend, pipeBA, uint64(unit))
+		st.SetSyscall(guest.SysNetSend, pipeBA, uint64(unit))
 	}, 2)
 	return Spec{Name: "Pipe-based Context Switching", Status: s, Procs: []*guest.ProcSpec{
 		{Comm: "ctx-a", UID: 1000, Pinned: true, CPUAffinity: 0, Program: ping},
@@ -101,11 +105,12 @@ func FileCopy(bufSize, scale int) Spec {
 		units = 6000
 	}
 	s := &Status{expected: 1}
-	prog := seqProgram(s, units, func(_, sub int) guest.Step {
+	prog := seqProgram(s, units, func(_, sub int, st *guest.Step) {
 		if sub == 0 {
-			return guest.DoSyscall(guest.SysRead, 3, uint64(bufSize))
+			st.SetSyscall(guest.SysRead, 3, uint64(bufSize))
+			return
 		}
-		return guest.DoSyscall(guest.SysWrite, 3, uint64(bufSize))
+		st.SetSyscall(guest.SysWrite, 3, uint64(bufSize))
 	}, 2)
 	return Spec{Name: fmt.Sprintf("File Copy %d bufsize", bufSize), Status: s,
 		Procs: []*guest.ProcSpec{{Comm: "filecopy", UID: 1000, Program: prog}}}
@@ -115,16 +120,18 @@ func FileCopy(bufSize, scale int) Spec {
 func ProcessCreation(scale int) Spec {
 	n := 60 * clamp(scale)
 	s := &Status{expected: 1}
-	prog := guest.ProgramFunc(func(ctx *guest.ProgContext) guest.Step {
+	child := &guest.ProcSpec{
+		Comm: "child", UID: 1000,
+		Program: guest.NewStepList(guest.Compute(50 * time.Microsecond)),
+	}
+	prog := guest.ProgramFunc(func(ctx *guest.ProgContext, st *guest.Step) {
 		if ctx.StepIndex >= n {
 			s.procDone(ctx.Now)
-			return guest.Exit(0)
+			st.SetExit(0)
+			return
 		}
 		s.addUnit()
-		return guest.Spawn(&guest.ProcSpec{
-			Comm: "child", UID: 1000,
-			Program: guest.NewStepList(guest.Compute(50 * time.Microsecond)),
-		})
+		st.SetSpawn(child)
 	})
 	return Spec{Name: "Process Creation", Status: s,
 		Procs: []*guest.ProcSpec{{Comm: "forker", UID: 1000, Program: prog}}}
@@ -135,16 +142,16 @@ func ProcessCreation(scale int) Spec {
 func Execl(scale int) Spec {
 	n := 50 * clamp(scale)
 	s := &Status{expected: 1}
-	prog := seqProgram(s, n, func(_, sub int) guest.Step {
+	prog := seqProgram(s, n, func(_, sub int, st *guest.Step) {
 		switch sub {
 		case 0:
-			return guest.DoSyscall(guest.SysOpen, 7)
+			st.SetSyscall(guest.SysOpen, 7)
 		case 1:
-			return guest.DoSyscall(guest.SysRead, 3, 16384)
+			st.SetSyscall(guest.SysRead, 3, 16384)
 		case 2:
-			return guest.DoSyscall(guest.SysClose, 3)
+			st.SetSyscall(guest.SysClose, 3)
 		default:
-			return guest.Compute(150 * time.Microsecond)
+			st.SetCompute(150 * time.Microsecond)
 		}
 	}, 4)
 	return Spec{Name: "Execl Throughput", Status: s,
@@ -158,25 +165,26 @@ func ShellScripts(concurrent, scale int) Spec {
 		concurrent = 1
 	}
 	s := &Status{expected: concurrent}
+	cmd := &guest.ProcSpec{
+		Comm: "sh-cmd", UID: 1000,
+		Program: guest.NewStepList(
+			guest.DoSyscall(guest.SysOpen, 1),
+			guest.DoSyscall(guest.SysRead, 3, 1024),
+			guest.DoSyscall(guest.SysClose, 3),
+		),
+	}
 	var procs []*guest.ProcSpec
 	for i := 0; i < concurrent; i++ {
-		prog := seqProgram(s, 20*clamp(scale), func(_, sub int) guest.Step {
+		prog := seqProgram(s, 20*clamp(scale), func(_, sub int, st *guest.Step) {
 			switch sub {
 			case 0:
-				return guest.Spawn(&guest.ProcSpec{
-					Comm: "sh-cmd", UID: 1000,
-					Program: guest.NewStepList(
-						guest.DoSyscall(guest.SysOpen, 1),
-						guest.DoSyscall(guest.SysRead, 3, 1024),
-						guest.DoSyscall(guest.SysClose, 3),
-					),
-				})
+				st.SetSpawn(cmd)
 			case 1:
-				return guest.Compute(400 * time.Microsecond)
+				st.SetCompute(400 * time.Microsecond)
 			case 2:
-				return guest.DoSyscall(guest.SysWrite, 1, 256)
+				st.SetSyscall(guest.SysWrite, 1, 256)
 			default:
-				return guest.DoSyscall(guest.SysLog, 1)
+				st.SetSyscall(guest.SysLog, 1)
 			}
 		}, 4)
 		procs = append(procs, &guest.ProcSpec{

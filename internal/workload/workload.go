@@ -11,16 +11,17 @@ package workload
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"hypertap/internal/guest"
 	"hypertap/internal/hv"
 )
 
-// Status tracks a workload's progress and completion.
+// Status tracks a workload's progress and completion. The workload's
+// programs update it from inside the simulated guest, so the goroutine that
+// drives the machine owns it: read it only from that goroutine, between
+// steps, and it needs no lock.
 type Status struct {
-	mu         sync.Mutex
 	expected   int
 	finished   int
 	units      uint64
@@ -28,41 +29,23 @@ type Status struct {
 }
 
 // Done reports whether every process of the workload completed.
-func (s *Status) Done() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expected > 0 && s.finished >= s.expected
-}
+func (s *Status) Done() bool { return s.expected > 0 && s.finished >= s.expected }
 
 // Units returns the work units completed so far.
-func (s *Status) Units() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.units
-}
+func (s *Status) Units() uint64 { return s.units }
 
 // FinishedAt returns the virtual completion time (valid once Done).
-func (s *Status) FinishedAt() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.finishedAt
-}
+func (s *Status) FinishedAt() time.Duration { return s.finishedAt }
 
 // addUnit counts one completed unit of work.
-func (s *Status) addUnit() {
-	s.mu.Lock()
-	s.units++
-	s.mu.Unlock()
-}
+func (s *Status) addUnit() { s.units++ }
 
 // procDone counts one finished process.
 func (s *Status) procDone(now time.Duration) {
-	s.mu.Lock()
 	s.finished++
 	if s.finished == s.expected {
 		s.finishedAt = now
 	}
-	s.mu.Unlock()
 }
 
 // Spec is a launchable workload: named guest processes sharing a Status.
@@ -104,18 +87,20 @@ func RunToCompletion(m *hv.Machine, w Spec, maxTime time.Duration) (time.Duratio
 }
 
 // seqProgram runs a unit-producing body n times, counting units, then exits.
-func seqProgram(s *Status, n int, body func(unit, sub int) guest.Step, stepsPerUnit int) guest.Program {
-	return guest.ProgramFunc(func(ctx *guest.ProgContext) guest.Step {
+// body fills st, the task's zeroed step slot, with sub-step sub of unit.
+func seqProgram(s *Status, n int, body func(unit, sub int, st *guest.Step), stepsPerUnit int) guest.Program {
+	return guest.ProgramFunc(func(ctx *guest.ProgContext, st *guest.Step) {
 		unit := ctx.StepIndex / stepsPerUnit
 		sub := ctx.StepIndex % stepsPerUnit
 		if unit >= n {
 			s.procDone(ctx.Now)
-			return guest.Exit(0)
+			st.SetExit(0)
+			return
 		}
 		if sub == stepsPerUnit-1 {
 			s.addUnit()
 		}
-		return body(unit, sub)
+		body(unit, sub, st)
 	})
 }
 
@@ -130,11 +115,12 @@ func Hanoi(disks int) Spec {
 	// the move log.
 	batches := moves/4096 + 1
 	s := &Status{expected: 1}
-	prog := seqProgram(s, batches, func(_, sub int) guest.Step {
+	prog := seqProgram(s, batches, func(_, sub int, st *guest.Step) {
 		if sub == 0 {
-			return guest.Compute(time.Millisecond)
+			st.SetCompute(time.Millisecond)
+			return
 		}
-		return guest.DoSyscall(guest.SysWrite, 1, 64)
+		st.SetSyscall(guest.SysWrite, 1, 64)
 	}, 2)
 	return Spec{
 		Name:   "hanoi",
@@ -160,20 +146,20 @@ func MakeJ(jobs, files int) Spec {
 	}
 	var procs []*guest.ProcSpec
 	for j := 0; j < jobs; j++ {
-		prog := seqProgram(s, perJob, func(unit, sub int) guest.Step {
+		prog := seqProgram(s, perJob, func(unit, sub int, st *guest.Step) {
 			switch sub {
 			case 0:
-				return guest.DoSyscall(guest.SysOpen, uint64(unit))
+				st.SetSyscall(guest.SysOpen, uint64(unit))
 			case 1:
-				return guest.DoSyscall(guest.SysRead, 3, 65536)
+				st.SetSyscall(guest.SysRead, 3, 65536)
 			case 2:
-				return guest.Compute(3 * time.Millisecond) // parse+codegen
+				st.SetCompute(3 * time.Millisecond) // parse+codegen
 			case 3:
-				return guest.DoSyscall(guest.SysWrite, 3, 32768)
+				st.SetSyscall(guest.SysWrite, 3, 32768)
 			case 4:
-				return guest.DoSyscall(guest.SysClose, 3)
+				st.SetSyscall(guest.SysClose, 3)
 			default:
-				return guest.DoSyscall(guest.SysLog, 1)
+				st.SetSyscall(guest.SysLog, 1)
 			}
 		}, 6)
 		procs = append(procs, &guest.ProcSpec{
@@ -190,17 +176,17 @@ const HTTPPort = 80
 // it with ServeHTTPLoad, which plays the ApacheBench role.
 func HTTPServer() Spec {
 	s := &Status{expected: 1}
-	prog := guest.ProgramFunc(func(ctx *guest.ProgContext) guest.Step {
+	prog := guest.ProgramFunc(func(ctx *guest.ProgContext, st *guest.Step) {
 		switch ctx.StepIndex % 4 {
 		case 0:
-			return guest.DoSyscall(guest.SysNetRecv, HTTPPort)
+			st.SetSyscall(guest.SysNetRecv, HTTPPort)
 		case 1:
-			return guest.Compute(300 * time.Microsecond) // request handling
+			st.SetCompute(300 * time.Microsecond) // request handling
 		case 2:
-			return guest.DoSyscall(guest.SysRead, 0, 8192) // static file
+			st.SetSyscall(guest.SysRead, 0, 8192) // static file
 		default:
 			s.addUnit()
-			return guest.DoSyscall(guest.SysNetSend, HTTPPort, uint64(ctx.StepIndex))
+			st.SetSyscall(guest.SysNetSend, HTTPPort, uint64(ctx.StepIndex))
 		}
 	})
 	return Spec{
