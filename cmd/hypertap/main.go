@@ -223,7 +223,7 @@ func run(args []string) error {
 
 	// Live observability endpoint: Prometheus-text /metrics, an RHC-backed
 	// /healthz (degraded when heartbeats stall; always healthy without -rhc),
-	// the /flight debug drain, and the Go profiler under /debug/pprof/.
+	// the /flight Perfetto trace, and the Go profiler under /debug/pprof/.
 	if *telAddr != "" {
 		tsrv, err := httpexport.Serve(*telAddr, httpexport.Options{
 			Registry: reg, Health: health, EM: em, Pprof: true,

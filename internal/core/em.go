@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -110,10 +109,9 @@ type subscription struct {
 	// queue order.
 	claimed int
 
-	// actor is the auditor's stable flight-recorder identity (see
-	// actorLocked); actorBit is 1<<actor, precomputed so the hot path ORs a
-	// register instead of shifting.
-	actor    uint8
+	// actorBit is 1<<actor, where actor is the auditor's stable
+	// flight-recorder identity (see actorLocked), precomputed so the hot
+	// path ORs a register instead of shifting.
 	actorBit uint64
 
 	delivered uint64
@@ -157,13 +155,12 @@ type Multiplexer struct {
 	// under the EM lock so the per-VM telemetry series are snapshot-time
 	// CounterFuncs like the host total; the hot path pays one increment.
 	pubByVM []uint64
-	// routes points at the current immutable routing snapshot (see
-	// route.go): AttachVM/Register/Unregister/EnableTelemetry build a fresh
-	// table under the EM lock and publish it with one atomic store
-	// (copy-on-write), so publishers load one pointer — never a half-rebuilt
-	// slot — and cold readers (flight snapshots) need no lock at all for the
-	// table itself.
-	routes atomic.Pointer[routeTable]
+	// routes is the current immutable routing table (see route.go):
+	// AttachVM/Register/Unregister/EnableTelemetry build a fresh table and
+	// swap it in, and every reader loads the field, all under the EM lock.
+	// A table is never mutated once installed, so PublishBatch may keep
+	// delivering from the one it loaded after it unlocks.
+	routes *routeTable
 	// scratch is the reusable Dispatch segment list; a draining goroutine
 	// detaches it under the lock so concurrent Dispatch calls never share.
 	scratch []dispatchSeg
@@ -229,14 +226,14 @@ func (m *Multiplexer) EnableTelemetry(reg *telemetry.Registry) {
 	m.rebuildRoutesLocked()
 }
 
-// rebuildRoutesLocked computes a fresh routing snapshot from the current
-// subscriptions and attached VMs and publishes it atomically. Caller holds
-// the EM lock, which serializes rebuilds; the installed table is immutable,
-// so a publisher that loaded the previous pointer keeps a consistent view.
+// rebuildRoutesLocked computes a fresh routing table from the current
+// subscriptions and attached VMs and installs it. Caller holds the EM lock;
+// the replaced table is left as it was, so a publisher still delivering
+// from it keeps a consistent view.
 func (m *Multiplexer) rebuildRoutesLocked() {
 	rt := new(routeTable)
 	rt.rebuild(m.subs, len(m.vms))
-	m.routes.Store(rt)
+	m.routes = rt
 }
 
 // registerVMSeriesLocked registers the {vm=name} published-events series for
@@ -255,9 +252,10 @@ func (m *Multiplexer) registerVMSeriesLocked(id VMID) {
 // NewMultiplexer creates an empty EM: no subscribers, and no VMs attached
 // beyond the implicit VM 0 a bare EM routes (one empty route slot).
 func NewMultiplexer() *Multiplexer {
-	m := &Multiplexer{pubByVM: make([]uint64, 1)}
-	m.routes.Store(&routeTable{perVM: make([]vmRoutes, 1)})
-	return m
+	return &Multiplexer{
+		pubByVM: make([]uint64, 1),
+		routes:  &routeTable{perVM: make([]vmRoutes, 1)},
+	}
 }
 
 // numVMsLocked is the number of routable VMs: the attached ones, or the
@@ -319,8 +317,7 @@ func (m *Multiplexer) RegisterScoped(a Auditor, scope VMScope, mode DeliveryMode
 		}
 	}
 	sub := &subscription{auditor: a, mode: mode, mask: a.Mask(), scope: scope}
-	sub.actor = m.actorLocked(a.Name())
-	sub.actorBit = 1 << sub.actor
+	sub.actorBit = 1 << m.actorLocked(a.Name())
 	if mode == DeliverAsync {
 		sub.queueCap = queueCap
 		sub.ring = make([]Event, min(queueCap, initialRing))
@@ -450,17 +447,16 @@ func (m *Multiplexer) FlightExits(vm VMID) []FlightExit {
 // syncBitsLocked resolves the synchronous-delivery actor mask for a recorded
 // (VM, event type) pair — the same routing-table load Publish performs, so a
 // snapshot reconstructs each record's sync fan-out without the hot path ever
-// storing it. Callers hold the EM lock (for the ring copy, not the table:
-// the routing snapshot itself is an immutable atomic load).
+// storing it. Callers hold the EM lock.
 func (m *Multiplexer) syncBitsLocked(vm VMID, et EventType) uint64 {
-	return m.routes.Load().vmFor(vm).syncBits[routeIndex(et)]
+	return m.routes.vmFor(vm).syncBits[routeIndex(et)]
 }
 
 // RecordSpan appends one step to the span ring under the EM lock — the
 // entry point for the cold phases (verdicts, incident capture, tests) whose
 // callers do not already hold it. No-op when tracing is off.
 //
-//hypertap:allow hotpath_trace cold span steps (verdict/incident) serialize through the EM lock; the hot phases are recorded inline by Publish and Dispatch
+//hypertap:allow hotpath_trace cold span steps (verdict/incident) serialize through the EM lock; exit records are written inline by Publish and heartbeat steps by the sampler feed
 func (m *Multiplexer) RecordSpan(span SpanID, vm VMID, phase FlightPhase, actor uint8, at time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -476,17 +472,6 @@ func (m *Multiplexer) FlightSpans() []SpanRecord {
 		return nil
 	}
 	return m.fl.Spans()
-}
-
-// FlightRecorded returns the total exits ever recorded for VM vm (not capped
-// by ring depth); 0 when tracing is off or vm is not attached.
-func (m *Multiplexer) FlightRecorded(vm VMID) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fl == nil || int(vm) >= m.numVMsLocked() {
-		return 0
-	}
-	return m.fl.writtenOf(vm)
 }
 
 // SetSampler installs the RHC feed: fn receives every n-th published event.
@@ -557,7 +542,7 @@ func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 	// in the delivery loop instead (the snapshot is the same rt either way).
 	var syncBuf [syncBufCap][]*subscription
 	m.mu.Lock() //hypertap:allow hotpath the EM is the multi-producer fan-out point; one lock acquisition covers the whole batch
-	rt := m.routes.Load()
+	rt := m.routes
 	tel := m.tel
 	fl := m.fl
 	sampler := m.sampler
@@ -571,9 +556,9 @@ func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 		}
 		m.published++
 		m.pubByVM[ev.VM]++
-		// Indexed routing on (VMID, event type) against the immutable
-		// snapshot loaded above; rebuilds serialize on the EM lock we hold,
-		// so rt is current for the entire locked phase.
+		// Indexed routing on (VMID, event type) against the table loaded
+		// above; rebuilds swap the field under the EM lock we hold, so rt is
+		// current for the entire locked phase.
 		vt := rt.vmFor(ev.VM)
 		slot := routeIndex(ev.Type)
 		// Sync delivery accounting, counted where published is counted: at
@@ -778,8 +763,9 @@ type dispatchSeg struct {
 // new ring's front and leaves the old array untouched; the claim is
 // delivered from the old array, the one its segment carries, and its
 // release applies to the new ring.
-// All accounting — delivered counts, async depth and its gauge, drain span
-// steps — happens at claim time.
+// All accounting — delivered counts, async depth and its gauge — happens at
+// claim time. A drain records no span step: the event's exit record already
+// names every auditor it was queued for, at the event's own virtual time.
 //
 // The segment list is retained on the Multiplexer between calls, so a
 // steady-state drain loop performs no allocations; a goroutine adopting it
@@ -806,7 +792,6 @@ func (m *Multiplexer) Dispatch(max int) int {
 		claimed := 0
 		tel := m.tel
 		if pass == 0 || max <= 0 {
-			fl := m.fl
 			n := len(m.subs)
 			start := 0
 			if n > 0 {
@@ -828,15 +813,6 @@ func (m *Multiplexer) Dispatch(max int) int {
 				segs = append(segs, dispatchSeg{s: s, ring: s.ring, head: s.head, n: k, off: claimed})
 				s.claimed = k
 				s.delivered += uint64(k)
-				// The drain span steps are recorded at claim time, under the
-				// lock the span ring requires; the event's own virtual
-				// timestamp is the step's time either way.
-				if fl != nil {
-					for j, at := 0, s.head; j < k; j, at = j+1, s.wrap(at+1) {
-						ev := &s.ring[at]
-						fl.RecordSpan(ev.Span, ev.VM, PhaseDrain, s.actor, ev.Time)
-					}
-				}
 				m.asyncDepth -= k
 				claimed += k
 			}

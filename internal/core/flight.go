@@ -2,8 +2,8 @@ package core
 
 // The flight recorder: a pre-allocated, per-VM ring buffer that continuously
 // captures the last N published events in a compact fixed-size record, plus a
-// shared span ring tying each exit's decode, fan-out, drain, verdict and
-// heartbeat sites together under one causal SpanID.
+// shared span ring for the cold steps of an exit's journey — verdicts,
+// heartbeats and incident capture — tied to the exit under one causal SpanID.
 //
 // The design constraint is the same one the paper's overhead numbers rest on
 // (DESIGN.md §8): recording must be cheap enough to stay enabled during
@@ -19,14 +19,14 @@ package core
 // snapshot time, so the full fan-out reconstructs offline and Publish keeps
 // 0 allocs/op.
 //
-// The span ring rides the same single-writer contract: the per-event phases
-// (drain, heartbeat) are recorded by the Multiplexer itself with its lock
-// held, and the cold phases (verdict, incident) enter through
-// Multiplexer.RecordSpan, which takes the lock. The decode step is not
-// duplicated into the span ring at all — the exit record already carries the
-// SpanID, timestamp and VM, so it IS the decode step. Slot writes are
-// therefore plain stores, and the recorder's whole per-event cost is a
-// handful of word stores.
+// Each flight fact is recorded once. The exit record already carries the
+// SpanID, timestamp and VM, so it IS the decode step, and its queued mask
+// names every async auditor the event was handed to, so neither step is
+// copied into the span ring. The span ring holds only the steps no exit
+// record knows: heartbeats, recorded by the Multiplexer with its lock held
+// once per sampled event, and verdicts and incidents, which enter through
+// Multiplexer.RecordSpan, which takes the lock. Slot writes are therefore
+// plain stores.
 
 import (
 	"math/bits"
@@ -69,17 +69,12 @@ func (s SpanID) Index() uint8 { return uint8(s) }
 // pipeline.
 type FlightPhase uint8
 
-// Flight phases.
+// Flight phases. They start at 3 so older span files decode the same:
+// values 1 and 2 were the decode and drain steps, which the exit record
+// carries.
 const (
-	// PhaseDecode marks the Event Forwarder handing a decoded event to the
-	// EM. On the hot path this step lives in the exit rings (the FlightExit
-	// record is the decode step), so span records with this phase only appear
-	// when a caller records one explicitly.
-	PhaseDecode FlightPhase = iota + 1
-	// PhaseDrain marks an async subscriber receiving the event in Dispatch.
-	PhaseDrain
 	// PhaseVerdict marks an auditor raising a detection for the event.
-	PhaseVerdict
+	PhaseVerdict FlightPhase = iota + 3
 	// PhaseHeartbeat marks the sampled event feeding an RHC heartbeat.
 	PhaseHeartbeat
 	// PhaseIncident marks incident-bundle capture referencing the event.
@@ -87,8 +82,6 @@ const (
 )
 
 var flightPhaseNames = [...]string{
-	PhaseDecode:    "decode",
-	PhaseDrain:     "drain",
 	PhaseVerdict:   "verdict",
 	PhaseHeartbeat: "heartbeat",
 	PhaseIncident:  "incident",
@@ -248,12 +241,6 @@ func (t *FlightTable) grow(n int) {
 	}
 }
 
-// Depth returns the per-VM exit-ring capacity.
-func (t *FlightTable) Depth() int { return int(t.depth) }
-
-// SpanDepth returns the span-ring capacity.
-func (t *FlightTable) SpanDepth() int { return len(t.spans.slots) }
-
 // recordExit writes one flight record. Publish calls it with the EM lock
 // held — the exit rings' single-writer contract — so every store below is a
 // plain store. The record doubles as the span's decode step (same SpanID,
@@ -280,7 +267,7 @@ func (t *FlightTable) recordExit(ev *Event, queuedBits, droppedBits uint64) {
 // RecordSpan appends one span step. Nil-safe (a disabled tracing plane
 // records nothing), but NOT self-synchronizing: the span ring is
 // single-writer, so callers must hold the owning Multiplexer's lock — the
-// EM records the per-event phases itself, and everything else goes through
+// EM records heartbeat steps itself, and everything else goes through
 // Multiplexer.RecordSpan.
 //
 //hypertap:hotpath
@@ -328,9 +315,6 @@ func (t *FlightTable) exitsOf(vm VMID, syncFor func(vm VMID, et EventType) uint6
 	}
 	return out
 }
-
-// writtenOf returns the total records ever written to VM vm's ring.
-func (t *FlightTable) writtenOf(vm VMID) uint64 { return t.rings[vm].w }
 
 // Spans snapshots the span ring oldest-first, skipping span-less steps
 // (events published without a forwarder-minted identity). Callers

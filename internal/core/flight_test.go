@@ -132,8 +132,8 @@ func TestFlightDroppedBits(t *testing.T) {
 }
 
 func TestFlightRingWrap(t *testing.T) {
-	em, fl := flightEM(t, 8)
-	depth := fl.Depth()
+	const depth = 8
+	em, _ := flightEM(t, depth)
 	total := depth + 5
 	for i := 0; i < total; i++ {
 		ev := &Event{Type: EvHalt, VM: 0, Seq: uint64(i), Span: MintSpan(0, uint64(i), 0)}
@@ -148,8 +148,8 @@ func TestFlightRingWrap(t *testing.T) {
 			t.Fatalf("record %d has seq %d, want %d (oldest-first, last %d kept)", i, r.Span.Seq(), want, depth)
 		}
 	}
-	if got := em.FlightRecorded(0); got != uint64(total) {
-		t.Fatalf("FlightRecorded = %d, want %d", got, total)
+	if got := em.PublishedVM(0); got != uint64(total) {
+		t.Fatalf("PublishedVM = %d, want %d", got, total)
 	}
 }
 
@@ -183,28 +183,21 @@ func TestFlightTableGrowsToAttachedVMs(t *testing.T) {
 				t.Fatalf("vm%d ring holds a record of vm%d", vm, r.Span.VM())
 			}
 		}
-		if got := em.FlightRecorded(vm); got != uint64(vm)+1 {
-			t.Fatalf("FlightRecorded(%d) = %d, want %d", vm, got, vm+1)
-		}
 	}
 	if got := em.FlightExits(3); got != nil {
 		t.Fatalf("FlightExits of unattached VM 3 = %v, want nil", got)
 	}
-	if got := em.FlightRecorded(3); got != 0 {
-		t.Fatalf("FlightRecorded of unattached VM 3 = %d, want 0", got)
-	}
-	if fl.Depth() != 8 {
-		t.Fatalf("Depth() = %d, want 8", fl.Depth())
+	for vm, r := range fl.rings {
+		if len(r.slots) != 8 {
+			t.Fatalf("vm%d ring has %d slots, want the table's depth 8", vm, len(r.slots))
+		}
 	}
 }
 
 func TestSpanRing(t *testing.T) {
 	fl := NewFlightTable(1, 4, 8)
-	if fl.SpanDepth() != 8 {
-		t.Fatalf("span depth %d, want 8", fl.SpanDepth())
-	}
 	for i := 1; i <= 10; i++ {
-		fl.RecordSpan(MintSpan(0, uint64(i), 0), 0, PhaseDrain, 2, time.Duration(i))
+		fl.RecordSpan(MintSpan(0, uint64(i), 0), 0, PhaseHeartbeat, 2, time.Duration(i))
 	}
 	spans := fl.Spans()
 	if len(spans) != 8 {
@@ -212,14 +205,51 @@ func TestSpanRing(t *testing.T) {
 	}
 	for i, s := range spans {
 		want := uint64(3 + i) // 10 written into 8 slots: oldest kept is #3
-		if s.Span.Seq() != want || s.Phase != PhaseDrain || s.Actor != 2 || s.TimeNS != int64(3+i) {
-			t.Fatalf("span %d = %+v, want seq %d drain actor2", i, s, want)
+		if s.Span.Seq() != want || s.Phase != PhaseHeartbeat || s.Actor != 2 || s.TimeNS != int64(3+i) {
+			t.Fatalf("span %d = %+v, want seq %d heartbeat actor2", i, s, want)
 		}
 	}
 
 	// A nil table is a valid no-op target.
 	var nilTable *FlightTable
-	nilTable.RecordSpan(MintSpan(0, 1, 0), 0, PhaseDecode, 0, 0)
+	nilTable.RecordSpan(MintSpan(0, 1, 0), 0, PhaseIncident, 0, 0)
+}
+
+// TestSpanRingKeepsHeartbeats pins that async drains write nothing to the
+// span ring: with a fleet-wide async subscriber draining 10 ring depths of
+// traffic, every heartbeat step the sampler fed is still there, in order.
+func TestSpanRingKeepsHeartbeats(t *testing.T) {
+	const depth, every = 64, 64
+	em := NewMultiplexer()
+	em.SetFlight(NewFlightTable(1, 16, depth))
+	aud := &AuditorFunc{AuditorName: "async", EventMask: MaskAll, Fn: func(*Event) {}}
+	if err := em.Register(aud, DeliverAsync, 0); err != nil {
+		t.Fatal(err)
+	}
+	em.SetSampler(every, func(*Event) {})
+	var want []SpanID
+	for i := 1; i <= 10*depth; i++ {
+		ev := &Event{Type: EvSyscall, Seq: uint64(i), Time: time.Duration(i), Span: MintSpan(0, uint64(i), 0)}
+		em.Publish(ev)
+		if i%every == 0 {
+			want = append(want, ev.Span)
+		}
+		if i%8 == 0 {
+			em.Dispatch(0)
+		}
+	}
+	if got := em.Stats()[0].Delivered; got != 10*depth {
+		t.Fatalf("async subscriber got %d events, want %d", got, 10*depth)
+	}
+	spans := em.FlightSpans()
+	if len(spans) != len(want) {
+		t.Fatalf("span ring holds %d steps, want the %d heartbeats", len(spans), len(want))
+	}
+	for i, s := range spans {
+		if s.Phase != PhaseHeartbeat || s.Span != want[i] {
+			t.Fatalf("span step %d = %+v, want heartbeat of span %#x", i, s, uint64(want[i]))
+		}
+	}
 }
 
 func TestSpanRecordMetaPacking(t *testing.T) {
@@ -318,7 +348,7 @@ func TestFlightConcurrency(t *testing.T) {
 	}()
 	wg.Wait()
 	em.Dispatch(0)
-	if got := em.FlightRecorded(0) + em.FlightRecorded(1); got != 4*perG {
+	if got := em.PublishedVM(0) + em.PublishedVM(1); got != 4*perG {
 		t.Fatalf("recorded %d exits total, want %d", got, 4*perG)
 	}
 	if len(em.FlightSpans()) == 0 {
@@ -344,7 +374,7 @@ func TestPublishFlightZeroAllocs(t *testing.T) {
 		t.Fatalf("flight-on Publish allocates %.1f per event, want 0", allocs)
 	}
 	spanAllocs := testing.AllocsPerRun(200, func() {
-		fl.RecordSpan(ev.Span, 0, PhaseDrain, 1, 0)
+		fl.RecordSpan(ev.Span, 0, PhaseVerdict, 1, 0)
 	})
 	if spanAllocs != 0 {
 		t.Fatalf("RecordSpan allocates %.1f per record, want 0", spanAllocs)

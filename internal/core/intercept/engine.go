@@ -39,9 +39,6 @@ type Features struct {
 	Syscalls bool
 	// IO forwards programmed-I/O, external-interrupt and APIC events.
 	IO bool
-	// KnownGVA is the probe address for the stale-PDBA sweep; it must be
-	// mapped in every live address space. Zero selects the kernel base.
-	KnownGVA arch.GVA
 }
 
 // Config assembles an engine.
@@ -141,9 +138,6 @@ func New(cfg Config) *Engine {
 	}
 	if e.now == nil {
 		e.now = func(int) time.Duration { return e.ctl.Now() }
-	}
-	if e.feat.KnownGVA == 0 {
-		e.feat.KnownGVA = arch.KernelBase
 	}
 	// Arm the VM-execution controls the features need. CR3-load exiting is
 	// needed by process tracking, and transiently by thread tracking and
@@ -403,7 +397,8 @@ func (e *Engine) decode(exit *hav.Exit, t core.EventType) *core.Event {
 }
 
 // CountProcesses runs the full Fig. 3A algorithm: sweep the PDBA set,
-// dropping entries whose address space no longer maps the known GVA, and
+// dropping entries whose address space no longer maps the known GVA — the
+// kernel base, which every live address space maps — and
 // return the number of live virtual address spaces. The sweep walks guest
 // page tables through the VMControl, which reads guest memory the guest
 // writes, so it must not overlap guest execution: call it between ticks, as
@@ -412,7 +407,7 @@ func (e *Engine) CountProcesses() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for pdba := range e.pdbaSet {
-		if _, ok := e.ctl.TranslateGVA(pdba, e.feat.KnownGVA); !ok {
+		if _, ok := e.ctl.TranslateGVA(pdba, arch.KernelBase); !ok {
 			delete(e.pdbaSet, pdba)
 		}
 	}

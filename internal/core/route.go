@@ -36,10 +36,10 @@ type vmRoutes struct {
 // at least one, so solo machines and bare EMs route VM 0 without attach.
 //
 // A table is immutable once installed: rebuilds construct a fresh table and
-// publish it wholesale through the Multiplexer's atomic pointer (copy-on-
-// write), so readers — concurrent publishers, flight-ring snapshots — load
-// one pointer and never serialize on table access or observe a half-rebuilt
-// slot.
+// swap it into the Multiplexer's routes field under the EM lock
+// (copy-on-write). Readers load the field under the same lock, and a
+// publisher may keep delivering from the table it loaded after unlocking:
+// nothing writes that table again, so it never sees a half-rebuilt slot.
 type routeTable struct {
 	perVM []vmRoutes
 }

@@ -87,9 +87,10 @@ type Campaign[R any] struct {
 type Result[R any] struct {
 	// Units holds every unit's result, indexed by unit.
 	Units []R
-	// Telemetry is the unit-order merge of all telemetry shards, present
-	// iff the campaign enabled telemetry. Merging in unit order makes the
-	// snapshot — series order included — independent of scheduling.
+	// Telemetry is every telemetry shard absorbed in unit order into one
+	// registry, present iff the campaign enabled telemetry. Unit order
+	// makes the snapshot — series order included — independent of
+	// scheduling.
 	Telemetry *telemetry.Snapshot
 }
 
@@ -182,11 +183,16 @@ func (c *Campaign[R]) Execute() (*Result[R], error) {
 	}
 	res := &Result[R]{Units: results}
 	if c.Telemetry {
-		var merged telemetry.Snapshot
+		// The same fold Live gets, in unit order instead of finish order.
+		// Absorb raises a gauge from 0, which loses nothing here: the gauges
+		// campaigns register (queue depth and its high-water mark) are never
+		// negative.
+		merged := telemetry.NewRegistry()
 		for i := range shards {
-			merged.Merge(shards[i])
+			merged.Absorb(shards[i])
 		}
-		res.Telemetry = &merged
+		snap := merged.Snapshot()
+		res.Telemetry = &snap
 	}
 	return res, nil
 }

@@ -147,38 +147,33 @@ func (s *Sink) Raise(kind string, vm core.VMID, at time.Duration, cause error) (
 		return "", fmt.Errorf("flight: %w", err)
 	}
 
-	vmNames := em.VMs()
-	meta := Incident{
-		FormatVersion: Version,
-		Index:         idx,
-		Kind:          kind,
-		VM:            vm,
-		VTimeNS:       int64(at),
-		Context:       s.cfg.Context,
-		Actors:        em.ActorNames(),
-		VMNames:       vmNames,
-	}
-	if int(vm) < len(vmNames) {
-		meta.VMName = vmNames[vm]
+	b := Snapshot(em)
+	meta := &b.Meta
+	meta.Index = idx
+	meta.Kind = kind
+	meta.VM = vm
+	meta.VTimeNS = int64(at)
+	meta.Context = s.cfg.Context
+	if int(vm) < len(meta.VMNames) {
+		meta.VMName = meta.VMNames[vm]
 	}
 	if cause != nil {
 		meta.Error = cause.Error()
 	}
-	if err := writeJSON(filepath.Join(dir, "meta.json"), &meta); err != nil {
+	if err := writeJSON(filepath.Join(dir, "meta.json"), meta); err != nil {
 		return "", err
 	}
 
-	// One ring file per attached VM, carrying the VMID in the name: ring i
-	// is VMID i.
-	for id := range vmNames {
+	// One ring file per VM, carrying the VMID in the name: ring i is VMID i.
+	for id, ring := range b.Exits {
 		if err := writeBin(filepath.Join(dir, fmt.Sprintf("flight-vm%05d.bin", id)), func(f *os.File) error {
-			return WriteExits(f, em.FlightExits(core.VMID(id)))
+			return WriteExits(f, ring)
 		}); err != nil {
 			return "", err
 		}
 	}
 	if err := writeBin(filepath.Join(dir, "spans.bin"), func(f *os.File) error {
-		return WriteSpans(f, em.FlightSpans())
+		return WriteSpans(f, b.Spans)
 	}); err != nil {
 		return "", err
 	}
@@ -199,7 +194,7 @@ func (s *Sink) Raise(kind string, vm core.VMID, at time.Duration, cause error) (
 	}
 	if s.cfg.RHC != nil {
 		state := RHCState{Received: s.cfg.RHC.Received(), Beats: make(map[string]RHCBeat)}
-		for _, name := range vmNames {
+		for _, name := range meta.VMNames {
 			if hb, ok := s.cfg.RHC.LastHeartbeat(name); ok {
 				state.Beats[name] = RHCBeat{Seq: hb.Seq, VTimeNS: int64(hb.VTime)}
 			}
@@ -250,9 +245,27 @@ func writeBin(path string, fill func(*os.File) error) error {
 	return f.Close()
 }
 
-// Bundle is a loaded incident: everything Raise wrote, decoded.
+// Snapshot copies em's tracing plane into a Bundle: the VM names, the actor
+// table, one exit ring per attached VM — VM 0's on a bare EM, which
+// publishes everything as VM 0 — and the span ring. Only the manifest's
+// format version, actors and VM names are set; Raise fills in the rest
+// and writes it, and /flight renders it with WriteChrome. With no flight
+// table attached the rings and the span list are empty.
+func Snapshot(em *core.Multiplexer) *Bundle {
+	b := &Bundle{Meta: Incident{FormatVersion: Version, Actors: em.ActorNames(), VMNames: em.VMs()}}
+	b.Exits = make([][]core.FlightExit, max(len(b.Meta.VMNames), 1))
+	for id := range b.Exits {
+		b.Exits[id] = em.FlightExits(core.VMID(id))
+	}
+	b.Spans = em.FlightSpans()
+	return b
+}
+
+// Bundle is an incident: everything Raise wrote, as LoadBundle decodes it
+// or Snapshot copies it from a live EM.
 type Bundle struct {
-	// Dir is the directory the bundle was loaded from.
+	// Dir is the directory the bundle was loaded from; empty for a
+	// Snapshot.
 	Dir string
 	// Meta is the manifest.
 	Meta Incident

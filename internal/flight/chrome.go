@@ -8,12 +8,14 @@ import (
 	"hypertap/internal/core"
 )
 
-// Chrome trace-event export: a loaded bundle (or a replayed event stream)
-// becomes a JSON document the Perfetto UI (ui.perfetto.dev) and Chrome's
-// about:tracing open directly. The layout is one process ("hypertap") with
-// one track per VM carrying the exit slices, plus one track per auditor
-// carrying drain/verdict markers; flow arrows connect each exit record (the
-// span's decode step) to the handles that share its SpanID.
+// Chrome trace-event export: a bundle — loaded from disk or a live
+// Snapshot — or a replayed event stream becomes a JSON document the Perfetto
+// UI (ui.perfetto.dev) and Chrome's about:tracing open directly. The layout
+// is one process ("hypertap") with one track per VM carrying the exit
+// slices and the heartbeat and incident markers, plus one track per auditor
+// carrying its verdict markers; flow arrows connect each exit record (the
+// span's decode step) to the later steps that share its SpanID. Each exit
+// slice names the async auditors it was queued for.
 
 // chromeEvent is one entry of the trace-event JSON array.
 type chromeEvent struct {
@@ -35,12 +37,13 @@ type chromeDoc struct {
 	TraceEvents []chromeEvent `json:"traceEvents"`
 }
 
-// Track numbering: tid 0 is reserved, VMs occupy 1..N, auditors
-// 1001+actor. All under one pid.
+// Track numbering: tid 0 is reserved, VMs occupy 1..65536 (a VMID is 16
+// bits), and auditors start past them at 65537+actor, so no VM shares an
+// auditor's track. All under one pid.
 const (
 	chromePID     = 1
 	vmTIDBase     = 1
-	auditorTIDOff = 1001
+	auditorTIDOff = 1<<16 + 1
 )
 
 func vmTID(vm core.VMID) int { return vmTIDBase + int(vm) }
@@ -135,8 +138,7 @@ func (b *builder) exit(vm core.VMID, r *core.FlightExit) {
 // flow arrow stitching the record to the span's earlier steps.
 func (b *builder) span(r *core.SpanRecord) {
 	tid := vmTID(r.VM)
-	switch r.Phase {
-	case core.PhaseDrain, core.PhaseVerdict:
+	if r.Phase == core.PhaseVerdict {
 		tid = auditorTIDOff + int(r.Actor)
 	}
 	id := fmt.Sprintf("%#x", uint64(r.Span))
@@ -164,7 +166,7 @@ func (b *builder) write(w io.Writer) error {
 	return enc.Encode(&chromeDoc{TraceEvents: b.events})
 }
 
-// WriteChrome renders a loaded incident bundle as Chrome trace-event JSON.
+// WriteChrome renders an incident bundle as Chrome trace-event JSON.
 func WriteChrome(w io.Writer, b *Bundle) error {
 	bld := &builder{
 		vmNames:  b.Meta.VMNames,

@@ -50,8 +50,8 @@ func TestExitCodecRoundTrip(t *testing.T) {
 
 func TestSpanCodecRoundTrip(t *testing.T) {
 	recs := []core.SpanRecord{
-		{Span: core.MintSpan(1, 5, 0), TimeNS: 99, VM: 1, Phase: core.PhaseDecode, Actor: 0},
-		{Span: core.MintSpan(1, 5, 0), TimeNS: 120, VM: 1, Phase: core.PhaseDrain, Actor: 3},
+		{Span: core.MintSpan(1, 5, 0), TimeNS: 99, VM: 1, Phase: core.PhaseHeartbeat, Actor: 0},
+		{Span: core.MintSpan(1, 5, 0), TimeNS: 120, VM: 1, Phase: core.PhaseVerdict, Actor: 3},
 	}
 	var buf bytes.Buffer
 	if err := WriteSpans(&buf, recs); err != nil {
@@ -109,7 +109,7 @@ func TestCodecHostileCount(t *testing.T) {
 	if err := WriteExits(&exits, []core.FlightExit{{Type: core.EvHalt}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSpans(&spans, []core.SpanRecord{{Phase: core.PhaseDrain}}); err != nil {
+	if err := WriteSpans(&spans, []core.SpanRecord{{Phase: core.PhaseVerdict}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -154,7 +154,7 @@ func bundleHost(t testing.TB) (*core.Multiplexer, *core.FlightTable) {
 		ev := &core.Event{Type: core.EvSyscall, VM: core.VMID(i % 2), Seq: uint64(i + 1),
 			Time: time.Duration(i) * time.Millisecond, Span: core.MintSpan(core.VMID(i%2), uint64(i+1), 0)}
 		em.Publish(ev)
-		em.RecordSpan(ev.Span, ev.VM, core.PhaseDecode, 0, ev.Time)
+		em.RecordSpan(ev.Span, ev.VM, core.PhaseHeartbeat, 0, ev.Time)
 	}
 	return em, fl
 }
@@ -319,8 +319,45 @@ func TestWriteChrome(t *testing.T) {
 	if exits != 5 {
 		t.Fatalf("%d exit slices, want 5", exits)
 	}
-	if spans != 6 { // 5 decode markers + 1 incident marker
+	if spans != 6 { // 5 heartbeat markers + 1 incident marker
 		t.Fatalf("%d span markers, want 6", spans)
+	}
+}
+
+// TestWriteChromeTrackIDsUnique renders a bundle with more VMs than the old
+// auditor track offset (1,001) and checks that every named track has its own
+// ID, so no VM's exits land on an auditor's track.
+func TestWriteChromeTrackIDsUnique(t *testing.T) {
+	b := &Bundle{
+		Meta:  Incident{Actors: []string{"em", "hrkd", "goshd", "ninja"}},
+		Exits: make([][]core.FlightExit, 1001),
+	}
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			TID  int               `json:"tid"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	owner := make(map[int]string)
+	for _, ev := range doc.TraceEvents {
+		if ev.Name != "thread_name" {
+			continue
+		}
+		if prev, ok := owner[ev.TID]; ok {
+			t.Fatalf("track %d is named both %q and %q", ev.TID, prev, ev.Args["name"])
+		}
+		owner[ev.TID] = ev.Args["name"]
+	}
+	if want := 1 + 1001 + len(b.Meta.Actors); len(owner) != want {
+		t.Fatalf("%d named tracks, want %d (process, 1001 VMs, %d actors)", len(owner), want, len(b.Meta.Actors))
 	}
 }
 

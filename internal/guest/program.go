@@ -198,8 +198,6 @@ type ProcSpec struct {
 	// CPUAffinity is the target vCPU when Pinned is set. Out-of-range
 	// values fall back to least-loaded placement.
 	CPUAffinity int
-	// Nice biases timeslice length; 0 is default. Currently informational.
-	Nice int
 }
 
 // StepList is a Program that plays a fixed sequence of steps and then exits.

@@ -82,8 +82,9 @@ type Config struct {
 	// shared series aggregate.
 	Telemetry *telemetry.Registry
 	// Flight, when set and the machine owns its EM, is attached to that EM
-	// as the tracing plane (the EM records exits and span steps itself on
-	// publish). On a host-shared EM the host attaches its own table once.
+	// as the tracing plane (the EM records each exit on publish and each
+	// heartbeat step on its sampler feed). On a host-shared EM the host
+	// attaches its own table once.
 	Flight *core.FlightTable
 }
 

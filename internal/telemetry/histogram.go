@@ -116,9 +116,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is a point-in-time copy of a Histogram, mergeable with
-// other snapshots of the same metric. P50/P90/P99 are precomputed for JSON
-// consumers and kept current by Merge; Quantile serves arbitrary q.
+// HistogramSnapshot is a point-in-time copy of a Histogram; Registry.Absorb
+// folds snapshots of the same metric together. P50/P90/P99 are precomputed
+// for JSON consumers; Quantile serves arbitrary q.
 type HistogramSnapshot struct {
 	Name    string        `json:"name"`
 	Labels  []Label       `json:"labels,omitempty"`
@@ -166,24 +166,6 @@ func (s *HistogramSnapshot) Quantile(q float64) time.Duration {
 		cum = next
 	}
 	return s.Max
-}
-
-// Merge adds another snapshot of the same metric into s.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	if len(s.Buckets) < len(o.Buckets) {
-		grown := make([]uint64, len(o.Buckets))
-		copy(grown, s.Buckets)
-		s.Buckets = grown
-	}
-	for i, n := range o.Buckets {
-		s.Buckets[i] += n
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.refreshQuantiles()
 }
 
 func (s *HistogramSnapshot) refreshQuantiles() {

@@ -8,10 +8,11 @@
 // stack — flips /healthz to 503, so the same invariant the RHC enforces
 // over TCP is visible to any off-the-shelf prober.
 //
-// Options can also expose the tracing plane: /flight drains the flight
-// recorder's rings as JSON (the live sibling of an incident bundle), and
-// /debug/pprof/ mounts the standard Go profiler so the hot path can be
-// profiled on a running deployment.
+// Options can also expose the tracing plane: /flight serves a live
+// snapshot of the flight recorder (flight.Snapshot, the same data an
+// incident bundle holds) as Chrome trace-event JSON that Perfetto opens
+// as it is, and /debug/pprof/ mounts the standard Go profiler so the hot
+// path can be profiled on a running deployment.
 package httpexport
 
 import (
@@ -22,11 +23,11 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"hypertap/internal/core"
+	"hypertap/internal/flight"
 	"hypertap/internal/telemetry"
 )
 
@@ -41,8 +42,9 @@ type Options struct {
 	Registry *telemetry.Registry
 	// Health backs /healthz; nil means always healthy.
 	Health Health
-	// EM, when set, exposes its flight recorder on /flight: the whole
-	// table, or one VM's ring with ?vm=N. 404 when tracing is off.
+	// EM, when set, exposes its flight recorder on /flight: every VM's
+	// exit ring and the span ring, one track per VM and per auditor, as
+	// Chrome trace-event JSON. 404 when tracing is off.
 	EM *core.Multiplexer
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
@@ -74,8 +76,13 @@ func Handler(o Options) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	if o.EM != nil {
-		mux.HandleFunc("/flight", func(w http.ResponseWriter, r *http.Request) {
-			serveFlight(w, r, o.EM)
+		mux.HandleFunc("/flight", func(w http.ResponseWriter, _ *http.Request) {
+			if o.EM.Flight() == nil {
+				http.Error(w, "flight recorder disabled", http.StatusNotFound)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			_ = flight.WriteChrome(w, flight.Snapshot(o.EM))
 		})
 	}
 	if o.Pprof {
@@ -86,122 +93,6 @@ func Handler(o Options) http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-// flightExitJSON is the debug-drain rendering of one core.FlightExit:
-// identities as hex strings, masks as integers, the type by name.
-type flightExitJSON struct {
-	Span    string `json:"span"`
-	TimeNS  int64  `json:"time_ns"`
-	Type    string `json:"type"`
-	VCPU    uint8  `json:"vcpu"`
-	Digest  string `json:"digest"`
-	Sync    uint64 `json:"sync_mask"`
-	Queued  uint64 `json:"queued_mask"`
-	Dropped uint64 `json:"dropped_mask"`
-	Reason  uint8  `json:"exit_reason,omitempty"`
-}
-
-// flightSpanJSON is the debug-drain rendering of one core.SpanRecord.
-type flightSpanJSON struct {
-	Span   string `json:"span"`
-	TimeNS int64  `json:"time_ns"`
-	VM     uint16 `json:"vm"`
-	Phase  string `json:"phase"`
-	Actor  string `json:"actor"`
-}
-
-// flightVMJSON is one VM's ring in the drain.
-type flightVMJSON struct {
-	ID       int              `json:"id"`
-	Name     string           `json:"name"`
-	Recorded uint64           `json:"recorded"`
-	Exits    []flightExitJSON `json:"exits"`
-}
-
-// flightJSON is the /flight response body.
-type flightJSON struct {
-	Depth int              `json:"depth"`
-	VMs   []flightVMJSON   `json:"vms"`
-	Spans []flightSpanJSON `json:"spans,omitempty"`
-}
-
-func renderExits(exits []core.FlightExit) []flightExitJSON {
-	out := make([]flightExitJSON, len(exits))
-	for i, e := range exits {
-		out[i] = flightExitJSON{
-			Span:    fmt.Sprintf("%#x", uint64(e.Span)),
-			TimeNS:  e.TimeNS,
-			Type:    e.Type.String(),
-			VCPU:    e.VCPU,
-			Digest:  fmt.Sprintf("%#x", e.Digest),
-			Sync:    e.Sync,
-			Queued:  e.Queued,
-			Dropped: e.Dropped,
-			Reason:  e.Reason,
-		}
-	}
-	return out
-}
-
-// serveFlight drains the EM's flight recorder as JSON: every attached VM's
-// ring, or one VM's with ?vm=N.
-func serveFlight(w http.ResponseWriter, r *http.Request, em *core.Multiplexer) {
-	fl := em.Flight()
-	if fl == nil {
-		http.Error(w, "flight recorder disabled", http.StatusNotFound)
-		return
-	}
-	vms := em.VMs()
-	if len(vms) == 0 {
-		// A bare EM publishes everything as VM 0; give the drain one row.
-		vms = []string{"vm0"}
-	}
-	resp := flightJSON{Depth: fl.Depth()}
-	if q := r.URL.Query().Get("vm"); q != "" {
-		id, err := strconv.Atoi(q)
-		if err != nil || id < 0 {
-			http.Error(w, "bad vm parameter", http.StatusBadRequest)
-			return
-		}
-		if id >= len(vms) {
-			http.Error(w, "no such VM", http.StatusNotFound)
-			return
-		}
-		resp.VMs = []flightVMJSON{{
-			ID:       id,
-			Name:     vms[id],
-			Recorded: em.FlightRecorded(core.VMID(id)),
-			Exits:    renderExits(em.FlightExits(core.VMID(id))),
-		}}
-	} else {
-		for id, name := range vms {
-			resp.VMs = append(resp.VMs, flightVMJSON{
-				ID:       id,
-				Name:     name,
-				Recorded: em.FlightRecorded(core.VMID(id)),
-				Exits:    renderExits(em.FlightExits(core.VMID(id))),
-			})
-		}
-		actors := em.ActorNames()
-		for _, s := range em.FlightSpans() {
-			actor := fmt.Sprintf("actor%d", s.Actor)
-			if int(s.Actor) < len(actors) {
-				actor = actors[s.Actor]
-			}
-			resp.Spans = append(resp.Spans, flightSpanJSON{
-				Span:   fmt.Sprintf("%#x", uint64(s.Span)),
-				TimeNS: s.TimeNS,
-				VM:     uint16(s.VM),
-				Phase:  s.Phase.String(),
-				Actor:  actor,
-			})
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
 }
 
 // Server is a running telemetry endpoint.

@@ -13,6 +13,7 @@ import (
 
 	"hypertap/internal/core"
 	"hypertap/internal/core/intercept"
+	"hypertap/internal/flight"
 	"hypertap/internal/guest"
 	"hypertap/internal/host"
 	"hypertap/internal/telemetry"
@@ -170,7 +171,7 @@ func multiVMHost(t *testing.T) (*host.Host, *core.RHCServer, *telemetry.Registry
 
 // TestMultiVMHostEndpoint drives the full endpoint against a live two-VM
 // host: per-VM metric labels, RHC-backed health that degrades when one VM
-// goes silent, the /flight debug drain, and the pprof mount.
+// goes silent, the /flight trace, and the pprof mount.
 func TestMultiVMHostEndpoint(t *testing.T) {
 	h, srv, reg := multiVMHost(t)
 	if _, ok := srv.WaitHeartbeat("vm-a", 2*time.Second); !ok {
@@ -196,46 +197,49 @@ func TestMultiVMHostEndpoint(t *testing.T) {
 		}
 	}
 
-	// Flight drain: both rings populated, spans present, filters work.
+	// Flight: a Chrome trace with one named track per VM, exits on both
+	// VMs' tracks, and the heartbeat steps the RHC feed recorded.
 	code, body := get(t, handler, "/flight")
 	if code != http.StatusOK {
 		t.Fatalf("/flight = %d", code)
 	}
-	var drain struct {
-		VMs []struct {
-			Name     string `json:"name"`
-			Recorded uint64 `json:"recorded"`
-			Exits    []struct {
-				Type string `json:"type"`
-				Span string `json:"span"`
-			} `json:"exits"`
-		} `json:"vms"`
-		Spans []struct {
-			Phase string `json:"phase"`
-		} `json:"spans"`
+	var trace struct {
+		TraceEvents []struct {
+			Name  string         `json:"name"`
+			Phase string         `json:"ph"`
+			TID   int            `json:"tid"`
+			Args  map[string]any `json:"args"`
+		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal([]byte(body), &drain); err != nil {
+	if err := json.Unmarshal([]byte(body), &trace); err != nil {
 		t.Fatalf("/flight is not JSON: %v", err)
 	}
-	if len(drain.VMs) != 2 {
-		t.Fatalf("drain vms=%d, want a 2-VM table", len(drain.VMs))
-	}
-	for _, vm := range drain.VMs {
-		if vm.Recorded == 0 || len(vm.Exits) == 0 {
-			t.Fatalf("VM %s ring is empty in the drain", vm.Name)
+	tracks := make(map[string]int)
+	exits := make(map[int]int)
+	heartbeats := 0
+	for _, ev := range trace.TraceEvents {
+		switch {
+		case ev.Phase == "M":
+			if name, ok := ev.Args["name"].(string); ok {
+				tracks[name] = ev.TID
+			}
+		case ev.Phase == "X":
+			exits[ev.TID]++
+		case ev.Phase == "i" && ev.Name == "heartbeat":
+			heartbeats++
 		}
 	}
-	if len(drain.Spans) == 0 {
-		t.Fatal("drain carries no spans")
+	for _, vm := range []string{"vm-a", "vm-b"} {
+		tid, ok := tracks[vm]
+		if !ok {
+			t.Fatalf("/flight has no track named %s", vm)
+		}
+		if exits[tid] == 0 {
+			t.Fatalf("VM %s's track carries no exits", vm)
+		}
 	}
-	if code, body := get(t, handler, "/flight?vm=1"); code != http.StatusOK || !strings.Contains(body, "vm-b") || strings.Contains(body, "vm-a") {
-		t.Fatalf("/flight?vm=1 = %d, want only vm-b (body %q)", code, body)
-	}
-	if code, _ := get(t, handler, "/flight?vm=9"); code != http.StatusNotFound {
-		t.Fatalf("/flight?vm=9 = %d, want 404", code)
-	}
-	if code, _ := get(t, handler, "/flight?vm=x"); code != http.StatusBadRequest {
-		t.Fatalf("/flight?vm=x = %d, want 400", code)
+	if heartbeats == 0 {
+		t.Fatal("/flight carries no heartbeat steps")
 	}
 	if code, _ := get(t, handler, "/debug/pprof/"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/ = %d", code)
@@ -261,6 +265,10 @@ func TestMultiVMHostEndpoint(t *testing.T) {
 	defer func() { close(stop); <-done }()
 	deadline := time.Now().Add(3 * time.Second)
 	for {
+		// /flight snapshots the EM while the host runs; -race checks it.
+		if code, _ := get(t, handler, "/flight"); code != http.StatusOK {
+			t.Fatalf("/flight on a running host = %d", code)
+		}
 		code, body := get(t, handler, "/healthz")
 		if code == http.StatusServiceUnavailable {
 			if !strings.Contains(body, "vm-a") {
@@ -272,5 +280,44 @@ func TestMultiVMHostEndpoint(t *testing.T) {
 			t.Fatal("/healthz never degraded after vm-a went silent")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestFlightServesSnapshotTrace pins that /flight is exactly WriteChrome of
+// flight.Snapshot on a quiescent EM — a bare one, whose events are all
+// VM 0's — and that it answers 404 once tracing is off.
+func TestFlightServesSnapshotTrace(t *testing.T) {
+	em := core.NewMultiplexer()
+	em.SetFlight(core.NewFlightTable(1, 8, 8))
+	aud := &core.AuditorFunc{AuditorName: "hrkd", EventMask: core.MaskAll, Fn: func(*core.Event) {}}
+	if err := em.Register(aud, core.DeliverAsync, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 12; i++ {
+		em.Publish(&core.Event{Type: core.EvSyscall, Seq: uint64(i), Time: time.Duration(i) * time.Microsecond,
+			Span: core.MintSpan(0, uint64(i), 0)})
+	}
+	em.Dispatch(0)
+	em.RecordSpan(core.MintSpan(0, 12, 0), 0, core.PhaseVerdict, 1, 12*time.Microsecond)
+
+	handler := Handler(Options{Registry: telemetry.NewRegistry(), EM: em})
+	code, body := get(t, handler, "/flight")
+	if code != http.StatusOK {
+		t.Fatalf("/flight = %d", code)
+	}
+	var want strings.Builder
+	if err := flight.WriteChrome(&want, flight.Snapshot(em)); err != nil {
+		t.Fatal(err)
+	}
+	if body != want.String() {
+		t.Fatalf("/flight body differs from WriteChrome(Snapshot(em)):\n got %s\nwant %s", body, want.String())
+	}
+	if !strings.Contains(body, `"vm0"`) || !strings.Contains(body, `"verdict"`) {
+		t.Fatalf("/flight lacks VM 0's track or the verdict step: %s", body)
+	}
+
+	em.SetFlight(nil)
+	if code, _ := get(t, handler, "/flight"); code != http.StatusNotFound {
+		t.Fatalf("/flight with tracing off = %d, want 404", code)
 	}
 }

@@ -253,7 +253,8 @@ type GaugeSnapshot struct {
 
 // Snapshot is a consistent-enough copy of every registered metric: each
 // individual value is read atomically; the set is read under the registry
-// lock. Snapshots marshal to JSON directly and merge with Merge.
+// lock. Snapshots marshal to JSON directly, and Registry.Absorb folds
+// them together.
 type Snapshot struct {
 	Counters   []CounterSnapshot   `json:"counters,omitempty"`
 	Gauges     []GaugeSnapshot     `json:"gauges,omitempty"`
@@ -301,12 +302,14 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Absorb folds a snapshot into the registry's live instruments: counters
-// add the snapshot's value, gauges rise to it (high-water semantics, the
-// same choice Merge makes), histograms add its buckets. The intended use is
-// sharded campaigns: each work unit records into its own registry, and the
-// engine absorbs the unit's snapshot — a pure delta, since the shard was
-// fresh — into a live registry that an HTTP exporter is serving, so
-// /metrics shows campaign totals growing while the run is in flight.
+// add the snapshot's value, gauges rise to it (high-water semantics, so a
+// gauge only ever folded from negative values reads 0), histograms add its
+// buckets. The intended use is sharded campaigns: each work unit records
+// into its own registry, and the engine absorbs the unit's snapshot — a
+// pure delta, since the shard was fresh — into a live registry that an
+// HTTP exporter is serving, so /metrics shows campaign totals growing while
+// the run is in flight, and into the fresh registry behind the campaign's
+// result.
 func (r *Registry) Absorb(s Snapshot) {
 	for _, c := range s.Counters {
 		r.Counter(c.Name, c.Labels...).Add(c.Value)
@@ -316,47 +319,5 @@ func (r *Registry) Absorb(s Snapshot) {
 	}
 	for _, h := range s.Histograms {
 		r.Histogram(h.Name, h.Labels...).absorb(h)
-	}
-}
-
-// Merge folds other into s: counters and histograms with identical
-// name+labels are summed; gauges take the maximum (the conservative choice
-// for depth/high-water gauges); series unique to other are appended. Use it
-// to aggregate per-VM registries from a campaign into one report.
-func (s *Snapshot) Merge(other Snapshot) {
-	cidx := make(map[string]int, len(s.Counters))
-	for i, c := range s.Counters {
-		cidx[metricID(c.Name, c.Labels)] = i
-	}
-	for _, c := range other.Counters {
-		if i, ok := cidx[metricID(c.Name, c.Labels)]; ok {
-			s.Counters[i].Value += c.Value
-		} else {
-			s.Counters = append(s.Counters, c)
-		}
-	}
-	gidx := make(map[string]int, len(s.Gauges))
-	for i, g := range s.Gauges {
-		gidx[metricID(g.Name, g.Labels)] = i
-	}
-	for _, g := range other.Gauges {
-		if i, ok := gidx[metricID(g.Name, g.Labels)]; ok {
-			if g.Value > s.Gauges[i].Value {
-				s.Gauges[i].Value = g.Value
-			}
-		} else {
-			s.Gauges = append(s.Gauges, g)
-		}
-	}
-	hidx := make(map[string]int, len(s.Histograms))
-	for i, h := range s.Histograms {
-		hidx[metricID(h.Name, h.Labels)] = i
-	}
-	for _, h := range other.Histograms {
-		if i, ok := hidx[metricID(h.Name, h.Labels)]; ok {
-			s.Histograms[i].Merge(h)
-		} else {
-			s.Histograms = append(s.Histograms, h)
-		}
 	}
 }

@@ -161,14 +161,21 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotMerge folds two histograms' snapshots into one
+// registry through Absorb, the one merge path campaigns use.
 func TestHistogramSnapshotMerge(t *testing.T) {
 	var a, b Histogram
 	for i := 0; i < 100; i++ {
 		a.Observe(time.Microsecond)
 		b.Observe(time.Millisecond)
 	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
+	sb := b.Snapshot()
+	r := NewRegistry()
+	for _, hs := range []HistogramSnapshot{a.Snapshot(), sb} {
+		hs.Name = "lat"
+		r.Absorb(Snapshot{Histograms: []HistogramSnapshot{hs}})
+	}
+	sa := r.Snapshot().Histograms[0]
 	if sa.Count != 200 {
 		t.Fatalf("merged count = %d, want 200", sa.Count)
 	}
@@ -180,23 +187,28 @@ func TestHistogramSnapshotMerge(t *testing.T) {
 		t.Fatalf("merged sum = %v, want %v", sa.Sum, wantSum)
 	}
 	// Half the mass is ~1µs, half ~1ms: p90 must land in the upper mode.
-	if p90 := sa.Quantile(0.9); p90 < 500*time.Microsecond {
-		t.Fatalf("merged p90 = %v, want ≥ 500µs", p90)
+	if p90 := sa.Quantile(0.9); p90 < 500*time.Microsecond || sa.P90 != sa.Quantile(0.9) {
+		t.Fatalf("merged p90 = %v (field %v), want ≥ 500µs", sa.Quantile(0.9), sa.P90)
 	}
 }
 
+// TestSnapshotMergeAcrossRegistries folds two registries' snapshots into a
+// fresh one through Absorb: counters and histograms sum, gauges keep the
+// maximum, and series unique to either registry survive.
 func TestSnapshotMergeAcrossRegistries(t *testing.T) {
 	r1, r2 := NewRegistry(), NewRegistry()
 	r1.Counter("shared").Add(3)
 	r2.Counter("shared").Add(4)
 	r2.Counter("only2").Add(7)
-	r1.Gauge("hw").Set(2)
-	r2.Gauge("hw").Set(5)
+	r1.Gauge("hw").Set(5)
+	r2.Gauge("hw").Set(2)
 	r1.Histogram("lat").Observe(time.Millisecond)
 	r2.Histogram("lat").Observe(3 * time.Millisecond)
 
-	s := r1.Snapshot()
-	s.Merge(r2.Snapshot())
+	merged := NewRegistry()
+	merged.Absorb(r1.Snapshot())
+	merged.Absorb(r2.Snapshot())
+	s := merged.Snapshot()
 	byName := map[string]uint64{}
 	for _, c := range s.Counters {
 		byName[c.Name] = c.Value
