@@ -2,8 +2,9 @@
 #
 # `make check` is the tier-1 gate: vet, the hypertap-vet invariant
 # analyzer, formatting, and the race-checked suites for the packages on
-# the event hot path (core, telemetry) plus the experiment driver and
-# hypervisor (-short keeps the race leg fast).
+# the event hot path (core, telemetry) plus the experiment harnesses,
+# hypervisor, auditors and the two CLIs that raise and read incident
+# bundles (-short keeps the race leg fast).
 
 GO ?= go
 
@@ -38,7 +39,7 @@ fmt:
 	fi
 
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/telemetry/... ./internal/experiment/... ./internal/hv/... ./internal/host/... ./internal/capture/... ./internal/vclock/... ./internal/flight/... ./internal/guest/... ./internal/workload/...
+	$(GO) test -race -short ./internal/core/... ./internal/telemetry/... ./internal/experiment/... ./internal/hv/... ./internal/host/... ./internal/capture/... ./internal/vclock/... ./internal/flight/... ./internal/guest/... ./internal/workload/... ./internal/auditors/... ./cmd/hypertap/... ./cmd/hypertap-capture/...
 
 # The equivalence suites: serial≡parallel for the sharded campaign engine,
 # N-VM-host ≡ N-isolated-VMs for the host fleet plane, capture→replay ≡ live

@@ -50,21 +50,19 @@ func writeBundle(t *testing.T, stream []byte) (string, []uint64) {
 		t.Fatal(err)
 	}
 	h.Run(20 * time.Millisecond)
-	sink, err := flight.NewSink(flight.SinkConfig{
-		Dir: t.TempDir(), EM: h.EM(),
-		Capture: func() []byte {
-			if stream != nil {
-				return stream
-			}
-			_ = rec.Finish()
-			return buf.Bytes()
-		},
-	})
+	b, err := flight.Raise(h.EM(), "test", 0, 20*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := sink.Raise("test", 0, 20*time.Millisecond, nil)
-	if err != nil {
+	b.Capture = stream
+	if stream == nil {
+		if err := rec.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		b.Capture = buf.Bytes()
+	}
+	dir := t.TempDir()
+	if err := b.Write(dir); err != nil {
 		t.Fatal(err)
 	}
 	live := []uint64{h.EM().PublishedVM(0), h.EM().PublishedVM(1)}

@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"hypertap/internal/auditors/fleetwatch"
@@ -49,7 +50,7 @@ func run(args []string) error {
 		traceFile = fs.String("trace", "", "record the decoded exit stream to this .htcs capture file (read it with hypertap-capture info/replay)")
 		telAddr   = fs.String("telemetry-addr", "", "serve /metrics, /healthz, /flight and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
 		seed      = fs.Int64("seed", 1, "deterministic seed (VM i runs at seed+i)")
-		flightDir = fs.String("flight-dir", "", "drain the flight recorder into a bundle under this directory at exit")
+		flightDir = fs.String("flight-dir", "", "at exit, write the flight recorder's shutdown bundle to incident-000-shutdown under this directory")
 		flightDep = fs.Int("flight-depth", 0, "per-VM flight-recorder ring depth, rounded up to a power of two (0 = 1024; negative disables tracing)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -138,7 +139,7 @@ func run(args []string) error {
 		if reg != nil {
 			det.EnableTelemetry(reg)
 		}
-		if err := em.RegisterAuditor(det, core.DeliverAsync, 0); err != nil {
+		if err := em.Register(det, core.DeliverAsync, 0); err != nil {
 			return err
 		}
 		dets[i] = det
@@ -154,7 +155,7 @@ func run(args []string) error {
 		if reg != nil {
 			fw.EnableTelemetry(reg)
 		}
-		if err := em.RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
+		if err := em.Register(fw, core.DeliverAsync, 1<<16); err != nil {
 			return err
 		}
 	}
@@ -177,7 +178,7 @@ func run(args []string) error {
 		if reg != nil {
 			rk.EnableTelemetry(reg)
 		}
-		if err := em.RegisterAuditor(rk, core.DeliverAsync, 0); err != nil {
+		if err := em.Register(rk, core.DeliverAsync, 0); err != nil {
 			return err
 		}
 		rks[i] = rk
@@ -190,7 +191,7 @@ func run(args []string) error {
 		if reg != nil {
 			htn.EnableTelemetry(reg)
 		}
-		if err := em.RegisterAuditor(htn, core.DeliverSync, 0); err != nil {
+		if err := em.Register(htn, core.DeliverSync, 0); err != nil {
 			return err
 		}
 	}
@@ -284,18 +285,24 @@ func run(args []string) error {
 		}
 	}
 	// Final flight drain: the same bundle format incident capture uses, so
-	// every run can be inspected with hypertap-capture info -chrome-trace.
+	// every run can be inspected with hypertap-capture info -chrome-trace
+	// and, with -trace, replayed with hypertap-capture replay -bundle.
 	if *flightDir != "" {
-		sink, err := flight.NewSink(flight.SinkConfig{
-			Dir: *flightDir, EM: em, Telemetry: reg, RHC: rhcSrv,
-			Capture: func() []byte { return stream },
-			Context: map[string]string{"seed": fmt.Sprint(*seed)},
-		})
+		b, err := flight.Raise(em, "shutdown", 0, *duration, nil)
 		if err != nil {
 			return err
 		}
-		dir, err := sink.Raise("shutdown", 0, *duration, nil)
-		if err != nil {
+		b.Meta.Context = map[string]string{"seed": fmt.Sprint(*seed)}
+		if reg != nil {
+			snap := reg.Snapshot()
+			b.Telemetry = &snap
+		}
+		if rhcSrv != nil {
+			b.RHC = flight.RHCStateOf(rhcSrv, b.Meta.VMNames)
+		}
+		b.Capture = stream
+		dir := filepath.Join(*flightDir, "incident-000-shutdown")
+		if err := b.Write(dir); err != nil {
 			return err
 		}
 		fmt.Println("flight bundle written to", dir)
@@ -313,7 +320,9 @@ func run(args []string) error {
 	}
 	fmt.Println("\nengine decode counts (vm0):")
 	for ty, n := range h.Machine(0).Engine().Stats().Decoded {
-		fmt.Printf("  %-16v %d\n", ty, n)
+		if n != 0 {
+			fmt.Printf("  %-16v %d\n", core.EventType(ty), n)
+		}
 	}
 	fmt.Println("\nEM subscriptions:")
 	for _, s := range em.Stats() {

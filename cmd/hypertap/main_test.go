@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hypertap/internal/capture"
+	"hypertap/internal/core"
 	"hypertap/internal/experiment"
 	"hypertap/internal/flight"
 )
@@ -131,4 +132,64 @@ func TestSmokeFlightDisabled(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-flight-depth") {
 		t.Fatalf("contradictory flags: err = %v, want -flight-depth complaint", err)
 	}
+}
+
+// TestDecodeCountsInTypeOrder captures run's stdout and checks that the
+// "engine decode counts" block lists the decoded types in
+// core.AllEventTypes order, so two runs of one seed print the same bytes.
+// A map-ordered block can still come out sorted — Go randomizes only where
+// iteration over a small map starts — so the run repeats.
+func TestDecodeCountsInTypeOrder(t *testing.T) {
+	rank := make(map[string]int)
+	for i, ty := range core.AllEventTypes() {
+		rank[ty.String()] = i
+	}
+	for range 10 {
+		block := decodeCountBlock(t, "-duration", "500ms", "-tail", "0")
+		var types []string
+		for _, line := range strings.Split(block, "\n") {
+			fields := strings.Fields(line)
+			if len(fields) != 2 {
+				t.Fatalf("decode-count line %q is not a type and a count", line)
+			}
+			if _, ok := rank[fields[0]]; !ok {
+				t.Fatalf("decode-count line %q names no event type", line)
+			}
+			if n := len(types); n > 0 && rank[types[n-1]] >= rank[fields[0]] {
+				t.Fatalf("decode counts list %s after %s, want core.AllEventTypes order:\n%s", fields[0], types[n-1], block)
+			}
+			types = append(types, fields[0])
+		}
+		if len(types) < 6 {
+			t.Fatalf("decode counts list %d types %v, want at least 6 to pin an order", len(types), types)
+		}
+	}
+}
+
+// decodeCountBlock runs the command with args, capturing its stdout, and
+// returns the lines of its "engine decode counts" block.
+func decodeCountBlock(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = out.Close() }()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(args)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(data), "engine decode counts (vm0):\n")
+	if !ok {
+		t.Fatalf("no decode-count block in the output:\n%s", data)
+	}
+	block, _, _ = strings.Cut(block, "\n\n")
+	return block
 }

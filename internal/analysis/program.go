@@ -38,16 +38,3 @@ func (p *Program) CallGraph() *CallGraph {
 	p.cgOnce.Do(func() { p.cg = buildCallGraph(p) })
 	return p.cg
 }
-
-// PackageOf returns the loaded package owning filename, or nil. Program
-// passes use it to attribute findings to the right directive set.
-func (p *Program) PackageOf(filename string) *Package {
-	for _, pkg := range p.Pkgs {
-		for _, f := range pkg.Files {
-			if p.Fset.Position(f.Pos()).Filename == filename {
-				return pkg
-			}
-		}
-	}
-	return nil
-}

@@ -49,7 +49,7 @@ func (a HangAlarm) String() string {
 // Config describes a detector.
 type Config struct {
 	// VM scopes the detector to one VM on a host-shared Event Multiplexer:
-	// registered via RegisterAuditor, it receives only that VM's context
+	// registered via Register, it receives only that VM's context
 	// switches. Zero (VM 0) is correct for solo machines.
 	VM core.VMID
 	// Clock is the virtual clock used to arm silence timers.

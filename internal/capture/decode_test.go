@@ -210,11 +210,11 @@ func TestReplayRunZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := rp.EM().RegisterAuditor(&asyncCounter{}, core.DeliverAsync, 1<<12); err != nil {
+			if err := rp.EM().Register(&asyncCounter{}, core.DeliverAsync, 1<<12); err != nil {
 				t.Fatal(err)
 			}
 			fw := fleetwatch.New(fleetwatch.Config{VMName: rp.EM().VMName})
-			if err := rp.EM().RegisterAuditor(fw, core.DeliverAsync, 1<<12); err != nil {
+			if err := rp.EM().Register(fw, core.DeliverAsync, 1<<12); err != nil {
 				t.Fatal(err)
 			}
 			var before, after runtime.MemStats

@@ -81,7 +81,7 @@ type soloAuditors struct {
 func buildSoloAuditors(em *core.Multiplexer, vm core.VMID, clock *vclock.Clock,
 	vcpus int, view core.GuestView, counter hrkd.ProcessCounter, sym guest.Symbols) (*soloAuditors, error) {
 	s := &soloAuditors{col: &capCollector{vm: vm}}
-	if err := em.RegisterAuditor(s.col, core.DeliverSync, 0); err != nil {
+	if err := em.Register(s.col, core.DeliverSync, 0); err != nil {
 		return nil, err
 	}
 	var err error
@@ -90,11 +90,11 @@ func buildSoloAuditors(em *core.Multiplexer, vm core.VMID, clock *vclock.Clock,
 	}); err != nil {
 		return nil, err
 	}
-	if err := em.RegisterAuditor(s.gos, core.DeliverAsync, 0); err != nil {
+	if err := em.Register(s.gos, core.DeliverAsync, 0); err != nil {
 		return nil, err
 	}
 	s.fw = fleetwatch.New(fleetwatch.Config{VMName: em.VMName})
-	if err := em.RegisterAuditor(s.fw, core.DeliverAsync, 1<<16); err != nil {
+	if err := em.Register(s.fw, core.DeliverAsync, 1<<16); err != nil {
 		return nil, err
 	}
 	intro := vmi.New(view, sym)
@@ -103,7 +103,7 @@ func buildSoloAuditors(em *core.Multiplexer, vm core.VMID, clock *vclock.Clock,
 	}); err != nil {
 		return nil, err
 	}
-	if err := em.RegisterAuditor(s.hr, core.DeliverAsync, 0); err != nil {
+	if err := em.Register(s.hr, core.DeliverAsync, 0); err != nil {
 		return nil, err
 	}
 	if s.nin, err = ped.NewHTNinja(ped.HTNinjaConfig{
@@ -111,7 +111,7 @@ func buildSoloAuditors(em *core.Multiplexer, vm core.VMID, clock *vclock.Clock,
 	}); err != nil {
 		return nil, err
 	}
-	if err := em.RegisterAuditor(s.nin, core.DeliverSync, 0); err != nil {
+	if err := em.Register(s.nin, core.DeliverSync, 0); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -398,7 +398,7 @@ func wireFleetAuditors(t *testing.T, em *core.Multiplexer, clocks []*vclock.Cloc
 	dets := make([]*goshd.Detector, len(clocks))
 	for i := range clocks {
 		cols[i] = &capCollector{vm: core.VMID(i)}
-		if err := em.RegisterAuditor(cols[i], core.DeliverSync, 0); err != nil {
+		if err := em.Register(cols[i], core.DeliverSync, 0); err != nil {
 			t.Fatal(err)
 		}
 		det, err := goshd.New(goshd.Config{
@@ -408,13 +408,13 @@ func wireFleetAuditors(t *testing.T, em *core.Multiplexer, clocks []*vclock.Cloc
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := em.RegisterAuditor(det, core.DeliverAsync, 0); err != nil {
+		if err := em.Register(det, core.DeliverAsync, 0); err != nil {
 			t.Fatal(err)
 		}
 		dets[i] = det
 	}
 	fw := fleetwatch.New(fleetwatch.Config{VMName: em.VMName})
-	if err := em.RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
+	if err := em.Register(fw, core.DeliverAsync, 1<<16); err != nil {
 		t.Fatal(err)
 	}
 	return cols, dets, fw

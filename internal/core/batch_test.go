@@ -188,7 +188,7 @@ func (b *batchCollector) HandleBatch(evs []Event) {
 // and the BatchAuditor's claims arrive as whole segments bounded by the
 // Dispatch max.
 func TestDispatchHandleBatch(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	ba := &batchCollector{name: "batched"}
 	var plainMu sync.Mutex
 	var plain []Event
@@ -231,7 +231,7 @@ func TestDispatchHandleBatch(t *testing.T) {
 // only to drained (async) claims: a sync-registered BatchAuditor still gets
 // event-major HandleEvent calls, preserving cross-auditor per-event order.
 func TestBatchAuditorSyncIgnored(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	ba := &batchCollector{name: "syncbatch"}
 	if err := em.Register(ba, DeliverSync, 0); err != nil {
 		t.Fatal(err)

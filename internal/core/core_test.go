@@ -52,6 +52,17 @@ func TestEventString(t *testing.T) {
 	}
 }
 
+// soloEM returns an EM with one VM, "vm0", attached — a solo machine's
+// wiring — so a test can publish and scope on VM 0.
+func soloEM(t testing.TB) *Multiplexer {
+	t.Helper()
+	em := NewMultiplexer()
+	if _, err := em.AttachVM("vm0"); err != nil {
+		t.Fatal(err)
+	}
+	return em
+}
+
 func collector(name string, mask EventMask) (*AuditorFunc, *[]Event) {
 	var got []Event
 	a := &AuditorFunc{AuditorName: name, EventMask: mask, Fn: func(ev *Event) {
@@ -61,7 +72,7 @@ func collector(name string, mask EventMask) (*AuditorFunc, *[]Event) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	if err := em.Register(nil, DeliverSync, 0); err == nil {
 		t.Error("nil auditor accepted")
 	}
@@ -78,7 +89,7 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestSyncDeliveryRespectsMask(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	sysOnly, sysGot := collector("sys", MaskOf(EvSyscall))
 	all, allGot := collector("all", MaskAll)
 	if err := em.Register(sysOnly, DeliverSync, 0); err != nil {
@@ -104,7 +115,7 @@ func TestSyncDeliveryRespectsMask(t *testing.T) {
 }
 
 func TestAsyncQueueAndDispatch(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	a, got := collector("async", MaskAll)
 	if err := em.Register(a, DeliverAsync, 8); err != nil {
 		t.Fatal(err)
@@ -129,7 +140,7 @@ func TestAsyncQueueAndDispatch(t *testing.T) {
 }
 
 func TestAsyncDispatchBounded(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	a, got := collector("async", MaskAll)
 	if err := em.Register(a, DeliverAsync, 16); err != nil {
 		t.Fatal(err)
@@ -146,7 +157,7 @@ func TestAsyncDispatchBounded(t *testing.T) {
 }
 
 func TestAsyncOverflowDrops(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	a, _ := collector("slow", MaskAll)
 	if err := em.Register(a, DeliverAsync, 4); err != nil {
 		t.Fatal(err)
@@ -161,7 +172,7 @@ func TestAsyncOverflowDrops(t *testing.T) {
 }
 
 func TestUnregister(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	a, got := collector("a", MaskAll)
 	if err := em.Register(a, DeliverSync, 0); err != nil {
 		t.Fatal(err)
@@ -183,7 +194,7 @@ func TestUnregister(t *testing.T) {
 // must forget its queue in the depth accounting, and later publishes must
 // route only to the survivors.
 func TestUnregisterWithQueuedEvents(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	reg := telemetry.NewRegistry()
 	em.EnableTelemetry(reg)
 
@@ -242,7 +253,7 @@ func TestUnregisterWithQueuedEvents(t *testing.T) {
 // after telemetry is enabled — including one that was unregistered and
 // comes back — gets its latency histogram wired and is routed to.
 func TestReRegisterAfterEnableTelemetry(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	reg := telemetry.NewRegistry()
 
 	busy := &AuditorFunc{AuditorName: "busy", EventMask: MaskAll, Fn: func(*Event) {
@@ -282,7 +293,7 @@ func TestReRegisterAfterEnableTelemetry(t *testing.T) {
 }
 
 func TestSampler(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	var sampled []uint64
 	em.SetSampler(3, func(ev *Event) { sampled = append(sampled, ev.Seq) })
 	for i := 1; i <= 10; i++ {
@@ -299,7 +310,7 @@ func TestSampler(t *testing.T) {
 func TestSyncAuditorMayCallEM(t *testing.T) {
 	// A sync auditor calling back into the EM (e.g. Stats) must not
 	// deadlock: delivery happens outside the EM lock.
-	em := NewMultiplexer()
+	em := soloEM(t)
 	var reentered bool
 	a := &AuditorFunc{AuditorName: "reentrant", EventMask: MaskAll, Fn: func(ev *Event) {
 		_ = em.Stats()
@@ -318,7 +329,7 @@ func TestSyncAuditorMayCallEM(t *testing.T) {
 // each matching subscription — never lost silently.
 func TestPropertyDeliveryAccounting(t *testing.T) {
 	f := func(nEvents uint8, capSmall uint8) bool {
-		em := NewMultiplexer()
+		em := soloEM(t)
 		a, _ := collector("a", MaskAll)
 		qcap := int(capSmall%16) + 1
 		if err := em.Register(a, DeliverAsync, qcap); err != nil {
@@ -363,7 +374,7 @@ func TestRHCEndToEnd(t *testing.T) {
 	defer func() { _ = client.Close() }()
 
 	// Wire the client as the EM sampler and publish a stream.
-	em := NewMultiplexer()
+	em := soloEM(t)
 	em.SetSampler(2, client.Send)
 	for i := 1; i <= 20; i++ {
 		em.Publish(&Event{Type: EvSyscall, Seq: uint64(i), Time: time.Duration(i) * time.Millisecond})
@@ -458,7 +469,7 @@ func TestParseHeartbeat(t *testing.T) {
 // --- Sampler edge cases (RHC feed path) ---
 
 func TestSamplerExactCadence(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	var sampled []uint64
 	em.SetSampler(4, func(ev *Event) { sampled = append(sampled, ev.Seq) })
 	for i := 1; i <= 17; i++ {
@@ -477,7 +488,7 @@ func TestSamplerExactCadence(t *testing.T) {
 }
 
 func TestSamplerZeroDisables(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	calls := 0
 	em.SetSampler(0, func(ev *Event) { calls++ })
 	for i := 1; i <= 10; i++ {
@@ -497,7 +508,7 @@ func TestSamplerZeroDisables(t *testing.T) {
 }
 
 func TestSamplerSwapMidStream(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	var first, second []uint64
 	em.SetSampler(2, func(ev *Event) { first = append(first, ev.Seq) })
 	for i := 1; i <= 4; i++ {
@@ -519,7 +530,7 @@ func TestSamplerSwapMidStream(t *testing.T) {
 }
 
 func TestSamplerSwapToNil(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	calls := 0
 	em.SetSampler(1, func(ev *Event) { calls++ })
 	em.Publish(&Event{Type: EvHalt})
@@ -536,7 +547,7 @@ func TestSamplerSwapToNil(t *testing.T) {
 // bounded Dispatch, the subscriber delivered first must rotate between
 // calls instead of always being the earliest registrant.
 func TestDispatchRotatesStartingSubscriber(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	var order []string
 	mk := func(name string) *AuditorFunc {
 		return &AuditorFunc{AuditorName: name, EventMask: MaskAll, Fn: func(*Event) {
@@ -574,7 +585,7 @@ func TestDispatchRotatesStartingSubscriber(t *testing.T) {
 // --- EM telemetry ---
 
 func TestEMTelemetryCountersAndQueueDepth(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	reg := telemetry.NewRegistry()
 	em.EnableTelemetry(reg)
 
@@ -631,7 +642,7 @@ func TestEMTelemetryCountersAndQueueDepth(t *testing.T) {
 }
 
 func TestEMTelemetrySampledSyncLatency(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	reg := telemetry.NewRegistry()
 	em.EnableTelemetry(reg)
 	busy := &AuditorFunc{AuditorName: "busy", EventMask: MaskAll, Fn: func(*Event) {

@@ -16,7 +16,7 @@ import (
 // behind); every event is either delivered or counted as dropped.
 func TestConcurrentDispatchKeepsQueueOrder(t *testing.T) {
 	const events = 200000
-	em := NewMultiplexer()
+	em := soloEM(t)
 	var inCall atomic.Bool
 	var last atomic.Uint64
 	var overlaps, reorders atomic.Uint64
@@ -68,7 +68,7 @@ func TestConcurrentDispatchKeepsQueueOrder(t *testing.T) {
 // order, and a plain auditor registered the same way sees the identical
 // sequence.
 func TestDispatchWrappedClaim(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	ba := &batchCollector{name: "batched"}
 	var plainMu sync.Mutex
 	var plain []Event
@@ -110,7 +110,7 @@ func TestDispatchWrappedClaim(t *testing.T) {
 // claim finishes delivering, the unclaimed rest is discarded, and the
 // queue-depth gauge reads 0 once the drain ends.
 func TestUnregisterMidClaim(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	reg := telemetry.NewRegistry()
 	em.EnableTelemetry(reg)
 	depth := func() float64 {

@@ -147,12 +147,10 @@ type Multiplexer struct {
 	// rrStart rotates the subscriber Dispatch starts from, so bounded
 	// drains do not perpetually favor early registrants.
 	rrStart int
-	// vms names the attached VMs, indexed by VMID (see vmid.go); empty for
-	// a bare EM, where every event is implicitly VM 0.
+	// vms names the attached VMs, indexed by VMID (see vmid.go).
 	vms []string
-	// pubByVM counts published events per routable VM — one slot per route
-	// table slot, so a bare EM counts its implicit VM 0 too — maintained
-	// under the EM lock so the per-VM telemetry series are snapshot-time
+	// pubByVM counts published events per attached VM, maintained under
+	// the EM lock so the per-VM telemetry series are snapshot-time
 	// CounterFuncs like the host total; the hot path pays one increment.
 	pubByVM []uint64
 	// routes is the current immutable routing table (see route.go):
@@ -249,18 +247,11 @@ func (m *Multiplexer) registerVMSeriesLocked(id VMID) {
 	}, telemetry.L("vm", m.vms[id]))
 }
 
-// NewMultiplexer creates an empty EM: no subscribers, and no VMs attached
-// beyond the implicit VM 0 a bare EM routes (one empty route slot).
+// NewMultiplexer creates an empty EM: no subscribers and no VMs. Events
+// route only once their VM is attached (AttachVM).
 func NewMultiplexer() *Multiplexer {
-	return &Multiplexer{
-		pubByVM: make([]uint64, 1),
-		routes:  &routeTable{perVM: make([]vmRoutes, 1)},
-	}
+	return &Multiplexer{routes: new(routeTable)}
 }
-
-// numVMsLocked is the number of routable VMs: the attached ones, or the
-// implicit VM 0 of a bare EM. Caller holds the EM lock.
-func (m *Multiplexer) numVMsLocked() int { return max(len(m.vms), 1) }
 
 // DefaultQueueCap is the per-auditor async queue cap: how many events an
 // async auditor may have queued before the EM drops further events for it.
@@ -273,19 +264,13 @@ const DefaultQueueCap = 4096
 // idle one costs a few KiB instead of its cap.
 const initialRing = 16
 
-// Register subscribes an auditor fleet-wide: it receives every attached
-// VM's events. On a solo machine (one VM) this is the pre-fleet behavior
-// unchanged. queueCap bounds the async queue (0 means DefaultQueueCap);
-// events beyond it are dropped and counted, matching the non-blocking
-// forwarding design.
+// Register subscribes an auditor under the scope it declares via the
+// VMScoped interface, fleet-wide otherwise: per-VM auditors (GOSHD, HRKD,
+// the Ninjas) carry their own VM binding, and a fleet-wide one receives
+// every attached VM's events. queueCap bounds the async queue (0 means
+// DefaultQueueCap); events beyond it are dropped and counted, matching the
+// non-blocking forwarding design.
 func (m *Multiplexer) Register(a Auditor, mode DeliveryMode, queueCap int) error {
-	return m.RegisterScoped(a, ScopeFleet(), mode, queueCap)
-}
-
-// RegisterAuditor subscribes an auditor under the scope it declares via the
-// VMScoped interface, fleet-wide otherwise. Host wiring uses it so per-VM
-// auditors carry their own VM binding.
-func (m *Multiplexer) RegisterAuditor(a Auditor, mode DeliveryMode, queueCap int) error {
 	scope := ScopeFleet()
 	if s, ok := a.(VMScoped); ok {
 		scope = s.VMScope()
@@ -294,8 +279,7 @@ func (m *Multiplexer) RegisterAuditor(a Auditor, mode DeliveryMode, queueCap int
 }
 
 // RegisterScoped subscribes an auditor for one VM's events (ScopeVM) or the
-// whole fleet's (ScopeFleet). A VM scope must name an attached VM — or VM 0
-// on a bare EM, whose events are all VM 0.
+// whole fleet's (ScopeFleet). A VM scope must name an attached VM.
 func (m *Multiplexer) RegisterScoped(a Auditor, scope VMScope, mode DeliveryMode, queueCap int) error {
 	if a == nil {
 		return fmt.Errorf("core: Register called with nil auditor")
@@ -308,7 +292,7 @@ func (m *Multiplexer) RegisterScoped(a Auditor, scope VMScope, mode DeliveryMode
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !scope.fleet && int(scope.vm) >= m.numVMsLocked() {
+	if !scope.fleet && int(scope.vm) >= len(m.vms) {
 		return fmt.Errorf("core: scope %v names an unattached VM (%d attached)", scope, len(m.vms))
 	}
 	for _, s := range m.subs {
@@ -418,7 +402,7 @@ func (m *Multiplexer) SetFlight(fl *FlightTable) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if fl != nil {
-		fl.grow(m.numVMsLocked())
+		fl.grow(len(m.vms))
 	}
 	m.fl = fl
 }
@@ -438,7 +422,7 @@ func (m *Multiplexer) Flight() *FlightTable {
 func (m *Multiplexer) FlightExits(vm VMID) []FlightExit {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.fl == nil || int(vm) >= m.numVMsLocked() {
+	if m.fl == nil || int(vm) >= len(m.vms) {
 		return nil
 	}
 	return m.fl.exitsOf(vm, m.syncBitsLocked)
@@ -511,11 +495,10 @@ func (m *Multiplexer) Publish(ev *Event) {
 // boundaries (an EF decode run, a replay grouping) are unobservable
 // downstream.
 //
-// Every event's VM must be attached (VM 0 on a bare EM), the rule that
-// makes slot i VMID i in the routing and flight tables. An event naming
-// any other VMID is a publisher bug: PublishBatch releases the EM lock and
-// panics, leaving the events before it in the batch accounted but
-// undelivered.
+// Every event's VM must be attached, the rule that makes slot i VMID i in
+// the routing and flight tables. An event naming any other VMID is a
+// publisher bug: PublishBatch releases the EM lock and panics, leaving the
+// events before it in the batch accounted but undelivered.
 //
 // The locked phase runs once per batch: per-event accounting — publish and
 // sync-delivery counters, async queueing, exit-ring recording — with the
@@ -660,8 +643,8 @@ func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 }
 
 // unattachedLocked panics on a published VMID no one attached, after
-// releasing the EM lock, so a caller that recovers — an incident sink
-// draining the flight rings — can still use the EM. Kept out of line so the
+// releasing the EM lock, so a caller that recovers — raising an incident
+// bundle from the flight rings — can still use the EM. Kept out of line so the
 // formatting stays off the publish path.
 //
 //go:noinline

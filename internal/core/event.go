@@ -120,9 +120,9 @@ type Event struct {
 	Type EventType
 	// VM identifies the producing VM on a host-shared Event Multiplexer;
 	// the Event Forwarder stamps it at decode time. It must be a VMID the
-	// EM's AttachVM returned, or 0 on a bare EM: Publish panics on any
-	// other. Solo machines attach as VM 0, so the zero value is correct
-	// outside fleet deployments.
+	// EM's AttachVM returned: Publish panics on any other. Solo machines
+	// attach as VM 0, so the zero value is correct outside fleet
+	// deployments.
 	VM VMID
 	// VCPU is the virtual CPU that generated the event.
 	VCPU int

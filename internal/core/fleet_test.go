@@ -48,16 +48,19 @@ func TestAttachVM(t *testing.T) {
 func TestRegisterScopedValidation(t *testing.T) {
 	em := NewMultiplexer()
 	aud := &AuditorFunc{AuditorName: "a", EventMask: MaskAll, Fn: func(*Event) {}}
-	// Bare EM: VM 0 exists implicitly, anything beyond does not.
-	if err := em.RegisterScoped(aud, ScopeVM(0), DeliverSync, 0); err != nil {
-		t.Fatalf("ScopeVM(0) on bare EM: %v", err)
-	}
-	aud2 := &AuditorFunc{AuditorName: "b", EventMask: MaskAll, Fn: func(*Event) {}}
-	if err := em.RegisterScoped(aud2, ScopeVM(1), DeliverSync, 0); err == nil {
-		t.Fatal("ScopeVM(1) accepted with no VMs attached")
+	// A bare EM has no VM 0: a scope must name an attached VM.
+	if err := em.RegisterScoped(aud, ScopeVM(0), DeliverSync, 0); err == nil {
+		t.Fatal("ScopeVM(0) accepted with no VMs attached")
 	}
 	if _, err := em.AttachVM("vm-0"); err != nil {
 		t.Fatal(err)
+	}
+	if err := em.RegisterScoped(aud, ScopeVM(0), DeliverSync, 0); err != nil {
+		t.Fatalf("ScopeVM(0) after attach: %v", err)
+	}
+	aud2 := &AuditorFunc{AuditorName: "b", EventMask: MaskAll, Fn: func(*Event) {}}
+	if err := em.RegisterScoped(aud2, ScopeVM(1), DeliverSync, 0); err == nil {
+		t.Fatal("ScopeVM(1) accepted with one VM attached")
 	}
 	if _, err := em.AttachVM("vm-1"); err != nil {
 		t.Fatal(err)
@@ -150,8 +153,8 @@ func TestScopedRoutingDeliversPerVM(t *testing.T) {
 	}
 }
 
-// TestPublishUnattachedVMPanics: every published VMID must be attached (VM
-// 0 on a bare EM). An event naming any other VMID is a publisher bug, so
+// TestPublishUnattachedVMPanics: every published VMID must be attached, VM
+// 0 included. An event naming any other VMID is a publisher bug, so
 // Publish panics instead of routing it anywhere — not even to fleet-wide
 // subscribers — and releases the EM lock first, so a caller that recovers
 // can still drain the flight rings.
@@ -169,7 +172,7 @@ func TestPublishUnattachedVMPanics(t *testing.T) {
 		if err := em.Register(collect("fleet", MaskAll, &mu, &fleet), DeliverSync, 0); err != nil {
 			t.Fatal(err)
 		}
-		stray := VMID(max(attached, 1))
+		stray := VMID(attached)
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -191,9 +194,9 @@ func TestPublishUnattachedVMPanics(t *testing.T) {
 	}
 }
 
-// TestRegisterAuditorUsesDeclaredScope: an auditor implementing VMScoped is
+// TestRegisterUsesDeclaredScope: an auditor implementing VMScoped is
 // registered under its own scope, everything else fleet-wide.
-func TestRegisterAuditorUsesDeclaredScope(t *testing.T) {
+func TestRegisterUsesDeclaredScope(t *testing.T) {
 	em := NewMultiplexer()
 	if _, err := em.AttachVM("vm-0"); err != nil {
 		t.Fatal(err)
@@ -202,9 +205,12 @@ func TestRegisterAuditorUsesDeclaredScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	var seen []Event
+	var seen, all []Event
 	scoped := &scopedAuditor{AuditorFunc: *collect("scoped", MaskAll, &mu, &seen), vm: 1}
-	if err := em.RegisterAuditor(scoped, DeliverSync, 0); err != nil {
+	if err := em.Register(scoped, DeliverSync, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := em.Register(collect("plain", MaskAll, &mu, &all), DeliverSync, 0); err != nil {
 		t.Fatal(err)
 	}
 	em.Publish(&Event{Type: EvSyscall, VM: 0})
@@ -213,6 +219,13 @@ func TestRegisterAuditorUsesDeclaredScope(t *testing.T) {
 	defer mu.Unlock()
 	if len(seen) != 1 || seen[0].VM != 1 {
 		t.Fatalf("declared-scope auditor saw %v, want exactly the VM-1 event", seen)
+	}
+	if len(all) != 2 {
+		t.Fatalf("undeclared auditor saw %d events, want both VMs' 2", len(all))
+	}
+	st := em.Stats()
+	if st[0].Scope != ScopeVM(1) || st[1].Scope != ScopeFleet() {
+		t.Fatalf("scopes %v, %v; want vm1, fleet", st[0].Scope, st[1].Scope)
 	}
 }
 
@@ -260,7 +273,7 @@ func TestMultiVMPublishZeroAllocs(t *testing.T) {
 // (fn, cadence) pair — enforced here by giving each installed sampler a
 // cadence encoding its own identity.
 func TestSetSamplerDuringDispatch(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	aud := &AuditorFunc{AuditorName: "sink", EventMask: MaskAll, Fn: func(*Event) {}}
 	if err := em.Register(aud, DeliverAsync, 0); err != nil {
 		t.Fatal(err)
@@ -353,51 +366,6 @@ func TestPerVMTelemetryRollup(t *testing.T) {
 	}
 	if em.PublishedVM(0) != 5 || em.PublishedVM(1) != 3 || em.PublishedVM(9) != 0 {
 		t.Fatalf("PublishedVM = %d,%d,%d", em.PublishedVM(0), em.PublishedVM(1), em.PublishedVM(9))
-	}
-}
-
-// TestBareEMCountsVMZero: a bare EM routes every event as its implicit VM
-// 0, so PublishedVM(0) is the whole published total.
-func TestBareEMCountsVMZero(t *testing.T) {
-	em := NewMultiplexer()
-	em.Publish(&Event{Type: EvSyscall})
-	em.PublishBatch([]Event{{Type: EvHalt}})
-	if p, p0 := em.Published(), em.PublishedVM(0); p != 2 || p0 != 2 {
-		t.Fatalf("Published() = %d, PublishedVM(0) = %d; want 2 and 2", p, p0)
-	}
-	if n := em.PublishedVM(1); n != 0 {
-		t.Fatalf("PublishedVM(1) = %d on a bare EM, want 0", n)
-	}
-}
-
-// TestAttachVMZeroKeepsBareCount: the first AttachVM takes over the bare
-// EM's VM 0 slot, and with it the events already counted there, so the
-// per-VM series still sums to the host total.
-func TestAttachVMZeroKeepsBareCount(t *testing.T) {
-	em := NewMultiplexer()
-	em.Publish(&Event{Type: EvSyscall})
-	em.Publish(&Event{Type: EvSyscall})
-	if _, err := em.AttachVM("vm-0"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := em.AttachVM("vm-1"); err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	em.EnableTelemetry(reg)
-	em.Publish(&Event{Type: EvSyscall, VM: 0})
-	em.Publish(&Event{Type: EvSyscall, VM: 1})
-	if a, b := em.PublishedVM(0), em.PublishedVM(1); a != 3 || b != 1 {
-		t.Fatalf("PublishedVM = %d,%d, want 3,1", a, b)
-	}
-	var sum uint64
-	for _, c := range reg.Snapshot().Counters {
-		if c.Name == "hypertap_events_published_total" && len(c.Labels) > 0 {
-			sum += c.Value
-		}
-	}
-	if total := em.Published(); sum != total {
-		t.Fatalf("per-VM series sum to %d, host total %d", sum, total)
 	}
 }
 

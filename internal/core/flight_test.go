@@ -220,7 +220,7 @@ func TestSpanRing(t *testing.T) {
 // traffic, every heartbeat step the sampler fed is still there, in order.
 func TestSpanRingKeepsHeartbeats(t *testing.T) {
 	const depth, every = 64, 64
-	em := NewMultiplexer()
+	em := soloEM(t)
 	em.SetFlight(NewFlightTable(1, 16, depth))
 	aud := &AuditorFunc{AuditorName: "async", EventMask: MaskAll, Fn: func(*Event) {}}
 	if err := em.Register(aud, DeliverAsync, 0); err != nil {

@@ -59,8 +59,10 @@ type Config struct {
 }
 
 // Stats counts the engine's decoded events by type plus arming milestones.
+// Decoded is indexed by core.EventType, so ranging over it runs in type
+// order; types the engine never decoded read zero.
 type Stats struct {
-	Decoded      map[core.EventType]uint64
+	Decoded      [256]uint64
 	TSSArmed     bool
 	SyscallEntry arch.GVA
 	TrackedPDBAs int
@@ -443,16 +445,13 @@ func (e *Engine) SyscallEntry() arch.GVA {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	decoded := make(map[core.EventType]uint64)
-	for t := range e.decoded {
-		if n := e.decoded[t].Load(); n != 0 {
-			decoded[core.EventType(t)] = n
-		}
-	}
-	return Stats{
-		Decoded:      decoded,
+	st := Stats{
 		TSSArmed:     e.sawFirstCR3,
 		SyscallEntry: e.syscallEntry,
 		TrackedPDBAs: len(e.pdbaSet),
 	}
+	for t := range e.decoded {
+		st.Decoded[t] = e.decoded[t].Load()
+	}
+	return st
 }

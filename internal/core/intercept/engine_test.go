@@ -86,6 +86,9 @@ func newEngine(t *testing.T, feat Features) (*Engine, *fakeControl, *[]core.Even
 	ctl.mapped[arch.KernelBase] = 0x3000
 
 	em := core.NewMultiplexer()
+	if _, err := em.AttachVM("vm0"); err != nil {
+		t.Fatal(err)
+	}
 	var events []core.Event
 	aud := &core.AuditorFunc{AuditorName: "sink", EventMask: core.MaskAll,
 		Fn: func(ev *core.Event) { events = append(events, *ev) }}
@@ -362,7 +365,7 @@ func TestStatsSnapshot(t *testing.T) {
 	// The snapshot is a copy.
 	st.Decoded[core.EvProcessSwitch] = 99
 	if e.Stats().Decoded[core.EvProcessSwitch] != 1 {
-		t.Fatal("Stats leaked internal map")
+		t.Fatal("Stats leaked the engine's counters")
 	}
 }
 

@@ -28,7 +28,7 @@ func BenchmarkEventPublish(b *testing.B) {
 		{"flight", func(em *core.Multiplexer) { em.SetFlight(core.NewFlightTable(1, 0, 0)) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			em := core.NewMultiplexer()
+			em := soloEM(b)
 			bc.setup(em)
 			for _, name := range []string{"a", "b", "c"} {
 				aud := &core.AuditorFunc{AuditorName: name, EventMask: core.MaskAll, Fn: func(*core.Event) {}}
@@ -51,7 +51,7 @@ func BenchmarkEventPublish(b *testing.B) {
 // TestDispatchSteadyStateAllocs guards the Dispatch scratch buffer: after
 // warm-up, draining a burst must not allocate.
 func TestDispatchSteadyStateAllocs(t *testing.T) {
-	em := core.NewMultiplexer()
+	em := soloEM(t)
 	aud := &core.AuditorFunc{AuditorName: "a", EventMask: core.MaskAll, Fn: func(*core.Event) {}}
 	if err := em.Register(aud, core.DeliverAsync, 64); err != nil {
 		t.Fatal(err)
@@ -74,4 +74,15 @@ func TestDispatchSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state Dispatch allocates %.1f times per drain, want 0", allocs)
 	}
+}
+
+// soloEM returns an EM with one VM, "vm0", attached — a solo machine's
+// wiring — so a test can publish on VM 0.
+func soloEM(t testing.TB) *core.Multiplexer {
+	t.Helper()
+	em := core.NewMultiplexer()
+	if _, err := em.AttachVM("vm0"); err != nil {
+		t.Fatal(err)
+	}
+	return em
 }

@@ -260,7 +260,7 @@ func (a *growingAuditor) HandleBatch(evs []Event) {
 // auditor receives every event in queue order. The race suite runs it with
 // the publisher and the drainer on different goroutines.
 func TestRingGrowsUnderOutstandingClaim(t *testing.T) {
-	em := NewMultiplexer()
+	em := soloEM(t)
 	a := &growingAuditor{inClaim: make(chan []Event), release: make(chan struct{})}
 	if err := em.Register(a, DeliverAsync, 0); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@ package core
 // order — so Publish delivers each VM's events only to that VM's auditors,
 // touches nothing else and allocates nothing. Slot i is VMID i, and every
 // VMID an event may carry has a slot: publishers stamp events only with
-// VMIDs AttachVM returned (or VM 0 on a bare EM).
+// VMIDs AttachVM returned.
 
 // routeBits spans every bit an EventMask (uint32) can hold. Event types at
 // or above routeBits can never match a mask — the non-constant shift in
@@ -32,8 +32,7 @@ type vmRoutes struct {
 	syncBits [routeSlots]uint64
 }
 
-// routeTable is the full host routing table: one vmRoutes per attached VM,
-// at least one, so solo machines and bare EMs route VM 0 without attach.
+// routeTable is the full host routing table: one vmRoutes per attached VM.
 //
 // A table is immutable once installed: rebuilds construct a fresh table and
 // swap it into the Multiplexer's routes field under the EM lock
@@ -44,8 +43,8 @@ type routeTable struct {
 	perVM []vmRoutes
 }
 
-// vmFor returns VM vm's route slot. vm must be attached (or 0 on a bare
-// EM); PublishBatch checks that before it routes.
+// vmFor returns VM vm's route slot. vm must be attached; PublishBatch
+// checks that before it routes.
 //
 //hypertap:hotpath
 func (rt *routeTable) vmFor(vm VMID) *vmRoutes {
@@ -66,12 +65,11 @@ func (s *subscription) matchesVM(vm VMID) bool {
 }
 
 // rebuild recomputes every slot from the subscription list for numVM
-// attached VMs (clamped to at least one slot). Registration order is
-// preserved within each slot — scoped and fleet-wide subscribers interleave
-// exactly as registered — so delivery order is registration order. Must be
-// called with the EM lock held.
+// attached VMs. Registration order is preserved within each slot — scoped
+// and fleet-wide subscribers interleave exactly as registered — so delivery
+// order is registration order. Must be called with the EM lock held.
 func (rt *routeTable) rebuild(subs []*subscription, numVM int) {
-	rt.perVM = make([]vmRoutes, max(numVM, 1))
+	rt.perVM = make([]vmRoutes, numVM)
 	for vm := range rt.perVM {
 		rt.perVM[vm].fill(subs, VMID(vm))
 	}

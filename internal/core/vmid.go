@@ -54,8 +54,8 @@ func (s VMScope) String() string {
 }
 
 // VMScoped is implemented by auditors bound to one VM of a host fleet.
-// RegisterAuditor consults it so per-VM auditors (GOSHD, HRKD, the Ninjas)
-// carry their own scope instead of every call site restating it.
+// Register consults it so per-VM auditors (GOSHD, HRKD, the Ninjas) carry
+// their own scope instead of every call site restating it.
 type VMScoped interface {
 	// VMScope returns the scope the auditor wants its subscription to use.
 	VMScope() VMScope
@@ -83,10 +83,7 @@ func (m *Multiplexer) AttachVM(name string) (VMID, error) {
 	}
 	id := VMID(len(m.vms))
 	m.vms = append(m.vms, name)
-	// The first attach takes over the bare EM's VM 0 slot, and its count.
-	if len(m.vms) > len(m.pubByVM) {
-		m.pubByVM = append(m.pubByVM, 0)
-	}
+	m.pubByVM = append(m.pubByVM, 0)
 	if m.fl != nil {
 		m.fl.grow(len(m.vms))
 	}
@@ -116,8 +113,8 @@ func (m *Multiplexer) VMs() []string {
 	return out
 }
 
-// PublishedVM returns the number of events published for one VM; on a bare
-// EM, VM 0's count is every event.
+// PublishedVM returns the number of events published for one VM, zero for
+// a VM not attached.
 func (m *Multiplexer) PublishedVM(id VMID) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

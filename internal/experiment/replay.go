@@ -43,8 +43,8 @@ type StreamReplayReport struct {
 }
 
 // ReplayIncidentStream re-drives the auditor plane from a bundle's recorded
-// exit stream (capture.htcs, written when the bundle's sink was given the
-// host's capture) through ReplayStream. It replays only the decoded stream
+// exit stream (capture.htcs, written when the bundle carried the host's
+// capture) through ReplayStream. It replays only the decoded stream
 // the auditors consumed, so it works even when the recorded workload cannot
 // be re-run.
 func ReplayIncidentStream(cfg StreamConfig, bundleDir string) (*StreamReplayReport, error) {
@@ -101,7 +101,7 @@ func ReplayStream(cfg StreamConfig, data []byte) (*StreamReplayReport, error) {
 		if cfg.Telemetry != nil {
 			det.EnableTelemetry(cfg.Telemetry)
 		}
-		if err := em.RegisterAuditor(det, core.DeliverAsync, 0); err != nil {
+		if err := em.Register(det, core.DeliverAsync, 0); err != nil {
 			return nil, err
 		}
 		dets[j] = det
@@ -115,7 +115,7 @@ func ReplayStream(cfg StreamConfig, data []byte) (*StreamReplayReport, error) {
 	if cfg.Telemetry != nil {
 		fw.EnableTelemetry(cfg.Telemetry)
 	}
-	if err := em.RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
+	if err := em.Register(fw, core.DeliverAsync, 1<<16); err != nil {
 		return nil, err
 	}
 	if id, ok := em.ActorID("goshd"); ok {

@@ -105,14 +105,14 @@ func TestHostStreamReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		det.EnableTelemetry(liveReg)
-		if err := em.RegisterAuditor(det, core.DeliverAsync, 0); err != nil {
+		if err := em.Register(det, core.DeliverAsync, 0); err != nil {
 			t.Fatal(err)
 		}
 		dets[j] = det
 	}
 	fw := fleetwatch.New(fleetwatch.Config{VMName: em.VMName})
 	fw.EnableTelemetry(liveReg)
-	if err := em.RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
+	if err := em.Register(fw, core.DeliverAsync, 1<<16); err != nil {
 		t.Fatal(err)
 	}
 	plantWriteHang(t, h.Machine(1).Kernel(), h.Machine(1).Clock().Now)
@@ -179,14 +179,14 @@ func TestHostStreamReplay(t *testing.T) {
 		}
 	}
 
-	// A bundle whose sink was not given the capture must refuse stream
-	// replay loudly rather than replay an empty stream to an all-clear.
-	sink, err := flight.NewSink(flight.SinkConfig{Dir: t.TempDir(), EM: em})
+	// A bundle written without the capture must refuse stream replay
+	// loudly rather than replay an empty stream to an all-clear.
+	b, err := flight.Raise(em, "detection", 1, h.Machine(1).Clock().Now(), errors.New("goshd alarm"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle, err := sink.Raise("detection", 1, h.Machine(1).Clock().Now(), errors.New("goshd alarm"))
-	if err != nil {
+	bundle := t.TempDir()
+	if err := b.Write(bundle); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReplayIncidentStream(StreamConfig{Threshold: threshold}, bundle); err == nil || !strings.Contains(err.Error(), "no exit stream") {

@@ -196,12 +196,3 @@ func (c *Campaign[R]) Execute() (*Result[R], error) {
 	}
 	return res, nil
 }
-
-// Workers normalizes a parallelism setting: 0 or negative selects
-// GOMAXPROCS. Harnesses use it to report the effective worker count.
-func Workers(parallel int) int {
-	if parallel <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return parallel
-}

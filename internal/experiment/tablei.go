@@ -117,14 +117,14 @@ func RunTableI(seed int64) ([]TableIRow, error) {
 }
 
 // tableIRun boots a fully monitored guest and returns decoded-event counts.
-func tableIRun(seed int64, mech guest.SyscallMech) (map[core.EventType]uint64, error) {
+func tableIRun(seed int64, mech guest.SyscallMech) ([256]uint64, error) {
 	m, err := hv.New(hv.Config{
 		VCPUs:    2,
 		MemBytes: 64 << 20,
 		Guest:    guest.Config{Seed: seed, Mech: mech},
 	})
 	if err != nil {
-		return nil, err
+		return [256]uint64{}, err
 	}
 	engine, err := m.EnableMonitoring(intercept.Features{
 		ProcessSwitch: true,
@@ -134,10 +134,10 @@ func tableIRun(seed int64, mech guest.SyscallMech) (map[core.EventType]uint64, e
 		IO:            true,
 	})
 	if err != nil {
-		return nil, err
+		return [256]uint64{}, err
 	}
 	if err := m.Boot(); err != nil {
-		return nil, err
+		return [256]uint64{}, err
 	}
 
 	// Exercise every interception category.
@@ -152,13 +152,13 @@ func tableIRun(seed int64, mech guest.SyscallMech) (map[core.EventType]uint64, e
 			guest.Sleep(time.Millisecond),
 		}},
 	}, nil); err != nil {
-		return nil, err
+		return [256]uint64{}, err
 	}
 	if _, err := m.Kernel().CreateProcess(&guest.ProcSpec{
 		Comm: "mate", UID: 1000,
 		Program: &guest.LoopProgram{Body: []guest.Step{guest.Compute(time.Millisecond)}},
 	}, nil); err != nil {
-		return nil, err
+		return [256]uint64{}, err
 	}
 	// MMIO: a device register page the guest pokes. Protect it, then have
 	// the kernel touch it through the checked path.

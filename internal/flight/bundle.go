@@ -2,31 +2,30 @@ package flight
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"hypertap/internal/core"
 	"hypertap/internal/telemetry"
 )
 
-// Incident bundles: on Sink.Raise the host dumps a self-contained
-// directory — every VM's flight ring, the span ring, a telemetry snapshot,
-// the RHC's view, the caller's context and, when the sink was given one, the
-// recorded exit stream — so the run can be inspected and its auditor plane
-// replayed from the artifact alone, with no access to the original process.
-// cmd/hypertap raises one at shutdown.
+// Incident bundles: Raise marks an incident on a live EM and returns its
+// Bundle — every VM's flight ring, the span ring and a manifest — and the
+// caller adds what it holds: its context, a telemetry snapshot, the RHC's
+// view and the recorded exit stream. Bundle.Write stores it as a
+// self-contained directory that LoadBundle reads back, so the run can be
+// inspected and its auditor plane replayed from the artifact alone, with no
+// access to the original process. cmd/hypertap raises one at shutdown.
 
 // Incident is the bundle's manifest (meta.json).
 type Incident struct {
 	// FormatVersion pins the bundle layout.
 	FormatVersion int `json:"format_version"`
-	// Index is the sink-local incident number (0, 1, ...).
-	Index int `json:"index"`
 	// Kind classifies the trigger: "shutdown", "detection", ...
 	Kind string `json:"kind"`
 	// VM is the implicated VM's ID; VMName its attached name when known.
@@ -36,12 +35,14 @@ type Incident struct {
 	Error string `json:"error,omitempty"`
 	// VTimeNS is the virtual time of capture.
 	VTimeNS int64 `json:"vtime_ns"`
-	// Context carries caller coordinates: the run's seed, ...
-	Context map[string]string `json:"context,omitempty"`
+	// Context carries caller coordinates: the run's seed, ... Like VMNames
+	// it has no omitempty, so an empty one writes back as itself and a
+	// loaded bundle rewrites to an equal one.
+	Context map[string]string `json:"context"`
 	// Actors is the EM's actor table (index = actor ID in the bitmasks).
 	Actors []string `json:"actors"`
 	// VMNames lists the attached VMs by VMID at capture time.
-	VMNames []string `json:"vm_names,omitempty"`
+	VMNames []string `json:"vm_names"`
 }
 
 // RHCBeat is one VM's last heartbeat as the RHC saw it. Only the
@@ -55,86 +56,20 @@ type RHCBeat struct {
 // RHCState is the Remote Health Checker's view at capture time (rhc.json).
 type RHCState struct {
 	Received uint64             `json:"received"`
-	Beats    map[string]RHCBeat `json:"beats,omitempty"`
+	Beats    map[string]RHCBeat `json:"beats"`
 }
 
-// SinkConfig wires an incident sink to a running host.
-type SinkConfig struct {
-	// Dir is the directory incidents are written under (created on demand).
-	Dir string
-	// EM is the multiplexer whose flight table is drained. Required, and it
-	// must have a flight table attached (core.Multiplexer.SetFlight).
-	EM *core.Multiplexer
-	// Telemetry, when set, is snapshotted into each bundle.
-	Telemetry *telemetry.Registry
-	// RHC, when set, contributes its per-VM heartbeat view.
-	RHC *core.RHCServer
-	// Capture, when set, supplies the host's recorded exit stream
-	// (internal/capture format) at incident time; Raise writes it into the
-	// bundle as capture.htcs. A callback rather than bytes keeps this package
-	// decoupled from the capture codec and lets the recorder flush lazily —
-	// only an actual incident pays for materializing the stream.
-	Capture func() []byte
-	// Context is stamped into every bundle's manifest (the run's seed, ...).
-	Context map[string]string
-}
-
-// Sink captures incident bundles. Safe for concurrent Raise calls; each call
-// gets its own numbered directory.
-type Sink struct {
-	cfg SinkConfig
-
-	mu     sync.Mutex
-	n      int
-	raised []string
-}
-
-// NewSink validates the wiring and creates the incident directory.
-func NewSink(cfg SinkConfig) (*Sink, error) {
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("flight: SinkConfig.Dir is required")
+// Raise marks an incident on em and returns its bundle. It records a
+// PhaseIncident step on VM vm's latest exit span, so the capture shows on
+// the causal timeline, then snapshots em's tracing plane with the manifest
+// filled in: kind classifies the trigger ("shutdown", "detection", ...), at
+// is the virtual capture time and cause, when non-nil, the error or verdict
+// behind it. The caller adds what it holds — Meta.Context, Telemetry, RHC,
+// Capture — and stores the bundle with Write.
+func Raise(em *core.Multiplexer, kind string, vm core.VMID, at time.Duration, cause error) (*Bundle, error) {
+	if em == nil || em.Flight() == nil {
+		return nil, errors.New("flight: the EM has no flight table (tracing plane disabled)")
 	}
-	if cfg.EM == nil {
-		return nil, fmt.Errorf("flight: SinkConfig.EM is required")
-	}
-	if cfg.EM.Flight() == nil {
-		return nil, fmt.Errorf("flight: the EM has no flight table (tracing plane disabled)")
-	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("flight: %w", err)
-	}
-	return &Sink{cfg: cfg}, nil
-}
-
-// sanitizeKind keeps incident directory names shell-friendly.
-func sanitizeKind(kind string) string {
-	if kind == "" {
-		return "incident"
-	}
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
-			return r
-		case r >= 'A' && r <= 'Z':
-			return r + ('a' - 'A')
-		default:
-			return '-'
-		}
-	}, kind)
-}
-
-// Raise captures one bundle: kind classifies the trigger, vm names the
-// implicated VM, at is the virtual capture time and cause, when non-nil,
-// the error or verdict that raised it. It returns the bundle directory.
-func (s *Sink) Raise(kind string, vm core.VMID, at time.Duration, cause error) (string, error) {
-	s.mu.Lock()
-	idx := s.n
-	s.n++
-	s.mu.Unlock()
-
-	em := s.cfg.EM
-	// Stamp the incident into the span ring under the implicated VM's most
-	// recent span, so the capture itself shows up on the causal timeline.
 	exits := em.FlightExits(vm)
 	var span core.SpanID
 	if len(exits) > 0 {
@@ -142,81 +77,71 @@ func (s *Sink) Raise(kind string, vm core.VMID, at time.Duration, cause error) (
 	}
 	em.RecordSpan(span, vm, core.PhaseIncident, 0, at)
 
-	dir := filepath.Join(s.cfg.Dir, fmt.Sprintf("incident-%03d-%s", idx, sanitizeKind(kind)))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("flight: %w", err)
-	}
-
 	b := Snapshot(em)
 	meta := &b.Meta
-	meta.Index = idx
 	meta.Kind = kind
 	meta.VM = vm
 	meta.VTimeNS = int64(at)
-	meta.Context = s.cfg.Context
 	if int(vm) < len(meta.VMNames) {
 		meta.VMName = meta.VMNames[vm]
 	}
 	if cause != nil {
 		meta.Error = cause.Error()
 	}
-	if err := writeJSON(filepath.Join(dir, "meta.json"), meta); err != nil {
-		return "", err
-	}
+	return b, nil
+}
 
-	// One ring file per VM, carrying the VMID in the name: ring i is VMID i.
+// RHCStateOf is srv's view of the named VMs' last heartbeats, for a
+// bundle's RHC field.
+func RHCStateOf(srv *core.RHCServer, vmNames []string) *RHCState {
+	state := &RHCState{Received: srv.Received(), Beats: make(map[string]RHCBeat)}
+	for _, name := range vmNames {
+		if hb, ok := srv.LastHeartbeat(name); ok {
+			state.Beats[name] = RHCBeat{Seq: hb.Seq, VTimeNS: int64(hb.VTime)}
+		}
+	}
+	return state
+}
+
+// Write stores b under dir, creating it, as exactly the files LoadBundle
+// reads back: meta.json, one flight-vm%05d.bin per VM ring (ring i is VMID
+// i), spans.bin, and telemetry.json, rhc.json and capture.htcs when b
+// carries them.
+func (b *Bundle) Write(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("flight: %w", err)
+	}
+	if err := writeJSON(filepath.Join(dir, "meta.json"), &b.Meta); err != nil {
+		return err
+	}
 	for id, ring := range b.Exits {
 		if err := writeBin(filepath.Join(dir, fmt.Sprintf("flight-vm%05d.bin", id)), func(f *os.File) error {
 			return WriteExits(f, ring)
 		}); err != nil {
-			return "", err
+			return err
 		}
 	}
 	if err := writeBin(filepath.Join(dir, "spans.bin"), func(f *os.File) error {
 		return WriteSpans(f, b.Spans)
 	}); err != nil {
-		return "", err
+		return err
 	}
-
-	if s.cfg.Capture != nil {
-		if stream := s.cfg.Capture(); len(stream) > 0 {
-			if err := os.WriteFile(filepath.Join(dir, "capture.htcs"), stream, 0o644); err != nil {
-				return "", fmt.Errorf("flight: %w", err)
-			}
+	if b.Telemetry != nil {
+		if err := writeJSON(filepath.Join(dir, "telemetry.json"), b.Telemetry); err != nil {
+			return err
 		}
 	}
-
-	if s.cfg.Telemetry != nil {
-		snap := s.cfg.Telemetry.Snapshot()
-		if err := writeJSON(filepath.Join(dir, "telemetry.json"), &snap); err != nil {
-			return "", err
+	if b.RHC != nil {
+		if err := writeJSON(filepath.Join(dir, "rhc.json"), b.RHC); err != nil {
+			return err
 		}
 	}
-	if s.cfg.RHC != nil {
-		state := RHCState{Received: s.cfg.RHC.Received(), Beats: make(map[string]RHCBeat)}
-		for _, name := range meta.VMNames {
-			if hb, ok := s.cfg.RHC.LastHeartbeat(name); ok {
-				state.Beats[name] = RHCBeat{Seq: hb.Seq, VTimeNS: int64(hb.VTime)}
-			}
-		}
-		if err := writeJSON(filepath.Join(dir, "rhc.json"), &state); err != nil {
-			return "", err
+	if len(b.Capture) > 0 {
+		if err := os.WriteFile(filepath.Join(dir, "capture.htcs"), b.Capture, 0o644); err != nil {
+			return fmt.Errorf("flight: %w", err)
 		}
 	}
-
-	s.mu.Lock()
-	s.raised = append(s.raised, dir)
-	s.mu.Unlock()
-	return dir, nil
-}
-
-// Raised lists the bundle directories written so far.
-func (s *Sink) Raised() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.raised))
-	copy(out, s.raised)
-	return out
+	return nil
 }
 
 func writeJSON(path string, v any) error {
@@ -246,14 +171,13 @@ func writeBin(path string, fill func(*os.File) error) error {
 }
 
 // Snapshot copies em's tracing plane into a Bundle: the VM names, the actor
-// table, one exit ring per attached VM — VM 0's on a bare EM, which
-// publishes everything as VM 0 — and the span ring. Only the manifest's
-// format version, actors and VM names are set; Raise fills in the rest
-// and writes it, and /flight renders it with WriteChrome. With no flight
-// table attached the rings and the span list are empty.
+// table, one exit ring per attached VM and the span ring. Only the
+// manifest's format version, actors and VM names are set; Raise fills in
+// the incident, and /flight renders a snapshot with WriteChrome. With no
+// flight table attached the rings and the span list are empty.
 func Snapshot(em *core.Multiplexer) *Bundle {
 	b := &Bundle{Meta: Incident{FormatVersion: Version, Actors: em.ActorNames(), VMNames: em.VMs()}}
-	b.Exits = make([][]core.FlightExit, max(len(b.Meta.VMNames), 1))
+	b.Exits = make([][]core.FlightExit, len(b.Meta.VMNames))
 	for id := range b.Exits {
 		b.Exits[id] = em.FlightExits(core.VMID(id))
 	}
@@ -261,8 +185,8 @@ func Snapshot(em *core.Multiplexer) *Bundle {
 	return b
 }
 
-// Bundle is an incident: everything Raise wrote, as LoadBundle decodes it
-// or Snapshot copies it from a live EM.
+// Bundle is an incident: what Raise or Snapshot copies from a live EM,
+// Write stores and LoadBundle reads back.
 type Bundle struct {
 	// Dir is the directory the bundle was loaded from; empty for a
 	// Snapshot.
@@ -278,13 +202,13 @@ type Bundle struct {
 	Telemetry *telemetry.Snapshot
 	// RHC is the health checker's view, nil when absent.
 	RHC *RHCState
-	// Capture is the recorded exit stream (internal/capture format) when the
-	// sink was armed with one, nil when absent. experiment.ReplayStream
-	// re-drives the auditor plane from it, from the artifact alone.
+	// Capture is the recorded exit stream (internal/capture format), nil
+	// when absent. experiment.ReplayStream re-drives the auditor plane from
+	// it, from the artifact alone.
 	Capture []byte
 }
 
-// LoadBundle reads an incident directory written by Sink.Raise.
+// LoadBundle reads an incident directory written by Bundle.Write.
 func LoadBundle(dir string) (*Bundle, error) {
 	b := &Bundle{Dir: dir}
 	if err := readJSON(filepath.Join(dir, "meta.json"), &b.Meta); err != nil {
@@ -345,7 +269,10 @@ func LoadBundle(dir string) (*Bundle, error) {
 	}
 	capPath := filepath.Join(dir, "capture.htcs")
 	if stream, readErr := os.ReadFile(capPath); readErr == nil {
-		b.Capture = stream
+		// An empty stream is no stream: Write skips it, so it loads as nil.
+		if len(stream) > 0 {
+			b.Capture = stream
+		}
 	} else if !os.IsNotExist(readErr) {
 		return nil, fmt.Errorf("flight: %w", readErr)
 	}

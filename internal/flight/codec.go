@@ -3,9 +3,9 @@
 // in internal/core (core.FlightTable) so the Event Multiplexer can record
 // into it with zero allocations; this package handles everything that is
 // allowed to be slow: serializing drained rings to a compact versioned
-// binary format, capturing self-contained incident bundles on request
-// (cmd/hypertap raises one at shutdown), and exporting captures as Chrome
-// trace-event JSON for Perfetto.
+// binary format, raising self-contained incident bundles (Raise, then
+// Bundle.Write; cmd/hypertap raises one at shutdown), and exporting
+// captures as Chrome trace-event JSON for Perfetto.
 //
 // The package is part of the determinism contract (hypertap-vet's wallclock
 // pass): everything it writes is a pure function of the recorded rings, so
@@ -66,6 +66,9 @@ func readHeader(r io.Reader, wantKind uint8) (int, error) {
 	}
 	if h[5] != wantKind {
 		return 0, fmt.Errorf("flight: record kind %d, want %d", h[5], wantKind)
+	}
+	if h[6] != 0 || h[7] != 0 {
+		return 0, fmt.Errorf("flight: reserved header bytes %#x, want zero", h[6:8])
 	}
 	return int(binary.LittleEndian.Uint32(h[8:])), nil
 }

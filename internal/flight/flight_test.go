@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -82,6 +83,12 @@ func TestCodecRejectsDamage(t *testing.T) {
 	badVersion[4] = 99
 	if _, err := ReadExits(bytes.NewReader(badVersion)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("bad version not rejected: %v", err)
+	}
+
+	badReserved := append([]byte{}, good.Bytes()...)
+	badReserved[7] = '0'
+	if _, err := ReadExits(bytes.NewReader(badReserved)); err == nil || !strings.Contains(err.Error(), "reserved") {
+		t.Errorf("nonzero reserved header byte not rejected: %v", err)
 	}
 
 	// An exits file read as spans is a kind mismatch.
@@ -159,35 +166,44 @@ func bundleHost(t testing.TB) (*core.Multiplexer, *core.FlightTable) {
 	return em, fl
 }
 
+// raise raises a bundle on em and writes it to a fresh directory, which it
+// returns.
+func raise(t testing.TB, em *core.Multiplexer, vm core.VMID, at time.Duration) string {
+	t.Helper()
+	b, err := Raise(em, "detection", vm, at, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := b.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 func TestSinkBundleRoundTrip(t *testing.T) {
 	em, _ := bundleHost(t)
 	reg := telemetry.NewRegistry()
 	reg.Counter("hypertap_test_total", telemetry.L("vm", "alpha")).Add(7)
 
-	dir := t.TempDir()
-	sink, err := NewSink(SinkConfig{
-		Dir: dir, EM: em, Telemetry: reg,
-		Context: map[string]string{"seed": "42", "unit": "3"},
-	})
+	raised, err := Raise(em, "panic", 1, 5*time.Millisecond, errors.New("auditor goshd panicked: boom"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bdir, err := sink.Raise("panic", 1, 5*time.Millisecond, errors.New("auditor goshd panicked: boom"))
-	if err != nil {
+	raised.Meta.Context = map[string]string{"seed": "42", "unit": "3"}
+	snap := reg.Snapshot()
+	raised.Telemetry = &snap
+	bdir := t.TempDir()
+	if err := raised.Write(bdir); err != nil {
 		t.Fatal(err)
-	}
-	if filepath.Base(bdir) != "incident-000-panic" {
-		t.Fatalf("bundle dir %q", bdir)
-	}
-	if got := sink.Raised(); len(got) != 1 || got[0] != bdir {
-		t.Fatalf("Raised() = %v", got)
 	}
 
 	b, err := LoadBundle(bdir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Meta.Kind != "panic" || b.Meta.VM != 1 || b.Meta.VMName != "beta" {
+	if b.Meta.Kind != "panic" || b.Meta.VM != 1 || b.Meta.VMName != "beta" ||
+		b.Meta.Error != "auditor goshd panicked: boom" || b.Meta.VTimeNS != int64(5*time.Millisecond) {
 		t.Fatalf("meta %+v", b.Meta)
 	}
 	if b.Meta.Context["seed"] != "42" || b.Meta.Context["unit"] != "3" {
@@ -214,29 +230,97 @@ func TestSinkBundleRoundTrip(t *testing.T) {
 		t.Fatalf("telemetry snapshot %+v", b.Telemetry)
 	}
 	if b.RHC != nil {
-		t.Fatal("no RHC configured, rhc.json should be absent")
+		t.Fatal("no RHC state given, rhc.json should be absent")
 	}
+	if b.Capture != nil {
+		t.Fatal("no capture given, capture.htcs should be absent")
+	}
+}
 
-	// A second incident gets its own numbered directory.
-	bdir2, err := sink.Raise("detection!", 0, 6*time.Millisecond, nil)
+// TestBundleWriteRoundTrip pins that Write stores exactly what LoadBundle
+// reads: a bundle raised on a 2-VM EM with telemetry, an RHC state and a
+// capture loads back equal to itself, and writing the loaded bundle again
+// reproduces every file byte for byte.
+func TestBundleWriteRoundTrip(t *testing.T) {
+	em, _ := bundleHost(t)
+	reg := telemetry.NewRegistry()
+	reg.Counter("hypertap_test_total", telemetry.L("vm", "beta")).Add(3)
+	reg.Gauge("hypertap_test_depth").Set(1.5)
+	reg.Histogram("hypertap_test_seconds").Observe(2 * time.Microsecond)
+
+	raised, err := Raise(em, "detection", 0, 4*time.Millisecond, errors.New("goshd alarm"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(bdir2) != "incident-001-detection-" {
-		t.Fatalf("second bundle dir %q", bdir2)
+	raised.Meta.Context = map[string]string{"seed": "9"}
+	snap := reg.Snapshot()
+	raised.Telemetry = &snap
+	raised.RHC = &RHCState{Received: 12, Beats: map[string]RHCBeat{"alpha": {Seq: 4, VTimeNS: 3e6}, "beta": {Seq: 5, VTimeNS: 4e6}}}
+	raised.Capture = []byte("HTCS stream bytes, opaque to the bundle")
+
+	first, second := t.TempDir(), t.TempDir()
+	if err := raised.Write(first); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadBundle(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Write(second); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := LoadBundle(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	names := func(dir string) []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range entries {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	want := []string{"capture.htcs", "flight-vm00000.bin", "flight-vm00001.bin", "meta.json", "rhc.json", "spans.bin", "telemetry.json"}
+	if got := names(first); !reflect.DeepEqual(got, want) {
+		t.Fatalf("first directory holds %v, want %v", got, want)
+	}
+	if got := names(second); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second directory holds %v, want %v", got, want)
+	}
+	for _, name := range want {
+		a, errA := os.ReadFile(filepath.Join(first, name))
+		b, errB := os.ReadFile(filepath.Join(second, name))
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between the two writes", name)
+		}
+	}
+	loaded.Dir, reloaded.Dir = "", ""
+	if !reflect.DeepEqual(loaded, reloaded) {
+		t.Fatalf("rewritten bundle loads as\n%+v\nwant\n%+v", reloaded, loaded)
+	}
+	// The registry hands unlabeled series empty label lists, which JSON
+	// loads back as nil, so the raised bundle is compared without them.
+	loaded.Telemetry, raised.Telemetry = nil, nil
+	if !reflect.DeepEqual(loaded, raised) {
+		t.Fatalf("written bundle loads as\n%+v\nwant the raised\n%+v", loaded, raised)
 	}
 }
 
 func TestSinkRequiresFlightTable(t *testing.T) {
 	em := core.NewMultiplexer()
-	if _, err := NewSink(SinkConfig{Dir: t.TempDir(), EM: em}); err == nil {
-		t.Fatal("sink accepted an EM without a flight table")
+	if _, err := Raise(em, "detection", 0, 0, nil); err == nil {
+		t.Fatal("Raise accepted an EM without a flight table")
 	}
-	if _, err := NewSink(SinkConfig{EM: em}); err == nil {
-		t.Fatal("sink accepted an empty dir")
-	}
-	if _, err := NewSink(SinkConfig{Dir: t.TempDir()}); err == nil {
-		t.Fatal("sink accepted a nil EM")
+	if _, err := Raise(nil, "detection", 0, 0, nil); err == nil {
+		t.Fatal("Raise accepted a nil EM")
 	}
 }
 
@@ -257,12 +341,13 @@ func TestSinkRHCState(t *testing.T) {
 		t.Fatal("heartbeat never arrived")
 	}
 
-	sink, err := NewSink(SinkConfig{Dir: t.TempDir(), EM: em, RHC: srv})
+	raised, err := Raise(em, "error", 0, 0, errors.New("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bdir, err := sink.Raise("error", 0, 0, errors.New("x"))
-	if err != nil {
+	raised.RHC = RHCStateOf(srv, raised.Meta.VMNames)
+	bdir := t.TempDir()
+	if err := raised.Write(bdir); err != nil {
 		t.Fatal(err)
 	}
 	b, err := LoadBundle(bdir)
@@ -276,19 +361,14 @@ func TestSinkRHCState(t *testing.T) {
 	if !ok || beat.Seq != 41 || beat.VTimeNS != int64(3*time.Millisecond) {
 		t.Fatalf("alpha beat %+v", beat)
 	}
+	if _, ok := b.RHC.Beats["beta"]; ok {
+		t.Fatal("beta never beat, but the RHC state holds a beat for it")
+	}
 }
 
 func TestWriteChrome(t *testing.T) {
 	em, _ := bundleHost(t)
-	sink, err := NewSink(SinkConfig{Dir: t.TempDir(), EM: em})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bdir, err := sink.Raise("detection", 0, time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBundle(bdir)
+	b, err := LoadBundle(raise(t, em, 0, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,17 +470,10 @@ func TestChromeFromEvents(t *testing.T) {
 // VMID under two paddings — is rejected.
 func TestLoadBundleRingSet(t *testing.T) {
 	em, _ := bundleHost(t)
-	sink, err := NewSink(SinkConfig{Dir: t.TempDir(), EM: em})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bdir, err := sink.Raise("detection", 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bdir := raise(t, em, 0, 0)
 	ring := func(name string) string { return filepath.Join(bdir, name) }
 	if _, err := os.Stat(ring("flight-overflow.bin")); !os.IsNotExist(err) {
-		t.Fatalf("Raise wrote flight-overflow.bin (stat err %v)", err)
+		t.Fatalf("Write wrote flight-overflow.bin (stat err %v)", err)
 	}
 	var old bytes.Buffer
 	if err := WriteExits(&old, nil); err != nil {
@@ -448,19 +521,15 @@ func TestLoadBundleRingSet(t *testing.T) {
 }
 
 // TestRaiseDuringAttach raises bundles while another goroutine attaches
-// VMs and publishes on them, so the flight table grows under the sink's
-// reads (make race runs it under -race). Every bundle holds exactly one
-// ring per VM its manifest names.
+// VMs and publishes on them, so the flight table grows under Raise's reads
+// (make race runs it under -race). Every bundle holds exactly one ring per
+// VM its manifest names, as raised and as written and loaded back.
 func TestRaiseDuringAttach(t *testing.T) {
 	em := core.NewMultiplexer()
 	if _, err := em.AttachVM("vm0"); err != nil {
 		t.Fatal(err)
 	}
 	em.SetFlight(core.NewFlightTable(1, 16, 0))
-	sink, err := NewSink(SinkConfig{Dir: t.TempDir(), EM: em})
-	if err != nil {
-		t.Fatal(err)
-	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -473,22 +542,28 @@ func TestRaiseDuringAttach(t *testing.T) {
 			em.Publish(&core.Event{Type: core.EvHalt, VM: vm, Seq: uint64(i)})
 		}
 	}()
-	var dirs []string
+	var bundles []*Bundle
 	for i := 0; i < 8; i++ {
-		dir, err := sink.Raise("detection", 0, 0, nil)
+		b, err := Raise(em, "detection", 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dirs = append(dirs, dir)
+		bundles = append(bundles, b)
 	}
 	<-done
-	for _, dir := range dirs {
+	for i, raised := range bundles {
+		dir := t.TempDir()
+		if err := raised.Write(dir); err != nil {
+			t.Fatal(err)
+		}
 		b, err := LoadBundle(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b.Exits) != len(b.Meta.VMNames) {
-			t.Fatalf("%s: %d rings for %d VMs", filepath.Base(dir), len(b.Exits), len(b.Meta.VMNames))
+		for _, b := range []*Bundle{raised, b} {
+			if len(b.Exits) != len(b.Meta.VMNames) {
+				t.Fatalf("bundle %d: %d rings for %d VMs", i, len(b.Exits), len(b.Meta.VMNames))
+			}
 		}
 	}
 }

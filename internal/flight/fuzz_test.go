@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -13,20 +14,21 @@ import (
 var bundleFiles = []string{"meta.json", "flight-vm00000.bin", "spans.bin"}
 
 // FuzzLoadBundle feeds hostile incident bundles — a fuzzed manifest, one VM
-// ring and the span ring — through LoadBundle and
-// WriteChrome. Bundles are outside input to every tool that loads them, so
-// the oracles are: no panic; decoding allocates in proportion to the bytes
-// read, never to a count a header claims; a ring or span file that decodes
-// re-encodes to exactly the bytes it consumed; and a bundle that loads
-// renders as a Chrome trace.
+// ring and the span ring — through LoadBundle, WriteChrome and Write.
+// Bundles are outside input to every tool that loads them, so the oracles
+// are: no panic; decoding allocates in proportion to the bytes read, never
+// to a count a header claims; a ring or span file that decodes re-encodes to
+// exactly the bytes it consumed; and a bundle that loads renders as a Chrome
+// trace and round-trips: written out and loaded again, it is equal to itself.
 func FuzzLoadBundle(f *testing.F) {
 	em, _ := bundleHost(f)
-	sink, err := NewSink(SinkConfig{Dir: f.TempDir(), EM: em, Context: map[string]string{"seed": "1"}})
+	raised, err := Raise(em, "detection", 1, 5, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	bdir, err := sink.Raise("detection", 1, 5, nil)
-	if err != nil {
+	raised.Meta.Context = map[string]string{"seed": "1"}
+	bdir := f.TempDir()
+	if err := raised.Write(bdir); err != nil {
 		f.Fatal(err)
 	}
 	var seed [3][]byte
@@ -38,9 +40,11 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add(seed[0], seed[1], seed[2])
 	f.Add(seed[0], seed[1][:headerSize], seed[2][:headerSize+spanRecSize/2])
 
-	// One directory per fuzz process: every input overwrites the same three
-	// files, which keeps the harness off the filesystem's slow paths.
-	dir := f.TempDir()
+	// Two directories per fuzz process, one for the input and one for its
+	// rewrite: every input overwrites the same three files in each — a
+	// bundle that loads has exactly one ring and nothing optional — which
+	// keeps the harness off the filesystem's slow paths.
+	dir, rewritten := f.TempDir(), f.TempDir()
 	f.Fuzz(func(t *testing.T, meta, ring, spans []byte) {
 		decodeExits := func(r io.Reader, w io.Writer) error {
 			recs, err := ReadExits(r)
@@ -72,6 +76,17 @@ func FuzzLoadBundle(f *testing.F) {
 		}
 		if err := WriteChrome(io.Discard, b); err != nil {
 			t.Fatalf("loaded bundle does not render: %v", err)
+		}
+		if err := b.Write(rewritten); err != nil {
+			t.Fatalf("loaded bundle does not write: %v", err)
+		}
+		again, err := LoadBundle(rewritten)
+		if err != nil {
+			t.Fatalf("rewritten bundle does not load: %v", err)
+		}
+		again.Dir = b.Dir
+		if !reflect.DeepEqual(again, b) {
+			t.Fatalf("rewritten bundle loads as\n%+v\nwant\n%+v", again, b)
 		}
 	})
 }

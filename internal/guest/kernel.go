@@ -138,8 +138,6 @@ type cpuState struct {
 	localNow time.Duration
 	// tssGVA is this CPU's TSS location.
 	tssGVA arch.GVA
-	// switches counts context switches on this CPU.
-	switches uint64
 	// activePDBA is the address space currently loaded (kernel threads
 	// borrow it without a CR3 write).
 	activePDBA arch.GPA
@@ -275,9 +273,6 @@ func (k *Kernel) Stats() Stats { return k.stats }
 
 // Config returns the booted configuration.
 func (k *Kernel) Config() Config { return k.cfg }
-
-// NumCPUs returns the vCPU count.
-func (k *Kernel) NumCPUs() int { return len(k.cpus) }
 
 // Boot initializes kernel structures in guest memory, programs the
 // architectural registers (TR, SYSENTER MSRs), creates the idle and
@@ -941,14 +936,6 @@ func (k *Kernel) IRQsDisabled(cpu int) bool {
 
 // CurrentTask returns the task on a CPU.
 func (k *Kernel) CurrentTask(cpu int) *Task { return k.cpus[cpu].current }
-
-// SwitchCount returns the number of context switches a CPU has performed —
-// the simulator-level ground truth the hang experiments classify against
-// (independent of what any monitor observes).
-func (k *Kernel) SwitchCount(cpu int) uint64 { return k.cpus[cpu].switches }
-
-// RunqueueLen returns the number of runnable-but-not-running tasks on a CPU.
-func (k *Kernel) RunqueueLen(cpu int) int { return len(k.cpus[cpu].rq) }
 
 func maxInt(a, b int) int {
 	if a > b {

@@ -296,7 +296,6 @@ func (k *Kernel) contextSwitch(cpu int, next *Task) {
 		return
 	}
 	k.stats.ContextSwitches++
-	c.switches++
 
 	// Thread switch: the kernel stores the incoming thread's kernel stack
 	// top into TSS.RSP0. With the TSS page write-protected by a monitor,

@@ -104,9 +104,6 @@ func (t *Task) String() string {
 	return fmt.Sprintf("task[pid=%d comm=%s uid=%d euid=%d %v]", t.PID, t.Comm, t.UID, t.EUID, t.State)
 }
 
-// IsIdle reports whether this is a per-CPU idle (swapper) task.
-func (t *Task) IsIdle() bool { return t.program == nil }
-
 // setResult records the outcome the program reads on its next step, in the
 // task's own storage.
 func (t *Task) setResult(res SyscallResult) {

@@ -110,9 +110,6 @@ func (v *VCPU) InGuest() bool { return v.inGuest }
 // Halted reports whether the vCPU is idle after a HLT.
 func (v *VCPU) Halted() bool { return v.halted }
 
-// Resume clears the halted state (interrupt wake-up).
-func (v *VCPU) Resume() { v.halted = false }
-
 // ExitCount returns the number of exits taken for a reason.
 func (v *VCPU) ExitCount(r ExitReason) uint64 {
 	if int(r) <= NumExitReasons {

@@ -83,7 +83,7 @@ type vmOutcome struct {
 func attachAuditors(t *testing.T, m *hv.Machine, slot core.VMID) (*collector, *goshd.Detector) {
 	t.Helper()
 	col := &collector{slot: slot}
-	if err := m.EM().RegisterAuditor(col, core.DeliverSync, 0); err != nil {
+	if err := m.EM().Register(col, core.DeliverSync, 0); err != nil {
 		t.Fatal(err)
 	}
 	det, err := goshd.New(goshd.Config{
@@ -95,7 +95,7 @@ func attachAuditors(t *testing.T, m *hv.Machine, slot core.VMID) (*collector, *g
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.EM().RegisterAuditor(det, core.DeliverAsync, 0); err != nil {
+	if err := m.EM().Register(det, core.DeliverAsync, 0); err != nil {
 		t.Fatal(err)
 	}
 	return col, det
@@ -165,7 +165,7 @@ func TestFleetEquivalence(t *testing.T) {
 	// One genuinely fleet-wide consumer rides along; being async, it must
 	// not perturb any per-VM outcome.
 	fw := fleetwatch.New(fleetwatch.Config{VMName: h.EM().VMName})
-	if err := h.EM().RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
+	if err := h.EM().Register(fw, core.DeliverAsync, 1<<16); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Boot(); err != nil {
@@ -320,7 +320,7 @@ func TestFleetStormDetection(t *testing.T) {
 		Factor:    3,
 		VMName:    h.EM().VMName,
 	})
-	if err := h.EM().RegisterAuditor(fw, core.DeliverAsync, 1<<16); err != nil {
+	if err := h.EM().Register(fw, core.DeliverAsync, 1<<16); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Boot(); err != nil {

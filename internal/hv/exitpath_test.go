@@ -93,7 +93,7 @@ func TestSyncAuditorReentersEngine(t *testing.T) {
 // engine's ownership rule; the decode counts must equal those of a run
 // whose only queries are the same CountProcesses calls made inline.
 func TestEngineQueriesDuringExits(t *testing.T) {
-	run := func(concurrent bool) (map[core.EventType]uint64, int) {
+	run := func(concurrent bool) ([256]uint64, int) {
 		m, err := New(Config{Guest: guest.Config{Seed: 7}})
 		if err != nil {
 			t.Fatal(err)

@@ -284,10 +284,13 @@ func TestMultiVMHostEndpoint(t *testing.T) {
 }
 
 // TestFlightServesSnapshotTrace pins that /flight is exactly WriteChrome of
-// flight.Snapshot on a quiescent EM — a bare one, whose events are all
-// VM 0's — and that it answers 404 once tracing is off.
+// flight.Snapshot on a quiescent one-VM EM, and that it answers 404 once
+// tracing is off.
 func TestFlightServesSnapshotTrace(t *testing.T) {
 	em := core.NewMultiplexer()
+	if _, err := em.AttachVM("vm0"); err != nil {
+		t.Fatal(err)
+	}
 	em.SetFlight(core.NewFlightTable(1, 8, 8))
 	aud := &core.AuditorFunc{AuditorName: "hrkd", EventMask: core.MaskAll, Fn: func(*core.Event) {}}
 	if err := em.Register(aud, core.DeliverAsync, 0); err != nil {
