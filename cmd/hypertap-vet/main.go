@@ -3,25 +3,15 @@
 //
 // Usage:
 //
-//	hypertap-vet [flags] [packages]
+//	hypertap-vet [-list] [packages]
 //
 // With no package patterns it analyzes ./... from the current directory.
 // Each finding prints as `file:line: [pass] message`; the exit status is 0
-// when clean, 1 when findings exist, and 2 on analysis errors.
-//
-// Flags:
-//
-//	-json             emit findings as a JSON array for tooling
-//	-sarif            emit findings as SARIF 2.1.0 for code-scanning upload
-//	-baseline FILE    drop findings accepted in FILE; stale entries are
-//	                  themselves findings
-//	-write-baseline FILE
-//	                  write the current findings as a fresh baseline and exit
-//	-list             list the passes and their rationale, then exit
+// when clean, 1 when findings exist, and 2 on analysis errors. -list
+// describes the passes and exits.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,23 +20,10 @@ import (
 	"hypertap/internal/analysis"
 )
 
-// jsonFinding is the -json output record.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Pass    string `json:"pass"`
-	Message string `json:"message"`
-}
-
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	baselinePath := flag.String("baseline", "", "baseline file of accepted findings to suppress")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit")
 	list := flag.Bool("list", false, "list passes and their rationale, then exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: hypertap-vet [flags] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: hypertap-vet [-list] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Enforces the repo's determinism, isolation and hot-path invariants.\n\n")
 		flag.PrintDefaults()
 	}
@@ -57,13 +34,8 @@ func main() {
 		listPasses(passes)
 		return
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "hypertap-vet: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 
-	patterns := flag.Args()
-	loader, err := analysis.NewLoader(".", patterns...)
+	loader, err := analysis.NewLoader(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hypertap-vet:", err)
 		os.Exit(2)
@@ -74,65 +46,12 @@ func main() {
 		os.Exit(2)
 	}
 	findings := analysis.Run(loader.NewProgram(pkgs), passes)
-
-	if *writeBaseline != "" {
-		if err := analysis.WriteBaseline(*writeBaseline, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "hypertap-vet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "hypertap-vet: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
+	for _, f := range findings {
+		fmt.Printf("%s:%d: [%s] %s\n", relPath(f.Pos.Filename), f.Pos.Line, f.Pass, f.Msg)
 	}
-	var staleEntries []analysis.BaselineEntry
-	if *baselinePath != "" {
-		base, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hypertap-vet:", err)
-			os.Exit(2)
-		}
-		findings, staleEntries = base.Apply(findings)
-	}
-
-	switch {
-	case *jsonOut:
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File:    relPath(f.Pos.Filename),
-				Line:    f.Pos.Line,
-				Column:  f.Pos.Column,
-				Pass:    f.Pass,
-				Message: f.Msg,
-			})
-		}
-		emitJSON(out)
-	case *sarifOut:
-		wd, _ := os.Getwd()
-		emitJSON(analysis.ToSARIF(findings, passes, wd))
-	default:
-		for _, f := range findings {
-			fmt.Printf("%s:%d: [%s] %s\n", relPath(f.Pos.Filename), f.Pos.Line, f.Pass, f.Msg)
-		}
-	}
-	for _, e := range staleEntries {
-		fmt.Fprintf(os.Stderr, "hypertap-vet: stale baseline entry: %s [%s] %s (the accepted finding is gone — remove the entry)\n",
-			e.File, e.Pass, e.Message)
-	}
-	if len(findings)+len(staleEntries) > 0 {
-		if !*jsonOut && !*sarifOut {
-			fmt.Fprintf(os.Stderr, "hypertap-vet: %d finding(s), %d stale baseline entr(ies)\n", len(findings), len(staleEntries))
-		}
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "hypertap-vet: %d finding(s)\n", len(findings))
 		os.Exit(1)
-	}
-}
-
-// emitJSON renders v to stdout, indented.
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fmt.Fprintln(os.Stderr, "hypertap-vet:", err)
-		os.Exit(2)
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 
 // AllocProof turns the benchmark suite's "0 allocs/op" assertions into a
 // static proof: it reruns the compiler's escape analysis (`go tool compile
-// -m`) over every package that declares a //hypertap:hotpath function and
-// flags any value that escapes to the heap inside one of those functions.
-// Benchmarks only witness the paths their inputs exercise; the compiler's
-// verdict covers every branch, on every `make check`, before anything runs.
+// -m`) over every package that holds a hot-path function (one reachable from
+// a //hypertap:hotpath root; see hotSet) and flags any value that escapes to
+// the heap inside one of those functions. Benchmarks only witness the paths
+// their inputs exercise; the compiler's verdict covers every branch, on
+// every `make check`, before anything runs.
 //
 // Invoking the compiler directly — instead of `go build -gcflags=-m`, which
 // prints nothing when the build cache is warm — makes the diagnostics
@@ -26,11 +27,11 @@ import (
 // one compiler invocation per hot-path package and no extra go list round
 // trips.
 //
-// Escape messages are compiler-version-dependent, so real escapes that are
-// accepted (with a recorded justification) belong in the checked-in baseline
-// (vet-baseline.json), not in inline allow comments: when a toolchain bump
-// shifts a message the baseline goes stale loudly instead of silently
-// suppressing the wrong line.
+// An accepted escape carries an inline //hypertap:allow allocproof <reason>
+// on its line. The allow keys on line and pass, not on the compiler's
+// message text, so a toolchain that rewords a diagnostic cannot silently
+// unmatch it; an escape the compiler stops reporting leaves the allow stale,
+// which is itself a finding.
 type AllocProof struct{}
 
 // Name implements Pass.
@@ -38,14 +39,15 @@ func (AllocProof) Name() string { return "allocproof" }
 
 // Doc implements Pass.
 func (AllocProof) Doc() string {
-	return "//hypertap:hotpath functions must be allocation-free by the compiler's own escape analysis, not just by the benchmarks' sampled paths"
+	return "functions reachable from a //hypertap:hotpath root must be allocation-free by the compiler's own escape analysis, not just by the benchmarks' sampled paths"
 }
 
 // CheckProgram implements ProgramPass.
 func (AllocProof) CheckProgram(prog *Program) []Finding {
 	var out []Finding
+	hs := prog.hotSet()
 	for _, pkg := range prog.Pkgs {
-		hot := hotpathFuncs(pkg)
+		hot := hs.hotFuncs(pkg)
 		if len(hot) == 0 {
 			continue
 		}

@@ -28,7 +28,8 @@ func loadFixtureProgram(t *testing.T, fixture, importPath string) *Program {
 }
 
 // TestAllocProofFlagsHotpathEscape pins the pass's two scoping decisions:
-// the hotpath-marked escape is a finding, the identical unmarked one is not.
+// the escape in a hot-path root is a finding, the identical one in a
+// function nothing marked reaches is not.
 func TestAllocProofFlagsHotpathEscape(t *testing.T) {
 	findings := AllocProof{}.CheckProgram(loadFixtureProgram(t, "allocproof_bad", "hypertap/internal/allocfixture"))
 	if len(findings) == 0 {
@@ -55,10 +56,11 @@ func TestAllocProofAcceptsCleanHotpath(t *testing.T) {
 
 // TestAllocProofAcceptsCaptureTap pins the capture plane's hot-path promise
 // in fixture form: a recorder tap shaped like capture.Recorder.recordEvent —
-// gated buffer writes, cold flush, allocating emit helpers off the record*
-// naming — charges nothing to the marked function. If the real recorder
-// grows an allocation, `make vet` catches it on the real tree; this fixture
-// keeps the pass itself honest about the shape it must accept.
+// gated buffer writes, a reached but allocation-free flush, an allocating
+// emit helper nothing on the path calls — charges nothing to the hot path.
+// If the real recorder grows an allocation, `make vet` catches it on the
+// real tree; this fixture keeps the pass itself honest about the shape it
+// must accept.
 func TestAllocProofAcceptsCaptureTap(t *testing.T) {
 	findings := AllocProof{}.CheckProgram(loadFixtureProgram(t, "hotpath_capture", "hypertap/internal/capture"))
 	for _, f := range findings {
@@ -66,7 +68,7 @@ func TestAllocProofAcceptsCaptureTap(t *testing.T) {
 			t.Errorf("allocation charged to the recorder tap: %s", f.Msg)
 		}
 		if strings.Contains(f.Msg, "emitHeader") || strings.Contains(f.Msg, "flush") {
-			t.Errorf("cold helper charged despite being unmarked: %s", f.Msg)
+			t.Errorf("helper charged without an escape on the hot path: %s", f.Msg)
 		}
 	}
 }

@@ -90,10 +90,10 @@ func (p *Package) directives(known map[string]bool) *directiveSet {
 }
 
 // Run applies every pass to the program, drops findings suppressed by
-// `//hypertap:allow` directives, appends directive-misuse findings and
+// `//hypertap:allow` directives, appends directive-misuse findings,
 // stale-allow findings (an allow that suppressed nothing is itself a
-// violation — the escape has rotted), and returns the result sorted by
-// position.
+// violation — the escape has rotted) and redundant hotpath markers, and
+// returns the result sorted by position.
 func Run(prog *Program, passes []Pass) []Finding {
 	known := make(map[string]bool, len(passes))
 	for _, p := range passes {
@@ -137,6 +137,7 @@ func Run(prog *Program, passes []Pass) []Finding {
 		out = append(out, d.misuse...)
 		out = append(out, d.stale()...)
 	}
+	out = append(out, prog.hotSet().redundant...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -173,7 +174,7 @@ func objPkgPath(obj types.Object) string {
 }
 
 // shortPos renders a position as basename:line — the form embedded in
-// finding messages, so baselines and goldens stay checkout-independent.
+// finding messages, so goldens stay checkout-independent.
 func shortPos(pos token.Position) string {
 	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
 }

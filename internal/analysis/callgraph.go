@@ -119,3 +119,83 @@ func enclosingFunc(pkg *Package, pos ast.Node) *ast.FuncDecl {
 	}
 	return nil
 }
+
+// hotSet is the hot path: every function statically reachable from a
+// function marked //hypertap:hotpath, the marked roots included. hotpath,
+// allocproof and lockdiscipline all read it, so which functions run per VM
+// Exit is decided here and nowhere else. redundant holds one directive
+// finding per marker on a function that another marked function already
+// reaches: such a marker adds nothing, and keeping the markers equal to the
+// roots keeps them a readable list of the path's entry points.
+type hotSet struct {
+	funcs     map[*ast.FuncDecl]bool
+	redundant []Finding
+}
+
+// buildHotSet walks the call graph from every marked root.
+func buildHotSet(prog *Program) *hotSet {
+	g := prog.CallGraph()
+	// Roots in package and source order, so each redundancy finding names
+	// the same reaching root on every run.
+	var roots []*FuncNode
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !hotpathMarked(fd) {
+					continue
+				}
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && g.nodes[fn] != nil {
+					roots = append(roots, g.nodes[fn])
+				}
+			}
+		}
+	}
+	hs := &hotSet{funcs: make(map[*ast.FuncDecl]bool)}
+	redundant := map[*FuncNode]bool{}
+	for _, r := range roots {
+		hs.funcs[r.Decl] = true
+		// Walk from r's callees, so r itself counts as reached only when
+		// another marked function reaches it.
+		seen := map[*FuncNode]bool{}
+		stack := []*FuncNode{r}
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, c := range n.Calls {
+				if seen[c.Callee] {
+					continue
+				}
+				seen[c.Callee] = true
+				hs.funcs[c.Callee.Decl] = true
+				stack = append(stack, c.Callee)
+			}
+		}
+		for _, other := range roots {
+			if other != r && seen[other] && !redundant[other] {
+				redundant[other] = true
+				hs.redundant = append(hs.redundant, Finding{
+					Pos:  other.Pkg.Fset.Position(other.Decl.Name.Pos()),
+					Pass: DirectivePass,
+					Msg: "hypertap:hotpath on " + other.Decl.Name.Name + " is redundant: marked func " +
+						r.Decl.Name.Name + " already reaches it; keep markers on roots only",
+				})
+			}
+		}
+	}
+	return hs
+}
+
+// hotFuncs returns pkg's function declarations on the hot path, in source
+// order.
+func (hs *hotSet) hotFuncs(pkg *Package) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && hs.funcs[fd] {
+				out = append(out, fd)
+			}
+		}
+	}
+	return out
+}

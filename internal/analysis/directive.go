@@ -16,12 +16,13 @@ import (
 //	                                          and the next (comment-above or
 //	                                          trailing-comment placement)
 //	//hypertap:allow-file <pass> <reason...>  suppress <pass> in this file
-//	//hypertap:hotpath [note...]              mark the documented function
-//	                                          for the hotpath pass
+//	//hypertap:hotpath [note...]              declare the documented function
+//	                                          a hot-path root (see hotSet)
 //
 // A malformed directive — unknown verb, unknown pass name, or a missing
 // reason — is itself a finding (pass name "directive"), and malformed
-// directives never suppress anything. That closes the obvious hole where a
+// directives never suppress anything. So is a hotpath marker on a function
+// another marked function already reaches. That closes the obvious hole where a
 // typo silently disables the gate.
 
 // directivePrefix introduces every directive comment.
@@ -134,8 +135,8 @@ func (d *directiveSet) parseComment(pkg *Package, c *ast.Comment) {
 	verb, rest, _ := strings.Cut(text, " ")
 	switch verb {
 	case "hotpath":
-		// Consumed by the hotpath pass via hotpathFuncs; any trailing text
-		// is a free-form note.
+		// Consumed by hotSet via hotpathMarked; any trailing text is a
+		// free-form note.
 		return
 	case "allow", "allow-file":
 		pass, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
@@ -192,18 +193,4 @@ func hotpathMarked(fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-// hotpathFuncs returns the function declarations in pkg marked with a
-// //hypertap:hotpath line in their doc comment.
-func hotpathFuncs(pkg *Package) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && hotpathMarked(fd) {
-				out = append(out, fd)
-			}
-		}
-	}
-	return out
 }

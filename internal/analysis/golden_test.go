@@ -80,17 +80,18 @@ func TestGolden(t *testing.T) {
 		// eventsonly only fires under auditors/ paths.
 		{"eventsonly_bad", "hypertap/internal/auditors/fixture"},
 		{"eventsonly_fileallow", "hypertap/internal/auditors/baseline"},
-		// hotpath is marker-driven and path-independent.
+		// hotpath checks what a marked root reaches, path-independently.
 		{"hotpath_bad", "hypertap/internal/hv"},
 		{"hotpath_allow", "hypertap/internal/telemetry"},
+		// reachability: an unmarked reached helper is flagged, an unreached
+		// twin is not, and a marker on a reached function is redundant.
+		{"hotpath_reach", "hypertap/internal/hav"},
 		// the fleet refactor's VM-indexed publish path: the clean function
 		// must stay finding-free; the map-routing variant must not.
 		{"hotpath_vmroute", "hypertap/internal/core"},
-		// hotpath_trace only fires in the flight-plane packages: recording
-		// functions must be hotpath-marked or carry a reasoned allow.
-		{"hotpath_trace", "hypertap/internal/flight"},
-		// the exit-stream capture tap joins the flight plane: its per-event
-		// recorder must be marked; emit*/flush cold helpers escape by name.
+		// the exit-stream capture tap: the recorder root's unmarked tick
+		// helper is checked because the root reaches it; the cold emitter
+		// nothing on the path calls is not.
 		{"hotpath_capture", "hypertap/internal/capture"},
 		// multi-file package: allow-file in a.go must not cover b.go.
 		{"multifile", "hypertap/internal/gmem"},

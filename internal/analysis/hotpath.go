@@ -18,13 +18,13 @@ var syncBlocking = map[string]bool{
 	"Do":       true,
 }
 
-// Hotpath enforces the telemetry design contract (DESIGN.md §8) inside
-// functions marked //hypertap:hotpath: code that runs per VM Exit or per
-// published event must not take locks, format strings, iterate maps, or
-// allocate via slice, map or address-taken literals or append. A struct or
-// array literal is a plain value, heap-allocated only if it escapes, and
-// escapes are allocproof's to prove. The instruments must not perturb the
-// path they measure.
+// Hotpath enforces the telemetry design contract (DESIGN.md §8) on the hot
+// path: every function statically reachable from a //hypertap:hotpath root
+// (see hotSet). Code that runs per VM Exit or per published event must not
+// take locks, format strings, iterate maps, or allocate via slice, map or
+// address-taken literals or append. A struct or array literal is a plain
+// value, heap-allocated only if it escapes, and escapes are allocproof's to
+// prove. The instruments must not perturb the path they measure.
 type Hotpath struct{}
 
 // Name implements Pass.
@@ -32,22 +32,29 @@ func (Hotpath) Name() string { return "hotpath" }
 
 // Doc implements Pass.
 func (Hotpath) Doc() string {
-	return "Functions marked //hypertap:hotpath (telemetry Observe/Inc, EM Publish, exit " +
+	return "Functions reachable from a //hypertap:hotpath root (telemetry Observe/Inc, EM Publish, exit " +
 		"dispatch) run per VM Exit: mutex acquisition, fmt calls, map iteration, and " +
 		"slice/map/&T{} literal and append allocations there perturb the measurement the paper's " +
 		"overhead numbers depend on. Inherent costs carry //hypertap:allow hotpath <reason>."
 }
 
-// Check implements Pass.
-func (h Hotpath) Check(pkg *Package) []Finding {
+// CheckProgram implements ProgramPass.
+func (h Hotpath) CheckProgram(prog *Program) []Finding {
+	var out []Finding
+	hs := prog.hotSet()
+	for _, pkg := range prog.Pkgs {
+		out = append(out, h.check(pkg, hs.hotFuncs(pkg))...)
+	}
+	return out
+}
+
+// check inspects pkg's hot functions.
+func (h Hotpath) check(pkg *Package, hot []*ast.FuncDecl) []Finding {
 	var out []Finding
 	report := func(n ast.Node, msg string) {
 		out = append(out, Finding{Pos: pkg.Fset.Position(n.Pos()), Pass: h.Name(), Msg: msg})
 	}
-	for _, fd := range hotpathFuncs(pkg) {
-		if fd.Body == nil {
-			continue
-		}
+	for _, fd := range hot {
 		name := fd.Name.Name
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {

@@ -29,8 +29,9 @@ import (
 //   - FlightTable.recordExit / FlightTable.RecordSpan call sites that do not
 //     hold the Multiplexer lock (the rings' single-writer contract), plus any
 //     call site outside the core package entirely;
-//   - mutex acquires inside a loop of a //hypertap:hotpath function — the
-//     batch path's no-per-event-lock rule.
+//   - mutex acquires inside a loop of a hot-path function (one reachable
+//     from a //hypertap:hotpath root; see hotSet) — the batch path's
+//     no-per-event-lock rule.
 //
 // The analysis is an under-approximation by design: calls through function
 // values, interface methods and goroutines are not edges, and branch scans
@@ -120,7 +121,7 @@ func (s *lockScanner) report(pkg *Package, pos token.Pos, format string, args ..
 // every function literal it contains as an independent (unheld) body — a
 // closure runs when invoked, not where it is written.
 func (s *lockScanner) scanFunc(pkg *Package, fd *ast.FuncDecl) {
-	hot := hotpathMarked(fd)
+	hot := s.prog.hotSet().funcs[fd]
 	st := &lockState{held: map[string]token.Pos{}}
 	s.scanStmts(pkg, fd, fd.Body.List, st, hot, false)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -1,14 +1,13 @@
 package analysis
 
-// AllPasses returns every hypertap-vet pass, in report order: the five
-// per-package AST passes, then the four whole-program verifiers.
+// AllPasses returns every hypertap-vet pass, in report order: the three
+// per-package AST passes, then the five whole-program verifiers.
 func AllPasses() []Pass {
 	return []Pass{
 		Wallclock{},
 		SeededRand{},
 		EventsOnly{},
 		Hotpath{},
-		HotpathTrace{},
 		LockDiscipline{},
 		AllocProof{},
 		SeedFlow{},

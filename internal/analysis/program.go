@@ -23,6 +23,9 @@ type Program struct {
 
 	cgOnce sync.Once
 	cg     *CallGraph
+
+	hotOnce sync.Once
+	hot     *hotSet
 }
 
 // NewProgram assembles a Program over pkgs using the loader's file set and
@@ -37,4 +40,11 @@ func (l *Loader) NewProgram(pkgs []*Package) *Program {
 func (p *Program) CallGraph() *CallGraph {
 	p.cgOnce.Do(func() { p.cg = buildCallGraph(p) })
 	return p.cg
+}
+
+// hotSet returns the program's hot path, built on first use and shared by
+// every pass that checks it.
+func (p *Program) hotSet() *hotSet {
+	p.hotOnce.Do(func() { p.hot = buildHotSet(p) })
+	return p.hot
 }

@@ -16,13 +16,12 @@ func TestScopeEntriesMatchPackages(t *testing.T) {
 		pkgs = append(pkgs, p.ImportPath)
 	}
 	scopes := map[string][]string{
-		"wallclock deterministicPkgs":   deterministicPkgs,
-		"hotpath_trace flightPlanePkgs": flightPlanePkgs,
-		"seedflow seedScopePkgs":        seedScopePkgs,
-		"lockdiscipline lockScopePkgs":  lockScopePkgs,
-		"eventsonly auditorPrefix":      {strings.TrimSuffix(auditorPrefix, "/") + "/..."},
-		"eventsonly guest/hv paths":     {guestPkgPath, hvPkgPath},
-		"vmisolation host/vmi paths":    {hostPkgPath, vmiPkgPath},
+		"wallclock deterministicPkgs":  deterministicPkgs,
+		"seedflow seedScopePkgs":       seedScopePkgs,
+		"lockdiscipline lockScopePkgs": lockScopePkgs,
+		"eventsonly auditorPrefix":     {strings.TrimSuffix(auditorPrefix, "/") + "/..."},
+		"eventsonly guest/hv paths":    {guestPkgPath, hvPkgPath},
+		"vmisolation host/vmi paths":   {hostPkgPath, vmiPkgPath},
 	}
 	for scope, entries := range scopes {
 		for _, e := range entries {

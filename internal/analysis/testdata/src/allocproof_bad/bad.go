@@ -11,7 +11,8 @@ func escapes() *int {
 	return &v
 }
 
-// cold allocates freely: not hotpath-marked, so its escapes are accepted.
+// cold allocates freely: no marked root reaches it, so its escapes are
+// accepted.
 func cold() *int {
 	v := 7
 	return &v

@@ -1,26 +1,33 @@
 // Package fixture models the exit-stream capture tap under the capture
-// import path: the per-event recording function is hotpath-marked and writes
-// only into its preallocated buffer (allocproof must come back empty), cold
-// helpers escape the naming discipline by not being record-named, and a
-// recording function that forgot its marker is the hotpath_trace finding.
+// import path: the per-event recording function is the marked root and
+// writes only into its preallocated buffer (allocproof must come back
+// empty), the unmarked helper it calls is checked because it is reached,
+// and a cold helper nothing on the path calls is left alone.
 package fixture
+
+import "sync"
 
 // tap is a miniature of capture.Recorder: one flat buffer, a cursor, a
 // sticky error.
 type tap struct {
-	buf []byte
-	n   int
-	bad bool
+	mu   sync.Mutex
+	buf  []byte
+	n    int
+	bad  bool
+	last int64
 }
 
-// recordEvent is the hot path: marked, lock-free, allocation-free — a gated
+// recordEvent is the hot path's root: lock-free, allocation-free — a gated
 // buffer write per published event, exactly the shape the real recorder
 // must keep.
 //
 //hypertap:hotpath
-func (t *tap) recordEvent(seq uint64, kind byte) {
+func (t *tap) recordEvent(seq uint64, kind byte, now int64) {
 	if t.bad {
 		return
+	}
+	if now != t.last {
+		t.recordTick(now)
 	}
 	if len(t.buf)-t.n < 9 {
 		t.flush()
@@ -36,19 +43,20 @@ func (t *tap) recordEvent(seq uint64, kind byte) {
 	t.n += 9
 }
 
-// recordTick forgot its marker: under the capture import path this is the
-// hotpath_trace finding.
+// recordTick carries no marker, but recordEvent reaches it, so its lock is
+// the hotpath finding.
 func (t *tap) recordTick(now int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if len(t.buf)-t.n < 8 {
 		t.flush()
 	}
 	t.n += 8
-	_ = now
+	t.last = now
 }
 
-// emitHeader is cold and allocates freely; it escapes the recording
-// discipline by name (emit*, not record*), like the real recorder's
-// view-read emitters.
+// emitHeader is cold and allocates freely; nothing on the hot path calls
+// it, like the real recorder's header and view-read emitters.
 func (t *tap) emitHeader(names []string) []byte {
 	out := make([]byte, 0, 64)
 	for _, s := range names {
@@ -58,8 +66,8 @@ func (t *tap) emitHeader(names []string) []byte {
 	return out
 }
 
-// flush drains to the sink: cold by name and unmarked, so its cost is
-// accepted.
+// flush drains to the sink. recordEvent reaches it, so it is checked, and
+// it has nothing to report.
 func (t *tap) flush() {
 	if t.n == 0 {
 		return

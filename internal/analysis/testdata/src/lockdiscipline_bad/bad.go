@@ -83,7 +83,8 @@ func (m *Multiplexer) batch(evs []int) {
 }
 
 // lockPerEvent outlines one per-event acquire; hot batch loops calling it
-// are charged through its summary, not excused by the outlining.
+// are charged through its summary, not excused by the outlining. batchVia
+// reaches it, so its own acquire is a hotpath finding as well.
 func (m *Multiplexer) lockPerEvent() {
 	m.mu.Lock()
 	m.ft.slot++

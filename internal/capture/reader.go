@@ -209,8 +209,6 @@ func (rd *Reader) Next(rec *Record) error {
 // them. n never exceeds maxEventRecSize, far below the buffer size, so a
 // short Peek is always the stream running out (or the underlying reader
 // failing), never bufio.ErrBufferFull.
-//
-//hypertap:hotpath
 func (rd *Reader) span(n int, what string) ([]byte, error) {
 	b, err := rd.r.Peek(n)
 	if err != nil {
@@ -221,8 +219,6 @@ func (rd *Reader) span(n int, what string) ([]byte, error) {
 
 // consume advances past n bytes a successful span already buffered. Its
 // error is dropped because Discard of buffered bytes cannot fail.
-//
-//hypertap:hotpath
 func (rd *Reader) consume(n int) { _, _ = rd.r.Discard(n) }
 
 // fill reads an exact variable-length span into b. Past the kind byte,
@@ -246,11 +242,14 @@ func decodeError(what string, v, limit uint64, err error) error {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return fmt.Errorf("capture: truncated %s: %w", what, err)
+		//hypertap:allow hotpath cold exit: formats only a damaged stream's error
+		return fmt.Errorf("capture: truncated %s: %w", what, err) //hypertap:allow allocproof same cold exit
 	case limit != 0:
-		return fmt.Errorf("capture: %s claims %d bytes (limit %d)", what, v, limit)
+		//hypertap:allow hotpath cold exit: formats only a damaged stream's error
+		return fmt.Errorf("capture: %s claims %d bytes (limit %d)", what, v, limit) //hypertap:allow allocproof same cold exit
 	default:
-		return fmt.Errorf("capture: %s %d", what, v)
+		//hypertap:allow hotpath cold exit: formats only a damaged stream's error
+		return fmt.Errorf("capture: %s %d", what, v) //hypertap:allow allocproof same cold exit
 	}
 }
 
@@ -261,13 +260,12 @@ func decodeError(what string, v, limit uint64, err error) error {
 //
 //go:noinline
 func vmError(kind string, vm core.VMID, n int) error {
-	return fmt.Errorf("capture: %s record names VM %d, outside the %d-VM header table", kind, vm, n)
+	//hypertap:allow hotpath cold exit: formats only a damaged stream's error
+	return fmt.Errorf("capture: %s record names VM %d, outside the %d-VM header table", kind, vm, n) //hypertap:allow allocproof same cold exit
 }
 
 // eventPayload returns the wire size and diagnostic name of event type t's
 // payload; unknown types carry the generic payload of every field.
-//
-//hypertap:hotpath
 func eventPayload(t core.EventType) (int, string) {
 	switch t {
 	case core.EvProcessSwitch:
@@ -342,8 +340,6 @@ func (rd *Reader) nextEvent(ev *core.Event) (ok bool, err error) {
 // readEvent decodes an event record body into ev: the fixed head is
 // validated before the payload is looked at, then head and payload decode
 // from one buffered span.
-//
-//hypertap:hotpath
 func (rd *Reader) readEvent(ev *core.Event) error {
 	const head = eventFixedSize - 1
 	b, err := rd.span(head, "event record")
@@ -368,8 +364,6 @@ func (rd *Reader) readEvent(ev *core.Event) error {
 // kind byte) against a header table of vms VMs and returns its payload's
 // wire size and diagnostic name. Both event decode paths call it, so they
 // accept and reject the same records.
-//
-//hypertap:hotpath
 func eventHead(b []byte, vms int) (size int, what string, err error) {
 	typ := core.EventType(b[0])
 	if typ == 0 {
@@ -388,8 +382,6 @@ func eventHead(b []byte, vms int) (size int, what string, err error) {
 // decodeEvent fills ev from a validated event record b (past its kind byte):
 // the fixed head, then the type's payload. Every field the record does not
 // carry is zeroed, so ev may be a reused batch slot.
-//
-//hypertap:hotpath
 func decodeEvent(b []byte, ev *core.Event) {
 	const head = eventFixedSize - 1
 	p := b[head:] // one length check covers every head offset below
@@ -532,6 +524,7 @@ func (rd *Reader) readView(rec *Record) error {
 			return decodeError("read-gpa view", n, maxDataLen, nil)
 		}
 		if n > 0 {
+			//hypertap:allow allocproof a ReadGPA view's data is the recorded answer replay hands out, so it needs its own storage
 			v.Data = make([]byte, n)
 			return rd.fill(v.Data, "read-gpa view data")
 		}
@@ -540,10 +533,12 @@ func (rd *Reader) readView(rec *Record) error {
 			return decodeError("cstring view", n, maxStringLen, nil)
 		}
 		if n > 0 {
+			//hypertap:allow allocproof a C-string view's bytes are read into their own buffer before becoming its answer
 			buf := make([]byte, n)
 			if err := rd.fill(buf, "cstring view data"); err != nil {
 				return err
 			}
+			//hypertap:allow allocproof a C-string view's answer is a Go string that replay hands out
 			v.Str = string(buf)
 		}
 	}
@@ -551,8 +546,6 @@ func (rd *Reader) readView(rec *Record) error {
 }
 
 // getRegs decodes an arch.RegisterFile from b (regsSize bytes).
-//
-//hypertap:hotpath
 func getRegs(b []byte, regs *arch.RegisterFile) {
 	b = b[:regsSize] // one length check covers every fixed offset below
 	le := binary.LittleEndian

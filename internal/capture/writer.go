@@ -179,8 +179,6 @@ func (r *Recorder) recordEvent(ev *core.Event) {
 }
 
 // putRegs encodes an arch.RegisterFile at b[n:] and returns the new offset.
-//
-//hypertap:hotpath
 func putRegs(b []byte, n int, regs *arch.RegisterFile) int {
 	le := binary.LittleEndian
 	le.PutUint64(b[n:], uint64(regs.RIP))
@@ -197,8 +195,6 @@ func putRegs(b []byte, n int, regs *arch.RegisterFile) int {
 }
 
 // boolByte is the 1-byte encoding of a bool.
-//
-//hypertap:hotpath
 func boolByte(v bool) byte {
 	if v {
 		return 1
@@ -251,6 +247,7 @@ func (r *Recorder) flush() {
 	_, err := r.w.Write(r.buf[:r.n])
 	r.n = 0
 	if err != nil {
+		//hypertap:allow hotpath cold: a failed write ends the capture once
 		r.err = fmt.Errorf("capture: %w", err)
 	}
 }

@@ -439,8 +439,6 @@ func (m *Multiplexer) syncBitsLocked(vm VMID, et EventType) uint64 {
 // RecordSpan appends one step to the span ring under the EM lock — the
 // entry point for the cold phases (verdicts, incident capture, tests) whose
 // callers do not already hold it. No-op when tracing is off.
-//
-//hypertap:allow hotpath_trace cold span steps (verdict/incident) serialize through the EM lock; exit records are written inline by Publish and heartbeat steps by the sampler feed
 func (m *Multiplexer) RecordSpan(span SpanID, vm VMID, phase FlightPhase, actor uint8, at time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -484,6 +482,12 @@ func (m *Multiplexer) Publish(ev *Event) {
 	m.PublishBatch(unsafe.Slice(ev, 1))
 }
 
+// syncBufCap bounds PublishBatch's stack buffer of resolved sync slot
+// lists: batches up to this size (including every batch-of-one Publish)
+// resolve routes once per event; larger batches re-resolve in the delivery
+// loop. Kept small because the buffer is zeroed on every call.
+const syncBufCap = 8
+
 // PublishBatch delivers evs in order, amortizing the EM lock, flight
 // recording, and telemetry over the whole batch, and returns the number of
 // synchronous deliveries it made — the figure the hypervisor prices
@@ -506,14 +510,6 @@ func (m *Multiplexer) Publish(ev *Event) {
 // event-major: each event's sampler feed (if it is a sampled index) and
 // synchronous handlers run before the next event's, exactly as N serial
 // publishes would.
-//
-// syncBufCap bounds PublishBatch's stack buffer of resolved sync slot
-// lists: batches up to this size (including every batch-of-one Publish)
-// resolve routes once per event; larger batches re-resolve in the delivery
-// loop. Kept small because the buffer is zeroed on every call.
-const syncBufCap = 8
-
-//hypertap:hotpath
 func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 	if len(evs) == 0 {
 		return 0
@@ -651,14 +647,14 @@ func (m *Multiplexer) PublishBatch(evs []Event) (syncRuns int) {
 func (m *Multiplexer) unattachedLocked(vm VMID) {
 	n := len(m.vms)
 	m.mu.Unlock()
-	panic(fmt.Sprintf("core: published event names VM %d, but %d VMs are attached", vm, n))
+	//hypertap:allow hotpath cold: panics on a publisher bug
+	panic(fmt.Sprintf("core: published event names VM %d, but %d VMs are attached", vm, n)) //hypertap:allow allocproof same cold panic
 }
 
 // evPool recycles the sampler's scratch copies. The RHC feed runs unlocked,
 // so it needs a copy the publisher's buffer cannot invalidate; drawing it
 // from a pool (instead of a stack copy that escapes into the sampler
-// closure) is what keeps the batched publish path at 0 allocs/op — the one
-// escape vet-baseline.json used to accept.
+// closure) is what keeps the batched publish path at 0 allocs/op.
 var evPool = sync.Pool{New: newPoolEvent}
 
 // newPoolEvent is evPool's allocator, outlined so the heap allocation lives
@@ -676,6 +672,7 @@ func (m *Multiplexer) sampleOne(sampler func(ev *Event), ev *Event) {
 	c := evPool.Get().(*Event)
 	*c = *ev
 	sampler(c)
+	//hypertap:allow hotpath 1-in-sampleEvery heartbeat: the span ring's single writer is the EM lock holder
 	m.mu.Lock()
 	m.fl.RecordSpan(c.Span, c.VM, PhaseHeartbeat, 0, c.Time)
 	m.mu.Unlock()
@@ -691,6 +688,7 @@ func (m *Multiplexer) sampleOne(sampler func(ev *Event), ev *Event) {
 //
 //go:noinline
 func (s *subscription) grow() {
+	//hypertap:allow allocproof cold: a full async ring doubles at most log2(queueCap) times per subscription
 	ring := make([]Event, min(2*len(s.ring), s.queueCap))
 	n := copy(ring, s.ring[s.head:])
 	copy(ring[n:], s.ring[:s.head])
@@ -700,8 +698,6 @@ func (s *subscription) grow() {
 
 // wrap folds a ring index in [0, 2*len(ring)) back into the ring: one
 // compare and subtract instead of an integer division per queued copy.
-//
-//hypertap:hotpath
 func (s *subscription) wrap(i int) int {
 	if i >= len(s.ring) {
 		i -= len(s.ring)

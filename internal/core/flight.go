@@ -137,8 +137,6 @@ type SpanRecord struct {
 // root of trust: a cheap mix of RIP, RSP, CR3 and TR. It is a corruption
 // tripwire for replay comparison, not a cryptographic hash — the point is
 // that two runs of the same seed produce identical digests.
-//
-//hypertap:hotpath
 func GuestDigest(r *arch.RegisterFile) uint64 {
 	// Balanced xor tree: the mix runs in two dependent steps instead of a
 	// four-deep chain, so it overlaps with the surrounding slot stores.
@@ -249,8 +247,6 @@ func (t *FlightTable) grow(n int) {
 // information that is already held (by the exit ring) or derivable (from
 // the routing table). Six word stores is the floor the dynamic per-event
 // information sets.
-//
-//hypertap:hotpath
 func (t *FlightTable) recordExit(ev *Event, queuedBits, droppedBits uint64) {
 	r := &t.rings[ev.VM]
 	slot := &r.slots[r.w&r.mask]
@@ -269,8 +265,6 @@ func (t *FlightTable) recordExit(ev *Event, queuedBits, droppedBits uint64) {
 // single-writer, so callers must hold the owning Multiplexer's lock — the
 // EM records heartbeat steps itself, and everything else goes through
 // Multiplexer.RecordSpan.
-//
-//hypertap:hotpath
 func (t *FlightTable) RecordSpan(span SpanID, vm VMID, phase FlightPhase, actor uint8, at time.Duration) {
 	if t == nil {
 		return

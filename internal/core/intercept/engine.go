@@ -245,6 +245,7 @@ func (e *Engine) onCRAccess(exit *hav.Exit) {
 	}
 	newPDBA := arch.GPA(q.Value)
 
+	//hypertap:allow hotpath CR3 loads only; Stats and SyscallEntry read the arming state from other goroutines
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.sawFirstCR3 {
@@ -330,6 +331,7 @@ func (e *Engine) onWRMSR(exit *hav.Exit) {
 	if !e.feat.Syscalls || q.MSR != arch.MSRSysenterEIP {
 		return
 	}
+	//hypertap:allow hotpath SYSENTER_EIP writes only, about once per boot
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.syscallEntry = arch.GVA(q.Value)
@@ -357,8 +359,6 @@ func (e *Engine) protectEntryPage(cr3 arch.GPA) {
 
 // decodeSyscall reads the syscall number and parameters from the saved
 // general-purpose registers, exactly as Fig. 3D/3E's pseudo-code does.
-//
-//hypertap:hotpath
 func (e *Engine) decodeSyscall(exit *hav.Exit) {
 	ev := e.decode(exit, core.EvSyscall)
 	ev.SyscallNr = uint32(exit.Guest.GPR(arch.RAX))
@@ -375,8 +375,6 @@ func (e *Engine) decodeSyscall(exit *hav.Exit) {
 // valid until the next decode. The slot is zeroed whole before the common
 // fields are set, so nothing an earlier exit decoded into it — in any
 // field, including ones added to Event later — survives into this event.
-//
-//hypertap:hotpath
 func (e *Engine) decode(exit *hav.Exit, t core.EventType) *core.Event {
 	e.decoded[t].Add(1)
 	n := len(e.batch)

@@ -45,8 +45,6 @@ type routeTable struct {
 
 // vmFor returns VM vm's route slot. vm must be attached; PublishBatch
 // checks that before it routes.
-//
-//hypertap:hotpath
 func (rt *routeTable) vmFor(vm VMID) *vmRoutes {
 	return &rt.perVM[vm]
 }

@@ -257,6 +257,20 @@ func LoadBundle(dir string) (*Bundle, error) {
 		if err := readJSON(telPath, &snap); err != nil {
 			return nil, err
 		}
+		// Write omits an empty list (omitempty), which then loads as nil;
+		// loading every empty list as nil makes load→write→load an identity.
+		snap.Counters = emptyToNil(snap.Counters)
+		for i := range snap.Counters {
+			snap.Counters[i].Labels = emptyToNil(snap.Counters[i].Labels)
+		}
+		snap.Gauges = emptyToNil(snap.Gauges)
+		for i := range snap.Gauges {
+			snap.Gauges[i].Labels = emptyToNil(snap.Gauges[i].Labels)
+		}
+		snap.Histograms = emptyToNil(snap.Histograms)
+		for i := range snap.Histograms {
+			snap.Histograms[i].Labels = emptyToNil(snap.Histograms[i].Labels)
+		}
 		b.Telemetry = &snap
 	}
 	rhcPath := filepath.Join(dir, "rhc.json")
@@ -277,6 +291,14 @@ func LoadBundle(dir string) (*Bundle, error) {
 		return nil, fmt.Errorf("flight: %w", readErr)
 	}
 	return b, nil
+}
+
+// emptyToNil returns nil for an empty list and s otherwise.
+func emptyToNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 func readExitsFile(path string) ([]core.FlightExit, error) {

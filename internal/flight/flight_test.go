@@ -306,11 +306,46 @@ func TestBundleWriteRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(loaded, reloaded) {
 		t.Fatalf("rewritten bundle loads as\n%+v\nwant\n%+v", reloaded, loaded)
 	}
-	// The registry hands unlabeled series empty label lists, which JSON
-	// loads back as nil, so the raised bundle is compared without them.
-	loaded.Telemetry, raised.Telemetry = nil, nil
 	if !reflect.DeepEqual(loaded, raised) {
 		t.Fatalf("written bundle loads as\n%+v\nwant the raised\n%+v", loaded, raised)
+	}
+}
+
+// TestBundleEmptyTelemetryListsRoundTrip pins load→write→load as an
+// identity for telemetry whose lists are present but empty: Write omits an
+// empty list, so LoadBundle must load one as nil in the first place.
+func TestBundleEmptyTelemetryListsRoundTrip(t *testing.T) {
+	em, _ := bundleHost(t)
+	raised, err := Raise(em, "detection", 0, time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tel := range []string{
+		`{"counters": []}`,
+		`{"counters": [{"name": "c", "labels": [], "value": 1}], "gauges": [], "histograms": [{"name": "h", "labels": [], "buckets": []}]}`,
+	} {
+		first, second := t.TempDir(), t.TempDir()
+		if err := raised.Write(first); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(first, "telemetry.json"), []byte(tel), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadBundle(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.Write(second); err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := LoadBundle(second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded.Dir, reloaded.Dir = "", ""
+		if !reflect.DeepEqual(loaded, reloaded) {
+			t.Errorf("telemetry %s: rewritten bundle loads as\n%+v\nwant\n%+v", tel, reloaded.Telemetry, loaded.Telemetry)
+		}
 	}
 }
 

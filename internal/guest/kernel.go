@@ -520,8 +520,6 @@ const textSlotSize = 16
 // guest memory (the syscall table), so any value that is not a registered
 // slot — unaligned, below KernelTextBase or past the last slot — returns
 // ErrInval.
-//
-//hypertap:hotpath
 func (k *Kernel) DispatchText(gva arch.GVA, cpu int, t *Task, args [4]uint64) SyscallResult {
 	off := uint64(gva - k.sym.KernelTextBase) // wraps for gva below the base
 	if off%textSlotSize != 0 || off/textSlotSize >= uint64(len(k.textHandlers)) {
@@ -799,6 +797,7 @@ func (k *Kernel) sleepTask(cpu int, t *Task, d time.Duration) {
 	t.sleepUntil = c.localNow + d
 	t.State = StateSleeping
 	k.syncState(t)
+	//hypertap:allow hotpath amortized: sleepers keeps its capacity, so append allocates only at a new high of sleeping tasks
 	c.sleepers = append(c.sleepers, t)
 }
 

@@ -409,8 +409,6 @@ func (k *Kernel) execUserStep(cpu int, t *Task, remaining time.Duration) time.Du
 
 // enterSyscall performs the architectural user→kernel transition and stages
 // the interpreted kernel path of the call.
-//
-//hypertap:hotpath
 func (k *Kernel) enterSyscall(cpu int, t *Task, nr Syscall, args [4]uint64) {
 	c := k.cpus[cpu]
 	k.stats.Syscalls++
@@ -459,8 +457,6 @@ func (k *Kernel) enterSyscall(cpu int, t *Task, nr Syscall, args [4]uint64) {
 // plan's path it consults the plan once per dispatch and picks the faulted
 // or the fault-free list; every other path is fault-free. The lists are
 // shared and read-only.
-//
-//hypertap:hotpath
 func (k *Kernel) buildOps(nr Syscall) []kernOp {
 	if k.faultOps != nil && nr == k.faultPath && k.plan.Armed(k.plan.Site()) {
 		return k.faultOps

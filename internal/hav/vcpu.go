@@ -130,8 +130,6 @@ func (v *VCPU) TotalExits() uint64 {
 // exit suspends the vCPU (VM Exit), delivers the event, and resumes it
 // (VM Entry). The guest register snapshot is taken before the trapped
 // operation's side effects are applied.
-//
-//hypertap:hotpath
 func (v *VCPU) exit(reason ExitReason, qual Qualification) {
 	*v.seq++
 	v.exitTally[reason]++

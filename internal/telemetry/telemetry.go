@@ -175,9 +175,14 @@ func (r *Registry) lookup(name string, kind metricKind, labels []Label) *entry {
 	if name == "" {
 		panic("telemetry: metric name must not be empty")
 	}
-	sorted := make([]Label, len(labels))
-	copy(sorted, labels)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	// An unlabeled series keeps nil, not an empty list: the snapshot's
+	// omitempty drops an empty list, so only nil survives a JSON round trip.
+	var sorted []Label
+	if len(labels) > 0 {
+		sorted = make([]Label, len(labels))
+		copy(sorted, labels)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	}
 	id := metricID(name, sorted)
 
 	r.mu.Lock()
