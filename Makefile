@@ -44,11 +44,15 @@ race:
 # N-VM-host ≡ N-isolated-VMs for the host fleet plane, capture→replay ≡ live
 # for the exit-stream record/replay plane (solo and 8-VM fleet). GOMAXPROCS=4
 # forces real scheduling interleavings even on small runners, and -race
-# turns any unserialized progress/telemetry access into a failure.
+# turns any unserialized progress/telemetry access into a failure. The
+# replay gates run once more at GOMAXPROCS=1, with the decoder pipeline's
+# lifetime test: replay decodes on a goroutine of its own, and one P is the
+# schedule where decoder and auditors only ever take turns.
 equivalence:
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestParallelMatchesSerial|TestShowdownUnitIsolation' ./internal/experiment ./internal/experiment/runner
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestFleetEquivalence|TestFleetSharedRHC' ./internal/host
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'TestSoloReplayEquivalence|TestFleetReplayEquivalence|TestReplayDeterminism' ./internal/capture
+	GOMAXPROCS=1 $(GO) test -race -short -count=1 -run 'TestSoloReplayEquivalence|TestFleetReplayEquivalence|TestReplayDeterminism|TestReplayPipelineLifetime' ./internal/capture
 
 # Compile and run every benchmark exactly once, so a broken benchmark is a
 # gate failure rather than a surprise at measurement time.
@@ -82,8 +86,8 @@ experiments:
 # input otherwise dominates the whole budget on small runners. Crashers land
 # in internal/capture/testdata/fuzz/; minimized ones get promoted into
 # internal/capture/testdata/corpus/ as permanent regressions.
-# FuzzEventDecode then checks the replay's direct-to-batch event decoder
-# against Reader.Next: same events and same errors for any record bytes.
+# FuzzEventDecode then checks the replay's chunk decoder against
+# Reader.Next: same events, records and errors for any record bytes.
 # FuzzMemory checks demand-paged guest memory against a flat []byte
 # model: same bytes and same errors for any accessor sequence.
 # FuzzLoadBundle loads hostile incident bundles: no panic, allocation

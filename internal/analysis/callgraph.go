@@ -37,18 +37,24 @@ type CallSite struct {
 	Call *ast.CallExpr
 }
 
-// CallGraph indexes FuncNodes by their type-checker identity.
+// CallGraph indexes FuncNodes by the full name of their generic origin.
+// The loader type-checks each package from source but resolves its imports
+// from export data, so a callee in another package is a different
+// *types.Func from the one its own package declares; the name is the same
+// on both sides, which is what joins the packages into one graph.
 type CallGraph struct {
-	nodes map[*types.Func]*FuncNode
+	nodes map[string]*FuncNode
+	// order holds the nodes in package and source order.
+	order []*FuncNode
 }
 
 // NodeOf returns the node for fn, or nil when fn is not declared in the
 // loaded packages (stdlib, export-data-only dependencies).
-func (g *CallGraph) NodeOf(fn *types.Func) *FuncNode { return g.nodes[fn] }
+func (g *CallGraph) NodeOf(fn *types.Func) *FuncNode { return g.nodes[fn.Origin().FullName()] }
 
 // buildCallGraph constructs the graph over every loaded package.
 func buildCallGraph(prog *Program) *CallGraph {
-	g := &CallGraph{nodes: make(map[*types.Func]*FuncNode)}
+	g := &CallGraph{nodes: make(map[string]*FuncNode)}
 	// Declarations first, so cross-package edges resolve regardless of
 	// package order.
 	for _, pkg := range prog.Pkgs {
@@ -59,13 +65,14 @@ func buildCallGraph(prog *Program) *CallGraph {
 					continue
 				}
 				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					g.nodes[fn] = &FuncNode{Fn: fn, Decl: fd, Pkg: pkg}
+					n := &FuncNode{Fn: fn, Decl: fd, Pkg: pkg}
+					g.nodes[fn.FullName()] = n
+					g.order = append(g.order, n)
 				}
 			}
 		}
 	}
-	for _, node := range g.nodes {
-		n := node
+	for _, n := range g.order {
 		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 			call, ok := x.(*ast.CallExpr)
 			if !ok {
@@ -75,7 +82,7 @@ func buildCallGraph(prog *Program) *CallGraph {
 			if callee == nil {
 				return true
 			}
-			target := g.nodes[callee]
+			target := g.NodeOf(callee)
 			if target == nil {
 				return true
 			}
@@ -145,8 +152,8 @@ func buildHotSet(prog *Program) *hotSet {
 				if !ok || !hotpathMarked(fd) {
 					continue
 				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && g.nodes[fn] != nil {
-					roots = append(roots, g.nodes[fn])
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && g.NodeOf(fn) != nil {
+					roots = append(roots, g.NodeOf(fn))
 				}
 			}
 		}

@@ -10,8 +10,9 @@ import (
 // TestPassesLiveOnRealTree proves every pass still bites on the code it
 // guards, not only on fixtures: each case copies one real package into a
 // temporary directory, applies one scripted mutation, loads the copy under
-// the package's real import path and requires exactly one finding, from the
-// pass the mutation breaks. The unmutated tree is clean, so that finding is
+// the package's real import path — beside any unmutated real packages the
+// case names — and requires exactly one finding, from the pass the mutation
+// breaks. The unmutated tree is clean, so that finding is
 // the mutation's; a pass no mutation of the real tree can trigger guards
 // nothing and is a candidate for deletion.
 func TestPassesLiveOnRealTree(t *testing.T) {
@@ -24,6 +25,8 @@ func TestPassesLiveOnRealTree(t *testing.T) {
 		// dir is the package directory relative to the module root.
 		dir   string
 		edits []edit
+		// with names real packages loaded unmutated into the same program.
+		with []string
 	}{
 		{
 			name:  "wall clock in an auditor",
@@ -77,6 +80,13 @@ func TestPassesLiveOnRealTree(t *testing.T) {
 			},
 		},
 		{
+			name:  "append in a gmem callee reached only from a guest root",
+			pass:  "hotpath",
+			dir:   "internal/gmem",
+			edits: []edit{{"gmem.go", "func (m *Memory) check(", "\tvar pages []uint64\n\tpages = append(pages, 1)\n\t_ = pages\n"}},
+			with:  []string{"internal/guest"},
+		},
+		{
 			name:  "channel send under the EM lock",
 			pass:  "lockdiscipline",
 			dir:   "internal/core",
@@ -115,7 +125,15 @@ func TestPassesLiveOnRealTree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("loading mutated copy: %v", err)
 			}
-			got := Run(l.NewProgram([]*Package{pkg}), AllPasses())
+			pkgs := []*Package{pkg}
+			for _, w := range tc.with {
+				p, err := l.LoadDir(copyPackage(t, filepath.Join(root, w)), "hypertap/"+w)
+				if err != nil {
+					t.Fatalf("loading %s: %v", w, err)
+				}
+				pkgs = append(pkgs, p)
+			}
+			got := Run(l.NewProgram(pkgs), AllPasses())
 			if len(got) != 1 || got[0].Pass != tc.pass {
 				t.Fatalf("want exactly one %s finding, got %d:\n%s", tc.pass, len(got), renderFindings(dir, got))
 			}

@@ -176,28 +176,32 @@ func traceNext(r io.Reader) decodeTrace {
 	}
 }
 
-// traceReplay decodes a stream the way Replay.Run does: each run of event
-// records straight into the publish batch, every other record through the
-// one-record lookahead.
+// traceReplay decodes a stream the way Replay.Run consumes it: through the
+// chunk decoder, on its own goroutine once the first chunk fills, with the
+// cursor walking each chunk's events and other records in stream order.
 func traceReplay(r io.Reader) decodeTrace {
 	var tr decodeTrace
 	rp, err := NewReplay(r, ReplayConfig{})
 	if err != nil {
 		panic("capture: fuzz header rejected: " + err.Error())
 	}
+	rp.running = true
+	defer rp.halt()
 	for {
-		if rp.readEvents() {
-			tr.events = append(tr.events, rp.batch...)
-			continue
-		}
-		rec, err := rp.next()
+		rec, err := rp.peek()
 		if err != nil {
 			if err != io.EOF {
 				tr.err = err
 			}
 			return tr
 		}
+		if rec == nil {
+			tr.events = append(tr.events, rp.cur.events[rp.ev])
+			rp.ev++
+			continue
+		}
 		tr.kinds = append(tr.kinds, rec.Kind)
+		rp.rec++
 	}
 }
 
@@ -218,17 +222,16 @@ func sameTrace(a, b decodeTrace) string {
 	return ""
 }
 
-// FuzzEventDecode is a differential fuzzer for the replay's run decoder: a
+// FuzzEventDecode is a differential fuzzer for the replay's chunk decoder: a
 // valid header followed by fuzzed record bodies decodes identically through
-// Reader.Next and through the replay's direct-to-batch path. Reader.Next
+// Reader.Next and through the chunks Replay.Run consumes. Reader.Next
 // reads through a one-byte reader, so every record is assembled by its
-// checked path; the direct path runs twice, over whole reads (records
-// decode from one buffered span) and over one-byte reads (every record
-// falls back to the checked path).
+// checked path; the chunk decoder runs twice, over whole reads (event
+// records decode from one buffered span) and over one-byte reads (every
+// record falls back to the checked path).
 func FuzzEventDecode(f *testing.F) {
 	// all is every shape back to back; interleaved follows each shape with
-	// a barrier, so every event starts a run of its own in a reused batch
-	// slot.
+	// a barrier, so every event starts a run of its own.
 	var all, interleaved []byte
 	barrier := recordOf(f, func(r *Recorder) { r.TapBarrier(time.Millisecond) })
 	shapes := recordShapes(f)

@@ -150,8 +150,6 @@ func (rd *Reader) Version() int { return rd.version }
 // records decode straight out of the bufio.Reader's buffer, so Next is
 // allocation-free for every record but the variable-length ReadGPA and
 // C-string views.
-//
-//hypertap:hotpath
 func (rd *Reader) Next(rec *Record) error {
 	kind, err := rd.r.ReadByte()
 	if err != nil {
@@ -294,7 +292,7 @@ func eventPayload(t core.EventType) (int, string) {
 }
 
 // nextEvent decodes the next record into ev if it is an event record — the
-// replay's run decoder, which fills its publish batch slot by slot. It
+// replay's chunk decoder fills a chunk's events slot by slot with it. It
 // reports ok when it decoded an event; a record of any other kind is left
 // unread (ok false, nil error) for Next. io.EOF marks a clean record
 // boundary; any other error is exactly the one Next would return for the
@@ -303,8 +301,6 @@ func eventPayload(t core.EventType) (int, string) {
 // An event record the buffer already holds whole decodes from one buffered
 // span: the kind byte, the fixed head and the payload, then one Discard.
 // A record that straddles the buffer end takes Next's checked path.
-//
-//hypertap:hotpath
 func (rd *Reader) nextEvent(ev *core.Event) (ok bool, err error) {
 	b, _ := rd.r.Peek(rd.r.Buffered()) // buffered bytes only: never reads
 	if len(b) > 0 && b[0] != recEvent {
@@ -381,7 +377,7 @@ func eventHead(b []byte, vms int) (size int, what string, err error) {
 
 // decodeEvent fills ev from a validated event record b (past its kind byte):
 // the fixed head, then the type's payload. Every field the record does not
-// carry is zeroed, so ev may be a reused batch slot.
+// carry is zeroed, so ev may be a reused chunk slot.
 func decodeEvent(b []byte, ev *core.Event) {
 	const head = eventFixedSize - 1
 	p := b[head:] // one length check covers every head offset below

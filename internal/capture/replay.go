@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 	"time"
 
 	"hypertap/internal/arch"
@@ -51,6 +53,15 @@ const DefaultMaxVMs = 256
 // reads are answered from the recorded stream. Register the same auditors in
 // the same order as the live run and every verdict, telemetry counter and
 // flight ring is byte-identical, with no guest anywhere.
+//
+// Replay is a two-stage pipeline, the paper's logging/auditing split. The
+// decoder stage owns the Reader and a fixed pool of chunks and does nothing
+// but parse bytes into them; the auditing stage (Run's goroutine, or the
+// caller's for reads outside Run) owns the EM, the clocks and the views and
+// consumes the chunks in stream order. Inside Run the decoder runs on a
+// goroutine of its own once the first chunk fills; everywhere else it runs
+// inline. Either way the same records reach the same consumer in the same
+// order, so every observable is independent of the schedule.
 type Replay struct {
 	rd     *Reader
 	hdr    Header
@@ -58,40 +69,86 @@ type Replay struct {
 	em     *core.Multiplexer
 	clocks []*vclock.Clock
 
-	// pending is the one-record lookahead shared by Run and the view pops.
-	pending    Record
-	hasPending bool
+	// cur is the chunk the stream cursor is in; ev and rec index its next
+	// event and next other record.
+	cur     *chunk
+	ev, rec int
+	// pinned is the chunk whose events a PublishBatch in flight aliases.
+	// A sync auditor's reads can move the cursor past it, but it goes back
+	// to the decoder only once that PublishBatch returns.
+	pinned *chunk
+	// The chunk pool: taken from chunkPools by NewReplay, handed back by
+	// Run once nothing is left to read in it, and taken again by a later
+	// read.
+	*chunkPool
+	// running is set inside Run, the only place the decoder goroutine may
+	// start. decoding is set while the goroutine still decodes; stop, non-nil
+	// while it is up, stops it and exited joins it.
+	running, decoding bool
+	stop, exited      chan struct{}
 	// err latches the first decode error. Once set the stream position is
 	// mid-record, so every later read returns err instead of decoding
-	// garbage, and Run reports it even when a view pop or a batch lookahead
-	// hit it first.
+	// garbage, and Run reports it even when a view pop hit it first.
 	err error
 
 	divergences uint64
-	// batch is the reusable publish buffer: every run of consecutive event
-	// records, up to the next non-event record, decodes straight into its
-	// slots — no intermediate Record — and republishes as one PublishBatch
-	// (one EM lock round trip per run, not per event). PublishBatch copies
-	// each event into the async rings it queues on, so the slots are free
-	// to reuse once it returns. This is sound because sync delivery stays
-	// event-major within a batch, and any view, counter, tick or barrier
-	// record ends the run: a sync read a live delivery made lands in the
-	// stream after the event that caused it, so the replayed read finds it,
-	// and no batch straddles a Dispatch barrier. Batching is otherwise
-	// transparent to every downstream observable (see core.PublishBatch),
-	// so the live run's batch boundaries need not match.
-	batch []core.Event
 }
 
-// maxReplayBatch bounds one regrouped publish batch, and with it the
-// scratch buffer. Honest captures end runs often (every tick, barrier and
-// sync read), so the cap only bites on hostile captures that repeat one
-// event record forever.
+// chunk is one decoded stretch of the stream. Event records go contiguously
+// into events, so a run of them republishes straight from the chunk as one
+// PublishBatch; every other record goes into recs, with at recording how
+// many of the chunk's events precede it.
+type chunk struct {
+	events []core.Event
+	recs   []Record
+	at     []int
+	// viewBytes is the ReadGPA and C-string payload recs hold.
+	viewBytes int
+	// last marks the decoder's final chunk: it ends at the end marker, or
+	// at err (io.EOF at a clean record boundary, else a decode error).
+	last bool
+	err  error
+}
+
+// The chunk pool. A chunk ends after chunkRecords records, or once it holds
+// chunkViewBytes of view payload, so the read-ahead is bounded by
+// chunkCount × (chunkViewBytes + maxDataLen) of payload however hostile the
+// capture is, and by chunkCount × chunkRecords decoded records.
+const (
+	chunkCount     = 4
+	chunkRecords   = 2048
+	chunkViewBytes = 64 << 10
+)
+
+// chunkPool is the fixed set of chunks a replay cycles through: free holds
+// those the consumer is done with, full the decoded ones in stream order.
+// Each channel has room for every chunk, so no send ever blocks.
+type chunkPool struct{ free, full chan *chunk }
+
+// chunkPools recycles chunk pools between replays. A pool is about 6 MiB;
+// a process replaying one capture after another would otherwise allocate
+// one per replay, and zeroing it would double NewReplay's cost.
+var chunkPools = sync.Pool{New: func() any {
+	p := &chunkPool{free: make(chan *chunk, chunkCount), full: make(chan *chunk, chunkCount)}
+	for range chunkCount {
+		p.free <- &chunk{
+			events: make([]core.Event, 0, chunkRecords),
+			recs:   make([]Record, 0, chunkRecords),
+			at:     make([]int, 0, chunkRecords),
+		}
+	}
+	return p
+}}
+
+// maxReplayBatch bounds one republished run of events. Honest captures end
+// runs often (every tick, barrier and sync read), so the cap only bites on
+// hostile captures that repeat one event record forever.
 const maxReplayBatch = 256
 
 // NewReplay parses the capture header from r and builds the replay plane:
 // one EM with the recorded VMs attached under their recorded names (so actor
-// and route tables line up), one virtual clock per VM.
+// and route tables line up), one virtual clock per VM, and a chunk pool
+// recycled from an earlier replay when there is one.
 func NewReplay(r io.Reader, cfg ReplayConfig) (*Replay, error) {
 	rd, err := NewReader(r)
 	if err != nil {
@@ -110,8 +167,7 @@ func NewReplay(r io.Reader, cfg ReplayConfig) (*Replay, error) {
 			return nil, fmt.Errorf("capture: VM %q has %d vCPUs, replay cap is %d", vm.Name, vm.VCPUs, cfg.MaxVCPUs)
 		}
 	}
-	rp := &Replay{rd: rd, hdr: hdr, em: core.NewMultiplexer(), cfg: cfg,
-		batch: make([]core.Event, 0, maxReplayBatch)}
+	rp := &Replay{rd: rd, hdr: hdr, em: core.NewMultiplexer(), cfg: cfg, chunkPool: chunkPools.Get().(*chunkPool)}
 	if cfg.Flight != nil {
 		rp.em.SetFlight(cfg.Flight)
 	}
@@ -144,46 +200,55 @@ func (rp *Replay) Clock(vm core.VMID) *vclock.Clock {
 func (rp *Replay) Divergences() uint64 { return rp.divergences }
 
 // Run drives the schedule: every event, tick and barrier replays in recorded
-// order, with auditor reads answered from the stream as they happen. It
-// stops at the end marker (or a clean EOF at a record boundary — a capture
-// snapshotted mid-run, e.g. from an incident bundle) so epilogue reads can
-// follow via View/Counter. View or counter records encountered directly are
-// orphans — recorded reads the replayed auditors never performed — and count
-// as divergences (errors under Strict). A damaged stream is an error however
-// it is reached: the first decode error is returned even when a batch
-// run's decoding or an auditor's read ran into it.
+// order, with auditor reads answered from the stream as they happen. Each
+// run of consecutive event records, up to the next other record, republishes
+// as one PublishBatch (one EM lock round trip per run, not per event). This
+// is sound because sync delivery stays event-major within a batch, and any
+// view, counter, tick or barrier record ends the run: a sync read a live
+// delivery made lands in the stream after the event that caused it, so the
+// replayed read finds it, and no batch straddles a Dispatch barrier.
+// Batching is otherwise transparent to every downstream observable (see
+// core.PublishBatch), so the live run's batch boundaries need not match.
+//
+// Run stops at the end marker (or a clean EOF at a record boundary — a
+// capture snapshotted mid-run, e.g. from an incident bundle) so epilogue
+// reads can follow via View/Counter. View or counter records encountered
+// directly are orphans — recorded reads the replayed auditors never
+// performed — and count as divergences (errors under Strict). A damaged
+// stream is an error however it is reached: the first decode error is
+// returned, after the events decoded before it are published, even when an
+// auditor's read ran into it first. The decoder goroutine is joined on
+// every return, a panicking auditor's included.
 func (rp *Replay) Run() error {
+	rp.running = true
+	defer rp.halt()
 	for {
-		if rp.readEvents() {
-			rp.em.PublishBatch(rp.batch)
+		rec, err := rp.peek()
+		switch {
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
+		case rec == nil:
+			rp.publishRun()
 			continue
 		}
-		rec, err := rp.next()
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		switch rec.Kind {
-		case recEvent:
-			// Only a reader that yields data after reporting EOF gets
-			// here; put the record back so readEvents starts a run with it.
-			rp.hasPending = true
+		kind, vm, now := rec.Kind, rec.VM, rec.Now
+		rp.rec++
+		switch kind {
 		case recTick:
-			target := rec.Now
 			if rp.cfg.MaxTick > 0 {
-				if now := rp.clocks[rec.VM].Now(); target > now+rp.cfg.MaxTick {
-					target = now + rp.cfg.MaxTick
+				if cur := rp.clocks[vm].Now(); now > cur+rp.cfg.MaxTick {
+					now = cur + rp.cfg.MaxTick
 				}
 			}
-			rp.clocks[rec.VM].AdvanceTo(target)
+			rp.clocks[vm].AdvanceTo(now)
 		case recBarrier:
 			rp.em.Dispatch(0)
 		case recView, recCounter:
 			rp.divergences++
 			if rp.cfg.Strict {
-				return fmt.Errorf("capture: orphan %s record (no replayed auditor performed this read)", KindName(rec.Kind))
+				return fmt.Errorf("capture: orphan %s record (no replayed auditor performed this read)", KindName(kind))
 			}
 		case recEnd:
 			return nil
@@ -191,73 +256,206 @@ func (rp *Replay) Run() error {
 	}
 }
 
-// readEvents decodes the run of event records at the stream position, up
-// to maxReplayBatch, into rp.batch and reports whether it holds any. A
-// pending event record (one an auditor's read peeked at) starts the run.
-// Whatever ends the run — a record of another kind, a clean EOF, a decode
-// error — is left for next: the record stays unread, and the error is
-// latched so the next read returns it, after the events decoded before it
-// have been published.
-func (rp *Replay) readEvents() bool {
-	rp.batch = rp.batch[:0]
-	if rp.err != nil {
-		return false
+// publishRun republishes the run of events at the cursor, up to the
+// chunk's next other record and at most maxReplayBatch, straight from the
+// chunk. PublishBatch copies each event into the async rings it queues on,
+// so only the sync deliveries read the chunk, and they are done when it
+// returns: the chunk stays pinned until then.
+func (rp *Replay) publishRun() {
+	c := rp.cur
+	end := len(c.events)
+	if rp.rec < len(c.recs) {
+		end = c.at[rp.rec]
 	}
-	if rp.hasPending {
-		if rp.pending.Kind != recEvent {
-			return false
-		}
-		rp.batch = append(rp.batch, rp.pending.Event)
-		rp.hasPending = false
+	end = min(end, rp.ev+maxReplayBatch)
+	run := c.events[rp.ev:end]
+	rp.ev = end
+	rp.pinned = c
+	rp.em.PublishBatch(run)
+	rp.pinned = nil
+	if rp.cur != c {
+		rp.free <- c
 	}
-	for n := len(rp.batch); n < maxReplayBatch; n++ {
-		rp.batch = rp.batch[:n+1]
-		ok, err := rp.rd.nextEvent(&rp.batch[n])
-		if !ok {
-			rp.batch = rp.batch[:n]
-			if err != nil && err != io.EOF {
-				rp.err = err
-			}
-			break
-		}
-	}
-	return len(rp.batch) > 0
 }
 
-// next returns the next record, honoring the one-record lookahead.
-func (rp *Replay) next() (*Record, error) {
-	rec, err := rp.peek()
-	rp.hasPending = false
-	return rec, err
-}
-
-// peek exposes the next record without consuming it. io.EOF (a clean
-// record boundary) is returned as is; any other error is latched.
+// peek returns the record at the cursor without consuming it, or nil when
+// the cursor is at an event. io.EOF (a clean record boundary) is returned as
+// is; any other error is latched. The record stays valid until the next
+// peek, which is when an exhausted chunk goes back to the decoder.
 func (rp *Replay) peek() (*Record, error) {
-	if rp.err != nil {
-		return nil, rp.err
-	}
-	if !rp.hasPending {
-		if err := rp.rd.Next(&rp.pending); err != nil {
-			if err != io.EOF {
-				rp.err = err
+	for rp.err == nil {
+		if c := rp.cur; c != nil {
+			if rp.rec < len(c.recs) && c.at[rp.rec] == rp.ev {
+				return &c.recs[rp.rec], nil
 			}
-			return nil, err
+			if rp.ev < len(c.events) {
+				return nil, nil
+			}
+			err := c.err
+			rp.cur = nil
+			if c != rp.pinned {
+				rp.free <- c
+			}
+			if err == io.EOF {
+				return nil, io.EOF
+			}
+			rp.err = err
 		}
-		rp.hasPending = true
+		rp.cur, rp.ev, rp.rec = rp.fetch(), 0, 0
 	}
-	return &rp.pending, nil
+	return nil, rp.err
+}
+
+// fetch returns the next decoded chunk: from the decoder goroutine while it
+// is up, else from what a stopped decoder left behind, else decoded inline.
+// Inside Run, a chunk decoded inline that filled without ending the stream
+// starts the goroutine on the rest.
+func (rp *Replay) fetch() *chunk {
+	for rp.decoding {
+		select {
+		case c := <-rp.full:
+			rp.decoding = !c.last
+			return c
+		default:
+			runtime.Gosched()
+		}
+	}
+	if rp.chunkPool == nil {
+		rp.chunkPool = chunkPools.Get().(*chunkPool)
+	}
+	select {
+	case c := <-rp.full:
+		return c
+	default:
+	}
+	c := <-rp.free
+	c.fill(rp.rd)
+	if rp.running && rp.stop == nil && !c.last {
+		rp.stop, rp.exited = make(chan struct{}), make(chan struct{})
+		rp.decoding = true
+		go decode(rp.rd, rp.free, rp.full, rp.stop, rp.exited)
+	}
+	return c
+}
+
+// decode is the decoder goroutine: it fills free chunks from rd and hands
+// them on in stream order until the stream ends, then waits for stop. It
+// touches nothing but rd and the chunks.
+//
+// Neither stage parks while it waits for the other: fetch and decode poll
+// their channel and yield the P in between. A goroutine that parks takes a
+// runtime sudog from its P's cache and may return it to another P's, so
+// parking once per chunk would make Run allocate more, at random, on a long
+// capture than on a short one. Run parks once, at the join in halt, and
+// the decoder's exit wakes it on the P the decoder dies on, where the next
+// Run's go statement finds the dead goroutine to reuse.
+func decode(rd *Reader, free <-chan *chunk, full chan<- *chunk, stop <-chan struct{}, exited chan<- struct{}) {
+	defer close(exited)
+	for {
+		var c *chunk
+		select {
+		case c = <-free:
+		case <-stop:
+			return
+		default:
+			runtime.Gosched()
+			continue
+		}
+		c.fill(rd)
+		full <- c
+		if c.last {
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}
+	}
+}
+
+// halt ends Run: it stops and joins the decoder goroutine, leaving the
+// chunks it decoded readable in full, and returns a chunk a panicking
+// PublishBatch left pinned. When no chunk holds anything left to read —
+// Run reached the end marker, EOF or an error — the pool goes back for
+// the next replay; a later read takes one again.
+func (rp *Replay) halt() {
+	rp.running = false
+	if rp.stop != nil {
+		close(rp.stop)
+		<-rp.exited
+		rp.stop, rp.decoding = nil, false
+	}
+	if c := rp.pinned; c != nil {
+		rp.pinned = nil
+		if c != rp.cur {
+			rp.free <- c
+		}
+	}
+	if c := rp.cur; c != nil && rp.ev == len(c.events) && rp.rec == len(c.recs) && c.err == nil {
+		rp.cur = nil
+		rp.free <- c
+	}
+	if rp.chunkPool != nil && len(rp.free) == chunkCount {
+		chunkPools.Put(rp.chunkPool)
+		rp.chunkPool = nil
+	}
+}
+
+// fill decodes the next stretch of rd into c, reusing its storage. It stops
+// after chunkRecords records or chunkViewBytes of view payload, and marks c
+// last at the end marker, at EOF or at a decode error. Whatever ends the
+// stream is left in c.err for the consumer to reach in stream order.
+//
+//hypertap:hotpath
+func (c *chunk) fill(rd *Reader) {
+	if c.viewBytes > 0 {
+		for i := range c.recs {
+			c.recs[i].View.Data, c.recs[i].View.Str = nil, ""
+		}
+	}
+	c.events, c.recs, c.at = c.events[:0], c.recs[:0], c.at[:0]
+	c.viewBytes, c.last, c.err = 0, false, nil
+	for len(c.events)+len(c.recs) < chunkRecords && c.viewBytes < chunkViewBytes {
+		n := len(c.events)
+		c.events = c.events[:n+1]
+		ok, err := rd.nextEvent(&c.events[n])
+		if ok {
+			continue
+		}
+		c.events = c.events[:n]
+		if err == nil {
+			i := len(c.recs)
+			c.recs, c.at = c.recs[:i+1], c.at[:i+1]
+			rec := &c.recs[i]
+			if err = rd.Next(rec); err == nil {
+				c.at[i] = n
+				c.viewBytes += len(rec.View.Data) + len(rec.View.Str)
+				if rec.Kind == recEnd {
+					c.last = true
+					return
+				}
+				continue
+			}
+			*rec = Record{}
+			c.recs, c.at = c.recs[:i], c.at[:i]
+		}
+		c.last, c.err = true, err
+		return
+	}
 }
 
 // popView consumes the next record if it is a view record for (vm, method);
 // any other shape is a divergence and the record stays put.
 func (rp *Replay) popView(vm core.VMID, method byte) (*ViewRecord, bool) {
 	rec, err := rp.peek()
-	if err != nil || rec.Kind != recView || rec.VM != vm || rec.View.Method != method {
+	if err != nil || rec == nil || rec.Kind != recView || rec.VM != vm || rec.View.Method != method {
 		rp.divergences++
 		return nil, false
 	}
-	rp.hasPending = false
+	rp.rec++
 	return &rec.View, true
 }
 
@@ -437,10 +635,10 @@ type ReplayCounter struct {
 // CountProcesses implements hrkd.ProcessCounter.
 func (c *ReplayCounter) CountProcesses() int {
 	rec, err := c.rp.peek()
-	if err != nil || rec.Kind != recCounter || rec.VM != c.vm {
+	if err != nil || rec == nil || rec.Kind != recCounter || rec.VM != c.vm {
 		c.rp.divergences++
 		return 0
 	}
-	c.rp.hasPending = false
+	c.rp.rec++
 	return rec.Count
 }

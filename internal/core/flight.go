@@ -50,8 +50,6 @@ const spanSeqMask = 1<<40 - 1
 
 // MintSpan builds the span identity for the idx-th event decoded from exit
 // sequence seq of VM vm.
-//
-//hypertap:hotpath
 func MintSpan(vm VMID, seq uint64, idx uint8) SpanID {
 	return SpanID(uint64(vm)<<48 | (seq&spanSeqMask)<<8 | uint64(idx))
 }

@@ -100,7 +100,8 @@ func (m *Memory) check(pa arch.GPA, n int) error {
 
 //go:noinline
 func (m *Memory) outOfRange(pa arch.GPA, n int) error {
-	return fmt.Errorf("%w: [%#x,+%d) size %#x", ErrOutOfRange, uint64(pa), n, m.size)
+	//hypertap:allow hotpath cold exit: formats only an out-of-range access's error
+	return fmt.Errorf("%w: [%#x,+%d) size %#x", ErrOutOfRange, uint64(pa), n, m.size) //hypertap:allow allocproof same cold exit
 }
 
 // at returns the bytes from pa to the end of its page, or nil when the
@@ -128,10 +129,11 @@ func (m *Memory) writable(pa arch.GPA) []byte {
 //go:noinline
 func (m *Memory) touch(pa arch.GPA) []byte {
 	if len(m.spare) == 0 {
-		m.spare = make([]page, blockPages)
+		m.spare = make([]page, blockPages) //hypertap:allow allocproof backs a first-touched page; each block serves blockPages touches, and a touched page stays backed
 	}
 	p := &m.spare[0]
 	m.spare = m.spare[1:]
+	//hypertap:allow hotpath grows only when a page is first touched, never on an access to a backed page
 	m.slots = append(m.slots, p)
 	m.index[pa>>arch.PageShift] = uint32(len(m.slots))
 	return p[pa&pageMask:]

@@ -172,8 +172,6 @@ func (v *VCPU) ReadMSR(m arch.MSR) uint64 { return v.msrs[m] }
 // SoftwareInterrupt raises INT vector from guest code. If the exception
 // bitmap selects the vector, an EXCEPTION exit fires before the guest's
 // interrupt handler runs.
-//
-//hypertap:hotpath
 func (v *VCPU) SoftwareInterrupt(vector uint8) {
 	if v.ctrls.ExceptionBit(vector) {
 		v.exit(ExitException, Qualification{ExcType: ExcSoftwareInt, Vector: vector})
@@ -186,8 +184,6 @@ func (v *VCPU) SoftwareInterrupt(vector uint8) {
 // emulation path) performs the actual data transfer afterwards either way:
 // the hypervisor emulates the trapped access, which is how write-protect
 // tracking works in the paper.
-//
-//hypertap:hotpath
 func (v *VCPU) CheckedAccess(gpa arch.GPA, gva arch.GVA, a Access, value uint64) bool {
 	if v.ept.Check(gpa, a) {
 		return false
@@ -198,8 +194,6 @@ func (v *VCPU) CheckedAccess(gpa arch.GPA, gva arch.GVA, a Access, value uint64)
 
 // IO performs a guest programmed-I/O instruction, which always exits so the
 // hypervisor can multiplex devices.
-//
-//hypertap:hotpath
 func (v *VCPU) IO(port uint16, write bool, value uint32) {
 	v.exit(ExitIOInstruction, Qualification{Port: port, Write: write, Value: uint64(value)})
 }

@@ -51,8 +51,6 @@ func bucketLower(b int) uint64 {
 }
 
 // Observe records one duration. Negative durations count as zero.
-//
-//hypertap:hotpath
 func (h *Histogram) Observe(d time.Duration) {
 	v := uint64(0)
 	if d > 0 {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,8 +47,6 @@ type Counter struct {
 }
 
 // Inc adds one. A single atomic add: safe on any hot path.
-//
-//hypertap:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add increments by n.
@@ -64,14 +63,10 @@ type Gauge struct {
 }
 
 // Set stores v. A single atomic store.
-//
-//hypertap:hotpath
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // SetMax raises the gauge to v if v exceeds the current value — the
 // high-water-mark update.
-//
-//hypertap:hotpath
 func (g *Gauge) SetMax(v float64) {
 	for {
 		cur := g.bits.Load()
@@ -164,7 +159,9 @@ func metricID(name string, labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b.WriteString(l.Key)
+		b.WriteByte('=')
+		b.WriteString(strconv.Quote(l.Value))
 	}
 	b.WriteByte('}')
 	return b.String()
