@@ -46,6 +46,16 @@ func bulk(r *Recorder, seq uint64, n int) {
 	}
 }
 
+// goroutineProbe is a sync auditor that records the most goroutines alive
+// at any of its deliveries.
+type goroutineProbe struct{ peak int }
+
+func (g *goroutineProbe) Name() string         { return "goroutine-probe" }
+func (g *goroutineProbe) Mask() core.EventMask { return core.MaskAll }
+func (g *goroutineProbe) HandleEvent(*core.Event) {
+	g.peak = max(g.peak, runtime.NumGoroutine())
+}
+
 // panicAt is a sync auditor that panics on the event numbered seq.
 type panicAt struct{ seq uint64 }
 
@@ -60,8 +70,8 @@ func (p *panicAt) HandleEvent(ev *core.Event) {
 // TestReplayPipelineLifetime pins the decoder goroutine's lifetime: on
 // every way Run can return — end marker, clean EOF, decode error, Strict
 // orphan record, panicking auditor — the goroutine count is back to its
-// value before Run, and the goroutine did run (each capture spans many
-// chunks). Reads after Run still pop the right records: the epilogue after
+// value before Run, and the goroutine did run while Run delivered (each
+// capture spans many chunks). Reads after Run still pop the right records: the epilogue after
 // the end marker, and after an orphan the rest of the stream, which a
 // second Run drives to the end. A capture smaller than one chunk never
 // starts the goroutine.
@@ -130,6 +140,10 @@ func TestReplayPipelineLifetime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			probe := &goroutineProbe{}
+			if err := rp.EM().Register(probe, core.DeliverSync, 0); err != nil {
+				t.Fatal(err)
+			}
 			if tc.panicAt != 0 {
 				if err := rp.EM().Register(&panicAt{seq: tc.panicAt}, core.DeliverSync, 0); err != nil {
 					t.Fatal(err)
@@ -144,23 +158,20 @@ func TestReplayPipelineLifetime(t *testing.T) {
 				}()
 				return rp.Run()
 			}()
-			// Run has joined the decoder when it returns; the goroutine may
-			// still be a few instructions from gone, so allow it a moment.
-			after := runtime.NumGoroutine()
-			for deadline := time.Now().Add(time.Second); after != before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
-				runtime.Gosched()
-			}
-			if after != before {
+			if after := settle(before); after != before {
 				t.Errorf("%d goroutines after Run, %d before", after, before)
 			}
 			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("Run returned %v, want %q", err, tc.wantErr)
 			}
-			if spawned := rp.exited != nil; spawned != tc.spawns {
+			if spawned := probe.peak > before; spawned != tc.spawns {
 				t.Fatalf("decoder goroutine started: %v, want %v", spawned, tc.spawns)
 			}
 			if tc.after != nil {
 				tc.after(t, rp)
+				if after := settle(before); after != before {
+					t.Errorf("%d goroutines after the reads that follow Run, %d before", after, before)
+				}
 			}
 			if rp.decoding {
 				t.Error("decoder still marked running after Run returned")
@@ -170,6 +181,17 @@ func TestReplayPipelineLifetime(t *testing.T) {
 			}
 		})
 	}
+}
+
+// settle returns the goroutine count once it is back to want, or after a
+// second. Run has joined the decoder when it returns, but the goroutine may
+// still be a few instructions from gone.
+func settle(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n != want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		runtime.Gosched()
+	}
+	return n
 }
 
 // crossReader is a sync auditor that, on events whose Seq is in reads,
@@ -204,12 +226,13 @@ func (c *crossReader) HandleEvent(ev *core.Event) {
 
 // TestReplayChunkBoundaries pins the pipeline at chunk edges against a
 // record-by-record Reader.Next trace of the same stream. The stream puts a
-// sync-read event as the last record of the first chunk, so its view reads
+// sync-read event as the last record of the first (firstChunkRecords)
+// chunk, so its view reads
 // cross into the next chunk inside PublishBatch; other such events land at
 // every offset around later boundaries; and long plain event runs are split
 // by chunk ends and by maxReplayBatch.
 func TestReplayChunkBoundaries(t *testing.T) {
-	reads := map[uint64]int{chunkRecords - 1: 3}
+	reads := map[uint64]int{firstChunkRecords - 1: 3}
 	data := pipelineCapture(t, func(r *Recorder) {
 		seq := uint64(0)
 		event := func() {
@@ -222,7 +245,7 @@ func TestReplayChunkBoundaries(t *testing.T) {
 			}
 			seq++
 		}
-		for seq < chunkRecords {
+		for seq < firstChunkRecords {
 			event()
 		}
 		// Plain events: a run across the second chunk's end and past
@@ -267,11 +290,16 @@ func TestReplayChunkBoundaries(t *testing.T) {
 	if err := rp.EM().Register(cr, core.DeliverSync, 0); err != nil {
 		t.Fatal(err)
 	}
+	probe := &goroutineProbe{}
+	if err := rp.EM().Register(probe, core.DeliverSync, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
 	if err := rp.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rp.exited == nil {
-		t.Fatal("the decoder goroutine never started; the test covers nothing")
+	if probe.peak <= before {
+		t.Fatal("Run never started the decoder goroutine; the test covers nothing")
 	}
 	if n := rp.Divergences(); n != 0 {
 		t.Fatalf("%d divergences", n)
@@ -328,8 +356,7 @@ func TestReplayReadAheadBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c chunk
-	c.events, c.recs, c.at = make([]core.Event, 0, chunkRecords), make([]Record, 0, chunkRecords), make([]int, 0, chunkRecords)
+	c := newChunk(chunkRecords)
 	for chunks := 0; ; chunks++ {
 		c.fill(rd)
 		if c.viewBytes > chunkViewBytes+maxDataLen || len(c.recs) > 2 {
@@ -358,9 +385,9 @@ func TestReplayReadAheadBound(t *testing.T) {
 	if n := rp.Divergences(); n != views {
 		t.Fatalf("%d divergences, want one per orphan view (%d)", n, views)
 	}
-	// The pool's record storage comes on top, and a little for the
+	// The chunks' record storage comes on top, and a little for the
 	// Reader's buffer and the EM.
-	pool := chunkCount * chunkRecords * (unsafe.Sizeof(core.Event{}) + unsafe.Sizeof(Record{}) + unsafe.Sizeof(0))
+	pool := chunkCount * chunkRecords * (unsafe.Sizeof(core.Event{}) + (unsafe.Sizeof(Record{})+unsafe.Sizeof(0))/4)
 	bound := uint64(chunkCount*(chunkViewBytes+maxDataLen)) + uint64(pool) + 2<<20
 	if grew := probe.peak - min(probe.peak, base); grew > bound {
 		t.Fatalf("live heap grew by %d bytes during Run, bound %d", grew, bound)

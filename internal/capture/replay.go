@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 	"time"
 
 	"hypertap/internal/arch"
@@ -55,8 +53,8 @@ const DefaultMaxVMs = 256
 // flight ring is byte-identical, with no guest anywhere.
 //
 // Replay is a two-stage pipeline, the paper's logging/auditing split. The
-// decoder stage owns the Reader and a fixed pool of chunks and does nothing
-// but parse bytes into them; the auditing stage (Run's goroutine, or the
+// decoder stage owns the Reader and the chunks it fills and does nothing but
+// parse bytes into them; the auditing stage (Run's goroutine, or the
 // caller's for reads outside Run) owns the EM, the clocks and the views and
 // consumes the chunks in stream order. Inside Run the decoder runs on a
 // goroutine of its own once the first chunk fills; everywhere else it runs
@@ -77,15 +75,18 @@ type Replay struct {
 	// A sync auditor's reads can move the cursor past it, but it goes back
 	// to the decoder only once that PublishBatch returns.
 	pinned *chunk
-	// The chunk pool: taken from chunkPools by NewReplay, handed back by
-	// Run once nothing is left to read in it, and taken again by a later
-	// read.
-	*chunkPool
+	// free holds the chunks nothing reads, full the decoded ones in stream
+	// order; chunks counts those allocated. Both channels are made with the
+	// first chunk and have room for every chunk (free also for halt's nil),
+	// so no send ever blocks.
+	free, full chan *chunk
+	chunks     int
 	// running is set inside Run, the only place the decoder goroutine may
-	// start. decoding is set while the goroutine still decodes; stop, non-nil
-	// while it is up, stops it and exited joins it.
+	// start. decoding is set until the consumer takes the goroutine's last
+	// chunk. stop is non-nil while the goroutine is up; ack carries its
+	// start and its exit.
 	running, decoding bool
-	stop, exited      chan struct{}
+	stop, ack         chan struct{}
 	// err latches the first decode error. Once set the stream position is
 	// mid-record, so every later read returns err instead of decoding
 	// garbage, and Run reports it even when a view pop hit it first.
@@ -110,35 +111,38 @@ type chunk struct {
 	err  error
 }
 
-// The chunk pool. A chunk ends after chunkRecords records, or once it holds
-// chunkViewBytes of view payload, so the read-ahead is bounded by
-// chunkCount × (chunkViewBytes + maxDataLen) of payload however hostile the
-// capture is, and by chunkCount × chunkRecords decoded records.
+// Chunk bounds. A chunk ends after cap(events) records, once recs is full,
+// or once it holds chunkViewBytes of view payload, so the read-ahead is
+// bounded by chunkCount × (chunkViewBytes + maxDataLen) of payload however
+// hostile the capture is, and by chunkCount × chunkRecords decoded records.
+// Every stream starts in one firstChunkRecords chunk, so a capture shorter
+// than that (most fuzz inputs and unit tests) allocates only it; Run
+// allocates the rest when it starts the decoder goroutine. Tick and
+// barrier records are 14% of an 8-VM fleet capture's records, so recs
+// holds a quarter of a chunk's; a chunk whose recs fill ends early.
 const (
-	chunkCount     = 4
-	chunkRecords   = 2048
-	chunkViewBytes = 64 << 10
+	chunkCount        = 4
+	chunkRecords      = 2048
+	firstChunkRecords = 256
+	chunkViewBytes    = 64 << 10
 )
 
-// chunkPool is the fixed set of chunks a replay cycles through: free holds
-// those the consumer is done with, full the decoded ones in stream order.
-// Each channel has room for every chunk, so no send ever blocks.
-type chunkPool struct{ free, full chan *chunk }
+// spareChunks keeps one replay's full-size chunks between replays: Run takes
+// them when it starts the decoder, and halt hands back every one nothing is
+// left to read in. A process replaying one capture after another would
+// otherwise allocate, zero and collect megabytes of chunks per replay.
+// Chunks beyond its room (replays running side by side) are left to the
+// garbage collector.
+var spareChunks = make(chan *chunk, chunkCount-1)
 
-// chunkPools recycles chunk pools between replays. A pool is about 6 MiB;
-// a process replaying one capture after another would otherwise allocate
-// one per replay, and zeroing it would double NewReplay's cost.
-var chunkPools = sync.Pool{New: func() any {
-	p := &chunkPool{free: make(chan *chunk, chunkCount), full: make(chan *chunk, chunkCount)}
-	for range chunkCount {
-		p.free <- &chunk{
-			events: make([]core.Event, 0, chunkRecords),
-			recs:   make([]Record, 0, chunkRecords),
-			at:     make([]int, 0, chunkRecords),
-		}
+// newChunk allocates a chunk of up to records records.
+func newChunk(records int) *chunk {
+	return &chunk{
+		events: make([]core.Event, 0, records),
+		recs:   make([]Record, 0, records/4),
+		at:     make([]int, 0, records/4),
 	}
-	return p
-}}
+}
 
 // maxReplayBatch bounds one republished run of events. Honest captures end
 // runs often (every tick, barrier and sync read), so the cap only bites on
@@ -147,8 +151,7 @@ const maxReplayBatch = 256
 
 // NewReplay parses the capture header from r and builds the replay plane:
 // one EM with the recorded VMs attached under their recorded names (so actor
-// and route tables line up), one virtual clock per VM, and a chunk pool
-// recycled from an earlier replay when there is one.
+// and route tables line up) and one virtual clock per VM.
 func NewReplay(r io.Reader, cfg ReplayConfig) (*Replay, error) {
 	rd, err := NewReader(r)
 	if err != nil {
@@ -167,7 +170,7 @@ func NewReplay(r io.Reader, cfg ReplayConfig) (*Replay, error) {
 			return nil, fmt.Errorf("capture: VM %q has %d vCPUs, replay cap is %d", vm.Name, vm.VCPUs, cfg.MaxVCPUs)
 		}
 	}
-	rp := &Replay{rd: rd, hdr: hdr, em: core.NewMultiplexer(), cfg: cfg, chunkPool: chunkPools.Get().(*chunkPool)}
+	rp := &Replay{rd: rd, hdr: hdr, em: core.NewMultiplexer(), cfg: cfg}
 	if cfg.Flight != nil {
 		rp.em.SetFlight(cfg.Flight)
 	}
@@ -307,86 +310,83 @@ func (rp *Replay) peek() (*Record, error) {
 }
 
 // fetch returns the next decoded chunk: from the decoder goroutine while it
-// is up, else from what a stopped decoder left behind, else decoded inline.
+// is up, else one a stopped decoder left behind, else one decoded inline.
 // Inside Run, a chunk decoded inline that filled without ending the stream
 // starts the goroutine on the rest.
 func (rp *Replay) fetch() *chunk {
-	for rp.decoding {
-		select {
-		case c := <-rp.full:
-			rp.decoding = !c.last
-			return c
-		default:
-			runtime.Gosched()
-		}
+	if rp.decoding {
+		c := <-rp.full
+		rp.decoding = !c.last
+		return c
 	}
-	if rp.chunkPool == nil {
-		rp.chunkPool = chunkPools.Get().(*chunkPool)
-	}
+	var c *chunk
 	select {
-	case c := <-rp.full:
+	case c = <-rp.full:
 		return c
 	default:
 	}
-	c := <-rp.free
+	select {
+	case c = <-rp.free:
+	default:
+		// Nothing is free before the first chunk, or while the only
+		// other chunk is pinned.
+		if rp.free == nil {
+			rp.free, rp.full = make(chan *chunk, chunkCount+1), make(chan *chunk, chunkCount)
+		}
+		c = newChunk(firstChunkRecords)
+		rp.chunks++
+	}
 	c.fill(rp.rd)
 	if rp.running && rp.stop == nil && !c.last {
-		rp.stop, rp.exited = make(chan struct{}), make(chan struct{})
+		for ; rp.chunks < chunkCount; rp.chunks++ {
+			select {
+			case c := <-spareChunks:
+				rp.free <- c
+			default:
+				rp.free <- newChunk(chunkRecords)
+			}
+		}
+		rp.stop, rp.ack = make(chan struct{}), make(chan struct{})
 		rp.decoding = true
-		go decode(rp.rd, rp.free, rp.full, rp.stop, rp.exited)
+		go decode(rp.rd, rp.free, rp.full, rp.stop, rp.ack)
+		// Wait for the goroutine to start, so that it first runs on the P
+		// this goroutine leaves. Both then mostly take the runtime's
+		// per-P goroutine and wait-queue entries from, and give them back
+		// to, the P the caller ends up on, so how often Run allocates
+		// depends less on the schedule.
+		<-rp.ack
 	}
 	return c
 }
 
 // decode is the decoder goroutine: it fills free chunks from rd and hands
-// them on in stream order until the stream ends, then waits for stop. It
-// touches nothing but rd and the chunks.
-//
-// Neither stage parks while it waits for the other: fetch and decode poll
-// their channel and yield the P in between. A goroutine that parks takes a
-// runtime sudog from its P's cache and may return it to another P's, so
-// parking once per chunk would make Run allocate more, at random, on a long
-// capture than on a short one. Run parks once, at the join in halt, and
-// the decoder's exit wakes it on the P the decoder dies on, where the next
-// Run's go statement finds the dead goroutine to reuse.
-func decode(rd *Reader, free <-chan *chunk, full chan<- *chunk, stop <-chan struct{}, exited chan<- struct{}) {
-	defer close(exited)
-	for {
-		var c *chunk
-		select {
-		case c = <-free:
-		case <-stop:
-			return
-		default:
-			runtime.Gosched()
-			continue
-		}
+// them on in stream order, blocking while every chunk is full. It returns
+// at a nil chunk, or once stop closes after its last chunk. It touches
+// nothing but rd and the chunks.
+func decode(rd *Reader, free <-chan *chunk, full chan<- *chunk, stop <-chan struct{}, ack chan<- struct{}) {
+	defer close(ack)
+	ack <- struct{}{}
+	for c := <-free; c != nil; c = <-free {
 		c.fill(rd)
 		full <- c
 		if c.last {
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					runtime.Gosched()
-				}
-			}
+			<-stop
+			return
 		}
 	}
 }
 
 // halt ends Run: it stops and joins the decoder goroutine, leaving the
-// chunks it decoded readable in full, and returns a chunk a panicking
-// PublishBatch left pinned. When no chunk holds anything left to read —
-// Run reached the end marker, EOF or an error — the pool goes back for
-// the next replay; a later read takes one again.
+// chunks it decoded readable in stream order, frees a chunk a panicking
+// PublishBatch left pinned, and hands every full-size chunk nothing is left
+// to read in back to spareChunks. Reads after Run decode into the first chunk.
 func (rp *Replay) halt() {
 	rp.running = false
 	if rp.stop != nil {
 		close(rp.stop)
-		<-rp.exited
-		rp.stop, rp.decoding = nil, false
+		rp.free <- nil
+		<-rp.ack
+		rp.stop, rp.ack, rp.decoding = nil, nil, false
 	}
 	if c := rp.pinned; c != nil {
 		rp.pinned = nil
@@ -398,16 +398,27 @@ func (rp *Replay) halt() {
 		rp.cur = nil
 		rp.free <- c
 	}
-	if rp.chunkPool != nil && len(rp.free) == chunkCount {
-		chunkPools.Put(rp.chunkPool)
-		rp.chunkPool = nil
+	for range len(rp.free) {
+		c := <-rp.free
+		if c == nil {
+			continue
+		}
+		if cap(c.events) != chunkRecords {
+			rp.free <- c
+			continue
+		}
+		rp.chunks--
+		select {
+		case spareChunks <- c:
+		default:
+		}
 	}
 }
 
 // fill decodes the next stretch of rd into c, reusing its storage. It stops
-// after chunkRecords records or chunkViewBytes of view payload, and marks c
-// last at the end marker, at EOF or at a decode error. Whatever ends the
-// stream is left in c.err for the consumer to reach in stream order.
+// at c's record or view-payload bound, and marks c last at the end marker,
+// at EOF or at a decode error. Whatever ends the stream is left in c.err
+// for the consumer to reach in stream order.
 //
 //hypertap:hotpath
 func (c *chunk) fill(rd *Reader) {
@@ -418,7 +429,7 @@ func (c *chunk) fill(rd *Reader) {
 	}
 	c.events, c.recs, c.at = c.events[:0], c.recs[:0], c.at[:0]
 	c.viewBytes, c.last, c.err = 0, false, nil
-	for len(c.events)+len(c.recs) < chunkRecords && c.viewBytes < chunkViewBytes {
+	for len(c.events)+len(c.recs) < cap(c.events) && len(c.recs) < cap(c.recs) && c.viewBytes < chunkViewBytes {
 		n := len(c.events)
 		c.events = c.events[:n+1]
 		ok, err := rd.nextEvent(&c.events[n])
